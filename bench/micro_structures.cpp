@@ -15,6 +15,7 @@
 #include "retcon/ssb.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace retcon;
 
@@ -32,6 +33,63 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+static void
+BM_ShardedQueueSaturated(benchmark::State &state)
+{
+    // The monolith's shape: one shard dispatching one event per cycle
+    // under 32 self-rescheduling cores, so most due events slip.
+    constexpr int kEvents = 4096;
+    struct Cores {
+        ShardedEventQueue &q;
+        int left;
+
+        void
+        tick(unsigned c)
+        {
+            if (left-- > 0)
+                q.scheduleAfter(0, 1 + c % 4, [this, c] { tick(c); });
+        }
+    };
+    for (auto _ : state) {
+        ShardedQueueConfig cfg;
+        cfg.dispatchBandwidth = 1;
+        ShardedEventQueue q(cfg);
+        Cores cores{q, kEvents};
+        for (unsigned c = 0; c < 32; ++c)
+            cores.tick(c);
+        q.run();
+        benchmark::DoNotOptimize(q.executed());
+    }
+    state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_ShardedQueueSaturated);
+
+static void
+BM_EventQueueCancelChurn(benchmark::State &state)
+{
+    // Remote aborts: a core's pending event is cancelled and replaced
+    // before it fires, while the other cores keep dispatching. One item
+    // is one cancel + reschedule + dispatch.
+    constexpr unsigned kCores = 32;
+    EventQueue eq;
+    std::vector<EventHandle> pending(kCores);
+    Xoshiro rng(13);
+    std::function<void(unsigned)> arm = [&](unsigned c) {
+        pending[c] = eq.scheduleAfter(1 + rng.below(8), [&arm, c] { arm(c); });
+    };
+    for (unsigned c = 0; c < kCores; ++c)
+        arm(c);
+    for (auto _ : state) {
+        auto c = static_cast<unsigned>(rng.below(kCores));
+        eq.cancel(pending[c]);
+        arm(c);
+        eq.step();
+    }
+    benchmark::DoNotOptimize(eq.executed());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueCancelChurn);
 
 static void
 BM_CacheInsertLookup(benchmark::State &state)

@@ -271,12 +271,22 @@ Core::schedule(Cycle delay, Cat cat, std::function<void()> fn)
 {
     sim_assert(!_pendingEvent.valid(),
                "core %u double-scheduled an event", _id);
-    _pendingEvent =
-        _eq.scheduleAfter(delay, [this, cat, fn = std::move(fn)]() {
-            _pendingEvent = EventHandle{};
-            accountTo(cat);
-            fn();
-        });
+    // At most one event is pending, so its category and body live here
+    // and the queue holds a closure small enough to store inline.
+    _pendingCat = cat;
+    _pendingFn = std::move(fn);
+    _pendingEvent = _eq.scheduleAfter(delay, [this]() { firePending(); });
+}
+
+void
+Core::firePending()
+{
+    _pendingEvent = EventHandle{};
+    accountTo(_pendingCat);
+    // The body usually schedules the next event, which refills
+    // _pendingFn: run it from a local.
+    std::function<void()> fn = std::move(_pendingFn);
+    fn();
 }
 
 void

@@ -323,6 +323,8 @@ class Core
     bool _inTxn = false;
     bool _finished = false;
     EventHandle _pendingEvent;
+    Cat _pendingCat = Cat::Busy;      ///< Category of _pendingEvent.
+    std::function<void()> _pendingFn; ///< Body of _pendingEvent.
     std::uint64_t _attemptOps = 0;
 
     // Accounting.
@@ -335,6 +337,7 @@ class Core
     CoreStats _stats;
 
     void schedule(Cycle delay, Cat cat, std::function<void()> fn);
+    void firePending();
     void accountTo(Cat cat);
     void resumeCoroutine(std::coroutine_handle<> h);
     void postResume();

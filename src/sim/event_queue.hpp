@@ -5,9 +5,15 @@
  * Events are callbacks scheduled at an absolute cycle. Events scheduled
  * for the same cycle fire in the order they were scheduled (a strictly
  * increasing sequence number breaks ties), so a simulation with a fixed
- * seed is bit-for-bit reproducible. Cancellation is supported through
- * EventHandle generations rather than queue surgery: a cancelled event
- * stays in the heap but is skipped when popped.
+ * seed is bit-for-bit reproducible.
+ *
+ * Storage is split so dispatch never moves a closure through the heap:
+ * the heap orders 24-byte POD keys {when, seq, slot}, and callbacks live
+ * in a slab of slots recycled through a free list. A handle names
+ * (slot, generation); a slot's generation advances when the slot is
+ * freed, so cancel() is an O(1) flag write and a stale handle (its
+ * event already ran, or the slot was reused) is a no-op. A cancelled
+ * event keeps its key in the heap and is skipped when popped.
  */
 
 #ifndef RETCON_SIM_EVENT_QUEUE_HPP
@@ -15,7 +21,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -44,6 +50,13 @@ class EventQueue : public SimClock
   public:
     using Callback = std::function<void()>;
 
+    /**
+     * Ids at or above this are chosen by the caller (scheduleSeqId) and
+     * translated to slab handles through a map; slab handles stay below.
+     */
+    static constexpr std::uint64_t kForeignIdBase = std::uint64_t(1)
+                                                    << 55;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -66,19 +79,18 @@ class EventQueue : public SimClock
     EventHandle scheduleSeq(Cycle when, std::uint64_t seq, Callback cb);
 
     /**
-     * Schedule with caller-supplied sequence number AND event id,
-     * leaving this queue's own id counter untouched. The host-parallel
-     * engine (sim/parallel_engine.hpp) fabricates handles for
-     * cross-shard schedules before the owning worker has applied them,
-     * so the id must be chosen by the sender; engine ids live in a
-     * disjoint range far above any per-shard allocation.
+     * Schedule with caller-supplied sequence number AND event id
+     * (>= kForeignIdBase). The host-parallel engine
+     * (sim/parallel_engine.hpp) fabricates handles for cross-shard
+     * schedules before the owning worker has applied them, so the id
+     * must be chosen by the sender; cancel() maps it back to the slot.
      */
     EventHandle scheduleSeqId(Cycle when, std::uint64_t seq,
                               std::uint64_t id, Callback cb);
 
     /**
      * Peek at the next live event without running it (prunes cancelled
-     * entries from the heap top). @return false when drained.
+     * keys from the tops). @return false when drained.
      */
     bool peekNext(Cycle &when, std::uint64_t &seq);
 
@@ -86,10 +98,29 @@ class EventQueue : public SimClock
      * Re-schedule the next live event to @p new_when, keeping its
      * sequence number (and therefore its order relative to events it
      * was already ahead of). Used by the sharded queue to model
-     * per-cycle dispatch-bandwidth slips. Call only after a successful
-     * peekNext(); @p new_when must not be in the past.
+     * per-cycle dispatch-bandwidth slips one event at a time. Call
+     * only after a successful peekNext(), on a queue that never used
+     * slipDue(); @p new_when must not be in the past.
      */
     void deferNext(Cycle new_when);
+
+    /**
+     * Slip every live event due at @p when to @p when + 1 at once,
+     * keeping sequence numbers: the events join the slipped set, which
+     * all sits at one cycle, so slipping it again is O(1). Call only
+     * when @p when is the next live event's cycle.
+     * @return the number of live events that slipped.
+     */
+    std::size_t slipDue(Cycle when);
+
+    /**
+     * True when @p h is live in the slipped set and its last slip —
+     * at (slipped-set cycle − 1, its seq) in dispatch order — lies
+     * after position (@p when, @p seq): a per-event slip would not
+     * have reached it yet.
+     */
+    bool slipCountedAfter(EventHandle h, Cycle when,
+                          std::uint64_t seq) const;
 
     /** Schedule @p cb @p delta cycles from now. */
     EventHandle
@@ -98,7 +129,10 @@ class EventQueue : public SimClock
         return schedule(_now + delta, std::move(cb));
     }
 
-    /** Cancel a previously scheduled event. Idempotent. */
+    /**
+     * Cancel a previously scheduled event. Idempotent; a handle whose
+     * event already ran is a no-op.
+     */
     void cancel(EventHandle h);
 
     /** True when no live events remain. */
@@ -120,32 +154,46 @@ class EventQueue : public SimClock
     std::uint64_t executed() const { return _executed; }
 
   private:
-    struct Entry {
+    /// Heap key; in the slipped set `when` is 0 and _slipWhen applies.
+    struct Key {
         Cycle when;
         std::uint64_t seq;
-        std::uint64_t id;
+        std::uint32_t slot;
+    };
+
+    struct Slot {
         Callback cb;
+        std::uint64_t seq = 0;
+        std::uint64_t foreignId = 0; ///< scheduleSeqId id, or 0.
+        std::uint32_t gen = 1;
+        bool live = false;    ///< Scheduled, not yet run or cancelled.
+        bool slipped = false; ///< Keyed in the slipped set.
     };
 
-    struct Later {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+    static constexpr std::uint32_t kGenLimit = 1u << 31;
+    static constexpr std::uint32_t kNoSlot = ~0u;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> _heap;
-    std::vector<std::uint64_t> _cancelled;
+    std::vector<Key> _heap;
+    std::vector<Key> _slipped; ///< Seq-ordered heap at cycle _slipWhen.
+    Cycle _slipWhen = 0;
+    std::size_t _slippedLive = 0;
+
+    std::vector<Slot> _slots;
+    std::vector<std::uint32_t> _free;
+    std::unordered_map<std::uint64_t, std::uint64_t> _foreignIds;
+
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
-    std::uint64_t _nextId = 1;
     std::size_t _live = 0;
     std::uint64_t _executed = 0;
 
-    bool isCancelled(std::uint64_t id) const;
+    std::uint32_t acquire(std::uint64_t seq, Callback &&cb);
+    void release(std::uint32_t slot);
+    std::uint32_t find(EventHandle h) const;
+    /** Prune both tops; @return the set holding the next live key. */
+    std::vector<Key> *nextSet();
 };
 
 } // namespace retcon

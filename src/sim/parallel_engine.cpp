@@ -151,15 +151,18 @@ ParallelEngine::routeCancel(EventHandle h)
     if (owner == w) {
         // All mail to the holder was applied before its dispatches
         // began, so the target is in the heap: a direct cancel.
-        _q._shards[shard]->cancel(EventHandle{id});
+        _q.cancelAt(shard, id, _q._atWhen, _q._atSeq);
         return;
     }
     // Per-consumer mailSeq ordering guarantees the owner applies this
     // after the schedule that created the target — a cancel can never
-    // outrun its event.
+    // outrun its event. It carries the dispatch position it was issued
+    // at, which decides whether a batched slip count is taken back.
     Mail m;
     m.kind = Mail::Kind::Cancel;
     m.shard = shard;
+    m.when = _q._atWhen;
+    m.seq = _q._atSeq;
     m.id = id;
     m.mailSeq = _sentMail[owner]++;
     sendMail(w, owner, std::move(m));
@@ -188,7 +191,7 @@ ParallelEngine::drainMail(unsigned w)
                                 std::move(mm.cb));
             ++_q._stats[mm.shard].scheduled;
         } else {
-            shard.cancel(EventHandle{mm.id});
+            _q.cancelAt(mm.shard, mm.id, mm.when, mm.seq);
         }
         ++me.nextApply;
         applied = true;
@@ -296,6 +299,8 @@ ParallelEngine::holderStep(unsigned w)
 
     // The holder's own event is the global minimum (sequence numbers
     // are unique, so foreign bounds can never tie it).
+    _q._atWhen = when;
+    _q._atSeq = seq;
     if (when > _maxCycles) {
         // Same contract as the sequential engine: leave it queued. The
         // stop waits for in-flight mail so post-run queue state (live

@@ -109,20 +109,20 @@ class ParallelEngine
     void routeCancel(EventHandle h);
 
     /**
-     * Mailed schedules need sender-fabricated event ids; they live far
-     * above any per-shard allocation (a shard would need 2^40 local
-     * events to collide) and below the shard tag at bit 56.
+     * Mailed schedules need sender-fabricated event ids; they live in
+     * EventQueue's foreign-id range, above every slab handle and below
+     * the shard tag at bit 56, and the owning shard maps them back.
      */
-    static constexpr std::uint64_t kMailIdBase = std::uint64_t(1) << 40;
+    static constexpr std::uint64_t kMailIdBase = EventQueue::kForeignIdBase;
 
   private:
     struct Mail {
         enum class Kind : std::uint8_t { Schedule, Cancel };
         Kind kind = Kind::Schedule;
         unsigned shard = 0;
-        Cycle when = 0;
-        std::uint64_t seq = 0;
-        std::uint64_t id = 0; ///< Heap-local id (no shard tag).
+        Cycle when = 0;        ///< Cancel: sender's dispatch position.
+        std::uint64_t seq = 0; ///< Cancel: sender's dispatch position.
+        std::uint64_t id = 0;  ///< Heap-local id (no shard tag).
         std::uint64_t mailSeq = 0;
         EventQueue::Callback cb;
     };

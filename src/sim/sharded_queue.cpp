@@ -17,6 +17,16 @@ ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg)
         _shards.push_back(std::make_unique<EventQueue>());
     _stats.resize(cfg.nshards);
     _dispatched.resize(cfg.nshards, 0);
+    // Same candidate set pickExecutorT probes: the rest of the shard's
+    // steal group, clipped to the shard count.
+    unsigned group = cfg.stealGroup ? cfg.stealGroup : cfg.nshards;
+    _batchSlip.resize(cfg.nshards);
+    for (unsigned s = 0; s < cfg.nshards; ++s) {
+        unsigned base = (s / group) * group;
+        bool thief =
+            cfg.workStealing && std::min(base + group, cfg.nshards) - base > 1;
+        _batchSlip[s] = !thief;
+    }
 }
 
 Cycle
@@ -60,7 +70,17 @@ ShardedEventQueue::cancel(EventHandle h)
     sim_assert(shard < _cfg.nshards, "cancel of a foreign handle");
     if (_engine && _engine->active())
         return _engine->routeCancel(h);
-    _shards[shard]->cancel(EventHandle{h.id & kIdMask});
+    cancelAt(shard, h.id & kIdMask, _atWhen, _atSeq);
+}
+
+void
+ShardedEventQueue::cancelAt(unsigned shard, std::uint64_t id, Cycle when,
+                            std::uint64_t seq)
+{
+    EventQueue &q = *_shards[shard];
+    if (q.slipCountedAfter(EventHandle{id}, when, seq))
+        --_stats[shard].deferred;
+    q.cancel(EventHandle{id});
 }
 
 bool
@@ -115,7 +135,11 @@ ShardedEventQueue::step(Cycle maxCycles)
         Cycle when = 0;
         std::uint64_t seq = 0;
         int home = findEarliest(when, seq);
-        if (home < 0 || when > maxCycles)
+        if (home < 0)
+            return false;
+        _atWhen = when;
+        _atSeq = seq;
+        if (when > maxCycles)
             return false;
 
         if (dispatchAt(static_cast<unsigned>(home), when,

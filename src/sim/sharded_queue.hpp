@@ -25,7 +25,10 @@
  * shards absorb bursts from busy ones. Stealing changes attribution
  * and slip timing only; the drain order is still the unique global
  * (cycle, seq) order, so runs stay deterministic for a fixed
- * configuration.
+ * configuration. A shard no thief can reach (stealing off, or a steal
+ * group of one) slips all its due events at once when its slots run
+ * out; the keys and the `deferred` count equal slipping them one by
+ * one, so the batch is a host-side shortcut only.
  */
 
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
@@ -155,6 +158,16 @@ class ShardedEventQueue final : public SimClock
     std::vector<unsigned> _dispatched;
     unsigned _stealCursor = 0;
 
+    /// Per shard: no thief can ever drain it (stealing off, or a steal
+    /// group of one), so an over-quota cycle slips all its due events
+    /// in one batch (EventQueue::slipDue).
+    std::vector<bool> _batchSlip;
+
+    /// Dispatch position: the (cycle, seq) last taken as the global
+    /// earliest. Every event before it has run or slipped.
+    Cycle _atWhen = 0;
+    std::uint64_t _atSeq = 0;
+
     /// Shard index is packed into the handle's top byte.
     static constexpr unsigned kShardShift = 56;
     static constexpr std::uint64_t kIdMask =
@@ -164,6 +177,16 @@ class ShardedEventQueue final : public SimClock
 
     /** Find the shard holding the globally earliest live event. */
     int findEarliest(Cycle &when, std::uint64_t &seq);
+
+    /**
+     * Cancel heap-local event @p id on @p shard at dispatch position
+     * (@p when, @p seq). A batched slip counts an event before the
+     * per-event order reaches it; cancelling the event before that
+     * point takes the count back, so `deferred` stays equal to the
+     * per-event slip count.
+     */
+    void cancelAt(unsigned shard, std::uint64_t id, Cycle when,
+                  std::uint64_t seq);
 
     /**
      * Pick the shard that dispatches an event due at @p when homed on
@@ -230,9 +253,15 @@ class ShardedEventQueue final : public SimClock
         int exec =
             pickExecutorT(home, when, std::forward<NextDue>(nextDue));
         if (exec < 0) {
-            // All slots this cycle are spoken for: the event slips.
-            _shards[home]->deferNext(when + 1);
-            ++_stats[home].deferred;
+            // All slots this cycle are spoken for: the event slips. With
+            // no possible thief, every other event the shard has due
+            // this cycle would slip in turn, so they all slip now.
+            if (_batchSlip[home]) {
+                _stats[home].deferred += _shards[home]->slipDue(when);
+            } else {
+                _shards[home]->deferNext(when + 1);
+                ++_stats[home].deferred;
+            }
             return false;
         }
         ++_dispatched[exec];

@@ -116,6 +116,37 @@ TEST(EventQueue, ExecutedCountsFiredEventsOnly)
     EXPECT_EQ(eq.executed(), 1u);
 }
 
+TEST(EventQueue, CancellingAnEventThatAlreadyRanIsANoOp)
+{
+    // Regression: a stale cancel used to decrement the live count, so
+    // pending() underflowed and empty() never became true again.
+    EventQueue eq;
+    int fired = 0;
+    EventHandle first = eq.schedule(1, [&] { ++fired; });
+    eq.schedule(5, [&] { ++fired; });
+    eq.step();
+    eq.cancel(first);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, StaleHandleDoesNotCancelTheSlotsNextEvent)
+{
+    EventQueue eq;
+    bool fired = false;
+    EventHandle first = eq.schedule(1, [] {});
+    eq.run();
+    // The next event reuses the freed slot under a new generation.
+    eq.schedule(2, [&] { fired = true; });
+    eq.cancel(first);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(fired);
+}
+
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 {
     EventQueue eq;

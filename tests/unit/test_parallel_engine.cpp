@@ -76,18 +76,20 @@ struct CounterRun {
     trace::ReenactReport report;
     std::string trace;
     std::uint64_t muxEvents = 0;
+    std::vector<std::uint64_t> deferred; ///< Per-shard slips.
 };
 
 /** Contended-counter run with mux + validator on N host threads. */
 CounterRun
 runCounter(unsigned nshards, unsigned host_threads,
            unsigned bandwidth = 0, htm::TMMode mode = htm::TMMode::Retcon,
-           Word fault_xor = 0, Word fwd_fault_xor = 0)
+           Word fault_xor = 0, Word fwd_fault_xor = 0, bool stealing = true)
 {
     ClusterConfig cfg;
     cfg.numThreads = kThreads;
     cfg.numShards = nshards;
     cfg.shardBandwidth = bandwidth;
+    cfg.shardWorkStealing = stealing;
     cfg.hostThreads = host_threads;
     cfg.tm.mode = mode;
     cfg.tm.faultInjectRepairXor = fault_xor;
@@ -112,6 +114,8 @@ runCounter(unsigned nshards, unsigned host_threads,
     out.report = validator.report();
     out.trace = traceBytes(mux.mergedSnapshot());
     out.muxEvents = mux.totalEvents();
+    for (unsigned s = 0; s < nshards; ++s)
+        out.deferred.push_back(cluster.shardQueueStats(s).deferred);
     return out;
 }
 
@@ -230,16 +234,24 @@ TEST(ParallelEngine, BandwidthAndStealingBitIdenticalOnHostThreads)
 {
     // Dispatch-bandwidth slip and work stealing consult foreign-shard
     // horizons: the settle-before-steal path must reproduce the
-    // sequential decisions exactly.
-    CounterRun ref = runCounter(4, 0, /*bandwidth=*/1);
-    for (unsigned ht : {2u, 4u}) {
-        CounterRun par = runCounter(4, ht, /*bandwidth=*/1);
-        SCOPED_TRACE(std::to_string(ht) + " host threads");
-        EXPECT_EQ(par.cycles, ref.cycles);
-        EXPECT_EQ(par.counter, ref.counter);
-        EXPECT_EQ(par.executed, ref.executed);
-        EXPECT_EQ(par.trace, ref.trace);
-        EXPECT_EQ(par.report.mismatches, 0u) << par.report.summary();
+    // sequential decisions exactly. With stealing off, slips are
+    // batched and mailed cancels carry the position that keeps the
+    // slip count per-event exact.
+    for (bool stealing : {true, false}) {
+        CounterRun ref = runCounter(4, 0, /*bandwidth=*/1,
+                                    htm::TMMode::Retcon, 0, 0, stealing);
+        for (unsigned ht : {2u, 4u}) {
+            CounterRun par = runCounter(4, ht, /*bandwidth=*/1,
+                                        htm::TMMode::Retcon, 0, 0, stealing);
+            SCOPED_TRACE(std::to_string(ht) + " host threads, stealing " +
+                         std::to_string(stealing));
+            EXPECT_EQ(par.cycles, ref.cycles);
+            EXPECT_EQ(par.counter, ref.counter);
+            EXPECT_EQ(par.executed, ref.executed);
+            EXPECT_EQ(par.deferred, ref.deferred);
+            EXPECT_EQ(par.trace, ref.trace);
+            EXPECT_EQ(par.report.mismatches, 0u) << par.report.summary();
+        }
     }
 }
 

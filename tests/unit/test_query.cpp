@@ -127,8 +127,9 @@ TEST(QueryIndex, AttemptsPartitionTheStream)
         EXPECT_EQ(at.uid, uid);
         EXPECT_FALSE(at.committed && at.aborted);
         EXPECT_FALSE(at.recordIdx.empty());
-        if (at.committed || at.aborted)
+        if (at.committed || at.aborted) {
             EXPECT_GT(at.endSeq, at.beginSeq);
+        }
         // attemptAtSeq maps the interval back to the attempt.
         EXPECT_EQ(idx.attemptAtSeq(at.beginSeq), uid);
     }
@@ -324,8 +325,9 @@ TEST(WhatIf, ConflictKnobDivergesAtOrAfterTheFrontier)
     // Reach soundness: backoff only acts where attempts interact, so
     // nothing before the first-interaction frontier may move.
     EXPECT_TRUE(w.prefixProofHeld);
-    if (w.diverged)
+    if (w.diverged) {
         EXPECT_GE(w.firstDivergentSeq, w.firstReachableSeq);
+    }
     // The spliced prefix+suffix stream is a coherent history.
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
     // Both runs were real, audited runs.

@@ -188,8 +188,9 @@ TEST(ScenarioGrid, ArrivalConservationAndEngagement)
         } else {
             EXPECT_EQ(sum.injected, 0u) << s.name;
         }
-        if (plan.shift.phases > 1)
+        if (plan.shift.phases > 1) {
             EXPECT_GT(sum.phaseMarks, 0u) << s.name;
+        }
         if (plan.fault.coreStall) {
             EXPECT_GT(sum.stallHits, 0u) << s.name;
             EXPECT_GT(sum.stallCycles, 0u) << s.name;

@@ -8,7 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <tuple>
+#include <vector>
+
 #include "sim/event_queue.hpp"
+#include "sim/parallel_engine.hpp"
+#include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
 using namespace retcon;
@@ -24,6 +32,256 @@ config(unsigned nshards, unsigned bandwidth = 0, bool stealing = true)
     cfg.workStealing = stealing;
     return cfg;
 }
+
+using ShardStats = ShardedEventQueue::ShardStats;
+
+std::array<std::uint64_t, 5>
+fields(const ShardStats &s)
+{
+    return {s.scheduled, s.drained, s.executed, s.stolen, s.deferred};
+}
+
+/**
+ * Brute-force reference for ShardedEventQueue: one flat event list,
+ * scanned linearly, where an over-quota event slips literally, one
+ * event and one cycle at a time. It shares the dispatch rules
+ * (per-shard bandwidth, steal groups, the rotating steal cursor) and
+ * none of the queue's data structures.
+ */
+class RefQueue
+{
+  public:
+    using Handle = std::size_t;
+
+    explicit RefQueue(const ShardedQueueConfig &cfg)
+        : _cfg(cfg), _stats(cfg.nshards), _dispatched(cfg.nshards, 0)
+    {}
+
+    Cycle now() const { return _now; }
+    unsigned executor() const { return _exec; }
+    const ShardStats &shardStats(unsigned s) const { return _stats[s]; }
+
+    Handle
+    schedule(unsigned shard, Cycle when, std::function<void()> cb)
+    {
+        _events.push_back({when, shard, true, std::move(cb)});
+        ++_stats[shard].scheduled;
+        return _events.size() - 1;
+    }
+
+    void cancel(Handle h) { _events[h].live = false; }
+
+    void
+    run()
+    {
+        while (step()) {
+        }
+    }
+
+    bool
+    step()
+    {
+        for (;;) {
+            Event *e = earliest(-1);
+            if (!e)
+                return false;
+            if (e->when != _dispatchCycle) {
+                _dispatchCycle = e->when;
+                std::fill(_dispatched.begin(), _dispatched.end(), 0u);
+            }
+            int exec = pick(e->shard, e->when);
+            if (exec < 0) {
+                ++e->when;
+                ++_stats[e->shard].deferred;
+                continue;
+            }
+            ++_dispatched[exec];
+            ++_stats[e->shard].drained;
+            ++_stats[exec].executed;
+            _now = e->when;
+            _exec = static_cast<unsigned>(exec);
+            e->live = false;
+            std::function<void()> cb = std::move(e->cb);
+            cb();
+            return true;
+        }
+    }
+
+  private:
+    /// Indexed by schedule order, which is the global tie-break seq.
+    struct Event {
+        Cycle when;
+        unsigned shard;
+        bool live;
+        std::function<void()> cb;
+    };
+
+    /** Earliest live event on @p shard (-1: on any shard). */
+    Event *
+    earliest(int shard)
+    {
+        Event *best = nullptr;
+        for (Event &e : _events)
+            if (e.live && (shard < 0 || e.shard == unsigned(shard)) &&
+                (!best || e.when < best->when))
+                best = &e;
+        return best;
+    }
+
+    int
+    pick(unsigned home, Cycle when)
+    {
+        unsigned bw = _cfg.dispatchBandwidth;
+        if (bw == 0 || _dispatched[home] < bw)
+            return static_cast<int>(home);
+        if (!_cfg.workStealing)
+            return -1;
+        unsigned group = _cfg.stealGroup ? _cfg.stealGroup : _cfg.nshards;
+        unsigned base = (home / group) * group;
+        for (unsigned probe = 0; probe < group; ++probe) {
+            unsigned t = base + (_cursor + probe) % group;
+            if (t == home || t >= _cfg.nshards || _dispatched[t] >= bw)
+                continue;
+            Event *due = earliest(static_cast<int>(t));
+            if (due && due->when <= when)
+                continue;
+            _cursor = (t + 1) % group;
+            ++_stats[t].stolen;
+            return static_cast<int>(t);
+        }
+        return -1;
+    }
+
+    ShardedQueueConfig _cfg;
+    std::vector<Event> _events;
+    std::vector<ShardStats> _stats;
+    std::vector<unsigned> _dispatched;
+    Cycle _now = 0;
+    Cycle _dispatchCycle = 0;
+    unsigned _cursor = 0;
+    unsigned _exec = 0;
+};
+
+/**
+ * ShardedEventQueue behind the interface the script drives, on the
+ * host-parallel engine when @p workers > 1.
+ */
+class RealQueue
+{
+  public:
+    using Handle = EventHandle;
+
+    explicit RealQueue(const ShardedQueueConfig &cfg, unsigned workers = 1)
+        : _q(cfg), _engine(_q, workers), _seen(cfg.nshards, 0)
+    {
+        if (workers > 1)
+            _q.setEngine(&_engine);
+    }
+
+    Cycle now() const { return _q.now(); }
+    const ShardStats &shardStats(unsigned s) const
+    {
+        return _q.shardStats(s);
+    }
+
+    Handle
+    schedule(unsigned shard, Cycle when, std::function<void()> cb)
+    {
+        return _q.schedule(shard, when, std::move(cb));
+    }
+
+    void cancel(Handle h) { _q.cancel(h); }
+    void run() { _q.run(); }
+    bool step() { return _q.step(); }
+
+    /** The shard whose executed count moved since the last call. */
+    unsigned
+    executor()
+    {
+        for (unsigned s = 0; s < _seen.size(); ++s) {
+            if (_q.shardStats(s).executed != _seen[s]) {
+                _seen[s] = _q.shardStats(s).executed;
+                return s;
+            }
+        }
+        return ~0u;
+    }
+
+  private:
+    ShardedEventQueue _q;
+    ParallelEngine _engine;
+    std::vector<std::uint64_t> _seen;
+};
+
+/**
+ * Seeded random script: self-rescheduling "cores", random cancels
+ * (inside events and between steps, of pending and of stale handles),
+ * and delta-0 schedules onto random shards. Logs every dispatch as
+ * (seq, cycle, executor shard).
+ */
+template <class Q>
+struct Script {
+    Script(Q &queue, unsigned shards, std::uint64_t seed)
+        : q(queue), nshards(shards), rng(seed)
+    {}
+
+    Q &q;
+    unsigned nshards;
+    Xoshiro rng;
+    std::vector<typename Q::Handle> handles;
+    std::vector<std::tuple<std::size_t, Cycle, unsigned>> log;
+    std::vector<int> budget;
+
+    void
+    add(unsigned shard, Cycle delta, std::function<void()> body)
+    {
+        std::size_t seq = handles.size();
+        handles.push_back(
+            q.schedule(shard, q.now() + delta, [this, seq, body] {
+                log.emplace_back(seq, q.now(), q.executor());
+                body();
+            }));
+    }
+
+    void
+    cancelRecent()
+    {
+        // Recent handles are mostly pending; older ones mostly stale.
+        std::size_t n = std::min<std::size_t>(handles.size(), 24);
+        q.cancel(handles[handles.size() - 1 - rng.below(n)]);
+    }
+
+    void
+    core(unsigned c)
+    {
+        if (budget[c]-- <= 0)
+            return;
+        std::uint64_t r = rng.below(16);
+        if (r < 2)
+            cancelRecent();
+        else if (r < 5)
+            add(static_cast<unsigned>(rng.below(nshards)), 0, [] {});
+        add(c % nshards, r == 15 ? 0 : 1 + rng.below(3),
+            [this, c] { core(c); });
+    }
+
+    /** Run to the end; @p stepwise adds cancels between steps. */
+    void
+    run(unsigned ncores, bool stepwise)
+    {
+        budget.assign(ncores, 30);
+        for (unsigned c = 0; c < ncores; ++c)
+            add(c % nshards, c % 3, [this, c] { core(c); });
+        if (!stepwise) {
+            q.run();
+            return;
+        }
+        while (q.step()) {
+            if (rng.below(8) == 0)
+                cancelRecent();
+        }
+    }
+};
 
 } // namespace
 
@@ -191,4 +449,82 @@ TEST(ShardedQueue, RunStopsAtMaxCycles)
     q.run(50);
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(ShardedQueue, CancellingAnEventThatAlreadyRanIsANoOp)
+{
+    ShardedEventQueue q(config(2));
+    int fired = 0;
+    EventHandle first = q.schedule(1, 1, [&] { ++fired; });
+    q.schedule(0, 5, [&] { ++fired; });
+    q.step();
+    q.cancel(first);
+    EXPECT_EQ(q.pending(), 1u);
+    q.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_TRUE(q.empty());
+}
+
+namespace {
+
+/**
+ * Drive the queue and the brute-force reference with one seeded script
+ * over shards × bandwidth × stealing × steal group; require the same
+ * dispatch sequence and the same per-shard counters.
+ */
+void
+expectMatchesReference(std::initializer_list<unsigned> shardCounts,
+                       unsigned workers)
+{
+    std::uint64_t deferred = 0, stolen = 0;
+    for (unsigned nshards : shardCounts)
+        for (unsigned bw : {0u, 1u, 2u, 3u})
+            for (bool steal : {true, false})
+                for (unsigned group : {0u, 1u})
+                    for (std::uint64_t seed : {1u, 2u, 3u}) {
+                        ShardedQueueConfig cfg = config(nshards, bw, steal);
+                        cfg.stealGroup = group;
+                        SCOPED_TRACE(testing::Message()
+                                     << "shards=" << nshards << " bw=" << bw
+                                     << " steal=" << steal
+                                     << " group=" << group
+                                     << " seed=" << seed);
+                        // Cancels between steps need a stepwise driver,
+                        // which the host-parallel engine does not have.
+                        bool stepwise = workers == 1;
+                        RealQueue real(cfg, workers);
+                        Script<RealQueue> a(real, nshards, seed);
+                        a.run(12, stepwise);
+                        RefQueue ref(cfg);
+                        Script<RefQueue> b(ref, nshards, seed);
+                        b.run(12, stepwise);
+                        ASSERT_EQ(a.log, b.log);
+                        for (unsigned s = 0; s < nshards; ++s) {
+                            EXPECT_EQ(fields(real.shardStats(s)),
+                                      fields(ref.shardStats(s)))
+                                << "shard " << s;
+                            deferred += ref.shardStats(s).deferred;
+                            stolen += ref.shardStats(s).stolen;
+                        }
+                    }
+    // The grid really slips and steals.
+    EXPECT_GT(deferred, 0u);
+    EXPECT_GT(stolen, 0u);
+}
+
+} // namespace
+
+TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
+{
+    // Batched slips (no possible thief) and per-event slips (stealing)
+    // must both reproduce literal one-at-a-time slipping.
+    expectMatchesReference({1u, 2u, 4u}, /*workers=*/1);
+}
+
+TEST(ShardedQueue, MatchesBruteForceReferenceOnHostThreads)
+{
+    // Under the host-parallel engine, cross-worker cancels travel as
+    // mail and must carry the dispatch position they were issued at.
+    expectMatchesReference({2u, 4u}, /*workers=*/2);
 }

@@ -344,8 +344,10 @@ TEST(TraceExport, CsvCarriesAnnotationAndBothFormatsRoundTrip)
               std::string::npos);
     std::ostringstream csv;
     trace::exportCsv(ring, csv);
-    EXPECT_NE(csv.str().find("," + std::to_string(0xFACE) + "\n"),
-              std::string::npos);
+    std::string needle = ",";
+    needle += std::to_string(0xFACE);
+    needle += '\n';
+    EXPECT_NE(csv.str().find(needle), std::string::npos);
 
     std::vector<trace::Record> original;
     ring.forEach([&](const trace::Record &r) { original.push_back(r); });
