@@ -97,18 +97,6 @@ struct Point {
     double hostWallMs = 0; ///< Host time of the run (not simulated).
 };
 
-/// One host-threads point: the top scale-up config re-run under the
-/// host-parallel engine (docs/parallel-engine.md). Simulated results
-/// must be bit-identical to the sequential point — only the host wall
-/// clock may move, and check_bench_regression.py gates it under the
-/// wide one-sided host tolerance, never the simulated band.
-struct HostPoint {
-    unsigned threads = 1;
-    Cycle cycles = 0;
-    std::uint64_t commits = 0;
-    double wallMs = 0;
-};
-
 /// Trace-writer overhead: the top scale-up point re-run with the
 /// live record stream additionally written to an .rtt file
 /// (docs/streaming.md). Streaming is a host-side sink on the audit
@@ -158,7 +146,6 @@ void
 writeJson(const char *path, double scale, unsigned nthreads,
           const std::vector<Point> &points,
           const std::vector<FleetPoint> &fleet,
-          const std::vector<HostPoint> &host,
           const std::vector<ScenarioPoint> &scenarios,
           const TraceStreamPoint &ts, double gain)
 {
@@ -204,16 +191,6 @@ writeJson(const char *path, double scale, unsigned nthreads,
                      (unsigned long long)p.xcTokenWaits,
                      (unsigned long long)p.netMessages,
                      (unsigned long long)p.netQueueCycles);
-    }
-    std::fprintf(f, "],\"host_points\":[");
-    for (std::size_t i = 0; i < host.size(); ++i) {
-        const HostPoint &p = host[i];
-        std::fprintf(f,
-                     "%s{\"host_threads\":%u,\"cycles\":%llu,"
-                     "\"commits\":%llu,\"host_wall_ms\":%.2f}",
-                     i ? "," : "", p.threads,
-                     (unsigned long long)p.cycles,
-                     (unsigned long long)p.commits, p.wallMs);
     }
     std::fprintf(f, "],\"scenario_points\":[");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -343,7 +320,7 @@ main(int argc, char **argv)
         p.backoffCycles = r.machineStats.backoffCycles;
         for (const api::ShardSummary &ss : r.shards)
             p.schedDefers += ss.schedDefers;
-        p.hostWallMs = r.hostParallel.wallMs;
+        p.hostWallMs = r.hostWallMs;
         points.push_back(p);
 
         std::printf("%u shard%s x %u bank%s x %u partition%s "
@@ -441,54 +418,6 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    // Host-threads axis: the top scale-up point re-run under the
-    // host-parallel engine (docs/parallel-engine.md). The engine is a
-    // host-side execution choice only, so cycles and commits must be
-    // bit-identical to the sequential run — this doubles as a
-    // determinism self-check at full bench sizing. Only host_wall_ms
-    // may move (and on a single-core host it only moves up: the
-    // engine's win is concurrency, not work reduction).
-    std::vector<HostPoint> host;
-    if (points.size() >= 2 && base.nthreads >= 4) {
-        const Point &top = points.back();
-        api::RunConfig cfg = base;
-        cfg.shards = top.shards;
-        cfg.memBanks = top.banks;
-        cfg.servicePartitions = top.partitions;
-        cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
-        cfg.tm.backoff.base = kBackoffBase;
-        cfg.tm.backoff.cap = kBackoffCap;
-        cfg.contentionSched = true;
-        std::printf("host axis: %ux%ux%u point vs host threads\n",
-                    top.shards, top.banks, top.partitions);
-        for (unsigned ht : {1u, 2u, 4u}) {
-            if (ht > top.shards)
-                break;
-            cfg.hostThreads = ht;
-            api::RunResult r = api::runOnce(cfg);
-            flagInvalid(r, "service");
-            all_ok = all_ok && r.validation.ok && r.reenact.ok();
-            HostPoint p;
-            p.threads = r.hostParallel.threads;
-            p.cycles = r.cycles;
-            p.commits = r.coreStats.commits;
-            p.wallMs = r.hostParallel.wallMs;
-            host.push_back(p);
-            std::printf("  %u host thread%s: %llu cycles, %llu "
-                        "commits, %.1f ms host wall\n",
-                        ht, ht == 1 ? "" : "s",
-                        (unsigned long long)p.cycles,
-                        (unsigned long long)p.commits, p.wallMs);
-            if (p.cycles != top.cycles ||
-                p.commits != host.front().commits) {
-                std::printf("!! host-parallel run diverged from the "
-                            "sequential point\n");
-                all_ok = false;
-            }
-        }
-        std::printf("\n");
-    }
-
     // Scenario axis: the top scale-up config re-run under every
     // registered scenario (docs/scenarios.md). Open-loop arrivals make
     // throughput arrival-limited instead of core-limited, and the
@@ -577,7 +506,7 @@ main(int argc, char **argv)
         ts.bytes = r.traceStream.bytesWritten;
         ts.flushes = r.traceStream.flushes;
         ts.flushWallMs = r.traceStream.flushWallMs;
-        ts.wallMs = r.hostParallel.wallMs;
+        ts.wallMs = r.hostWallMs;
         ts.baseWallMs = top.hostWallMs;
         std::printf("trace stream (%ux%ux%u point): %llu records -> "
                     "%llu bytes (%.1f B/rec), %llu flushes, %.1f ms "
@@ -614,7 +543,7 @@ main(int argc, char **argv)
                     points.size());
         if (json_path)
             writeJson(json_path, base.scale, base.nthreads, points,
-                      fleet, host, scenarios, ts, 0);
+                      fleet, scenarios, ts, 0);
         return all_ok ? 0 : 1;
     }
     const Point &first = points.front();
@@ -626,7 +555,7 @@ main(int argc, char **argv)
                 last.banks, last.partitions, gain);
     if (json_path)
         writeJson(json_path, base.scale, base.nthreads, points, fleet,
-                  host, scenarios, ts, gain);
+                  scenarios, ts, gain);
     double min_gain = quick ? kMinGainQuick : 1.0;
     if (!(gain > min_gain) || !all_ok) {
         std::printf("FAIL: scale-out gain %.2fx below the %.2fx floor "

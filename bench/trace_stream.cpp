@@ -248,8 +248,8 @@ main(int argc, char **argv)
                 (unsigned long long)ws.flushes, ws.flushWallMs);
     std::printf("  host wall: %.1f ms traced vs %.1f ms untraced; "
                 "cycles %s\n",
-                traced.hostParallel.wallMs,
-                untraced.hostParallel.wallMs,
+                traced.hostWallMs,
+                untraced.hostWallMs,
                 cycles_identical ? "identical" : "DIVERGED");
 
     if (json_path) {
@@ -273,7 +273,7 @@ main(int argc, char **argv)
             base.nthreads, (unsigned long long)ws.records,
             (unsigned long long)ws.bytesWritten,
             (unsigned long long)ws.flushes, ws.flushWallMs,
-            traced.hostParallel.wallMs, untraced.hostParallel.wallMs,
+            traced.hostWallMs, untraced.hostWallMs,
             cycles_identical ? "true" : "false");
         std::fclose(f);
         std::printf("wrote %s\n", json_path);

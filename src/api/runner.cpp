@@ -103,7 +103,6 @@ runOnce(const RunConfig &cfg)
     ccfg.numShards = cfg.shards;
     ccfg.shardBandwidth = cfg.shardBandwidth;
     ccfg.shardWorkStealing = cfg.shardWorkStealing;
-    ccfg.hostThreads = cfg.hostThreads;
     ccfg.memBanks = cfg.memBanks;
     ccfg.timing.bankOccupancy = cfg.memBankOccupancy;
     ccfg.sched = cfg.sched;
@@ -123,7 +122,7 @@ runOnce(const RunConfig &cfg)
     // Machine-level fault overlays from the scenario plan. Both are
     // windows over simulated time keyed on addresses/link indices —
     // pure functions of simulated state, so the determinism contract
-    // (shards, hostThreads, banks) is untouched.
+    // (shards, banks) is untouched.
     if (scenarioRt) {
         const scenario::FaultConfig &f = scenarioRt->plan().fault;
         if (f.bankSlow) {
@@ -190,14 +189,9 @@ runOnce(const RunConfig &cfg)
     RunResult result;
     auto host0 = std::chrono::steady_clock::now();
     result.cycles = cluster.run();
-    result.hostParallel.wallMs =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host0)
-            .count();
-    if (const ParallelEngine *eng = cluster.engine()) {
-        result.hostParallel.threads = eng->stats().workers;
-        result.hostParallel.barrierStalls = eng->stats().stalls;
-    }
+    result.hostWallMs = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - host0)
+                            .count();
     result.breakdown = cluster.aggregateBreakdown();
     result.coreStats = cluster.aggregateStats();
     result.machineStats = cluster.machine().stats();

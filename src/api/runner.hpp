@@ -116,16 +116,6 @@ struct RunConfig {
     bool shardWorkStealing = true;
 
     /**
-     * Host threads driving the simulation (0/1 = sequential engine;
-     * >= 2 runs the conservative host-parallel engine on
-     * min(hostThreads, shards) threads). Purely host-side: simulated
-     * results, traces, and audit verdicts are bit-identical for any
-     * value — a contract enforced by tests/unit/test_parallel_engine
-     * (see docs/parallel-engine.md).
-     */
-    unsigned hostThreads = 0;
-
-    /**
      * Directory banks in the memory system (1..64). Performance-
      * transparent (bit-identical results for any count) unless bank
      * contention is modeled: memBankOccupancy models directory-bank
@@ -196,7 +186,7 @@ struct RunConfig {
      * run, bit-identical to pre-scenario behaviour. runOnce fatal()s
      * on unknown names and on non-service workloads; the plan is
      * derived deterministically from `seed`, so scenario runs keep
-     * the full shards/hostThreads/banks determinism contract and run
+     * the full shards/banks determinism contract and run
      * under the reenactment audit like any other run.
      */
     std::string scenario;
@@ -265,20 +255,8 @@ struct NetSummary {
 };
 
 /**
- * Host-side execution metadata: how the simulation ran, never what it
- * computed. Excluded from determinism fingerprints by design — wall
- * time and stall counts are timing-dependent even when every simulated
- * result is bit-identical.
- */
-struct HostParallelSummary {
-    unsigned threads = 1;   ///< Engine worker threads (1 = sequential).
-    double wallMs = 0.0;    ///< Host wall-clock time of the run.
-    std::uint64_t barrierStalls = 0; ///< Holder waits on in-flight mail.
-};
-
-/**
  * Live trace-stream writer activity (all-zero unless
- * TraceOptions::streamPath). Host-side like HostParallelSummary:
+ * TraceOptions::streamPath). Host-side like RunResult::hostWallMs:
  * flush stalls are wall time the event loop spent blocked in stream
  * writes, never simulated cycles — streaming must not perturb the
  * simulation (bench/trace_stream proves cycles identical either way).
@@ -296,7 +274,7 @@ struct TraceStreamSummary {
  * (scenario::Runtime::Stats); the fault fields read the machine-level
  * overlays back out of the memory system and the interconnect.
  * Everything here is simulated state — part of the determinism
- * fingerprint, unlike HostParallelSummary.
+ * fingerprint, unlike RunResult::hostWallMs.
  */
 struct ScenarioSummary {
     std::string name;
@@ -363,8 +341,11 @@ struct RunResult {
     /** Stream-writer activity (0 unless trace.streamPath was set). */
     TraceStreamSummary traceStream;
 
-    /** Host-side engine metadata (not part of simulated results). */
-    HostParallelSummary hostParallel;
+    /**
+     * Host wall-clock time of the event loop, in ms. Host-side: never
+     * part of simulated results or determinism fingerprints.
+     */
+    double hostWallMs = 0.0;
 
     /** Scenario outcome (empty name unless RunConfig::scenario). */
     ScenarioSummary scenario;

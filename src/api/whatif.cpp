@@ -77,7 +77,7 @@ reachClassName(ReachClass c)
 ReachClass
 classifyKnob(const std::string &knob)
 {
-    if (knob == "shards" || knob == "memBanks" || knob == "hostThreads")
+    if (knob == "shards" || knob == "memBanks")
         return ReachClass::Nothing;
     if (knob == "backoff" || knob == "contentionSched" ||
         knob == "commitTokenArbitration" ||
@@ -171,10 +171,6 @@ applyKnob(RunConfig &cfg, const std::string &knob,
         if (!parseU64(value, u) || u == 0 || u > 64)
             return false;
         cfg.memBanks = static_cast<unsigned>(u);
-    } else if (knob == "hostThreads") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.hostThreads = static_cast<unsigned>(u);
     } else {
         return false;
     }

@@ -8,7 +8,7 @@
  * enforces:
  *
  *  1. **Determinism** — a RunConfig reproduces its provenance stream
- *     bit-for-bit (tests/unit/test_parallel_engine, test_trace), so
+ *     bit-for-bit (tests/unit/test_query, test_scenario), so
  *     "replay the run" is just `runOnce` again and divergence between
  *     the recorded and variant streams is attributable to the knob
  *     change alone.
@@ -46,9 +46,9 @@ namespace retcon::api {
  * strongest class among its knobs.
  */
 enum class ReachClass : std::uint8_t {
-    /** Host-side only (shards, hostThreads, memBanks without
-     *  occupancy): the simulated stream is bit-identical by
-     *  contract, nothing is reachable. */
+    /** Host-side only (shards, memBanks without occupancy): the
+     *  simulated stream is bit-identical by contract, nothing is
+     *  reachable. */
     Nothing,
     /** Acts only where attempts interact (backoff, scheduling,
      *  commit-token arbitration, bank occupancy, shard bandwidth):
@@ -88,7 +88,7 @@ ReachClass classifyKnob(const std::string &knob);
  *   shardBandwidth                                  -> Conflicts
  *   faultInjectRepairXor                            -> Repairs
  *   faultInjectForwardXor                           -> Forwards
- *   shards, memBanks, hostThreads                   -> Nothing
+ *   shards, memBanks                                -> Nothing
  *
  * @return false (cfg untouched) on unknown knob or unparseable value.
  */

@@ -23,7 +23,6 @@
 #include "htm/machine.hpp"
 #include "mem/memory_system.hpp"
 #include "net/interconnect.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/sharded_queue.hpp"
 
 namespace retcon::exec {
@@ -55,16 +54,6 @@ struct ClusterConfig {
 
     /** Allow idle shards to drain over-quota ones (work stealing). */
     bool shardWorkStealing = true;
-
-    /**
-     * Host threads driving the event queue (0 or 1 = the sequential
-     * engine). With >= 2 (and >= 2 shards) the cluster runs under the
-     * conservative ParallelEngine — min(hostThreads, numShards) real
-     * threads, each owning a contiguous shard group. Purely a host-
-     * side execution choice: simulated results are bit-identical for
-     * any value (sim/parallel_engine.hpp, docs/parallel-engine.md).
-     */
-    unsigned hostThreads = 0;
 
     /**
      * Directory banks in the memory system (1..64). Like the shard
@@ -168,13 +157,9 @@ class Cluster
     /** Attach/detach a provenance sink after construction. */
     void setTraceSink(trace::TraceSink *sink);
 
-    /** Host-parallel engine driving run(), or null (sequential). */
-    const ParallelEngine *engine() const { return _engine.get(); }
-
   private:
     ClusterConfig _cfg;
     ShardedEventQueue _eq;
-    std::unique_ptr<ParallelEngine> _engine;
     std::unique_ptr<mem::MemorySystem> _ms;
     std::unique_ptr<htm::TMMachine> _tm;
     std::unique_ptr<Barrier> _barrier;

@@ -28,11 +28,10 @@
  *
  * Determinism contract (docs/scenarios.md): every scenario effect is
  * a pure function of simulated state — (seed, cycle, core id, block
- * address) — never of host threading, shard assignment, or bank
- * count. That keeps every scenario bit-identical across hostThreads,
- * shard counts, and (occupancy unmodeled) bank counts, exactly like
- * an unscenario'd run, and lets every scenario run under the full
- * reenactment audit.
+ * address) — never of shard assignment or bank count. That keeps
+ * every scenario bit-identical across shard counts and (occupancy
+ * unmodeled) bank counts, exactly like an unscenario'd run, and lets
+ * every scenario run under the full reenactment audit.
  */
 
 #ifndef RETCON_SCENARIO_SCENARIO_HPP
@@ -194,7 +193,7 @@ windowActive(Cycle now, Cycle period, Cycle len, Cycle offset)
  * aggregated worker-side statistics. Owned by api::runOnce, handed to
  * the service workload through WorkloadParams::scenario; workers fold
  * their arrival-source stats in as they finish (coroutine context —
- * serialized by the engine's dispatch order, like all host-side
+ * serialized by the event queue's dispatch order, like all host-side
  * workload accounting).
  */
 class Runtime

@@ -56,18 +56,6 @@ EventQueue::scheduleSeq(Cycle when, std::uint64_t seq, Callback cb)
                        slot};
 }
 
-EventHandle
-EventQueue::scheduleSeqId(Cycle when, std::uint64_t seq, std::uint64_t id,
-                          Callback cb)
-{
-    sim_assert(id >= kForeignIdBase, "foreign event id %llu out of range",
-               static_cast<unsigned long long>(id));
-    EventHandle local = scheduleSeq(when, seq, std::move(cb));
-    _slots[local.id & kSlotMask].foreignId = id;
-    _foreignIds.emplace(id, local.id);
-    return EventHandle{id};
-}
-
 std::uint32_t
 EventQueue::acquire(std::uint64_t seq, Callback &&cb)
 {
@@ -95,10 +83,6 @@ EventQueue::release(std::uint32_t slot)
     s.cb = nullptr;
     s.live = false;
     s.slipped = false;
-    if (s.foreignId != 0) {
-        _foreignIds.erase(s.foreignId);
-        s.foreignId = 0;
-    }
     // A new generation turns every outstanding handle to the slot stale.
     s.gen = s.gen + 1 == kGenLimit ? 1 : s.gen + 1;
     _free.push_back(slot);
@@ -107,18 +91,11 @@ EventQueue::release(std::uint32_t slot)
 std::uint32_t
 EventQueue::find(EventHandle h) const
 {
-    std::uint64_t id = h.id;
-    if (id >= kForeignIdBase) {
-        auto it = _foreignIds.find(id);
-        if (it == _foreignIds.end())
-            return kNoSlot;
-        id = it->second;
-    }
-    auto slot = static_cast<std::uint32_t>(id & kSlotMask);
+    auto slot = static_cast<std::uint32_t>(h.id & kSlotMask);
     if (slot >= _slots.size())
         return kNoSlot;
     const Slot &s = _slots[slot];
-    return s.live && s.gen == (id >> kSlotBits) ? slot : kNoSlot;
+    return s.live && s.gen == (h.id >> kSlotBits) ? slot : kNoSlot;
 }
 
 std::vector<EventQueue::Key> *

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -50,13 +49,6 @@ class EventQueue : public SimClock
   public:
     using Callback = std::function<void()>;
 
-    /**
-     * Ids at or above this are chosen by the caller (scheduleSeqId) and
-     * translated to slab handles through a map; slab handles stay below.
-     */
-    static constexpr std::uint64_t kForeignIdBase = std::uint64_t(1)
-                                                    << 55;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -77,16 +69,6 @@ class EventQueue : public SimClock
      * as a single queue would order them.
      */
     EventHandle scheduleSeq(Cycle when, std::uint64_t seq, Callback cb);
-
-    /**
-     * Schedule with caller-supplied sequence number AND event id
-     * (>= kForeignIdBase). The host-parallel engine
-     * (sim/parallel_engine.hpp) fabricates handles for cross-shard
-     * schedules before the owning worker has applied them, so the id
-     * must be chosen by the sender; cancel() maps it back to the slot.
-     */
-    EventHandle scheduleSeqId(Cycle when, std::uint64_t seq,
-                              std::uint64_t id, Callback cb);
 
     /**
      * Peek at the next live event without running it (prunes cancelled
@@ -164,7 +146,6 @@ class EventQueue : public SimClock
     struct Slot {
         Callback cb;
         std::uint64_t seq = 0;
-        std::uint64_t foreignId = 0; ///< scheduleSeqId id, or 0.
         std::uint32_t gen = 1;
         bool live = false;    ///< Scheduled, not yet run or cancelled.
         bool slipped = false; ///< Keyed in the slipped set.
@@ -182,7 +163,6 @@ class EventQueue : public SimClock
 
     std::vector<Slot> _slots;
     std::vector<std::uint32_t> _free;
-    std::unordered_map<std::uint64_t, std::uint64_t> _foreignIds;
 
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;

@@ -46,7 +46,6 @@ ShardMux::shardOfCore(CoreId core)
 void
 ShardMux::onEvent(const Record &r)
 {
-    RETCON_SERIAL_SCOPE(_serial, "trace::ShardMux::onEvent");
     unsigned s = shardOfCore(r.core);
     Counters &c = _counters[s];
     ++c.events;

@@ -20,19 +20,11 @@
  * mergedSnapshot() reassembles the per-shard rings into one globally
  * ordered trace on the records' machine-global `seq` key.
  *
- * Threading contract (single writer): onEvent() mutates the lifetime
- * counters, the rings, and the core->shard cache with plain,
- * unsynchronized accesses. Callers must guarantee that at most one
- * thread is inside onEvent() at a time, with a happens-before edge
- * between successive calls from different threads. Both engines
- * satisfy this by construction — the sequential engine runs every
- * callback on one thread, and the host-parallel engine serializes
- * callbacks behind its migrating dispatch token, whose
- * release/acquire handoff provides the edge (docs/parallel-engine.md).
- * Debug builds enforce the contract with a serial-section assertion;
- * the read-side accessors (counters(), mergedSnapshot(), ...) are
- * safe only after the run completes (or from the same serialized
- * context).
+ * Threading: single-threaded. onEvent() mutates the lifetime
+ * counters, the rings and the core->shard cache with plain accesses;
+ * the sharded queue runs every callback of a run on one thread, so a
+ * mux belongs to one run and one thread
+ * (docs/run-level-parallelism.md).
  */
 
 #ifndef RETCON_TRACE_SHARD_MUX_HPP
@@ -42,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/serial_guard.hpp"
 #include "trace/recorder.hpp"
 
 namespace retcon::trace {
@@ -104,9 +95,6 @@ class ShardMux final : public TraceSink
     std::vector<std::unique_ptr<TraceRecorder>> _rings;
     std::vector<Counters> _counters;
     std::vector<TraceSink *> _downstream;
-    /// Debug-only single-writer enforcement for onEvent (see the
-    /// threading contract in the file header).
-    RETCON_SERIAL_SECTION(_serial);
 
     unsigned shardOfCore(CoreId core);
 };

@@ -3,7 +3,7 @@
 //
 // Usage: sweep_main [--quick] [--audit] [--shards N] [--mem-banks N]
 //                   [--backoff P] [--clusters N] [--xc-fraction F]
-//                   [--host-threads N] [--annotate-phases]
+//                   [--jobs N] [--annotate-phases]
 //                   [--scenario NAME|all] [--list-scenarios]
 //                   [scale] [nthreads] [workload]
 //   --scenario NAME|all
@@ -52,15 +52,18 @@
 //   --xc-fraction F  fraction of service requests routed to a remote
 //                 cluster's state (default 0.25 when --clusters > 1;
 //                 ignored at one cluster).
-//   --host-threads N  drive the sweep on N host threads: independent
-//                 sweep cells (each a full api::runOnce) run on an
-//                 N-thread pool, and each run's own event loop uses the
-//                 host-parallel engine (RunConfig::hostThreads = N).
-//                 Purely host-side: every number printed is
-//                 bit-identical for any N (docs/parallel-engine.md);
-//                 only the wall-ms column and the sweep wall line
-//                 change. Output is buffered per row and printed in
-//                 canonical workload order.
+//   --jobs N      run the independent sweep cells (each a full
+//                 api::runOnce) on an N-thread pool (default 1, which
+//                 runs them inline). Each run stays single-threaded, so
+//                 every number printed is bit-identical for any N
+//                 (docs/run-level-parallelism.md); only the wall-ms
+//                 column and the sweep wall line change. Output is
+//                 buffered per row and printed in canonical workload
+//                 order.
+//
+// Every numeric argument must parse whole (a count as a non-negative
+// integer): non-numeric input or trailing garbage prints usage and
+// exits 1, and so does --jobs 0.
 //   --trace-out PREFIX  stream every audited cell's complete record
 //                 stream live to PREFIX_<workload>_<config>.rtt
 //                 (docs/streaming.md; requires --audit), then
@@ -76,10 +79,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -102,7 +105,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--quick] [--audit] [--shards N] [--mem-banks N]\n"
         "          [--backoff none|linear|exp|prop] [--clusters N]\n"
-        "          [--xc-fraction F] [--host-threads N]\n"
+        "          [--xc-fraction F] [--jobs N]\n"
         "          [--annotate-phases] [--trace-out PREFIX]\n"
         "          [--trace-keep] [--scenario NAME|all]\n"
         "          [--list-scenarios] [scale] [nthreads] [workload]\n",
@@ -118,6 +121,20 @@ appendf(std::string &out, const char *fmt, ...)
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
     out += buf;
+}
+
+/**
+ * Parse all of @p s into @p out. Unlike atoi/atof, non-numeric input,
+ * a sign on a count, and trailing garbage all fail: a typo must never
+ * silently reshape the sweep.
+ */
+template <class T>
+bool
+parseExact(const char *s, T &out)
+{
+    const char *end = s + std::strlen(s);
+    auto [p, ec] = std::from_chars(s, end, out);
+    return ec == std::errc() && p == end && p != s;
 }
 
 /** One (workload, config) run slot, filled by whichever thread. */
@@ -224,14 +241,14 @@ struct Row {
 };
 
 /**
- * Run @p tasks to completion on @p threads host threads (<= 1 runs
- * them inline, in order, with zero threading machinery). Tasks are
+ * Run @p tasks to completion on @p threads host threads (1 runs them
+ * inline, in order, with zero threading machinery). Tasks are
  * independent full simulations; each writes only its own result slot.
  */
 void
 runTasks(std::vector<std::function<void()>> &tasks, unsigned threads)
 {
-    if (threads <= 1) {
+    if (threads == 1) {
         for (auto &t : tasks)
             t();
         return;
@@ -259,7 +276,7 @@ main(int argc, char **argv)
     unsigned shards = 1;
     unsigned banks = 1;
     unsigned clusters = 1;
-    unsigned host_threads = 0;
+    unsigned jobs = 1;
     double xc_fraction = -1.0; // < 0: default per cluster count.
     htm::BackoffPolicy backoff = htm::BackoffPolicy::None;
     const char *trace_out = nullptr;
@@ -269,8 +286,23 @@ main(int argc, char **argv)
     unsigned nthreads = 8;
     const char *only = nullptr;
 
+    // The first malformed numeric argument, as a message (parseExact).
+    std::string bad;
+    auto num = [&bad](const char *what, const char *arg, auto &out) {
+        if (!parseExact(arg, out))
+            bad = std::string(what) + ": '" + arg + "' is not a number";
+    };
+    auto flagNum = [&](int &i, auto &out) {
+        if (i + 1 >= argc) {
+            bad = std::string(argv[i]) + " requires a number";
+        } else {
+            num(argv[i], argv[i + 1], out);
+            ++i;
+        }
+    };
+
     int positional = 0;
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc && bad.empty(); ++i) {
         if (std::strcmp(argv[i], "--list-scenarios") == 0) {
             for (const scenario::Scenario &s : scenario::registry())
                 std::printf("%-16s %s\n", s.name, s.description);
@@ -292,37 +324,17 @@ main(int argc, char **argv)
             // unchanged. Anchors retcon-query's span queries.
             annotate_phases = true;
         } else if (std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--shards requires a count\n");
-                return 1;
-            }
-            shards = static_cast<unsigned>(std::atoi(argv[++i]));
+            flagNum(i, shards);
         } else if (std::strcmp(argv[i], "--mem-banks") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--mem-banks requires a count\n");
-                return 1;
-            }
-            banks = static_cast<unsigned>(std::atoi(argv[++i]));
+            flagNum(i, banks);
         } else if (std::strcmp(argv[i], "--clusters") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--clusters requires a count\n");
-                return 1;
-            }
-            clusters = static_cast<unsigned>(std::atoi(argv[++i]));
+            flagNum(i, clusters);
         } else if (std::strcmp(argv[i], "--xc-fraction") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--xc-fraction requires a fraction\n");
-                return 1;
-            }
-            xc_fraction = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--host-threads") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--host-threads requires a count\n");
-                return 1;
-            }
-            host_threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            flagNum(i, xc_fraction);
+        } else if (std::strcmp(argv[i], "--jobs") == 0) {
+            flagNum(i, jobs);
+            if (bad.empty() && jobs == 0)
+                bad = "--jobs must be at least 1";
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
@@ -346,10 +358,10 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 1;
         } else if (positional == 0) {
-            scale = std::atof(argv[i]);
+            num("scale", argv[i], scale);
             ++positional;
         } else if (positional == 1) {
-            nthreads = static_cast<unsigned>(std::atoi(argv[i]));
+            num("nthreads", argv[i], nthreads);
             ++positional;
         } else if (positional == 2) {
             only = argv[i];
@@ -359,6 +371,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 1;
         }
+    }
+    if (!bad.empty()) {
+        std::fprintf(stderr, "%s\n", bad.c_str());
+        usage(argv[0]);
+        return 1;
     }
     // --quick sets CI-sized defaults but never overrides explicitly
     // supplied scale/nthreads.
@@ -424,18 +441,14 @@ main(int argc, char **argv)
     if (backoff != htm::BackoffPolicy::None)
         std::printf("retry backoff: %s\n",
                     htm::backoffPolicyName(backoff));
-    if (host_threads > 1)
-        std::printf("host-parallel: %u threads (cell pool + per-run "
-                    "engine)\n",
-                    host_threads);
     if (trace_out)
         std::printf("trace stream: %s_<workload>_<config>.rtt, "
                     "windowed re-validation%s\n",
                     trace_out, trace_keep ? ", files kept" : "");
 
     // Lay the whole sweep out as independent tasks (one per sequential
-    // baseline, one per config cell), run them on the host-thread
-    // pool, then print rows in canonical order from the filled slots.
+    // baseline, one per config cell), run them on the --jobs pool,
+    // then print rows in canonical order from the filled slots.
     auto configs = api::paperConfigs();
     htm::TMConfig datm = api::eagerConfig();
     datm.mode = htm::TMMode::DATM;
@@ -477,7 +490,6 @@ main(int argc, char **argv)
         base.memBanks = banks;
         base.clusters = clusters;
         base.crossClusterFraction = xc_fraction;
-        base.hostThreads = host_threads;
         base.trace.enabled = audit;
         base.trace.ringCapacity = 0; // Audit only; no event retention.
         base.annotatePhases = annotate_phases;
@@ -529,7 +541,7 @@ main(int argc, char **argv)
     }
 
     auto sweep0 = std::chrono::steady_clock::now();
-    runTasks(tasks, host_threads);
+    runTasks(tasks, jobs);
     double sweep_wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - sweep0)
                                .count();
@@ -781,8 +793,7 @@ main(int argc, char **argv)
             all_ok = false;
         }
     }
-    std::printf("sweep wall: %.0f ms on %u host thread%s\n",
-                sweep_wall_ms, host_threads ? host_threads : 1,
-                host_threads > 1 ? "s" : "");
+    std::printf("sweep wall: %.0f ms on %u job%s\n", sweep_wall_ms, jobs,
+                jobs > 1 ? "s" : "");
     return all_ok ? 0 : 1;
 }

@@ -3,8 +3,8 @@
  * Scenario registry + differential scenario-grid suite.
  *
  * Every registered scenario must behave like any other run under the
- * repo's core contracts: bit-identical results across host-thread and
- * shard counts, audit-clean under the reenactment oracle (zero skipped
+ * repo's core contracts: bit-identical results across shard counts,
+ * audit-clean under the reenactment oracle (zero skipped
  * DATM forwarding chains), and a conserving arrival ledger
  * (injected == completed + dropped). The suite also pins the DATM
  * support envelope table (api/datm_envelope.hpp) and proves the
@@ -138,30 +138,19 @@ TEST(ScenarioRegistry, PlansAreDeterministicInTheSeed)
 /**
  * The tentpole contract: for every registered scenario, the simulated
  * outcome — cycles, validation, audit counters, and the scenario
- * ledger itself — is bit-identical across host-thread counts {1, 4}
- * and shard counts {1, 4}, and every variant is audit-clean.
+ * ledger itself — is bit-identical across shard counts {1, 4}, and
+ * both variants are audit-clean.
  */
-TEST(ScenarioGrid, BitIdenticalAcrossHostThreadsAndShards)
+TEST(ScenarioGrid, BitIdenticalAcrossShards)
 {
     for (const scenario::Scenario &s : scenario::registry()) {
         api::RunConfig base = scenarioConfig(s.name);
         api::RunResult ref = runClean(base, s.name);
-        const std::uint64_t refFp = fingerprint(ref);
-
-        struct Variant {
-            unsigned hostThreads, shards;
-        } variants[] = {{1, 4}, {4, 4}};
-        for (const Variant &v : variants) {
-            api::RunConfig cfg = base;
-            cfg.hostThreads = v.hostThreads;
-            cfg.shards = v.shards;
-            std::string tag = std::string(s.name) + " ht" +
-                              std::to_string(v.hostThreads) + "/s" +
-                              std::to_string(v.shards);
-            api::RunResult r = runClean(cfg, tag);
-            EXPECT_EQ(fingerprint(r), refFp)
-                << tag << " diverged from ht0/s1";
-        }
+        api::RunConfig cfg = base;
+        cfg.shards = 4;
+        std::string tag = std::string(s.name) + " shards 4";
+        EXPECT_EQ(fingerprint(runClean(cfg, tag)), fingerprint(ref))
+            << tag << " diverged from shards 1";
     }
 }
 

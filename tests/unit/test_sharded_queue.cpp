@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -70,13 +69,6 @@ class RefQueue
     }
 
     void cancel(Handle h) { _events[h].live = false; }
-
-    void
-    run()
-    {
-        while (step()) {
-        }
-    }
 
     bool
     step()
@@ -162,21 +154,15 @@ class RefQueue
     unsigned _exec = 0;
 };
 
-/**
- * ShardedEventQueue behind the interface the script drives, on the
- * host-parallel engine when @p workers > 1.
- */
+/** ShardedEventQueue behind the interface the script drives. */
 class RealQueue
 {
   public:
     using Handle = EventHandle;
 
-    explicit RealQueue(const ShardedQueueConfig &cfg, unsigned workers = 1)
-        : _q(cfg), _engine(_q, workers), _seen(cfg.nshards, 0)
-    {
-        if (workers > 1)
-            _q.setEngine(&_engine);
-    }
+    explicit RealQueue(const ShardedQueueConfig &cfg)
+        : _q(cfg), _seen(cfg.nshards, 0)
+    {}
 
     Cycle now() const { return _q.now(); }
     const ShardStats &shardStats(unsigned s) const
@@ -191,7 +177,6 @@ class RealQueue
     }
 
     void cancel(Handle h) { _q.cancel(h); }
-    void run() { _q.run(); }
     bool step() { return _q.step(); }
 
     /** The shard whose executed count moved since the last call. */
@@ -209,7 +194,6 @@ class RealQueue
 
   private:
     ShardedEventQueue _q;
-    ParallelEngine _engine;
     std::vector<std::uint64_t> _seen;
 };
 
@@ -265,17 +249,13 @@ struct Script {
             [this, c] { core(c); });
     }
 
-    /** Run to the end; @p stepwise adds cancels between steps. */
+    /** Run to the end, with random cancels between steps. */
     void
-    run(unsigned ncores, bool stepwise)
+    run(unsigned ncores)
     {
         budget.assign(ncores, 30);
         for (unsigned c = 0; c < ncores; ++c)
             add(c % nshards, c % 3, [this, c] { core(c); });
-        if (!stepwise) {
-            q.run();
-            return;
-        }
         while (q.step()) {
             if (rng.below(8) == 0)
                 cancelRecent();
@@ -466,19 +446,15 @@ TEST(ShardedQueue, CancellingAnEventThatAlreadyRanIsANoOp)
     EXPECT_TRUE(q.empty());
 }
 
-namespace {
-
-/**
- * Drive the queue and the brute-force reference with one seeded script
- * over shards × bandwidth × stealing × steal group; require the same
- * dispatch sequence and the same per-shard counters.
- */
-void
-expectMatchesReference(std::initializer_list<unsigned> shardCounts,
-                       unsigned workers)
+TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
 {
+    // Drive the queue and the brute-force reference with one seeded
+    // script over shards × bandwidth × stealing × steal group; require
+    // the same dispatch sequence and the same per-shard counters.
+    // Batched slips (no possible thief) and per-event slips (stealing)
+    // must both reproduce literal one-at-a-time slipping.
     std::uint64_t deferred = 0, stolen = 0;
-    for (unsigned nshards : shardCounts)
+    for (unsigned nshards : {1u, 2u, 4u})
         for (unsigned bw : {0u, 1u, 2u, 3u})
             for (bool steal : {true, false})
                 for (unsigned group : {0u, 1u})
@@ -490,15 +466,12 @@ expectMatchesReference(std::initializer_list<unsigned> shardCounts,
                                      << " steal=" << steal
                                      << " group=" << group
                                      << " seed=" << seed);
-                        // Cancels between steps need a stepwise driver,
-                        // which the host-parallel engine does not have.
-                        bool stepwise = workers == 1;
-                        RealQueue real(cfg, workers);
+                        RealQueue real(cfg);
                         Script<RealQueue> a(real, nshards, seed);
-                        a.run(12, stepwise);
+                        a.run(12);
                         RefQueue ref(cfg);
                         Script<RefQueue> b(ref, nshards, seed);
-                        b.run(12, stepwise);
+                        b.run(12);
                         ASSERT_EQ(a.log, b.log);
                         for (unsigned s = 0; s < nshards; ++s) {
                             EXPECT_EQ(fields(real.shardStats(s)),
@@ -511,20 +484,4 @@ expectMatchesReference(std::initializer_list<unsigned> shardCounts,
     // The grid really slips and steals.
     EXPECT_GT(deferred, 0u);
     EXPECT_GT(stolen, 0u);
-}
-
-} // namespace
-
-TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
-{
-    // Batched slips (no possible thief) and per-event slips (stealing)
-    // must both reproduce literal one-at-a-time slipping.
-    expectMatchesReference({1u, 2u, 4u}, /*workers=*/1);
-}
-
-TEST(ShardedQueue, MatchesBruteForceReferenceOnHostThreads)
-{
-    // Under the host-parallel engine, cross-worker cancels travel as
-    // mail and must carry the dispatch position they were issued at.
-    expectMatchesReference({2u, 4u}, /*workers=*/2);
 }

@@ -21,11 +21,10 @@ Two very different tolerance regimes apply:
     would let a later regression back down to it pass unnoticed.
 
   * Host-time metrics (micro_structures items_per_second, and the
-    service bench's host_wall_ms — per point and along the
-    host-threads axis) vary with the runner, so only large
-    regressions fail (--host-tolerance, default 60% slower — the
-    linear scans this guards against regress lookups by 10-50x, not
-    10%). Improvements never fail.
+    service bench's per-point host_wall_ms) vary with the runner, so
+    only large regressions fail (--host-tolerance, default 60% slower
+    — the linear scans this guards against regress lookups by 10-50x,
+    not 10%). Improvements never fail.
 
 Exit status: 0 when everything is within tolerance, 1 on any
 regression or missing/malformed file. --report writes the comparison
@@ -187,11 +186,7 @@ def check_service(base, fresh, tol, host_tol, rep):
             rep.fail(f"scale-out gain changed {delta:+.1%} "
                      f"(tolerance +/-{tol:.0%})")
 
-    # Host wall time (one-sided, wide band): per scale-up point, and
-    # along the host-threads axis of the host-parallel engine
-    # (docs/parallel-engine.md). The axis points' simulated fields are
-    # self-checked by the bench itself (bit-identity to sequential),
-    # so only their wall clock is compared here.
+    # Host wall time (one-sided, wide band), per scale-up point.
     rep.line(f"== service_scalability (host time, tolerance "
              f"{host_tol:.0%})")
     for key, bp in sorted(base_pts.items()):
@@ -199,20 +194,6 @@ def check_service(base, fresh, tol, host_tol, rep):
         if fp is not None:
             check_host_ms(f"{key[0]} shards x {key[1]} banks", bp, fp,
                           host_tol, rep)
-    base_host = {p.get("host_threads"): p
-                 for p in base.get("host_points", [])}
-    fresh_host = {p.get("host_threads"): p
-                  for p in fresh.get("host_points", [])}
-    for ht, bp in sorted(base_host.items()):
-        fp = fresh_host.get(ht)
-        if fp is None:
-            rep.fail(f"host point at {ht} host threads missing from "
-                     f"fresh run")
-            continue
-        check_host_ms(f"{ht} host threads", bp, fp, host_tol, rep)
-    for ht in sorted(set(fresh_host) - set(base_host)):
-        rep.line(f"  note: new host point at {ht} threads has no "
-                 f"baseline")
 
 
 def check_micro(base, fresh, tol, rep):
