@@ -99,7 +99,7 @@ struct Point {
 
 /// Trace-writer overhead: the top scale-up point re-run with the
 /// live record stream additionally written to an .rtt file
-/// (docs/streaming.md). Streaming is a host-side sink on the audit
+/// (docs/trace-format.md). Streaming is a host-side sink on the audit
 /// stream the run already produces, so the simulated result must be
 /// bit-identical — cycles are asserted equal, and only the writer's
 /// own stats and host wall move (gated under the host tolerance,
@@ -255,8 +255,7 @@ main(int argc, char **argv)
     base.shardBandwidth = kDispatchBandwidth;
     base.memBankOccupancy = kBankOccupancy;
     base.tm.commitTokenArbitration = true;
-    base.trace.enabled = true;   // Audit + per-shard repair counters.
-    base.trace.ringCapacity = 0; // Counters only; no retention.
+    base.trace.enabled = true; // Audit + per-shard repair counters.
     if (quick) {
         // Full Table-1 sizing: the service workload is cheap enough
         // to simulate that CI runs the real scale-out point (a

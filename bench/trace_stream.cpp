@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming trace format (.rtt) throughput and overhead bench
- * (docs/streaming.md). Two legs:
+ * (docs/trace-format.md). Two legs:
  *
  *  1. **Codec throughput** — a synthetic, deterministically generated
  *     record stream is written through trace::StreamWriter and read
@@ -139,7 +139,7 @@ main(int argc, char **argv)
     }
 
     printHeader("Streaming trace format: codec throughput + overhead",
-                "docs/streaming.md (not a paper figure)");
+                "docs/trace-format.md (not a paper figure)");
 
     bool all_ok = true;
 
@@ -200,8 +200,7 @@ main(int argc, char **argv)
     // ---- Leg 2: writer overhead on the audited service workload -----
     api::RunConfig base = baseConfig("service");
     base.tm = api::retconConfig();
-    base.trace.enabled = true;   // Audit rides both runs identically.
-    base.trace.ringCapacity = 0; // Stream/validate only; no retention.
+    base.trace.enabled = true; // Audit rides both runs identically.
     base.trace.validate = true;
     if (quick) {
         base.scale = 1.0; // Table-1 sizing, as service_scalability.
@@ -229,7 +228,7 @@ main(int argc, char **argv)
 
     // And the streamed file must actually validate incrementally —
     // the windowed validator agreeing with the live audit is the
-    // product this bench prices (docs/streaming.md).
+    // product this bench prices (docs/trace-format.md).
     query::StreamValidateResult v = query::validateStreamFile(rtt);
     if (!v.ok() || v.recordsRead != traced.traceStream.records) {
         std::printf("!! streamed run failed windowed validation: %s\n",

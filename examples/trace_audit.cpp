@@ -2,8 +2,9 @@
  * @file
  * Provenance & repair-audit demo: run the shared-counter workload
  * under RETCON with the trace subsystem attached, reenact every
- * repaired commit against architectural memory, and export the event
- * stream for offline analysis.
+ * repaired commit against architectural memory, and stream the clean
+ * run's records to trace_audit.rtt for offline analysis
+ * (`retcon-query trace_audit.rtt stats`, `... dump`).
  *
  * Expected output: hundreds of repaired commits, every one re-derived
  * by the ReenactmentValidator with zero mismatches, followed by a
@@ -12,11 +13,11 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "exec/cluster.hpp"
-#include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
+#include "trace/stream.hpp"
 
 using namespace retcon;
 using namespace retcon::exec;
@@ -55,32 +56,31 @@ runAudited(Word fault_xor)
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
-    trace::TraceRecorder recorder(1 << 14);
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
     trace::MultiSink sink;
-    sink.add(&recorder);
     sink.add(&validator);
+    std::unique_ptr<trace::StreamWriter> writer;
+    if (fault_xor == 0) {
+        writer = std::make_unique<trace::StreamWriter>("trace_audit.rtt");
+        sink.add(writer.get());
+    }
     cluster.setTraceSink(&sink);
 
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     Cycle cycles = cluster.run();
 
-    std::printf("counter=%llu cycles=%llu events=%llu (%zu retained)\n",
+    std::printf("counter=%llu cycles=%llu\n",
                 (unsigned long long)cluster.memory().readWord(kCounter),
-                (unsigned long long)cycles,
-                (unsigned long long)recorder.totalEvents(),
-                recorder.size());
+                (unsigned long long)cycles);
     std::printf("%s\n", validator.report().summary().c_str());
     for (const auto &m : validator.report().samples)
         std::printf("  %s\n", m.describe().c_str());
 
-    if (fault_xor == 0) {
-        std::size_t n =
-            trace::exportJsonFile(recorder, "trace_audit.jsonl");
-        trace::exportCsvFile(recorder, "trace_audit.csv");
-        std::printf("exported %zu events to trace_audit.{jsonl,csv}\n",
-                    n);
+    if (writer) {
+        writer->close();
+        std::printf("streamed %llu events to trace_audit.rtt\n",
+                    (unsigned long long)writer->stats().records);
     }
     return validator.report();
 }

@@ -4,11 +4,26 @@
 
 #include "api/datm_envelope.hpp"
 #include "sim/logging.hpp"
-#include "trace/export.hpp"
 #include "trace/shard_mux.hpp"
 #include "trace/stream.hpp"
 
 namespace retcon::api {
+
+namespace {
+
+/** TraceOptions::captureInto as a live mux downstream. */
+class CaptureSink final : public trace::TraceSink
+{
+  public:
+    explicit CaptureSink(std::vector<trace::Record> &out) : _out(out) {}
+
+    void onEvent(const trace::Record &r) override { _out.push_back(r); }
+
+  private:
+    std::vector<trace::Record> &_out;
+};
+
+} // namespace
 
 htm::TMConfig
 eagerConfig()
@@ -154,17 +169,19 @@ runOnce(const RunConfig &cfg)
 
     // Optional provenance/audit instrumentation. The sinks must
     // outlive the run; the validator reads architectural memory, so it
-    // is built against this cluster instance. Records are captured in
-    // per-shard rings (ShardMux) and the validator consumes the merged
-    // live stream, which arrives in global order by construction.
+    // is built against this cluster instance. The mux keeps per-shard
+    // counters only (no rings); every consumer — validator, stream
+    // writer, capture — is a live downstream fed the merged stream,
+    // which arrives in machine-global seq order by construction.
     std::unique_ptr<trace::ShardMux> mux;
     std::unique_ptr<trace::ReenactmentValidator> validator;
     std::unique_ptr<trace::StreamWriter> streamWriter;
+    std::unique_ptr<CaptureSink> capture;
     if (cfg.trace.enabled) {
         mux = std::make_unique<trace::ShardMux>(
             cluster.numShards(),
             [&cluster](CoreId core) { return cluster.shardOf(core); },
-            cfg.trace.ringCapacity);
+            /*ring_capacity=*/0);
         if (cfg.trace.validate) {
             validator = std::make_unique<trace::ReenactmentValidator>(
                 [&cluster](Addr a) {
@@ -173,12 +190,13 @@ runOnce(const RunConfig &cfg)
             mux->addDownstream(validator.get());
         }
         if (!cfg.trace.streamPath.empty()) {
-            // The live downstream sees the complete dense stream (the
-            // mux feeds in machine-global seq order), independent of
-            // ring retention — streaming works with ringCapacity 0.
             streamWriter = std::make_unique<trace::StreamWriter>(
                 cfg.trace.streamPath);
             mux->addDownstream(streamWriter.get());
+        }
+        if (cfg.trace.captureInto) {
+            capture = std::make_unique<CaptureSink>(*cfg.trace.captureInto);
+            mux->addDownstream(capture.get());
         }
         cluster.setTraceSink(mux.get());
     }
@@ -299,31 +317,8 @@ runOnce(const RunConfig &cfg)
         result.traceStream.flushes = ws.flushes;
         result.traceStream.flushWallMs = ws.flushWallMs;
     }
-    if (mux) {
+    if (mux)
         result.traceEvents = mux->totalEvents();
-        if (cfg.trace.ringCapacity > 0 &&
-            (cfg.trace.captureInto ||
-             !cfg.trace.exportJsonPath.empty() ||
-             !cfg.trace.exportCsvPath.empty() ||
-             !cfg.trace.exportBinPath.empty())) {
-            std::vector<trace::Record> merged = mux->mergedSnapshot();
-            if (cfg.trace.exportSeqMin != 0 ||
-                cfg.trace.exportSeqMax != 0) {
-                merged = trace::seqWindow(merged, cfg.trace.exportSeqMin,
-                                          cfg.trace.exportSeqMax);
-            }
-            if (!cfg.trace.exportJsonPath.empty())
-                trace::exportJsonFile(merged, cfg.trace.exportJsonPath);
-            if (!cfg.trace.exportCsvPath.empty())
-                trace::exportCsvFile(merged, cfg.trace.exportCsvPath);
-            if (!cfg.trace.exportBinPath.empty())
-                trace::exportBinaryFile(merged, cfg.trace.exportBinPath);
-            if (cfg.trace.captureInto)
-                cfg.trace.captureInto->insert(
-                    cfg.trace.captureInto->end(), merged.begin(),
-                    merged.end());
-        }
-    }
     return result;
 }
 

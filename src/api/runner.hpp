@@ -36,52 +36,30 @@ struct TraceOptions {
     bool validate = true;
 
     /**
-     * Retain the newest this-many events *per event-queue shard* for
-     * export (0 = no rings, counters only). Total retention is up to
-     * ringCapacity * RunConfig::shards; exports merge the per-shard
-     * rings (see docs/trace-format.md).
+     * Ignored by runOnce, whose mux keeps no rings: every record
+     * leaves a run through the live downstreams below. Kept for
+     * drivers that build their own trace::ShardMux and pass it as the
+     * per-shard ring capacity (0 = counters only).
      */
-    std::size_t ringCapacity = 1 << 16;
-
-    /** When non-empty, export retained events after the run. */
-    std::string exportJsonPath;
-    std::string exportCsvPath;
-
-    /**
-     * When non-empty, export retained events as framed binary (.rtt,
-     * trace::exportBinaryFile) after the run — the third export
-     * format, bit-exact with the JSON/CSV round trip
-     * (docs/streaming.md).
-     */
-    std::string exportBinPath;
+    std::size_t ringCapacity = 0;
 
     /**
      * When non-empty, stream every record to this .rtt file WHILE the
      * run is live (trace::StreamWriter attached as a mux downstream).
-     * Unlike the exports, this needs no ring retention — it works
-     * with ringCapacity 0 and captures the complete dense stream no
-     * matter how long the run is; RunResult::traceStream reports the
-     * writer's overhead. The streamed file re-validates incrementally
-     * via query::validateStreamFile (docs/streaming.md).
+     * The file holds the complete dense stream no matter how long the
+     * run is; RunResult::traceStream reports the writer's overhead.
+     * The streamed file re-validates incrementally via
+     * query::validateStreamFile (docs/trace-format.md).
      */
     std::string streamPath;
 
     /**
-     * Export window on the machine-global `seq` key: only records
-     * with exportSeqMin <= seq < exportSeqMax are written
-     * (trace::seqWindow). The defaults (0, 0 = unbounded) export
-     * every retained record — the whole-buffer behaviour.
-     */
-    std::uint64_t exportSeqMin = 0;
-    std::uint64_t exportSeqMax = 0;
-
-    /**
-     * Programmatic capture: when set, the merged (seq-windowed) record
-     * snapshot is appended here after the run — the same stream the
-     * file exporters would write. This is how the what-if engine
-     * (api/whatif.hpp) and retcon-query's `smoke` subcommand get at a
-     * run's records without a filesystem round-trip. Must outlive the
-     * runOnce call; requires ringCapacity > 0 to retain anything.
+     * Programmatic capture: when set, every record is appended here
+     * as the run emits it (a mux downstream, like the stream writer),
+     * so it holds the complete dense stream in machine-global seq
+     * order. This is how the what-if engine (api/whatif.hpp) and
+     * retcon-query's `smoke` subcommand get at a run's records
+     * without a filesystem round-trip. Must outlive the runOnce call.
      */
     std::vector<trace::Record> *captureInto = nullptr;
 };

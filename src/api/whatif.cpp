@@ -182,14 +182,10 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
 {
     WhatIfResult out;
 
-    // Both runs record with identical trace settings; the engine needs
-    // the full stream, so counters-only tracing is promoted.
+    // Both runs record with identical trace settings; captureInto
+    // (set below) holds each run's complete stream.
     RunConfig rec = base;
     rec.trace.enabled = true;
-    if (rec.trace.ringCapacity == 0)
-        rec.trace.ringCapacity = std::size_t{1} << 20;
-    rec.trace.exportJsonPath.clear();
-    rec.trace.exportCsvPath.clear();
 
     RunConfig var = rec;
     out.reach = ReachClass::Nothing;

@@ -141,9 +141,9 @@ struct WhatIfResult {
 
 /**
  * Record @p base (tracing forced on), apply @p changes, re-run, and
- * compare. @p base's own trace options are honoured where sensible
- * (ringCapacity 0 is promoted to a full-retention default, since the
- * engine needs the records).
+ * compare. Both runs capture their complete record streams through
+ * TraceOptions::captureInto, however long the run; the rest of
+ * @p base's trace options pass through to both runs unchanged.
  */
 WhatIfResult runWhatIf(const RunConfig &base,
                        const std::vector<KnobChange> &changes);

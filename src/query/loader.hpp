@@ -1,27 +1,20 @@
 /**
  * @file
- * Offline trace loader: parse a recorded provenance stream back into
- * trace::Record form, from either export format (docs/trace-format.md):
+ * Offline trace loader: read a recorded `.rtt` stream
+ * (docs/trace-format.md) back into trace::Record form.
  *
- *  - **JSON Lines** (`exportJson*`): one object per line. The
- *    per-kind decodes re-encode losslessly — `cause` names map back
- *    to the aux byte, `datm_forwarded` back to the commit flag bit,
- *    `annotation` is the mark's `a` value it was decoded from.
- *  - **CSV** (`exportCsv*`): one row per record; the `aux` column is
- *    raw, so the round trip is field-exact by construction.
- *
- * Loading is strict: any unparsable line, unknown kind/operator/cause
- * name, or seq-order violation (exports of a merged snapshot are
- * ascending in the machine-global `seq` key) fails the load with a
- * line-numbered diagnostic instead of silently yielding a partial
- * stream — a truncated or hand-edited trace must not masquerade as a
- * recorded run (tests/unit/test_query.cpp pins the negative control).
+ * Loading is strict: the first bad magic, checksum, seq-order, seq-gap
+ * (dense streams), truncation, or payload fault fails the load with
+ * the reader's offset-precise diagnostic instead of silently yielding
+ * a partial stream — a truncated or hand-edited trace must not
+ * masquerade as a recorded run (tests/unit/test_stream.cpp pins the
+ * negative controls). A file that is not an `.rtt` stream at all
+ * fails with "not an .rtt stream (bad magic)".
  */
 
 #ifndef RETCON_QUERY_LOADER_HPP
 #define RETCON_QUERY_LOADER_HPP
 
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -29,33 +22,14 @@
 
 namespace retcon::query {
 
-/** Outcome of a load: the records, or a line-numbered diagnostic. */
+/** Outcome of a load: the records, or an offset-precise diagnostic. */
 struct LoadResult {
     bool ok = true;
     std::string error;
     std::vector<trace::Record> records;
 };
 
-/** Parse JSON Lines export output. */
-LoadResult loadJson(std::istream &is);
-
-/** Parse CSV export output (header row required). */
-LoadResult loadCsv(std::istream &is);
-
-/**
- * Parse a framed binary .rtt stream (docs/streaming.md). Strict like
- * the text loaders: the first checksum, seq-order, seq-gap (dense
- * streams), truncation, or payload fault fails the load with an
- * offset-precise diagnostic instead of yielding a partial stream.
- */
-LoadResult loadBinary(const std::string &path);
-
-/**
- * Load a trace file, dispatching on content: a first byte of 'R' is
- * the .rtt binary magic, a first line starting with '{' is JSON
- * Lines, a `cycle,core,...` header is CSV. Fails (ok = false) on
- * unreadable files or unrecognizable content.
- */
+/** Load a framed `.rtt` trace file (strict trace::StreamReader). */
 LoadResult loadTraceFile(const std::string &path);
 
 } // namespace retcon::query

@@ -52,7 +52,7 @@ struct ReplayResult {
      * Most attempts ever simultaneously holding resident log state.
      * This is the windowed validator's memory bound: per-attempt
      * state retires at commit/abort, so the peak is capped by the
-     * core count, never the run length (docs/streaming.md).
+     * core count, never the run length (docs/trace-format.md).
      */
     std::uint64_t peakOpenAttempts = 0;
 };
@@ -66,7 +66,7 @@ struct ReplayResult {
  * observed word (workload footprint), and the validator's attempt
  * logs retire at commit/abort, so resident state is bounded by open
  * attempts rather than run length. The consumption path for .rtt
- * streams (trace::StreamReader + docs/streaming.md).
+ * streams (trace::StreamReader + docs/trace-format.md).
  */
 class StreamingReplay
 {

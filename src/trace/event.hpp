@@ -66,15 +66,8 @@ enum class EventKind : std::uint8_t {
     UserMark,    ///< Workload annotation via WorkerCtx; a = mark id.
 };
 
-/** Short stable name (used by the exporters and reports). */
+/** Short stable name (used by the JSON view and reports). */
 const char *eventKindName(EventKind k);
-
-/**
- * Parse a kind back from its stable name ("begin", "sym-load", ...).
- * @return false (leaving @p out untouched) on unknown names — the
- * trace loader's corrupted-input detection path (src/query/loader).
- */
-bool eventKindFromName(const char *name, EventKind &out);
 
 /**
  * Commit-record aux bit: the committing transaction consumed a value

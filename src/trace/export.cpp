@@ -1,10 +1,5 @@
 #include "trace/export.hpp"
 
-#include <fstream>
-#include <string_view>
-
-#include "sim/logging.hpp"
-
 namespace retcon::trace {
 
 const char *
@@ -19,34 +14,6 @@ cmpOpName(rtc::CmpOp op)
       case rtc::CmpOp::GT: return ">";
     }
     return "?";
-}
-
-bool
-cmpOpFromName(const char *name, rtc::CmpOp &out)
-{
-    for (int op = 0; op <= static_cast<int>(rtc::CmpOp::GT); ++op) {
-        auto cmp = static_cast<rtc::CmpOp>(op);
-        if (std::string_view(cmpOpName(cmp)) == name) {
-            out = cmp;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<Record>
-seqWindow(const std::vector<Record> &recs, std::uint64_t seq_min,
-          std::uint64_t seq_max)
-{
-    std::vector<Record> out;
-    for (const Record &r : recs) {
-        if (r.seq < seq_min)
-            continue;
-        if (seq_max != 0 && r.seq >= seq_max)
-            continue;
-        out.push_back(r);
-    }
-    return out;
 }
 
 void
@@ -79,131 +46,6 @@ writeJsonRecord(const Record &r, std::ostream &os)
     if (r.kind == EventKind::UserMark)
         os << ",\"annotation\":" << r.a;
     os << "}";
-}
-
-void
-writeCsvRecord(const Record &r, std::ostream &os)
-{
-    os << r.cycle << ',' << r.core << ',' << eventKindName(r.kind) << ','
-       << r.addr << ',' << r.a << ',' << r.b << ',';
-    if (r.hasSym)
-        os << r.sym.root << ',' << r.sym.delta;
-    else
-        os << ',';
-    os << ',' << cmpOpName(r.cmp) << ',' << static_cast<unsigned>(r.aux)
-       << ',' << r.seq << ','
-       << (r.kind == EventKind::Commit &&
-                   (r.aux & kCommitAuxDatmForwarded)
-               ? 1
-               : 0)
-       << ',' << r.vid << ',';
-    // CSV parity with the JSON `annotation` decode: the mark id of a
-    // `mark` record, empty for every other kind.
-    if (r.kind == EventKind::UserMark)
-        os << r.a;
-}
-
-const char *
-csvHeader()
-{
-    return "cycle,core,kind,addr,a,b,sym_root,sym_delta,cmp,aux,seq,"
-           "datm_forwarded,vid,annotation";
-}
-
-std::size_t
-exportJson(const TraceRecorder &rec, std::ostream &os)
-{
-    std::size_t n = 0;
-    rec.forEach([&](const Record &r) {
-        writeJsonRecord(r, os);
-        os << '\n';
-        ++n;
-    });
-    return n;
-}
-
-std::size_t
-exportJson(const std::vector<Record> &recs, std::ostream &os)
-{
-    for (const Record &r : recs) {
-        writeJsonRecord(r, os);
-        os << '\n';
-    }
-    return recs.size();
-}
-
-std::size_t
-exportCsv(const TraceRecorder &rec, std::ostream &os)
-{
-    os << csvHeader() << '\n';
-    std::size_t n = 0;
-    rec.forEach([&](const Record &r) {
-        writeCsvRecord(r, os);
-        os << '\n';
-        ++n;
-    });
-    return n;
-}
-
-std::size_t
-exportCsv(const std::vector<Record> &recs, std::ostream &os)
-{
-    os << csvHeader() << '\n';
-    for (const Record &r : recs) {
-        writeCsvRecord(r, os);
-        os << '\n';
-    }
-    return recs.size();
-}
-
-namespace {
-
-template <typename Source, typename Fn>
-std::size_t
-exportToFile(const Source &src, const std::string &path, Fn fn)
-{
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open trace export file %s", path.c_str());
-    return fn(src, os);
-}
-
-} // namespace
-
-std::size_t
-exportJsonFile(const TraceRecorder &rec, const std::string &path)
-{
-    return exportToFile(rec, path, [](const TraceRecorder &r,
-                                      std::ostream &os) {
-        return exportJson(r, os);
-    });
-}
-
-std::size_t
-exportJsonFile(const std::vector<Record> &recs, const std::string &path)
-{
-    return exportToFile(recs, path, [](const std::vector<Record> &r,
-                                       std::ostream &os) {
-        return exportJson(r, os);
-    });
-}
-
-std::size_t
-exportCsvFile(const TraceRecorder &rec, const std::string &path)
-{
-    return exportToFile(rec, path, [](const TraceRecorder &r,
-                                      std::ostream &os) {
-        return exportCsv(r, os);
-    });
-}
-
-std::size_t
-exportCsvFile(const std::vector<Record> &recs, const std::string &path)
-{
-    return exportToFile(recs, path, [](const std::vector<Record> &r,
-                                       std::ostream &os) {
-        return exportCsv(r, os);
-    });
 }
 
 } // namespace retcon::trace

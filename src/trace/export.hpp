@@ -1,79 +1,26 @@
 /**
  * @file
- * Offline trace export: serialize provenance records as JSON Lines or
- * CSV for analysis outside the simulator (timeline reconstruction,
- * per-address conflict studies, repair audits). The field-by-field
- * schema is documented in docs/trace-format.md.
- *
- * JSON Lines (one object per line) is chosen over a single array so
- * multi-gigabyte traces stream through line-oriented tools; the CSV
- * schema is flat with one column per Record field.
- *
- * Sources: a single TraceRecorder's retained ring, or any
- * vector<Record> — e.g. ShardMux::mergedSnapshot(), the globally
- * ordered merge of a sharded run's per-shard rings.
+ * JSON Lines view of provenance records: one object per record, for
+ * reading a trace with line-oriented tools. `.rtt` (trace/stream.hpp)
+ * is the only storage format; this is the rendering behind
+ * `retcon-query <file.rtt> dump`. The field-by-field schema is
+ * documented in docs/trace-format.md.
  */
 
 #ifndef RETCON_TRACE_EXPORT_HPP
 #define RETCON_TRACE_EXPORT_HPP
 
 #include <ostream>
-#include <string>
-#include <vector>
 
-#include "trace/recorder.hpp"
+#include "trace/event.hpp"
 
 namespace retcon::trace {
 
 /** Stable operator spelling ("<", "<=", "==", ...). */
 const char *cmpOpName(rtc::CmpOp op);
 
-/**
- * Parse an operator back from its spelling. @return false (leaving
- * @p out untouched) on unknown spellings — the trace loader's
- * corrupted-input detection path (src/query/loader).
- */
-bool cmpOpFromName(const char *name, rtc::CmpOp &out);
-
 /** Serialize one record as a single JSON object (no newline). */
 void writeJsonRecord(const Record &r, std::ostream &os);
-
-/** Serialize one record as a CSV row (no newline). */
-void writeCsvRecord(const Record &r, std::ostream &os);
-
-/** The CSV header row matching writeCsvRecord (no newline). */
-const char *csvHeader();
-
-/**
- * Window a record stream on the machine-global `seq` key: keep
- * records with seq_min <= seq < seq_max. A bound of 0 means
- * unbounded on that side, so (0, 0) copies everything — the
- * whole-buffer export behaviour. Records are assumed (and kept)
- * in their input order; on a merged snapshot that is ascending seq,
- * so the result is the contiguous sub-trace of the window
- * (docs/trace-format.md, "Windowed export").
- */
-std::vector<Record> seqWindow(const std::vector<Record> &recs,
-                              std::uint64_t seq_min,
-                              std::uint64_t seq_max);
-
-/** Stream retained records as JSON Lines. @return records written. */
-std::size_t exportJson(const TraceRecorder &rec, std::ostream &os);
-std::size_t exportJson(const std::vector<Record> &recs, std::ostream &os);
-
-/** Stream retained records as CSV (with header). @return records. */
-std::size_t exportCsv(const TraceRecorder &rec, std::ostream &os);
-std::size_t exportCsv(const std::vector<Record> &recs, std::ostream &os);
-
-/** Write to a file; fatal()s when the file cannot be opened. */
-std::size_t exportJsonFile(const TraceRecorder &rec,
-                           const std::string &path);
-std::size_t exportJsonFile(const std::vector<Record> &recs,
-                           const std::string &path);
-std::size_t exportCsvFile(const TraceRecorder &rec,
-                          const std::string &path);
-std::size_t exportCsvFile(const std::vector<Record> &recs,
-                          const std::string &path);
 
 } // namespace retcon::trace
 

@@ -1,7 +1,5 @@
 #include "trace/recorder.hpp"
 
-#include <string_view>
-
 #include "sim/logging.hpp"
 
 namespace retcon::trace {
@@ -29,19 +27,6 @@ eventKindName(EventKind k)
       case EventKind::UserMark: return "mark";
     }
     return "?";
-}
-
-bool
-eventKindFromName(const char *name, EventKind &out)
-{
-    for (int k = 0; k <= static_cast<int>(EventKind::UserMark); ++k) {
-        auto kind = static_cast<EventKind>(k);
-        if (std::string_view(eventKindName(kind)) == name) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity)

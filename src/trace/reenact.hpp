@@ -119,7 +119,7 @@ class ReenactmentValidator final : public TraceSink
      * Attempts currently holding resident log state. Per-attempt logs
      * retire at commit/abort, so this — not the run length — bounds
      * the validator's memory: the windowed-validation contract
-     * (docs/streaming.md).
+     * (docs/trace-format.md).
      */
     std::size_t openAttempts() const;
 

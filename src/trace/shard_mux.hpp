@@ -3,10 +3,11 @@
  * ShardMux: per-shard trace capture for the sharded cluster.
  *
  * One machine-wide provenance stream fans into:
- *  - one TraceRecorder ring per event-queue shard (a record is homed
- *    on the shard of the core that produced it), so flight-recorder
- *    memory scales out with the cluster instead of one global ring
- *    thrashing under service-scale traffic;
+ *  - optionally (ring capacity > 0), one TraceRecorder ring per
+ *    event-queue shard (a record is homed on the shard of the core
+ *    that produced it), so flight-recorder memory scales out with the
+ *    cluster instead of one global ring thrashing under service-scale
+ *    traffic;
  *  - per-shard lifetime counters (events, commits, aborts, repairs,
  *    DATM-forwarded commits) that survive ring wraparound — the
  *    inputs of bench/service_scalability's per-shard repair rates;
@@ -16,9 +17,11 @@
  * *merged* stream in global order (its per-core symbolic logs snapshot
  * architectural memory at CommitDrain, which only exists live), and
  * the machine emits exactly that order because the sharded queue
- * dispatches events in global (cycle, seq) order. For offline use,
- * mergedSnapshot() reassembles the per-shard rings into one globally
- * ordered trace on the records' machine-global `seq` key.
+ * dispatches events in global (cycle, seq) order. So do the `.rtt`
+ * stream writer and api::runOnce's in-memory capture, which is why
+ * runOnce builds its mux with ring capacity 0. For drivers that keep
+ * rings, mergedSnapshot() reassembles them into one globally ordered
+ * trace on the records' machine-global `seq` key.
  *
  * Threading: single-threaded. onEvent() mutates the lifetime
  * counters, the rings and the core->shard cache with plain accesses;

@@ -1,5 +1,6 @@
 #include "trace/stream.hpp"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstring>
@@ -184,8 +185,7 @@ decodePayload(const unsigned char *p, Record &out)
     out.hasSym = (p[kOffFlags] & kPayloadFlagHasSym) != 0;
     out.cmp = static_cast<rtc::CmpOp>(p[kOffCmp]);
     out.aux = p[kOffAux];
-    // The same per-kind strictness as the JSON/CSV loaders: an abort
-    // record must name a real cause.
+    // Per-kind strictness: an abort record must name a real cause.
     if (out.kind == EventKind::Abort &&
         out.aux > static_cast<std::uint8_t>(htm::AbortCause::Zombie))
         return false;
@@ -384,10 +384,14 @@ StreamReader::parseHeader(StreamFault &fault, Status &status)
 {
     refill(kStreamHeaderBytes);
     if (avail() < kStreamHeaderBytes) {
-        status = avail() == 0
-                     ? fail(fault, StreamFault::Kind::BadMagic, 0, 0)
-                     : fail(fault, StreamFault::Kind::Truncated,
-                            offsetAt(avail()), 0);
+        // A torn header still starts with the magic; any other short
+        // file is not a stream at all.
+        std::size_t n = std::min(avail(), sizeof(kStreamMagic));
+        bool torn = n != 0 &&
+                    std::memcmp(_buf.data() + _pos, kStreamMagic, n) == 0;
+        status = torn ? fail(fault, StreamFault::Kind::Truncated,
+                             offsetAt(avail()), 0)
+                      : fail(fault, StreamFault::Kind::BadMagic, 0, 0);
         _done = true; // A headerless stream cannot be resynced.
         return false;
     }

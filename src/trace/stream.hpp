@@ -2,7 +2,8 @@
  * @file
  * Streaming binary trace format (.rtt): an append-only framed record
  * stream written while the run is live, so trace length is bounded by
- * disk instead of ring memory (docs/streaming.md).
+ * disk instead of ring memory (docs/trace-format.md). It is the only
+ * storage format: every trace file is an .rtt stream.
  *
  * Layout (all integers little-endian):
  *
@@ -40,7 +41,7 @@
 
 namespace retcon::trace {
 
-/** File-header magic; first byte 'R' is the loader's sniff key. */
+/** File-header magic; any other leading bytes fail as BadMagic. */
 inline constexpr char kStreamMagic[8] = {'R', 'T', 'C', 'S',
                                          'T', 'R', 'M', '1'};
 inline constexpr std::uint16_t kStreamVersion = 1;
@@ -220,10 +221,10 @@ class StreamReader
 };
 
 /**
- * Export @p recs as one .rtt stream (the binary sibling of
- * exportJsonFile/exportCsvFile). The dense header flag is set when
- * the records' seqs are actually consecutive — true for a complete
- * capture, false for a windowed or wrapped snapshot.
+ * Write @p recs as one .rtt stream (how tests build fixture streams
+ * from an in-memory capture). The dense header flag is set when the
+ * records' seqs are actually consecutive — true for a complete
+ * capture, false for a subset.
  * @return records written.
  */
 std::size_t exportBinaryFile(const std::vector<Record> &recs,

@@ -118,7 +118,6 @@ main()
             cfg.shards = shards;
             cfg.tm.mode = mode;
             cfg.trace.enabled = true;
-            cfg.trace.ringCapacity = 0;
             api::RunResult r = api::runOnce(cfg);
             std::uint64_t repairs = 0;
             for (const auto &s : r.shards)

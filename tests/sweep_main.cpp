@@ -66,7 +66,7 @@
 // exits 1, and so does --jobs 0.
 //   --trace-out PREFIX  stream every audited cell's complete record
 //                 stream live to PREFIX_<workload>_<config>.rtt
-//                 (docs/streaming.md; requires --audit), then
+//                 (docs/trace-format.md; requires --audit), then
 //                 re-validate each file incrementally with the
 //                 windowed validator (query::validateStreamFile) and
 //                 fail unless its verdict matches the in-memory audit
@@ -189,7 +189,7 @@ labelSlug(const char *label)
  * Stream-validate one cell's .rtt file and score it against the live
  * run: verdict parity, zero skipped chains, and resident validator
  * state bounded by the core count (the windowed-validation memory
- * contract, docs/streaming.md).
+ * contract, docs/trace-format.md).
  */
 void
 checkStreamedCell(Cell &cell, const std::string &path,
@@ -491,7 +491,6 @@ main(int argc, char **argv)
         base.clusters = clusters;
         base.crossClusterFraction = xc_fraction;
         base.trace.enabled = audit;
-        base.trace.ringCapacity = 0; // Audit only; no event retention.
         base.annotatePhases = annotate_phases;
         tasks.push_back([&row, base] {
             auto t0 = std::chrono::steady_clock::now();
@@ -621,7 +620,8 @@ main(int argc, char **argv)
                 scenario::scenarioByName(row.name);
             scenario::Plan plan;
             scenario::Env env;
-            env.seed = api::RunConfig{}.seed; // sweep keeps the default
+            const api::RunConfig defaults; // sweep keeps the default seed
+            env.seed = defaults.seed;
             env.scale = scale;
             env.nthreads = nthreads * clusters;
             env.clusters = clusters;
@@ -775,7 +775,7 @@ main(int argc, char **argv)
     if (trace_out) {
         // Writer overhead in the existing bench-JSON spirit: bytes on
         // disk, amortized frame cost, and host-side flush stalls
-        // (docs/streaming.md). Peak open attempts is the windowed
+        // (docs/trace-format.md). Peak open attempts is the windowed
         // validator's resident-state bound, checked per cell above.
         std::printf("trace stream: %llu records, %llu bytes "
                     "(%.1f bytes/record), %llu flushes, %.1f "

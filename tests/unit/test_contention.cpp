@@ -3,7 +3,7 @@
  * Tests for the PR-5 conflict-time knobs: partitioned service state
  * (WorkloadParams::servicePartitions), NACK/abort retry backoff
  * (htm::BackoffConfig), and contention-aware re-dispatch
- * (exec/scheduler.hpp) — plus the windowed trace export.
+ * (exec/scheduler.hpp).
  *
  * The contract under test is three-sided:
  *  - conservation: the service workload's validation holds at every
@@ -20,13 +20,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
 #include "api/runner.hpp"
 #include "exec/cluster.hpp"
-#include "trace/export.hpp"
 #include "trace/reenact.hpp"
 #include "trace/shard_mux.hpp"
 
@@ -48,7 +43,6 @@ serviceConfig(unsigned partitions, unsigned shards, unsigned banks)
     cfg.memBanks = banks;
     cfg.servicePartitions = partitions;
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0;
     return cfg;
 }
 
@@ -292,58 +286,4 @@ TEST(Contention, FullKnobStackMatchesTheBenchGateShape)
     EXPECT_TRUE(r.reenact.ok()) << r.reenact.summary();
     EXPECT_EQ(r.reenact.forwardedCommitsSkipped, 0u);
     EXPECT_GT(r.machineStats.backoffCycles, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Windowed trace export
-// ---------------------------------------------------------------------
-
-TEST(Contention, SeqWindowSelectsTheRequestedSlice)
-{
-    trace::Record r;
-    std::vector<trace::Record> recs;
-    for (std::uint64_t s = 1; s <= 100; ++s) {
-        r.seq = s;
-        recs.push_back(r);
-    }
-    std::vector<trace::Record> win = trace::seqWindow(recs, 20, 30);
-    ASSERT_EQ(win.size(), 10u);
-    EXPECT_EQ(win.front().seq, 20u);
-    EXPECT_EQ(win.back().seq, 29u);
-
-    // Open bounds: 0 means unbounded on that side.
-    EXPECT_EQ(trace::seqWindow(recs, 0, 0).size(), recs.size());
-    EXPECT_EQ(trace::seqWindow(recs, 91, 0).size(), 10u);
-    EXPECT_EQ(trace::seqWindow(recs, 0, 11).size(), 10u);
-    EXPECT_TRUE(trace::seqWindow(recs, 60, 50).empty());
-}
-
-TEST(Contention, SeqWindowedExportWritesOnlyTheWindow)
-{
-    // End-to-end through api::runOnce: the exported JSON Lines file
-    // must hold exactly the records inside [seqMin, seqMax).
-    api::RunConfig cfg = serviceConfig(1, 2, 1);
-    cfg.trace.ringCapacity = 1 << 16;
-    cfg.trace.exportSeqMin = 100;
-    cfg.trace.exportSeqMax = 200;
-    std::string path = ::testing::TempDir() + "retcon_seq_window.jsonl";
-    cfg.trace.exportJsonPath = path;
-    api::RunResult r = api::runOnce(cfg);
-    ASSERT_GT(r.traceEvents, 200u);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        auto pos = line.find("\"seq\":");
-        ASSERT_NE(pos, std::string::npos);
-        std::uint64_t seq = std::strtoull(
-            line.c_str() + pos + 6, nullptr, 10);
-        EXPECT_GE(seq, 100u);
-        EXPECT_LT(seq, 200u);
-    }
-    EXPECT_EQ(lines, 100u);
-    std::remove(path.c_str());
 }

@@ -305,7 +305,6 @@ TEST(Fleet, CrossRoutedServiceIsConservedAndAuditClean)
     cfg.scale = 0.2;
     cfg.crossClusterFraction = 0.5;
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0;
     api::RunResult r = api::runOnce(cfg);
     EXPECT_TRUE(r.validation.ok) << r.validation.note;
     EXPECT_TRUE(r.reenact.ok()) << r.reenact.summary();
@@ -340,7 +339,6 @@ TEST(Fleet, DatmChainsValidateAcrossClusters)
     cfg.tm.mode = htm::TMMode::DATM;
     cfg.scale = 0.2;
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0;
     api::RunResult r = api::runOnce(cfg);
     EXPECT_TRUE(r.validation.ok) << r.validation.note;
     EXPECT_TRUE(r.reenact.ok()) << r.reenact.summary();

@@ -221,7 +221,6 @@ TEST(MemBanks, AuditCleanWithContentionModeled)
         cfg.memBankOccupancy = 8;
         cfg.tm.commitTokenArbitration = true;
         cfg.trace.enabled = true;
-        cfg.trace.ringCapacity = 0;
         api::RunResult r = api::runOnce(cfg);
         EXPECT_TRUE(r.validation.ok) << n << "x" << n;
         EXPECT_TRUE(r.reenact.ok()) << n << "x" << n << ": "
@@ -255,7 +254,6 @@ TEST(MemBanks, DatmChainsValidateUnderBankedMemory)
     cfg.memBankOccupancy = 8;
     cfg.tm.commitTokenArbitration = true;
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0;
     api::RunResult r = api::runOnce(cfg);
     EXPECT_TRUE(r.validation.ok);
     EXPECT_TRUE(r.reenact.ok()) << r.reenact.summary();

@@ -81,7 +81,6 @@ scenarioConfig(const std::string &scenarioName)
     cfg.nthreads = 4;
     cfg.tm = api::retconConfig();
     cfg.trace.enabled = true;
-    cfg.trace.ringCapacity = 0; // Audit only; no event retention.
     return cfg;
 }
 
@@ -158,12 +157,13 @@ TEST(ScenarioGrid, BitIdenticalAcrossShards)
 TEST(ScenarioGrid, ArrivalConservationAndEngagement)
 {
     for (const scenario::Scenario &s : scenario::registry()) {
-        api::RunResult r = runClean(scenarioConfig(s.name), s.name);
+        api::RunConfig cfg = scenarioConfig(s.name);
+        api::RunResult r = runClean(cfg, s.name);
         const api::ScenarioSummary &sum = r.scenario;
         EXPECT_EQ(sum.name, s.name);
 
         scenario::Env env;
-        env.seed = api::RunConfig{}.seed;
+        env.seed = cfg.seed;
         env.scale = 0.05;
         env.nthreads = 4;
         scenario::Plan plan;
@@ -301,7 +301,6 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm = api::eagerConfig();
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
-        cfg.trace.ringCapacity = 0;
         ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 1));
         api::RunResult r = runClean(cfg, "intruder datm 0.2");
         EXPECT_GT(r.reenact.forwardedCommitsChecked, 0u);
@@ -314,7 +313,6 @@ TEST(DatmEnvelope, PreviouslyUnsupportedPointsRunAudited)
         cfg.tm = api::eagerConfig();
         cfg.tm.mode = htm::TMMode::DATM;
         cfg.trace.enabled = true;
-        cfg.trace.ringCapacity = 0;
         ASSERT_TRUE(api::datmSupported(cfg.workload, cfg.scale, 1));
         runClean(cfg, "service datm 0.6");
     }

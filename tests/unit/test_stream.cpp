@@ -2,12 +2,12 @@
  * @file
  * Tests for the streaming binary trace format (src/trace/stream) and
  * its windowed consumption path (query::StreamingReplay /
- * validateStreamFile): payload codec round trips, writer/reader file
- * round trips against the text exporters (bit-exact both ways),
- * corruption detection with offset-precise diagnostics (checksum,
- * truncation, seq gap, seq regression), resynchronization after a
- * corrupted frame, and windowed-vs-post-hoc verdict identity with the
- * resident-state bound (docs/streaming.md).
+ * validateStreamFile): payload codec round trips, writer/reader and
+ * loader file round trips (bit-exact), corruption detection with
+ * offset-precise diagnostics (checksum, truncation, seq gap, seq
+ * regression), resynchronization after a corrupted frame, and
+ * windowed-vs-post-hoc verdict identity with the resident-state bound
+ * (docs/trace-format.md).
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +15,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "exec/cluster.hpp"
 #include "query/loader.hpp"
 #include "query/replay.hpp"
-#include "trace/export.hpp"
 #include "trace/recorder.hpp"
 #include "trace/stream.hpp"
 
@@ -219,7 +217,7 @@ TEST(StreamCodec, IllegalPayloadsAreRejected)
 }
 
 // ---------------------------------------------------------------------
-// File round trips: writer/reader, binary vs JSON/CSV bit-exactness
+// File round trips: writer/reader and loader bit-exactness
 // ---------------------------------------------------------------------
 
 TEST(StreamFile, WriterReaderRoundTripIsLossless)
@@ -247,56 +245,14 @@ TEST(StreamFile, WriterReaderRoundTripIsLossless)
         ASSERT_TRUE(trace::recordsIdentical(got.records[i], recs[i]))
             << "record " << i;
 
-    // The generic loader sniffs the magic and takes the binary path.
-    query::LoadResult sniffed = query::loadTraceFile(path);
-    ASSERT_TRUE(sniffed.ok) << sniffed.error;
-    ASSERT_EQ(sniffed.records.size(), recs.size());
+    // The loader reads the same stream strictly.
+    query::LoadResult loaded = query::loadTraceFile(path);
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    ASSERT_EQ(loaded.records.size(), recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i)
         ASSERT_TRUE(
-            trace::recordsIdentical(sniffed.records[i], recs[i]));
+            trace::recordsIdentical(loaded.records[i], recs[i]));
     std::remove(path.c_str());
-}
-
-TEST(StreamFile, BinaryAndTextExportsRoundTripBitExactBothWays)
-{
-    const std::string binPath = "test_stream_export.rtt";
-    const std::string binPath2 = "test_stream_export2.rtt";
-    std::vector<trace::Record> recs = recordCounterRun();
-
-    // Binary -> records.
-    EXPECT_EQ(trace::exportBinaryFile(recs, binPath), recs.size());
-    query::LoadResult fromBin = query::loadBinary(binPath);
-    ASSERT_TRUE(fromBin.ok) << fromBin.error;
-
-    // JSON -> records and CSV -> records, through the text loaders.
-    std::ostringstream json, csv;
-    trace::exportJson(recs, json);
-    trace::exportCsv(recs, csv);
-    std::istringstream jsonIn(json.str()), csvIn(csv.str());
-    query::LoadResult fromJson = query::loadJson(jsonIn);
-    query::LoadResult fromCsv = query::loadCsv(csvIn);
-    ASSERT_TRUE(fromJson.ok) << fromJson.error;
-    ASSERT_TRUE(fromCsv.ok) << fromCsv.error;
-
-    // All three decodes agree with the original, field for field.
-    ASSERT_EQ(fromBin.records.size(), recs.size());
-    ASSERT_EQ(fromJson.records.size(), recs.size());
-    ASSERT_EQ(fromCsv.records.size(), recs.size());
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        ASSERT_TRUE(
-            trace::recordsIdentical(fromBin.records[i], recs[i]));
-        ASSERT_TRUE(
-            trace::recordsIdentical(fromJson.records[i], recs[i]));
-        ASSERT_TRUE(
-            trace::recordsIdentical(fromCsv.records[i], recs[i]));
-    }
-
-    // Closing the loop binary -> JSON -> binary: re-exporting the
-    // JSON-loaded records reproduces the .rtt file byte for byte.
-    trace::exportBinaryFile(fromJson.records, binPath2);
-    EXPECT_EQ(readBytes(binPath), readBytes(binPath2));
-    std::remove(binPath.c_str());
-    std::remove(binPath2.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -329,7 +285,7 @@ TEST(StreamFile, ChecksumCorruptionIsRejectedWithItsOffset)
     EXPECT_EQ(got.faults[0].recordIndex, frame);
 
     // The loader refuses the whole file with the same diagnostic.
-    query::LoadResult load = query::loadBinary(path);
+    query::LoadResult load = query::loadTraceFile(path);
     EXPECT_FALSE(load.ok);
     EXPECT_NE(load.error.find("offset " + std::to_string(frameOff)),
               std::string::npos)
@@ -357,10 +313,32 @@ TEST(StreamFile, TruncationIsRejected)
     EXPECT_EQ(got.faults[0].kind, trace::StreamFault::Kind::Truncated);
     EXPECT_EQ(got.faults[0].offset, bytes.size());
 
-    query::LoadResult load = query::loadBinary(path);
+    query::LoadResult load = query::loadTraceFile(path);
     EXPECT_FALSE(load.ok);
     EXPECT_NE(load.error.find("truncated"), std::string::npos)
         << load.error;
+    std::remove(path.c_str());
+}
+
+TEST(StreamFile, TextTracesAreRejectedAsBadMagic)
+{
+    // `.rtt` is the only trace format: JSON Lines or CSV content fails
+    // the load with the reader's diagnostic and yields no records,
+    // also when it is shorter than a stream header.
+    const std::string path = "test_stream_text.rtt";
+    for (std::string text :
+         {"{\"cycle\":1,\"seq\":1,\"core\":0,\"kind\":\"begin\"}\n",
+          "cycle,core,kind,addr,a,b\n1,0,begin,0,0,0\n", "{}\n"}) {
+        writeBytes(path, {text.begin(), text.end()});
+        query::LoadResult load = query::loadTraceFile(path);
+        EXPECT_FALSE(load.ok);
+        EXPECT_NE(load.error.find("bad magic"), std::string::npos)
+            << load.error;
+        EXPECT_TRUE(load.records.empty());
+    }
+    // An empty file is no stream either.
+    writeBytes(path, {});
+    EXPECT_FALSE(query::loadTraceFile(path).ok);
     std::remove(path.c_str());
 }
 

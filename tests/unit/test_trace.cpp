@@ -4,7 +4,7 @@
  * ring-buffer wraparound, the disabled-sink fast path (identical
  * simulated timing with tracing on/off), reenactment agreement on the
  * contended shared-counter workload in every TM mode, detection of
- * deliberately corrupted repairs, and the exporters.
+ * deliberately corrupted repairs, and the JSON view's per-kind fields.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "exec/cluster.hpp"
-#include "query/loader.hpp"
 #include "trace/export.hpp"
 #include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
@@ -66,7 +65,6 @@ struct RunOutput {
     Cycle cycles = 0;
     Word counter = 0;
     trace::ReenactReport report;
-    std::uint64_t events = 0;
 };
 
 RunOutput
@@ -99,9 +97,20 @@ runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
     out.cycles = cluster.run();
     out.counter = cluster.memory().readWord(kCounter);
     out.report = validator.report();
-    if (ring)
-        out.events = ring->totalEvents();
     return out;
+}
+
+/** The `retcon-query dump` rendering of a ring: one JSON object per
+ *  line. */
+std::string
+jsonLines(const trace::TraceRecorder &ring)
+{
+    std::ostringstream os;
+    ring.forEach([&](const trace::Record &r) {
+        trace::writeJsonRecord(r, os);
+        os << '\n';
+    });
+    return os.str();
 }
 
 } // namespace
@@ -250,41 +259,13 @@ TEST(Reenactment, CorruptedLazyDrainIsFlagged)
 }
 
 // ---------------------------------------------------------------------
-// Export
+// JSON view
 // ---------------------------------------------------------------------
 
-TEST(TraceExport, JsonAndCsvCoverAllRetainedRecords)
-{
-    trace::TraceRecorder ring(1 << 12);
-    RunOutput out =
-        runCounter(htm::TMMode::Retcon, true, 0, false, &ring);
-    ASSERT_GT(out.events, 0u);
-
-    std::ostringstream json;
-    std::size_t njson = trace::exportJson(ring, json);
-    EXPECT_EQ(njson, ring.size());
-    // One JSON object per line.
-    std::size_t lines = 0;
-    for (char c : json.str())
-        lines += c == '\n';
-    EXPECT_EQ(lines, njson);
-    EXPECT_NE(json.str().find("\"kind\":\"repair\""), std::string::npos);
-    EXPECT_NE(json.str().find("\"sym\":{\"root\":"), std::string::npos);
-
-    std::ostringstream csv;
-    std::size_t ncsv = trace::exportCsv(ring, csv);
-    EXPECT_EQ(ncsv, ring.size());
-    EXPECT_EQ(csv.str().rfind("cycle,core,kind,", 0), 0u);
-    // The machine-global merge key is exported in both formats.
-    EXPECT_NE(json.str().find("\"seq\":"), std::string::npos);
-    EXPECT_NE(std::string(trace::csvHeader()).find("seq"),
-              std::string::npos);
-}
-
-TEST(TraceExport, AnnotationMarksRoundTripThroughJson)
+TEST(TraceExport, AnnotationMarksSurfaceInTheJsonView)
 {
     // WorkerCtx::annotate stamps a UserMark record into the stream;
-    // the JSON export must surface the mark id in a dedicated
+    // the JSON view must surface the mark id in a dedicated
     // `annotation` field so consumers can correlate workload phases
     // with machine events (docs/trace-format.md).
     ClusterConfig cfg;
@@ -306,71 +287,15 @@ TEST(TraceExport, AnnotationMarksRoundTripThroughJson)
     });
     EXPECT_EQ(marks, 4u); // Two per thread.
 
-    std::ostringstream json;
-    trace::exportJson(ring, json);
-    EXPECT_NE(json.str().find("\"kind\":\"mark\""), std::string::npos);
-    EXPECT_NE(json.str().find("\"annotation\":" +
-                              std::to_string(0xBEE5)),
+    const std::string json = jsonLines(ring);
+    EXPECT_NE(json.find("\"kind\":\"mark\""), std::string::npos);
+    EXPECT_NE(json.find("\"annotation\":" + std::to_string(0xBEE5)),
               std::string::npos);
-    EXPECT_NE(json.str().find("\"annotation\":" +
-                              std::to_string(0xD0CE)),
+    EXPECT_NE(json.find("\"annotation\":" + std::to_string(0xD0CE)),
               std::string::npos);
     // Non-mark records must not carry the field.
-    EXPECT_EQ(json.str().find("\"kind\":\"commit\",\"annotation\""),
+    EXPECT_EQ(json.find("\"kind\":\"commit\",\"annotation\""),
               std::string::npos);
-}
-
-TEST(TraceExport, CsvCarriesAnnotationAndBothFormatsRoundTrip)
-{
-    // CSV must match JSON on the annotation surface: a mark row
-    // carries its id in the trailing `annotation` column, every other
-    // row leaves it empty. And both exports must parse back
-    // (query::loadJson / loadCsv) into the exact records they came
-    // from — the loader is the query CLI's input path, so a lossy
-    // round trip would silently corrupt every downstream query.
-    ClusterConfig cfg;
-    cfg.numThreads = 2;
-    trace::TraceRecorder ring(1 << 10);
-    Cluster cluster(cfg);
-    cluster.setTraceSink(&ring);
-    cluster.start([](WorkerCtx &ctx) -> Task<void> {
-        ctx.annotate(0xFACE);
-        co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
-        co_await ctx.barrier();
-    });
-    cluster.run();
-
-    EXPECT_NE(std::string(trace::csvHeader()).find("annotation"),
-              std::string::npos);
-    std::ostringstream csv;
-    trace::exportCsv(ring, csv);
-    std::string needle = ",";
-    needle += std::to_string(0xFACE);
-    needle += '\n';
-    EXPECT_NE(csv.str().find(needle), std::string::npos);
-
-    std::vector<trace::Record> original;
-    ring.forEach([&](const trace::Record &r) { original.push_back(r); });
-
-    std::istringstream csvIn(csv.str());
-    query::LoadResult fromCsv = query::loadCsv(csvIn);
-    ASSERT_TRUE(fromCsv.ok) << fromCsv.error;
-    ASSERT_EQ(fromCsv.records.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_TRUE(
-            trace::recordsIdentical(fromCsv.records[i], original[i]))
-            << "CSV row " << i;
-
-    std::ostringstream json;
-    trace::exportJson(ring, json);
-    std::istringstream jsonIn(json.str());
-    query::LoadResult fromJson = query::loadJson(jsonIn);
-    ASSERT_TRUE(fromJson.ok) << fromJson.error;
-    ASSERT_EQ(fromJson.records.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_TRUE(
-            trace::recordsIdentical(fromJson.records[i], original[i]))
-            << "JSON line " << i;
 }
 
 // ---------------------------------------------------------------------
@@ -402,13 +327,10 @@ TEST(TraceDatm, ForwardedCommitsCarryTheDatmForwardedFlag)
     EXPECT_EQ(out.report.forwardedCommitsChecked, flagged);
     EXPECT_EQ(out.report.forwardedCommitsSkipped, 0u);
 
-    // And the flag round-trips through the JSON export.
-    std::ostringstream json;
-    trace::exportJson(ring, json);
-    EXPECT_NE(json.str().find("\"datm_forwarded\":true"),
-              std::string::npos);
-    EXPECT_NE(json.str().find("\"datm_forwarded\":false"),
-              std::string::npos);
+    // And the flag surfaces in the JSON view.
+    const std::string json = jsonLines(ring);
+    EXPECT_NE(json.find("\"datm_forwarded\":true"), std::string::npos);
+    EXPECT_NE(json.find("\"datm_forwarded\":false"), std::string::npos);
 }
 
 TEST(TraceDatm, ForwardingChainsAreReDerived)
@@ -439,13 +361,11 @@ TEST(TraceDatm, ForwardRecordsNameProducerAndValueId)
     });
     EXPECT_GT(forwards, 0u);
 
-    // Forward records round-trip through the JSON export.
-    std::ostringstream json;
-    trace::exportJson(ring, json);
-    EXPECT_NE(json.str().find("\"kind\":\"forward\""),
-              std::string::npos);
-    EXPECT_NE(json.str().find("\"producer_uid\":"), std::string::npos);
-    EXPECT_NE(json.str().find("\"vid\":"), std::string::npos);
+    // Forward records surface in the JSON view.
+    const std::string json = jsonLines(ring);
+    EXPECT_NE(json.find("\"kind\":\"forward\""), std::string::npos);
+    EXPECT_NE(json.find("\"producer_uid\":"), std::string::npos);
+    EXPECT_NE(json.find("\"vid\":"), std::string::npos);
 }
 
 TEST(TraceDatm, CorruptedForwardedValueIsFlagged)

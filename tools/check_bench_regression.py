@@ -228,7 +228,7 @@ def check_micro(base, fresh, tol, rep):
 
 
 def check_trace(base, fresh, tol, host_tol, rep):
-    """Gate the streaming trace format bench (docs/streaming.md).
+    """Gate the streaming trace format bench (docs/trace-format.md).
 
     The format itself is deterministic — bytes_per_record and the
     service run's record count cannot move without a format or

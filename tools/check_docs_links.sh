@@ -20,7 +20,7 @@ checked=0
 required_pages="docs/architecture.md docs/trace-format.md \
 docs/repro-guide.md docs/workloads.md docs/tuning.md docs/fleet.md \
 docs/run-level-parallelism.md docs/trace-query.md docs/what-if.md \
-docs/streaming.md docs/scenarios.md"
+docs/scenarios.md"
 for page in $required_pages; do
     if [ ! -f "$repo_root/$page" ]; then
         echo "MISSING: required page $page does not exist" >&2

@@ -3,16 +3,18 @@
 // the change reached (docs/trace-query.md, docs/what-if.md).
 //
 // Usage:
-//   retcon-query <trace-file> stats
-//   retcon-query <trace-file> timeline <block-addr>
-//   retcon-query <trace-file> blame <attempt-uid | mark:<id>>
-//   retcon-query <trace-file> diff <commit-seq>
+//   retcon-query <trace.rtt> stats
+//   retcon-query <trace.rtt> timeline <block-addr>
+//   retcon-query <trace.rtt> blame <attempt-uid | mark:<id>>
+//   retcon-query <trace.rtt> diff <commit-seq>
+//   retcon-query <trace.rtt> dump
 //   retcon-query whatif [run options] [--set knob=value]...
 //   retcon-query smoke
 //
-// <trace-file> is any export format — framed binary .rtt
-// (docs/streaming.md), JSON Lines, or CSV — and the loader sniffs
-// which. Addresses accept 0x-prefixed hex.
+// <trace.rtt> is a framed .rtt stream (docs/trace-format.md), loaded
+// strictly: any other content, or a corrupted stream, fails with an
+// offset-precise diagnostic. `dump` prints it as JSON Lines, one
+// object per record. Addresses accept 0x-prefixed hex.
 //
 // whatif run options (the recorded base configuration):
 //   --workload W  (default service)   --nthreads N  (default 8)
@@ -25,7 +27,8 @@
 // the determinism self-check.
 //
 // smoke: self-contained CI check — record a quick contended service
-// run, export, reload, exercise every query surface, then run both
+// run streamed to .rtt and captured in memory, reload the file,
+// exercise every query surface and the dump view, then run both
 // whatif proofs (no-change bit-identity and a conflict-class change
 // with a sound divergence frontier). Exits nonzero on any failure.
 
@@ -33,6 +36,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +45,7 @@
 #include "query/index.hpp"
 #include "query/loader.hpp"
 #include "query/replay.hpp"
+#include "trace/export.hpp"
 
 using namespace retcon;
 
@@ -215,6 +221,16 @@ cmdDiff(const query::TraceIndex &idx, const char *arg)
     return 0;
 }
 
+/** JSON Lines view: one object per record. */
+void
+dumpJson(const std::vector<trace::Record> &recs, std::ostream &os)
+{
+    for (const trace::Record &r : recs) {
+        trace::writeJsonRecord(r, os);
+        os << '\n';
+    }
+}
+
 void
 printWhatIf(const api::WhatIfResult &w)
 {
@@ -328,39 +344,33 @@ cmdSmoke()
     cfg.tm = api::retconConfig();
     cfg.annotatePhases = true;
     cfg.trace.enabled = true;
+    cfg.trace.streamPath = "query_smoke_trace.rtt";
     std::vector<trace::Record> recorded;
     cfg.trace.captureInto = &recorded;
-    cfg.trace.exportJsonPath = "query_smoke_trace.json";
-    cfg.trace.exportBinPath = "query_smoke_trace.rtt";
     api::RunResult r = api::runOnce(cfg);
     check(r.validation.ok, "recorded run validates");
     check(r.reenact.ok(), "recorded run audits clean");
-    check(!recorded.empty(), "records captured programmatically");
+    check(!recorded.empty() && recorded.size() == r.traceEvents,
+          "capture holds every record of the run");
 
-    // 2. Both exports round-trip through the loader bit-for-bit: the
-    //    JSON Lines text form and the framed binary .rtt form must
-    //    decode to the same records the run captured.
+    // 2. The streamed .rtt file loads back bit-for-bit as the capture,
+    //    and the dump view renders one JSON line per record.
     query::LoadResult loaded =
-        query::loadTraceFile("query_smoke_trace.json");
+        query::loadTraceFile("query_smoke_trace.rtt");
     if (!loaded.ok)
         std::fprintf(stderr, "  load error: %s\n", loaded.error.c_str());
-    check(loaded.ok, "exported trace loads");
+    check(loaded.ok, "streamed .rtt loads");
     bool identical = loaded.records.size() == recorded.size();
     for (std::size_t i = 0; identical && i < recorded.size(); ++i)
         identical = trace::recordsIdentical(loaded.records[i],
                                             recorded[i]);
     check(identical, "file round-trip is bit-identical");
-    query::LoadResult loadedBin =
-        query::loadTraceFile("query_smoke_trace.rtt");
-    if (!loadedBin.ok)
-        std::fprintf(stderr, "  load error: %s\n",
-                     loadedBin.error.c_str());
-    check(loadedBin.ok, "binary .rtt export loads");
-    bool binIdentical = loadedBin.records.size() == recorded.size();
-    for (std::size_t i = 0; binIdentical && i < recorded.size(); ++i)
-        binIdentical = trace::recordsIdentical(loadedBin.records[i],
-                                               recorded[i]);
-    check(binIdentical, "binary round-trip is bit-identical");
+    std::ostringstream dump;
+    dumpJson(loaded.records, dump);
+    std::size_t lines = 0;
+    for (char c : dump.str())
+        lines += c == '\n';
+    check(lines == recorded.size(), "dump emits one line per record");
 
     // 3. Query surfaces on the loaded trace.
     query::TraceIndex idx(std::move(loaded.records));
@@ -417,7 +427,6 @@ cmdSmoke()
           "divergence respects the reach frontier");
     check(diff.reenact.report.ok(), "spliced stream reenacts clean");
 
-    std::remove("query_smoke_trace.json");
     std::remove("query_smoke_trace.rtt");
     std::printf("query smoke: %s\n",
                 failures == 0 ? "all checks passed" : "FAILURES");
@@ -429,13 +438,13 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: retcon-query <trace-file> stats\n"
-        "       retcon-query <trace-file> timeline <block-addr>\n"
-        "       retcon-query <trace-file> blame <uid | mark:<id>>\n"
-        "       retcon-query <trace-file> diff <commit-seq>\n"
+        "usage: retcon-query <trace.rtt> stats\n"
+        "       retcon-query <trace.rtt> timeline <block-addr>\n"
+        "       retcon-query <trace.rtt> blame <uid | mark:<id>>\n"
+        "       retcon-query <trace.rtt> diff <commit-seq>\n"
+        "       retcon-query <trace.rtt> dump\n"
         "       retcon-query whatif [options] [--set knob=value]...\n"
-        "       retcon-query smoke\n"
-        "<trace-file>: .rtt binary stream, JSON Lines, or CSV\n");
+        "       retcon-query smoke\n");
     return 2;
 }
 
@@ -459,6 +468,10 @@ main(int argc, char **argv)
     if (!loaded.ok) {
         std::fprintf(stderr, "%s\n", loaded.error.c_str());
         return 2;
+    }
+    if (std::strcmp(cmd, "dump") == 0) {
+        dumpJson(loaded.records, std::cout);
+        return std::cout.flush() ? 0 : 1;
     }
     query::TraceIndex idx(std::move(loaded.records));
 
