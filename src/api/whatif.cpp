@@ -6,6 +6,8 @@
 #include <cstring>
 #include <map>
 
+#include "query/index.hpp"
+
 namespace retcon::api {
 
 namespace {
@@ -204,49 +206,26 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
     var.trace.captureInto = &out.variant;
     out.variantResult = runOnce(var);
 
-    // Reach frontier of the change set, from the recorded graph.
-    trace::DepGraph graph = trace::buildDepGraph(out.recorded);
+    // First record the change set could reach, from the recording.
+    const query::ReachSeqs reachSeqs =
+        query::TraceIndex(out.recorded).reach();
     switch (out.reach) {
       case ReachClass::Nothing:
         out.firstReachableSeq = trace::kSeqUnreached;
         break;
       case ReachClass::Conflicts:
-        out.firstReachableSeq = graph.firstContentionSeq;
+        out.firstReachableSeq = reachSeqs.contention;
         break;
       case ReachClass::Repairs:
-        out.firstReachableSeq = graph.firstRepairSeq;
+        out.firstReachableSeq = reachSeqs.repair;
         break;
       case ReachClass::Forwards:
-        out.firstReachableSeq = graph.firstForwardSeq;
+        out.firstReachableSeq = reachSeqs.forward;
         break;
       case ReachClass::Everything:
-        out.firstReachableSeq = graph.firstSeq;
+        out.firstReachableSeq = reachSeqs.first;
         break;
     }
-
-    // Splice: recorded prefix verbatim + variant suffix. The prefix
-    // proof checks the variant actually reproduced the prefix — if a
-    // knob were misclassified, this is where it shows.
-    std::vector<trace::Record> prefix =
-        trace::reusablePrefix(out.recorded, out.firstReachableSeq);
-    out.prefixRecords = prefix.size();
-    out.prefixReuse =
-        out.recorded.empty()
-            ? 1.0
-            : static_cast<double>(prefix.size()) /
-                  static_cast<double>(out.recorded.size());
-    out.prefixProofHeld = prefix.size() <= out.variant.size();
-    for (std::size_t i = 0; out.prefixProofHeld && i < prefix.size();
-         ++i)
-        out.prefixProofHeld =
-            trace::recordsIdentical(prefix[i], out.variant[i]);
-
-    out.reconstructed = prefix;
-    out.reconstructed.insert(out.reconstructed.end(),
-                             out.variant.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(prefix.size(),
-                                          out.variant.size())),
-                             out.variant.end());
 
     // Divergence: first record where the streams differ.
     std::size_t n = std::min(out.recorded.size(), out.variant.size());
@@ -260,16 +239,15 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
     out.bitIdentical = firstDiff == n &&
                        out.recorded.size() == out.variant.size();
     out.diverged = !out.bitIdentical;
-    if (out.diverged) {
-        if (firstDiff < out.recorded.size())
-            out.firstDivergentSeq = out.recorded[firstDiff].seq;
-        else if (firstDiff < out.variant.size())
-            out.firstDivergentSeq = out.variant[firstDiff].seq;
-        // (one stream is a strict prefix of the other otherwise —
-        // divergence starts past the shorter stream's end)
-        else if (!out.recorded.empty())
-            out.firstDivergentSeq = out.recorded.back().seq + 1;
-    }
+    // Past the shorter stream's end, the longer one's next record.
+    if (out.diverged)
+        out.firstDivergentSeq = firstDiff < out.recorded.size()
+                                    ? out.recorded[firstDiff].seq
+                                    : out.variant[firstDiff].seq;
+    // Seqs ascend, so "the first difference is at or after the first
+    // reachable record" is "every record before it is unchanged".
+    out.reachHeld =
+        !out.diverged || out.firstDivergentSeq >= out.firstReachableSeq;
 
     // Per-block churn: which addresses the change actually moved.
     std::map<Addr, std::int64_t> delta;
@@ -287,9 +265,8 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
                   return ax != ay ? ax > ay : x.first < y.first;
               });
 
-    // The spliced stream must be a coherent history, not just a
-    // concatenation: reenact it offline.
-    out.reenact = query::replayValidate(out.reconstructed);
+    // The variant must be a coherent history: reenact it offline.
+    out.reenact = query::replayValidate(out.variant);
 
     out.ok = true;
     return out;

@@ -16,16 +16,14 @@
  *  2. **Bounded reach** — each knob is classified by the earliest
  *     machine step it can possibly perturb (ReachClass). A
  *     backoff policy only acts when a NACK or abort happens; the
- *     dependence graph of the recorded stream (trace/graph.hpp) names
- *     the first seq where any cross-attempt interaction exists, so
- *     every record before that frontier is *provably unreached* and
- *     the recorded prefix is reused verbatim instead of trusted to
- *     re-derive.
+ *     query index of the recorded stream (query/index.hpp) names the
+ *     first seq where any cross-attempt interaction exists, so no
+ *     record before that seq may differ in the variant. The engine
+ *     checks this instead of assuming it: the first divergent record
+ *     must lie at or after the first reachable one.
  *
- * The reconstructed stream (reused recorded prefix + variant suffix)
- * is then validated offline (query/replay.hpp): it must reenact
- * cleanly, proving the splice is a coherent history and not just a
- * concatenation.
+ * The variant stream is then validated offline (query/replay.hpp): it
+ * must reenact cleanly, a check independent of the live audit.
  */
 
 #ifndef RETCON_API_WHATIF_HPP
@@ -36,7 +34,6 @@
 
 #include "api/runner.hpp"
 #include "query/replay.hpp"
-#include "trace/graph.hpp"
 
 namespace retcon::api {
 
@@ -100,25 +97,20 @@ struct WhatIfResult {
     bool ok = false;       ///< False: see error (bad knob, no trace).
     std::string error;
 
-    /** The two full streams and the spliced one. */
+    /** The two full streams. */
     std::vector<trace::Record> recorded;
     std::vector<trace::Record> variant;
-    std::vector<trace::Record> reconstructed;
 
     /** Reach classification of the change set. */
     ReachClass reach = ReachClass::Everything;
     /** First seq the change could reach (kSeqUnreached = none). */
     std::uint64_t firstReachableSeq = trace::kSeqUnreached;
-    /** Records of the recorded prefix reused verbatim. */
-    std::uint64_t prefixRecords = 0;
-    /** prefixRecords / recorded.size() (1.0 on an unreached change). */
-    double prefixReuse = 0.0;
     /**
-     * The reach proof, checked rather than assumed: the variant's
-     * first prefixRecords records must equal the reused prefix
-     * bit-for-bit. False would mean a knob was misclassified.
+     * The reach proof, checked rather than assumed: the streams are
+     * identical or first differ at or after firstReachableSeq. False
+     * would mean a knob was misclassified.
      */
-    bool prefixProofHeld = true;
+    bool reachHeld = true;
 
     /** Recorded vs variant, record-by-record. */
     bool bitIdentical = false;
@@ -131,7 +123,7 @@ struct WhatIfResult {
      *  blocks whose counts differ, sorted by |delta| descending. */
     std::vector<std::pair<Addr, std::int64_t>> blockDeltas;
 
-    /** Offline reenactment of the reconstructed stream. */
+    /** Offline reenactment of the variant stream. */
     query::ReplayResult reenact;
 
     /** Full run outcomes for downstream comparison. */

@@ -7,7 +7,7 @@ namespace retcon::query {
 
 namespace {
 
-/** Same block-touch set the graph extractor uses. */
+/** Does this record touch a coherence block through its addr? */
 bool
 touchesBlock(trace::EventKind k)
 {
@@ -29,18 +29,47 @@ touchesBlock(trace::EventKind k)
     }
 }
 
+/** Does this record only exist because attempts interacted? */
+bool
+contentionMarker(trace::EventKind k)
+{
+    using K = trace::EventKind;
+    return k == K::Forward || k == K::TokenWait || k == K::BlockLost ||
+           k == K::Abort;
+}
+
 } // namespace
 
 TraceIndex::TraceIndex(std::vector<trace::Record> recs)
-    : _recs(std::move(recs)), _graph(trace::buildDepGraph(_recs))
+    : _recs(std::move(recs))
 {
     _recAttempt.assign(_recs.size(), 0);
     std::unordered_map<CoreId, std::uint64_t> inFlight;
     std::unordered_map<CoreId, std::optional<Word>> coreMark;
     std::unordered_map<CoreId, std::size_t> openSpan;
+    // Block -> uids of the in-flight attempts that touched it.
+    std::unordered_map<Addr, std::vector<std::uint64_t>> touchers;
+    // An ending attempt leaves the toucher set of every block it held.
+    auto release = [&](const Attempt &at) {
+        for (std::size_t j : at.recordIdx) {
+            if (!touchesBlock(_recs[j].kind))
+                continue;
+            auto &v = touchers[blockAddr(_recs[j].addr)];
+            v.erase(std::remove(v.begin(), v.end(), at.uid), v.end());
+        }
+    };
+    if (!_recs.empty())
+        _reach.first = _recs.front().seq;
 
     for (std::size_t i = 0; i < _recs.size(); ++i) {
         const trace::Record &r = _recs[i];
+        if (contentionMarker(r.kind))
+            _reach.contention = std::min(_reach.contention, r.seq);
+        if (r.kind == trace::EventKind::Repair)
+            _reach.repair = std::min(_reach.repair, r.seq);
+        if (r.kind == trace::EventKind::Forward)
+            _reach.forward = std::min(_reach.forward, r.seq);
+
         auto fit = inFlight.find(r.core);
         std::uint64_t uid = fit == inFlight.end() ? 0 : fit->second;
 
@@ -79,8 +108,24 @@ TraceIndex::TraceIndex(std::vector<trace::Record> recs)
         if (at)
             at->recordIdx.push_back(i);
 
-        if (touchesBlock(r.kind))
-            _blockIdx[blockAddr(r.addr)].push_back(i);
+        if (touchesBlock(r.kind)) {
+            Addr block = blockAddr(r.addr);
+            _blockIdx[block].push_back(i);
+            if (at) {
+                // An attempt's first touch of a block meets every
+                // attempt already in flight on it.
+                auto &present = touchers[block];
+                if (std::find(present.begin(), present.end(), uid) ==
+                    present.end()) {
+                    if (!present.empty()) {
+                        _overlaps[block] += present.size();
+                        _reach.contention =
+                            std::min(_reach.contention, r.seq);
+                    }
+                    present.push_back(uid);
+                }
+            }
+        }
 
         switch (r.kind) {
           case trace::EventKind::Repair:
@@ -96,6 +141,7 @@ TraceIndex::TraceIndex(std::vector<trace::Record> recs)
                 at->committed = true;
                 at->endSeq = r.seq;
                 at->endCycle = r.cycle;
+                release(*at);
             }
             inFlight.erase(r.core);
             break;
@@ -106,6 +152,7 @@ TraceIndex::TraceIndex(std::vector<trace::Record> recs)
                 at->blameBlock = r.addr;
                 at->endSeq = r.seq;
                 at->endCycle = r.cycle;
+                release(*at);
             }
             // The blamed block's timeline shows the abort too.
             if (r.addr != 0)
@@ -289,9 +336,10 @@ TraceIndex::stats() const
             break;
         }
     }
-    for (const trace::GraphEdge &e : _graph.edges)
-        if (e.kind == trace::GraphEdge::Kind::Overlap)
-            ++heat[e.block];
+    for (const auto &[block, n] : _overlaps) {
+        heat[block] += n;
+        st.overlaps += n;
+    }
     st.distinctBlocks = _blockIdx.size();
     st.hotBlocks.assign(heat.begin(), heat.end());
     std::sort(st.hotBlocks.begin(), st.hotBlocks.end(),

@@ -18,7 +18,13 @@
  *    killer, transitively — the debugging surface *Transactions Make
  *    Debugging Easy* argues for;
  *  - **repair diffs**: a committed attempt's before/after memory
- *    delta, straight from its `repair` records.
+ *    delta, straight from its `repair` records;
+ *  - **overlaps**: two attempts in flight on the same coherence block
+ *    at once, found with a per-block set of in-flight touchers. They
+ *    heat the block in `stats()` and, with the records that only
+ *    exist because attempts met (`abort`, `token-wait`, `block-lost`,
+ *    `forward`), date the stream's first cross-attempt interaction —
+ *    the reach bound of a what-if change (src/api/whatif).
  */
 
 #ifndef RETCON_QUERY_INDEX_HPP
@@ -31,7 +37,6 @@
 #include <vector>
 
 #include "trace/event.hpp"
-#include "trace/graph.hpp"
 
 namespace retcon::query {
 
@@ -101,11 +106,27 @@ struct TraceStats {
     std::uint64_t forwards = 0;
     std::uint64_t marks = 0;
     std::uint64_t distinctBlocks = 0;
+    /** Times an attempt first touched a block another in-flight
+     *  attempt already held (one per pair and block). */
+    std::uint64_t overlaps = 0;
     Cycle firstCycle = 0;
     Cycle lastCycle = 0;
     /** Blocks ranked by conflict pressure (aborts blaming them +
-     *  block-lost + overlap edges), hottest first. */
+     *  block-lost + overlaps), hottest first. */
     std::vector<std::pair<Addr, std::uint64_t>> hotBlocks;
+};
+
+/**
+ * The first seq of each record class a what-if change can reach
+ * (kSeqUnreached when the stream has none).
+ */
+struct ReachSeqs {
+    std::uint64_t first = trace::kSeqUnreached; ///< First record.
+    /** First cross-attempt interaction: an overlap, `abort`,
+     *  `token-wait`, `block-lost` or `forward`. */
+    std::uint64_t contention = trace::kSeqUnreached;
+    std::uint64_t repair = trace::kSeqUnreached;  ///< First `repair`.
+    std::uint64_t forward = trace::kSeqUnreached; ///< First `forward`.
 };
 
 /** Indexed view over one recorded stream (records are copied in). */
@@ -115,7 +136,7 @@ class TraceIndex
     explicit TraceIndex(std::vector<trace::Record> recs);
 
     const std::vector<trace::Record> &records() const { return _recs; }
-    const trace::DepGraph &graph() const { return _graph; }
+    const ReachSeqs &reach() const { return _reach; }
 
     const std::unordered_map<std::uint64_t, Attempt> &attempts() const
     {
@@ -162,13 +183,15 @@ class TraceIndex
 
   private:
     std::vector<trace::Record> _recs;
-    trace::DepGraph _graph;
+    ReachSeqs _reach;
     std::unordered_map<std::uint64_t, Attempt> _attempts;
     std::vector<AnnotationSpan> _spans;
     /** Block -> indices of records touching it (including blames). */
     std::unordered_map<Addr, std::vector<std::size_t>> _blockIdx;
     /** Record index -> attempt uid (0 = outside any attempt). */
     std::vector<std::uint64_t> _recAttempt;
+    /** Block -> overlaps on it. */
+    std::unordered_map<Addr, std::uint64_t> _overlaps;
 };
 
 } // namespace retcon::query

@@ -1,7 +1,7 @@
 /**
  * @file
  * Offline reenactment: run the ReenactmentValidator over a recorded
- * (or reconstructed) stream with no live cluster attached.
+ * stream with no live cluster attached.
  *
  * The live validator reads architectural memory at commit-drain time;
  * offline there is no memory to read, so this module *reconstructs*
@@ -22,8 +22,8 @@
  * Replaying in seq order therefore presents the validator the same
  * memory values the live run did, and a complete stream (no ring
  * wraparound) must validate offline exactly as it did live — the
- * property that makes what-if's reconstructed prefix+suffix streams
- * checkable (src/api/whatif, docs/what-if.md).
+ * property that makes what-if's variant streams checkable
+ * (src/api/whatif, docs/what-if.md).
  */
 
 #ifndef RETCON_QUERY_REPLAY_HPP

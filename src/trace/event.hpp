@@ -66,6 +66,9 @@ enum class EventKind : std::uint8_t {
     UserMark,    ///< Workload annotation via WorkerCtx; a = mark id.
 };
 
+/** Sentinel seq for "no such record exists in the stream". */
+inline constexpr std::uint64_t kSeqUnreached = ~std::uint64_t{0};
+
 /** Short stable name (used by the JSON view and reports). */
 const char *eventKindName(EventKind k);
 

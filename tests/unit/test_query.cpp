@@ -3,9 +3,9 @@
  * Tests for the trace-query layer (src/query) and the what-if
  * reenactment engine (src/api/whatif): index surfaces on a recorded
  * contended-counter run, annotation anchoring, offline replay, and
- * the two what-if proofs — the no-change bit-identity self-check and
- * reach-frontier soundness under a conflict-class knob change, also
- * on a run longer than any ring.
+ * the what-if proofs — the no-change bit-identity self-check, and
+ * reach soundness under conflict-, repair- and everything-class knob
+ * changes, also on a run longer than any ring.
  */
 
 #include <gtest/gtest.h>
@@ -109,8 +109,25 @@ TEST(QueryIndex, TimelineCoversTheContendedBlock)
         repairsOnBlock += idx.records()[e.recordIdx].kind ==
                           trace::EventKind::Repair;
     EXPECT_EQ(repairsOnBlock, st.repairs);
-    EXPECT_FALSE(st.hotBlocks.empty());
+    ASSERT_FALSE(st.hotBlocks.empty());
     EXPECT_EQ(st.hotBlocks.front().first, blockAddr(kCounter));
+    EXPECT_GT(st.overlaps, 0u);
+
+    // The reach seqs, against a linear scan of the stream.
+    const query::ReachSeqs &reach = idx.reach();
+    auto firstOf = [&](trace::EventKind k) {
+        for (const trace::Record &r : idx.records())
+            if (r.kind == k)
+                return r.seq;
+        return trace::kSeqUnreached;
+    };
+    EXPECT_EQ(reach.first, idx.records().front().seq);
+    EXPECT_EQ(reach.repair, firstOf(trace::EventKind::Repair));
+    EXPECT_EQ(reach.forward, trace::kSeqUnreached);
+    std::uint64_t firstAbort = firstOf(trace::EventKind::Abort);
+    ASSERT_NE(firstAbort, trace::kSeqUnreached);
+    EXPECT_GT(reach.contention, firstOf(trace::EventKind::TxBegin));
+    EXPECT_LE(reach.contention, firstAbort);
 }
 
 TEST(QueryIndex, AttemptsPartitionTheStream)
@@ -222,19 +239,17 @@ TEST(QueryReplay, RecordedCounterRunReenactsOffline)
 // What-if reenactment
 // ---------------------------------------------------------------------
 
-TEST(WhatIf, NoChangeIsBitIdenticalWithFullPrefixReuse)
+TEST(WhatIf, NoChangeIsBitIdenticalAndReachesNothing)
 {
     api::WhatIfResult w = api::runWhatIf(whatIfBase(), {});
     ASSERT_TRUE(w.ok) << w.error;
     EXPECT_EQ(w.reach, api::ReachClass::Nothing);
     EXPECT_TRUE(w.bitIdentical);
     EXPECT_FALSE(w.diverged);
-    EXPECT_DOUBLE_EQ(w.prefixReuse, 1.0);
-    EXPECT_EQ(w.prefixRecords, w.recorded.size());
-    EXPECT_TRUE(w.prefixProofHeld);
+    EXPECT_EQ(w.firstReachableSeq, trace::kSeqUnreached);
+    EXPECT_TRUE(w.reachHeld);
     EXPECT_TRUE(w.blockDeltas.empty());
-    // The reconstructed stream is the recorded one, and it reenacts.
-    ASSERT_EQ(w.reconstructed.size(), w.recorded.size());
+    // The variant is the recorded stream, and it reenacts.
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
 }
 
@@ -244,18 +259,19 @@ TEST(WhatIf, ConflictKnobDivergesAtOrAfterTheFrontier)
         api::runWhatIf(whatIfBase(), {{"backoff", "exp"}});
     ASSERT_TRUE(w.ok) << w.error;
     EXPECT_EQ(w.reach, api::ReachClass::Conflicts);
-    // The contended service recording must have a frontier, else the
-    // soundness claim below is vacuous.
+    // The contended service recording must have a first interaction
+    // after its first record, else the soundness claim below is
+    // vacuous.
     ASSERT_NE(w.firstReachableSeq, trace::kSeqUnreached);
-    EXPECT_GT(w.prefixRecords, 0u);
-    EXPECT_LT(w.prefixReuse, 1.0);
+    EXPECT_GT(w.firstReachableSeq, w.recorded.front().seq);
+    EXPECT_LE(w.firstReachableSeq, w.recorded.back().seq);
     // Reach soundness: backoff only acts where attempts interact, so
-    // nothing before the first-interaction frontier may move.
-    EXPECT_TRUE(w.prefixProofHeld);
+    // nothing before the first interaction may move.
+    EXPECT_TRUE(w.reachHeld);
     if (w.diverged) {
         EXPECT_GE(w.firstDivergentSeq, w.firstReachableSeq);
     }
-    // The spliced prefix+suffix stream is a coherent history.
+    // The variant stream is a coherent history.
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
     // Both runs were real, audited runs.
     EXPECT_TRUE(w.baseResult.validation.ok);
@@ -269,7 +285,7 @@ TEST(WhatIf, LongRunCapturesTheWholeStream)
     // The configuration of `retcon-query whatif --scale 1.5` (ctest
     // query_whatif_long): one shard, more than 65,536 records. The
     // capture must be the complete stream; a window that starts
-    // mid-run fails the prefix proof for no real reason.
+    // mid-run fails the reach proof for no real reason.
     api::RunConfig base;
     base.workload = "service";
     base.nthreads = 8;
@@ -281,7 +297,7 @@ TEST(WhatIf, LongRunCapturesTheWholeStream)
     EXPECT_EQ(w.variant.size(), w.variantResult.traceEvents);
     EXPECT_EQ(w.recorded.front().seq, 1u);
     EXPECT_EQ(w.recorded.back().seq, w.recorded.size());
-    EXPECT_TRUE(w.prefixProofHeld);
+    EXPECT_TRUE(w.reachHeld);
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
 }
 
@@ -291,12 +307,30 @@ TEST(WhatIf, EverythingClassKnobReachesTheWholeStream)
         api::runWhatIf(whatIfBase(), {{"seed", "2"}});
     ASSERT_TRUE(w.ok) << w.error;
     EXPECT_EQ(w.reach, api::ReachClass::Everything);
-    // Everything is reachable: no prefix can be reused...
-    EXPECT_EQ(w.prefixRecords, 0u);
+    // Everything is reachable, from the first record on...
+    EXPECT_EQ(w.firstReachableSeq, w.recorded.front().seq);
     // ...and a different seed genuinely diverges.
     EXPECT_TRUE(w.diverged);
     EXPECT_GE(w.firstDivergentSeq, w.recorded.front().seq);
     EXPECT_TRUE(w.reenact.report.ok()) << w.reenact.report.summary();
+}
+
+TEST(WhatIf, RepairFaultDivergesAtTheFirstRepair)
+{
+    api::WhatIfResult w =
+        api::runWhatIf(whatIfBase(), {{"faultInjectRepairXor", "1"}});
+    ASSERT_TRUE(w.ok) << w.error;
+    EXPECT_EQ(w.reach, api::ReachClass::Repairs);
+    // The contended recording repairs, so the bound is a real record.
+    ASSERT_NE(w.firstReachableSeq, trace::kSeqUnreached);
+    EXPECT_TRUE(w.diverged);
+    EXPECT_TRUE(w.reachHeld);
+    // The first corrupted value is the first repair record itself.
+    EXPECT_EQ(w.firstDivergentSeq, w.firstReachableSeq);
+    // Both validators catch the corrupted repairs: the offline replay
+    // of the variant and the live audit of the variant run.
+    EXPECT_FALSE(w.reenact.report.ok());
+    EXPECT_FALSE(w.variantResult.reenact.ok());
 }
 
 TEST(WhatIf, BadKnobIsRejected)

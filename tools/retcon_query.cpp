@@ -23,14 +23,15 @@
 //   --annotate-phases  (service phase marks, default off)
 // Each --set knob=value is one change; see api::applyKnob for the
 // knob vocabulary. With no --set the variant is the base itself and
-// the report must show a bit-identical run with 100% prefix reuse —
-// the determinism self-check.
+// the report must show a bit-identical run with no reachable record —
+// the determinism self-check. A bad run-option value exits 2.
 //
 // smoke: self-contained CI check — record a quick contended service
 // run streamed to .rtt and captured in memory, reload the file,
 // exercise every query surface and the dump view, then run both
 // whatif proofs (no-change bit-identity and a conflict-class change
-// with a sound divergence frontier). Exits nonzero on any failure.
+// that diverges no earlier than it can reach). Exits nonzero on any
+// failure.
 
 #include <cinttypes>
 #include <cstdio>
@@ -104,15 +105,12 @@ cmdStats(const query::TraceIndex &idx)
                         st.hotBlocks[i].first, st.hotBlocks[i].second);
     }
     std::printf("\n");
-    const trace::DepGraph &g = idx.graph();
-    std::printf("graph     %zu attempts, %zu edges; frontier: "
-                "contention ",
-                g.attempts.size(), g.edges.size());
-    if (g.firstContentionSeq == trace::kSeqUnreached)
-        std::printf("none");
+    std::printf("overlaps  %" PRIu64 "; first interaction ",
+                st.overlaps);
+    if (idx.reach().contention == trace::kSeqUnreached)
+        std::printf("none\n");
     else
-        std::printf("seq %" PRIu64, g.firstContentionSeq);
-    std::printf("\n");
+        std::printf("seq %" PRIu64 "\n", idx.reach().contention);
     return 0;
 }
 
@@ -236,15 +234,11 @@ printWhatIf(const api::WhatIfResult &w)
 {
     std::printf("reach     %s", api::reachClassName(w.reach));
     if (w.firstReachableSeq == trace::kSeqUnreached)
-        std::printf(" (no reachable record)\n");
+        std::printf(" (no reachable record)");
     else
-        std::printf(" (first reachable seq %" PRIu64 ")\n",
+        std::printf(" (first reachable seq %" PRIu64 ")",
                     w.firstReachableSeq);
-    std::printf("prefix    %" PRIu64 "/%zu records reused (%.1f%%), "
-                "proof %s\n",
-                w.prefixRecords, w.recorded.size(),
-                100.0 * w.prefixReuse,
-                w.prefixProofHeld ? "held" : "VIOLATED");
+    std::printf(", proof %s\n", w.reachHeld ? "held" : "VIOLATED");
     if (w.bitIdentical) {
         std::printf("result    bit-identical (%zu records)\n",
                     w.recorded.size());
@@ -274,6 +268,18 @@ cmdWhatIf(int argc, char **argv)
     base.nthreads = 8;
     base.scale = 0.1;
     base.trace.enabled = true;
+    // Base run options, each validated as the knob it names.
+    struct BaseFlag {
+        const char *flag;
+        const char *knob;
+    };
+    static const BaseFlag kBaseFlags[] = {
+        {"--workload", "workload"},
+        {"--nthreads", "nthreads"},
+        {"--seed", "seed"},
+        {"--scale", "scale"},
+        {"--partitions", "servicePartitions"},
+    };
     std::vector<api::KnobChange> changes;
     for (int i = 0; i < argc; ++i) {
         auto need = [&](const char *flag) -> const char * {
@@ -283,18 +289,17 @@ cmdWhatIf(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (std::strcmp(argv[i], "--workload") == 0) {
-            base.workload = need("--workload");
-        } else if (std::strcmp(argv[i], "--nthreads") == 0) {
-            base.nthreads =
-                static_cast<unsigned>(std::atoi(need("--nthreads")));
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            base.seed = std::strtoull(need("--seed"), nullptr, 0);
-        } else if (std::strcmp(argv[i], "--scale") == 0) {
-            base.scale = std::atof(need("--scale"));
-        } else if (std::strcmp(argv[i], "--partitions") == 0) {
-            base.servicePartitions =
-                static_cast<unsigned>(std::atoi(need("--partitions")));
+        const BaseFlag *baseFlag = nullptr;
+        for (const BaseFlag &f : kBaseFlags)
+            if (std::strcmp(argv[i], f.flag) == 0)
+                baseFlag = &f;
+        if (baseFlag) {
+            const char *v = need(baseFlag->flag);
+            if (!api::applyKnob(base, baseFlag->knob, v)) {
+                std::fprintf(stderr, "whatif: bad %s value '%s'\n",
+                             baseFlag->flag, v);
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--annotate-phases") == 0) {
             base.annotatePhases = true;
         } else if (std::strcmp(argv[i], "--set") == 0) {
@@ -319,7 +324,7 @@ cmdWhatIf(int argc, char **argv)
         return 2;
     }
     printWhatIf(w);
-    return w.prefixProofHeld && w.reenact.report.ok() ? 0 : 1;
+    return w.reachHeld && w.reenact.report.ok() ? 0 : 1;
 }
 
 /**
@@ -408,24 +413,25 @@ cmdSmoke()
     // 4. whatif, no change: the determinism self-check.
     api::WhatIfResult same = api::runWhatIf(cfg, {});
     check(same.ok && same.bitIdentical, "no-change whatif bit-identical");
-    check(same.prefixReuse == 1.0, "no-change prefix reuse is 1.0");
-    check(same.prefixProofHeld, "no-change prefix proof holds");
+    check(same.firstReachableSeq == trace::kSeqUnreached,
+          "no-change whatif reaches no record");
+    check(same.reachHeld, "no-change reach proof holds");
     check(same.reenact.report.ok(), "no-change reenactment clean");
 
     // 5. whatif, conflict-class change: divergence must start at or
-    //    after the first-interaction frontier, and the spliced stream
-    //    must reenact. A conflict-free recording would make the claim
-    //    vacuous, so require the frontier to exist.
+    //    after the first cross-attempt interaction, and the variant
+    //    stream must reenact. A conflict-free recording would make the
+    //    claim vacuous, so require the interaction to exist.
     api::WhatIfResult diff =
         api::runWhatIf(cfg, {{"backoff", "exp"}});
     check(diff.ok, "backoff whatif runs");
     check(diff.firstReachableSeq != trace::kSeqUnreached,
-          "recording has a contention frontier");
-    check(diff.prefixProofHeld, "backoff prefix proof holds");
+          "recording has a first interaction");
+    check(diff.reachHeld, "backoff reach proof holds");
     check(!diff.diverged ||
               diff.firstDivergentSeq >= diff.firstReachableSeq,
-          "divergence respects the reach frontier");
-    check(diff.reenact.report.ok(), "spliced stream reenacts clean");
+          "divergence respects the reach bound");
+    check(diff.reenact.report.ok(), "variant stream reenacts clean");
 
     std::remove("query_smoke_trace.rtt");
     std::printf("query smoke: %s\n",
