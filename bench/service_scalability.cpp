@@ -43,16 +43,18 @@
  *   --quick      CI sizing (scale 1.0, 32 threads — full Table 1;
  *                the service workload is cheap enough to simulate
  *                that CI runs the real scale-out point)
- *   --json PATH  also write the scale-out points as a JSON document
- *                (compared against bench/baselines by
- *                tools/check_bench_regression.py, uploaded as
- *                BENCH_*.json artifacts)
+ *   --json PATH  also write every point as a JSON document: its axis
+ *                keys plus the "sim" and "host" objects of the api
+ *                metrics table (api/metrics.hpp). Compared against
+ *                bench/baselines by tools/check_bench_regression.py
+ *                and uploaded as BENCH_*.json artifacts.
  * Environment: RETCON_SCALE / RETCON_THREADS as in bench_common.hpp.
  */
 
 #include <cstdio>
 #include <cstring>
 
+#include "api/metrics.hpp"
 #include "bench_common.hpp"
 #include "scenario/scenario.hpp"
 
@@ -82,72 +84,24 @@ constexpr Cycle kBackoffCap = 16;
 /// floor — PR 4 reached 2.67x on substrate banking alone).
 constexpr double kMinGainQuick = 3.5;
 
+/** One measured point: its axis keys (a JSON fragment) and its run. */
 struct Point {
-    unsigned shards = 0;
-    unsigned banks = 0;
-    unsigned partitions = 1;
-    const char *backoff = "none";
-    bool sched = false;
-    Cycle cycles = 0;
-    double throughput = 0; ///< Commits per kilocycle.
-    std::uint64_t bankStallCycles = 0;
-    std::uint64_t tokenWaits = 0;
-    std::uint64_t backoffCycles = 0;
-    std::uint64_t schedDefers = 0;
-    double hostWallMs = 0; ///< Host time of the run (not simulated).
+    std::string axes;
+    api::RunResult r;
 };
 
-/// Trace-writer overhead: the top scale-up point re-run with the
-/// live record stream additionally written to an .rtt file
-/// (docs/trace-format.md). Streaming is a host-side sink on the audit
-/// stream the run already produces, so the simulated result must be
-/// bit-identical — cycles are asserted equal, and only the writer's
-/// own stats and host wall move (gated under the host tolerance,
-/// never the simulated band).
-struct TraceStreamPoint {
-    bool measured = false;
-    std::uint64_t records = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t flushes = 0;
-    double flushWallMs = 0;
-    double wallMs = 0;     ///< Host wall of the streamed run.
-    double baseWallMs = 0; ///< Host wall of the untraced point.
-};
+/** Each point array of the JSON document, under its key. */
+using Axes =
+    std::vector<std::pair<const char *, const std::vector<Point> *>>;
 
-/// One scenario point: the top scale-up config re-run under a
-/// registered scenario (docs/scenarios.md) — open-loop arrivals,
-/// mid-run shifts, fault windows. Pins each scenario's throughput and
-/// arrival ledger so traffic-shape behaviour cannot drift silently.
-struct ScenarioPoint {
-    const char *name = "";
-    Cycle cycles = 0;
-    double throughput = 0; ///< Commits per kilocycle.
-    std::uint64_t injected = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t peakBacklog = 0;
-    std::uint64_t stallCycles = 0;
-    std::uint64_t bankFaultCycles = 0;
-};
-
-/// One scale-OUT point: the same fleet-wide core count split across a
-/// 2-cluster fleet, swept over the cross-cluster request fraction.
-struct FleetPoint {
-    double xcFraction = 0;
-    Cycle cycles = 0;
-    double throughput = 0; ///< Commits per kilocycle (fleet-wide).
-    std::uint64_t xcTokenWaits = 0;
-    std::uint64_t netMessages = 0;
-    std::uint64_t netQueueCycles = 0;
-};
-
-/** Emit the measured points as one JSON document (perf trajectory). */
+/**
+ * Emit every measured point as one JSON document (perf trajectory):
+ * `"<key>":[{<axes>,"sim":{...},"host":{...}},...]` per point array,
+ * the metrics written by the api metrics table.
+ */
 void
-writeJson(const char *path, double scale, unsigned nthreads,
-          const std::vector<Point> &points,
-          const std::vector<FleetPoint> &fleet,
-          const std::vector<ScenarioPoint> &scenarios,
-          const TraceStreamPoint &ts, double gain)
+writeJson(const char *path, const api::RunConfig &base, const Axes &axes,
+          double gain)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -156,75 +110,16 @@ writeJson(const char *path, double scale, unsigned nthreads,
     }
     std::fprintf(f,
                  "{\"bench\":\"service_scalability\",\"scale\":%g,"
-                 "\"nthreads\":%u,\"bank_occupancy\":%llu,\"points\":[",
-                 scale, nthreads,
+                 "\"nthreads\":%u,\"bank_occupancy\":%llu",
+                 base.scale, base.nthreads,
                  (unsigned long long)kBankOccupancy);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(f,
-                     "%s{\"shards\":%u,\"banks\":%u,\"partitions\":%u,"
-                     "\"backoff\":\"%s\",\"sched\":%s,"
-                     "\"cycles\":%llu,"
-                     "\"commits_per_kcycle\":%.4f,"
-                     "\"bank_stall_cycles\":%llu,\"token_waits\":%llu,"
-                     "\"backoff_cycles\":%llu,\"sched_defers\":%llu,"
-                     "\"host_wall_ms\":%.2f}",
-                     i ? "," : "", p.shards, p.banks, p.partitions,
-                     p.backoff, p.sched ? "true" : "false",
-                     (unsigned long long)p.cycles, p.throughput,
-                     (unsigned long long)p.bankStallCycles,
-                     (unsigned long long)p.tokenWaits,
-                     (unsigned long long)p.backoffCycles,
-                     (unsigned long long)p.schedDefers, p.hostWallMs);
-    }
-    std::fprintf(f, "],\"fleet_points\":[");
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        const FleetPoint &p = fleet[i];
-        std::fprintf(f,
-                     "%s{\"clusters\":2,\"xc_fraction\":%.2f,"
-                     "\"cycles\":%llu,"
-                     "\"commits_per_kcycle\":%.4f,"
-                     "\"xc_token_waits\":%llu,\"net_messages\":%llu,"
-                     "\"net_queue_cycles\":%llu}",
-                     i ? "," : "", p.xcFraction,
-                     (unsigned long long)p.cycles, p.throughput,
-                     (unsigned long long)p.xcTokenWaits,
-                     (unsigned long long)p.netMessages,
-                     (unsigned long long)p.netQueueCycles);
-    }
-    std::fprintf(f, "],\"scenario_points\":[");
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const ScenarioPoint &p = scenarios[i];
-        std::fprintf(f,
-                     "%s{\"scenario\":\"%s\",\"cycles\":%llu,"
-                     "\"commits_per_kcycle\":%.4f,"
-                     "\"injected\":%llu,\"completed\":%llu,"
-                     "\"dropped\":%llu,\"peak_backlog\":%llu,"
-                     "\"stall_cycles\":%llu,"
-                     "\"bank_fault_cycles\":%llu}",
-                     i ? "," : "", p.name,
-                     (unsigned long long)p.cycles, p.throughput,
-                     (unsigned long long)p.injected,
-                     (unsigned long long)p.completed,
-                     (unsigned long long)p.dropped,
-                     (unsigned long long)p.peakBacklog,
-                     (unsigned long long)p.stallCycles,
-                     (unsigned long long)p.bankFaultCycles);
-    }
-    std::fprintf(f, "]");
-    if (ts.measured) {
-        std::fprintf(f,
-                     ",\"trace_stream\":{\"records\":%llu,"
-                     "\"bytes_written\":%llu,"
-                     "\"bytes_per_record\":%.2f,\"flushes\":%llu,"
-                     "\"flush_wall_ms\":%.2f,\"host_wall_ms\":%.2f,"
-                     "\"untraced_host_wall_ms\":%.2f}",
-                     (unsigned long long)ts.records,
-                     (unsigned long long)ts.bytes,
-                     ts.records ? double(ts.bytes) / double(ts.records)
-                                : 0.0,
-                     (unsigned long long)ts.flushes, ts.flushWallMs,
-                     ts.wallMs, ts.baseWallMs);
+    for (const auto &[key, points] : axes) {
+        std::fprintf(f, ",\"%s\":[", key);
+        for (std::size_t i = 0; i < points->size(); ++i)
+            std::fprintf(f, "%s{%s,%s}", i ? "," : "",
+                         (*points)[i].axes.c_str(),
+                         api::metricsJson((*points)[i].r).c_str());
+        std::fputc(']', f);
     }
     std::fprintf(f, ",\"throughput_gain\":%.4f}\n", gain);
     std::fclose(f);
@@ -278,29 +173,10 @@ main(int argc, char **argv)
                 (unsigned long long)kBackoffBase,
                 (unsigned long long)kBackoffCap);
 
-    std::vector<Point> points;
+    // Every run is audited: it must validate and reenact cleanly with
+    // no skipped forwarding chain.
     bool all_ok = true;
-    for (unsigned n : {1u, 2u, 4u}) {
-        if (n > base.nthreads)
-            break;
-        api::RunConfig cfg = base;
-        cfg.shards = n;
-        cfg.memBanks = n;
-        Point p;
-        p.shards = n;
-        p.banks = n;
-        if (n > 1) {
-            // The conflict-time knobs ride the scale-out axis; the
-            // (1,1) monolith keeps them off (the PR-4 baseline).
-            cfg.servicePartitions = n;
-            cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
-            cfg.tm.backoff.base = kBackoffBase;
-            cfg.tm.backoff.cap = kBackoffCap;
-            cfg.contentionSched = true;
-            p.partitions = n;
-            p.backoff = htm::backoffPolicyName(cfg.tm.backoff.policy);
-            p.sched = true;
-        }
+    auto run = [&all_ok](const api::RunConfig &cfg) {
         api::RunResult r = api::runOnce(cfg);
         flagInvalid(r, "service");
         all_ok = all_ok && r.validation.ok && r.reenact.ok() &&
@@ -308,27 +184,50 @@ main(int argc, char **argv)
         if (!r.reenact.ok())
             std::printf("!! reenactment audit: %s\n",
                         r.reenact.summary().c_str());
+        return r;
+    };
+    auto withKnobs = [](api::RunConfig cfg) {
+        cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
+        cfg.tm.backoff.base = kBackoffBase;
+        cfg.tm.backoff.cap = kBackoffCap;
+        cfg.contentionSched = true;
+        return cfg;
+    };
 
-        p.cycles = r.cycles;
-        p.throughput = 1000.0 * double(r.coreStats.commits) /
-                       double(r.cycles);
-        for (const api::BankSummary &bs : r.banks) {
-            p.bankStallCycles += bs.stallCycles;
-            p.tokenWaits += bs.tokenWaits;
+    std::vector<Point> points;
+    api::RunConfig top = base; // The largest scale-up config run.
+    for (unsigned n : {1u, 2u, 4u}) {
+        if (n > base.nthreads)
+            break;
+        api::RunConfig cfg = base;
+        cfg.shards = n;
+        cfg.memBanks = n;
+        // The conflict-time knobs ride the scale-out axis; the (1,1)
+        // monolith keeps them off (the PR-4 baseline).
+        if (n > 1) {
+            cfg = withKnobs(cfg);
+            cfg.servicePartitions = n;
         }
-        p.backoffCycles = r.machineStats.backoffCycles;
-        for (const api::ShardSummary &ss : r.shards)
-            p.schedDefers += ss.schedDefers;
-        p.hostWallMs = r.hostWallMs;
-        points.push_back(p);
+        const char *backoff =
+            htm::backoffPolicyName(cfg.tm.backoff.policy);
+        char axes[128];
+        std::snprintf(axes, sizeof(axes),
+                      "\"shards\":%u,\"banks\":%u,\"partitions\":%u,"
+                      "\"backoff\":\"%s\",\"sched\":%s",
+                      n, n, cfg.servicePartitions, backoff,
+                      cfg.contentionSched ? "true" : "false");
+        api::RunResult r = run(cfg);
+        top = cfg;
 
         std::printf("%u shard%s x %u bank%s x %u partition%s "
                     "(backoff %s, sched %s): %llu cycles, "
                     "%.2f commits/kcycle\n",
                     n, n == 1 ? "" : "s", n, n == 1 ? "" : "s",
-                    p.partitions, p.partitions == 1 ? "" : "s",
-                    p.backoff, p.sched ? "on" : "off",
-                    (unsigned long long)r.cycles, p.throughput);
+                    cfg.servicePartitions,
+                    cfg.servicePartitions == 1 ? "" : "s", backoff,
+                    cfg.contentionSched ? "on" : "off",
+                    (unsigned long long)r.cycles,
+                    api::metric(r, "commits_per_kcycle"));
         std::printf("  %-5s %9s %9s %9s %9s %9s %9s %9s %9s\n", "shard",
                     "commits", "aborts", "repairs", "events", "stolen",
                     "slipped", "tokwait", "defers");
@@ -357,6 +256,7 @@ main(int argc, char **argv)
                         (unsigned long long)bs.tokenWaits);
         }
         std::printf("\n");
+        points.push_back({axes, std::move(r)});
     }
 
     // Scale-out axis: split the same fleet-wide core count across a
@@ -364,31 +264,21 @@ main(int argc, char **argv)
     // on) and sweep the cross-cluster request fraction. Throughput
     // must come down as more commits pay interconnect round trips for
     // remote bank tokens — the baseline pins that curve.
-    std::vector<FleetPoint> fleet;
+    std::vector<Point> fleet;
     if (base.nthreads >= 4) {
-        api::RunConfig fbase = base;
+        api::RunConfig fbase = withKnobs(base);
         fbase.clusters = 2;
         fbase.nthreads = base.nthreads / 2; // Per-cluster on a fleet.
         fbase.shards = 2;
         fbase.memBanks = 2;
         fbase.servicePartitions = 2;
-        fbase.tm.backoff.policy = htm::BackoffPolicy::Linear;
-        fbase.tm.backoff.base = kBackoffBase;
-        fbase.tm.backoff.cap = kBackoffCap;
-        fbase.contentionSched = true;
         std::printf("fleet axis: 2 clusters x (%u cores, 2 shards, "
                     "2 banks) vs cross-cluster fraction\n",
                     fbase.nthreads);
         for (double xc : {0.0, 0.1, 0.3}) {
             api::RunConfig cfg = fbase;
             cfg.crossClusterFraction = xc;
-            api::RunResult r = api::runOnce(cfg);
-            flagInvalid(r, "service");
-            all_ok = all_ok && r.validation.ok && r.reenact.ok() &&
-                     r.reenact.forwardedCommitsSkipped == 0;
-            if (!r.reenact.ok())
-                std::printf("!! reenactment audit: %s\n",
-                            r.reenact.summary().c_str());
+            api::RunResult r = run(cfg);
             if (xc > 0.0 && (r.net.messages == 0 ||
                              r.machineStats.xcTokenWaits == 0)) {
                 // The point is meaningless if nothing crossed the
@@ -397,22 +287,18 @@ main(int argc, char **argv)
                             "the interconnect\n", xc);
                 all_ok = false;
             }
-            FleetPoint p;
-            p.xcFraction = xc;
-            p.cycles = r.cycles;
-            p.throughput = 1000.0 * double(r.coreStats.commits) /
-                           double(r.cycles);
-            p.xcTokenWaits = r.machineStats.xcTokenWaits;
-            p.netMessages = r.net.messages;
-            p.netQueueCycles = r.net.queueCycles;
-            fleet.push_back(p);
             std::printf("  xc %.2f: %llu cycles, %.2f commits/kcycle, "
                         "%llu xc token waits, %llu net messages, "
                         "%llu net queue cycles\n",
-                        xc, (unsigned long long)p.cycles, p.throughput,
-                        (unsigned long long)p.xcTokenWaits,
-                        (unsigned long long)p.netMessages,
-                        (unsigned long long)p.netQueueCycles);
+                        xc, (unsigned long long)r.cycles,
+                        api::metric(r, "commits_per_kcycle"),
+                        (unsigned long long)r.machineStats.xcTokenWaits,
+                        (unsigned long long)r.net.messages,
+                        (unsigned long long)r.net.queueCycles);
+            char axes[64];
+            std::snprintf(axes, sizeof(axes),
+                          "\"clusters\":2,\"xc_fraction\":%.2f", xc);
+            fleet.push_back({axes, std::move(r)});
         }
         std::printf("\n");
     }
@@ -424,104 +310,63 @@ main(int argc, char **argv)
     // shape's commits/kcycle and its arrival ledger, so a change in
     // traffic-shape behaviour (or a silently dead scenario) fails the
     // bench gate like any other simulated regression.
-    std::vector<ScenarioPoint> scenarios;
-    if (!points.empty()) {
-        const Point &top = points.back();
-        api::RunConfig cfg = base;
-        cfg.shards = top.shards;
-        cfg.memBanks = top.banks;
-        cfg.servicePartitions = top.partitions;
-        if (top.shards > 1) {
-            cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
-            cfg.tm.backoff.base = kBackoffBase;
-            cfg.tm.backoff.cap = kBackoffCap;
-            cfg.contentionSched = true;
+    std::vector<Point> scenarios;
+    const std::string topAxes = points.back().axes;
+    std::printf("scenario axis: %ux%ux%u point vs registered "
+                "scenarios\n",
+                top.shards, top.memBanks, top.servicePartitions);
+    for (const scenario::Scenario &sc : scenario::registry()) {
+        api::RunConfig cfg = top;
+        cfg.scenario = sc.name;
+        api::RunResult r = run(cfg);
+        const api::ScenarioSummary &ss = r.scenario;
+        if (ss.injected != ss.completed + ss.dropped) {
+            std::printf("!! %s arrival ledger does not conserve\n",
+                        sc.name);
+            all_ok = false;
         }
-        std::printf("scenario axis: %ux%ux%u point vs registered "
-                    "scenarios\n",
-                    top.shards, top.banks, top.partitions);
-        for (const scenario::Scenario &sc : scenario::registry()) {
-            cfg.scenario = sc.name;
-            api::RunResult r = api::runOnce(cfg);
-            flagInvalid(r, "service");
-            all_ok = all_ok && r.validation.ok && r.reenact.ok() &&
-                     r.reenact.forwardedCommitsSkipped == 0;
-            if (!r.reenact.ok())
-                std::printf("!! reenactment audit: %s\n",
-                            r.reenact.summary().c_str());
-            const api::ScenarioSummary &ss = r.scenario;
-            if (ss.injected != ss.completed + ss.dropped) {
-                std::printf("!! %s arrival ledger does not conserve\n",
-                            sc.name);
-                all_ok = false;
-            }
-            ScenarioPoint p;
-            p.name = sc.name;
-            p.cycles = r.cycles;
-            p.throughput = 1000.0 * double(r.coreStats.commits) /
-                           double(r.cycles);
-            p.injected = ss.injected;
-            p.completed = ss.completed;
-            p.dropped = ss.dropped;
-            p.peakBacklog = ss.peakBacklog;
-            p.stallCycles = ss.stallCycles;
-            p.bankFaultCycles = ss.bankFaultCycles;
-            scenarios.push_back(p);
-            std::printf("  %-15s %llu cycles, %.2f commits/kcycle"
-                        ", %llu/%llu/%llu inj/done/drop\n",
-                        sc.name, (unsigned long long)p.cycles,
-                        p.throughput, (unsigned long long)p.injected,
-                        (unsigned long long)p.completed,
-                        (unsigned long long)p.dropped);
-        }
-        std::printf("\n");
+        std::printf("  %-15s %llu cycles, %.2f commits/kcycle"
+                    ", %llu/%llu/%llu inj/done/drop\n",
+                    sc.name, (unsigned long long)r.cycles,
+                    api::metric(r, "commits_per_kcycle"),
+                    (unsigned long long)ss.injected,
+                    (unsigned long long)ss.completed,
+                    (unsigned long long)ss.dropped);
+        scenarios.push_back(
+            {std::string("\"scenario\":\"") + sc.name + "\"",
+             std::move(r)});
     }
+    std::printf("\n");
 
     // Trace-writer overhead: the top scale-up point once more, now
     // streaming its complete audit record stream to disk. The stream
     // sink must not perturb the simulation — cycles are asserted
     // bit-identical — so the only cost is host-side: buffered frame
     // encoding plus the flush stalls the writer itself reports.
-    TraceStreamPoint ts;
-    if (!points.empty()) {
-        const Point &top = points.back();
+    std::vector<Point> stream;
+    {
         const char *rtt = "service_scalability_stream.rtt";
-        api::RunConfig cfg = base;
-        cfg.shards = top.shards;
-        cfg.memBanks = top.banks;
-        cfg.servicePartitions = top.partitions;
-        if (top.shards > 1) {
-            cfg.tm.backoff.policy = htm::BackoffPolicy::Linear;
-            cfg.tm.backoff.base = kBackoffBase;
-            cfg.tm.backoff.cap = kBackoffCap;
-            cfg.contentionSched = true;
-        }
+        api::RunConfig cfg = top;
         cfg.trace.streamPath = rtt;
-        api::RunResult r = api::runOnce(cfg);
-        flagInvalid(r, "service");
-        all_ok = all_ok && r.validation.ok && r.reenact.ok();
-        ts.measured = true;
-        ts.records = r.traceStream.records;
-        ts.bytes = r.traceStream.bytesWritten;
-        ts.flushes = r.traceStream.flushes;
-        ts.flushWallMs = r.traceStream.flushWallMs;
-        ts.wallMs = r.hostWallMs;
-        ts.baseWallMs = top.hostWallMs;
+        api::RunResult r = run(cfg);
+        const api::TraceStreamSummary &ts = r.traceStream;
+        const api::RunResult &untraced = points.back().r;
         std::printf("trace stream (%ux%ux%u point): %llu records -> "
                     "%llu bytes (%.1f B/rec), %llu flushes, %.1f ms "
                     "flush stall, host wall %.1f ms vs %.1f untraced\n\n",
-                    top.shards, top.banks, top.partitions,
+                    top.shards, top.memBanks, top.servicePartitions,
                     (unsigned long long)ts.records,
-                    (unsigned long long)ts.bytes,
-                    ts.records ? double(ts.bytes) / double(ts.records)
+                    (unsigned long long)ts.bytesWritten,
+                    ts.records ? double(ts.bytesWritten) /
+                                     double(ts.records)
                                : 0.0,
                     (unsigned long long)ts.flushes, ts.flushWallMs,
-                    ts.wallMs, ts.baseWallMs);
-        if (r.cycles != top.cycles) {
+                    r.hostWallMs, untraced.hostWallMs);
+        if (r.cycles != untraced.cycles) {
             std::printf("!! streaming perturbed the simulation: %llu "
                         "cycles traced vs %llu untraced\n",
                         (unsigned long long)r.cycles,
-                        (unsigned long long)top.cycles);
+                        (unsigned long long)untraced.cycles);
             all_ok = false;
         }
         if (ts.records != r.traceEvents || ts.records == 0) {
@@ -532,8 +377,13 @@ main(int argc, char **argv)
             all_ok = false;
         }
         std::remove(rtt);
+        stream.push_back({topAxes, std::move(r)});
     }
 
+    const Axes axes = {{"points", &points},
+                       {"fleet_points", &fleet},
+                       {"scenario_points", &scenarios},
+                       {"trace_stream", &stream}};
     if (points.size() < 2) {
         // Nothing to compare (e.g. RETCON_THREADS=1 leaves only the
         // 1-shard point): not a scaling regression, just inapplicable.
@@ -541,20 +391,16 @@ main(int argc, char **argv)
                     "(got %zu)\n",
                     points.size());
         if (json_path)
-            writeJson(json_path, base.scale, base.nthreads, points,
-                      fleet, scenarios, ts, 0);
+            writeJson(json_path, base, axes, 0);
         return all_ok ? 0 : 1;
     }
-    const Point &first = points.front();
-    const Point &last = points.back();
-    double gain = last.throughput / first.throughput;
-    std::printf("throughput %ux%ux%u -> %ux%ux%u "
+    double gain = api::metric(points.back().r, "commits_per_kcycle") /
+                  api::metric(points.front().r, "commits_per_kcycle");
+    std::printf("throughput 1x1x1 -> %ux%ux%u "
                 "(shards x banks x partitions): %.2fx\n",
-                first.shards, first.banks, first.partitions, last.shards,
-                last.banks, last.partitions, gain);
+                top.shards, top.memBanks, top.servicePartitions, gain);
     if (json_path)
-        writeJson(json_path, base.scale, base.nthreads, points, fleet,
-                  scenarios, ts, gain);
+        writeJson(json_path, base, axes, gain);
     double min_gain = quick ? kMinGainQuick : 1.0;
     if (!(gain > min_gain) || !all_ok) {
         std::printf("FAIL: scale-out gain %.2fx below the %.2fx floor "

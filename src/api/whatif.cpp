@@ -1,9 +1,8 @@
 #include "api/whatif.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
+#include <limits>
 #include <map>
 
 #include "query/index.hpp"
@@ -12,30 +11,25 @@ namespace retcon::api {
 
 namespace {
 
+/** Parse all of @p s into @p out if it lies in [lo, hi]. A sign on a
+ *  count or trailing garbage fails; on failure @p out is untouched. */
+template <class T>
 bool
-parseU64(const std::string &s, std::uint64_t &out)
+setIn(const std::string &s, T &out,
+      T lo = std::numeric_limits<T>::lowest(),
+      T hi = std::numeric_limits<T>::max())
 {
-    if (s.empty())
+    T v{};
+    const char *end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || p != end || s.empty() || !(v >= lo && v <= hi))
         return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
+    out = v;
+    return true;
 }
 
 bool
-parseDouble(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end == s.c_str() + s.size();
-}
-
-bool
-parseBool(const std::string &s, bool &out)
+setBool(const std::string &s, bool &out)
 {
     if (s == "1" || s == "true" || s == "on") {
         out = true;
@@ -61,6 +55,72 @@ tmModeFromName(const std::string &s, htm::TMMode &out)
     return false;
 }
 
+/** One knob-table row: the knob's reach and how to apply a value. */
+struct Knob {
+    const char *name;
+    ReachClass reach;
+    bool (*apply)(RunConfig &cfg, const std::string &value);
+};
+
+using C = RunConfig &;
+using V = const std::string &;
+constexpr ReachClass Everything = ReachClass::Everything;
+constexpr ReachClass Conflicts = ReachClass::Conflicts;
+
+const Knob kKnobs[] = {
+    {"seed", Everything, [](C c, V v) { return setIn(v, c.seed); }},
+    {"workload", Everything,
+     [](C c, V v) {
+         if (v.empty())
+             return false;
+         c.workload = v;
+         return true;
+     }},
+    {"nthreads", Everything,
+     [](C c, V v) { return setIn(v, c.nthreads, 1u, 64u); }},
+    // Positive and finite.
+    {"scale", Everything,
+     [](C c, V v) {
+         return setIn(v, c.scale, std::numeric_limits<double>::min());
+     }},
+    {"servicePartitions", Everything,
+     [](C c, V v) { return setIn(v, c.servicePartitions, 1u); }},
+    {"clusters", Everything, [](C c, V v) { return setIn(v, c.clusters, 1u); }},
+    {"crossClusterFraction", Everything,
+     [](C c, V v) { return setIn(v, c.crossClusterFraction, 0.0, 1.0); }},
+    {"tm.mode", Everything,
+     [](C c, V v) { return tmModeFromName(v, c.tm.mode); }},
+    {"backoff", Conflicts,
+     [](C c, V v) {
+         return htm::backoffPolicyFromName(v.c_str(), c.tm.backoff.policy);
+     }},
+    {"contentionSched", Conflicts,
+     [](C c, V v) { return setBool(v, c.contentionSched); }},
+    {"commitTokenArbitration", Conflicts,
+     [](C c, V v) { return setBool(v, c.tm.commitTokenArbitration); }},
+    {"memBankOccupancy", Conflicts,
+     [](C c, V v) { return setIn(v, c.memBankOccupancy); }},
+    {"shardBandwidth", Conflicts,
+     [](C c, V v) { return setIn(v, c.shardBandwidth); }},
+    {"faultInjectRepairXor", ReachClass::Repairs,
+     [](C c, V v) { return setIn(v, c.tm.faultInjectRepairXor); }},
+    {"faultInjectForwardXor", ReachClass::Forwards,
+     [](C c, V v) { return setIn(v, c.tm.faultInjectForwardXor); }},
+    {"shards", ReachClass::Nothing,
+     [](C c, V v) { return setIn(v, c.shards, 1u); }},
+    {"memBanks", ReachClass::Nothing,
+     [](C c, V v) { return setIn(v, c.memBanks, 1u, 64u); }},
+};
+
+const Knob *
+knobByName(const std::string &name)
+{
+    for (const Knob &k : kKnobs)
+        if (name == k.name)
+            return &k;
+    return nullptr;
+}
+
 } // namespace
 
 const char *
@@ -79,104 +139,17 @@ reachClassName(ReachClass c)
 ReachClass
 classifyKnob(const std::string &knob)
 {
-    if (knob == "shards" || knob == "memBanks")
-        return ReachClass::Nothing;
-    if (knob == "backoff" || knob == "contentionSched" ||
-        knob == "commitTokenArbitration" ||
-        knob == "memBankOccupancy" || knob == "shardBandwidth")
-        return ReachClass::Conflicts;
-    if (knob == "faultInjectRepairXor")
-        return ReachClass::Repairs;
-    if (knob == "faultInjectForwardXor")
-        return ReachClass::Forwards;
-    // seed, workload, nthreads, scale, tm.mode, partitioning — and,
-    // deliberately, anything unknown: never under-estimate reach.
-    return ReachClass::Everything;
+    // Unknown knobs reach everything: never under-estimate reach.
+    const Knob *k = knobByName(knob);
+    return k ? k->reach : ReachClass::Everything;
 }
 
 bool
 applyKnob(RunConfig &cfg, const std::string &knob,
           const std::string &value)
 {
-    std::uint64_t u = 0;
-    double d = 0.0;
-    bool b = false;
-
-    if (knob == "seed") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.seed = u;
-    } else if (knob == "workload") {
-        if (value.empty())
-            return false;
-        cfg.workload = value;
-    } else if (knob == "nthreads") {
-        if (!parseU64(value, u) || u == 0 || u > 64)
-            return false;
-        cfg.nthreads = static_cast<unsigned>(u);
-    } else if (knob == "scale") {
-        if (!parseDouble(value, d) || d <= 0.0)
-            return false;
-        cfg.scale = d;
-    } else if (knob == "servicePartitions") {
-        if (!parseU64(value, u) || u == 0)
-            return false;
-        cfg.servicePartitions = static_cast<unsigned>(u);
-    } else if (knob == "clusters") {
-        if (!parseU64(value, u) || u == 0)
-            return false;
-        cfg.clusters = static_cast<unsigned>(u);
-    } else if (knob == "crossClusterFraction") {
-        if (!parseDouble(value, d) || d < 0.0 || d > 1.0)
-            return false;
-        cfg.crossClusterFraction = d;
-    } else if (knob == "tm.mode") {
-        htm::TMMode mode;
-        if (!tmModeFromName(value, mode))
-            return false;
-        cfg.tm.mode = mode;
-    } else if (knob == "backoff") {
-        // backoffPolicyFromName panics on unknown names; gate it.
-        if (value != "none" && value != "linear" && value != "exp" &&
-            value != "prop")
-            return false;
-        cfg.tm.backoff.policy = htm::backoffPolicyFromName(value.c_str());
-    } else if (knob == "contentionSched") {
-        if (!parseBool(value, b))
-            return false;
-        cfg.contentionSched = b;
-    } else if (knob == "commitTokenArbitration") {
-        if (!parseBool(value, b))
-            return false;
-        cfg.tm.commitTokenArbitration = b;
-    } else if (knob == "memBankOccupancy") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.memBankOccupancy = u;
-    } else if (knob == "shardBandwidth") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.shardBandwidth = static_cast<unsigned>(u);
-    } else if (knob == "faultInjectRepairXor") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.tm.faultInjectRepairXor = u;
-    } else if (knob == "faultInjectForwardXor") {
-        if (!parseU64(value, u))
-            return false;
-        cfg.tm.faultInjectForwardXor = u;
-    } else if (knob == "shards") {
-        if (!parseU64(value, u) || u == 0)
-            return false;
-        cfg.shards = static_cast<unsigned>(u);
-    } else if (knob == "memBanks") {
-        if (!parseU64(value, u) || u == 0 || u > 64)
-            return false;
-        cfg.memBanks = static_cast<unsigned>(u);
-    } else {
-        return false;
-    }
-    return true;
+    const Knob *k = knobByName(knob);
+    return k && k->apply(cfg, value);
 }
 
 WhatIfResult

@@ -70,22 +70,15 @@ struct KnobChange {
     std::string value;
 };
 
-/** Reach classification of one knob name (Everything if unknown —
- *  the sound default: never under-estimate reach). */
+/** Reach classification of one knob name, from the knob table
+ *  applyKnob reads (Everything if unknown — the sound default:
+ *  never under-estimate reach). */
 ReachClass classifyKnob(const std::string &knob);
 
 /**
- * Apply one knob change to @p cfg. Supported knobs:
- *
- *   seed, workload, nthreads, scale, servicePartitions, clusters,
- *   crossClusterFraction, tm.mode (serial|eager|lazy|lazy-vb|
- *   retcon|datm)                                    -> Everything
- *   backoff (none|linear|exp|prop), contentionSched (0|1),
- *   commitTokenArbitration (0|1), memBankOccupancy,
- *   shardBandwidth                                  -> Conflicts
- *   faultInjectRepairXor                            -> Repairs
- *   faultInjectForwardXor                           -> Forwards
- *   shards, memBanks                                -> Nothing
+ * Apply one knob change to @p cfg. One table in api/whatif.cpp gives
+ * each knob its value parser and its reach class; docs/what-if.md
+ * lists the knobs by class.
  *
  * @return false (cfg untouched) on unknown knob or unparseable value.
  */

@@ -44,18 +44,18 @@ backoffPolicyName(BackoffPolicy p)
     return "?";
 }
 
-BackoffPolicy
-backoffPolicyFromName(const char *name)
+bool
+backoffPolicyFromName(const char *name, BackoffPolicy &out)
 {
-    if (std::strcmp(name, "none") == 0)
-        return BackoffPolicy::None;
-    if (std::strcmp(name, "linear") == 0)
-        return BackoffPolicy::Linear;
-    if (std::strcmp(name, "exp") == 0)
-        return BackoffPolicy::ExpCapped;
-    if (std::strcmp(name, "prop") == 0)
-        return BackoffPolicy::ConflictProportional;
-    panic("unknown backoff policy '%s' (none|linear|exp|prop)", name);
+    for (auto p : {BackoffPolicy::None, BackoffPolicy::Linear,
+                   BackoffPolicy::ExpCapped,
+                   BackoffPolicy::ConflictProportional}) {
+        if (std::strcmp(name, backoffPolicyName(p)) == 0) {
+            out = p;
+            return true;
+        }
+    }
+    return false;
 }
 
 const char *

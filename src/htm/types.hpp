@@ -98,9 +98,9 @@ enum class BackoffPolicy : std::uint8_t {
 
 const char *backoffPolicyName(BackoffPolicy p);
 
-/** Parse a policy name ("none", "linear", "exp", "prop"); fatal()s on
- *  unknown names. */
-BackoffPolicy backoffPolicyFromName(const char *name);
+/** Parse a policy name ("none", "linear", "exp", "prop") into @p out;
+ *  false (out untouched) on unknown names. */
+bool backoffPolicyFromName(const char *name, BackoffPolicy &out);
 
 /** NACK/abort backoff configuration (TMConfig::backoff). */
 struct BackoffConfig {

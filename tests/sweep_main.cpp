@@ -63,7 +63,10 @@
 //
 // Every numeric argument must parse whole (a count as a non-negative
 // integer): non-numeric input or trailing garbage prints usage and
-// exits 1, and so does --jobs 0.
+// exits 1, and so do --jobs 0, an unknown --backoff policy and a size
+// the machine cannot hold (nthreads 1..64, --shards 1..nthreads,
+// --mem-banks 1..64, clusters x nthreads and clusters x banks <= 64).
+// Sizes are never clamped.
 //   --trace-out PREFIX  stream every audited cell's complete record
 //                 stream live to PREFIX_<workload>_<config>.rtt
 //                 (docs/trace-format.md; requires --audit), then
@@ -85,11 +88,13 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/datm_envelope.hpp"
+#include "api/metrics.hpp"
 #include "api/runner.hpp"
 #include "query/replay.hpp"
 #include "scenario/scenario.hpp"
@@ -137,6 +142,51 @@ parseExact(const char *s, T &out)
     return ec == std::errc() && p == end && p != s;
 }
 
+/**
+ * Why the sweep sizes are out of range, or "" when they fit. Sizes
+ * are rejected, never clamped: a clamp would quietly run a different
+ * sweep than the one asked for. On a fleet, nthreads and banks are
+ * per-cluster sizes and the totals must fit the 64-core, 64-bank
+ * machine.
+ */
+std::string
+sizeError(unsigned nthreads, unsigned shards, unsigned banks,
+          unsigned clusters)
+{
+    auto range = [](const char *what, std::uint64_t v, std::uint64_t hi) {
+        return std::string(what) + " " + std::to_string(v) +
+               " is out of range 1.." + std::to_string(hi);
+    };
+    if (nthreads < 1 || nthreads > 64)
+        return range("nthreads", nthreads, 64);
+    if (shards < 1 || shards > nthreads)
+        return range("--shards", shards, nthreads) + " (nthreads)";
+    if (banks < 1 || banks > 64)
+        return range("--mem-banks", banks, 64);
+    const unsigned most = 64 / std::max(nthreads, banks);
+    if (clusters < 1 || clusters > most)
+        return range("--clusters", clusters, most) +
+               " (64 cores and 64 banks fleet-wide)";
+    return "";
+}
+
+/** Metrics-table rows (api/metrics.hpp) summed over runs, by name. */
+using Totals = std::map<std::string, double>;
+
+void
+addRun(Totals &totals, const api::RunResult &r)
+{
+    for (const api::Metric &m : api::metrics())
+        totals[m.name] += m.get(r);
+}
+
+/** One summed counter row, for printing; unknown names throw. */
+unsigned long long
+count(const Totals &totals, const char *name)
+{
+    return static_cast<unsigned long long>(totals.at(name));
+}
+
 /** One (workload, config) run slot, filled by whichever thread. */
 struct Cell {
     bool supported = true;
@@ -146,31 +196,8 @@ struct Cell {
     /// the live .rtt file, which must agree with the in-memory audit.
     bool streamOk = true;
     std::string streamNote;
-    std::uint64_t streamRecords = 0;
     std::uint64_t streamPeakOpen = 0;
 };
-
-/**
- * Field-for-field verdict parity between the live audit and the
- * windowed re-validation of the streamed file. The streamed file is
- * the complete dense record stream, so every counter — not just the
- * mismatch verdict — must agree; any drift means the stream or the
- * windowed consumer lost information.
- */
-bool
-reenactReportsMatch(const trace::ReenactReport &a,
-                    const trace::ReenactReport &b)
-{
-    return a.commitsChecked == b.commitsChecked &&
-           a.repairsChecked == b.repairsChecked &&
-           a.constraintsChecked == b.constraintsChecked &&
-           a.pinsChecked == b.pinsChecked &&
-           a.abortsSeen == b.abortsSeen &&
-           a.forwardsChecked == b.forwardsChecked &&
-           a.forwardedCommitsChecked == b.forwardedCommitsChecked &&
-           a.forwardedCommitsSkipped == b.forwardedCommitsSkipped &&
-           a.mismatches == b.mismatches;
-}
 
 /** "RetCon" -> "retcon", "lazy-vb" -> "lazy-vb": filename-safe. */
 std::string
@@ -196,7 +223,6 @@ checkStreamedCell(Cell &cell, const std::string &path,
                   unsigned total_cores, bool keep)
 {
     query::StreamValidateResult v = query::validateStreamFile(path);
-    cell.streamRecords = v.recordsRead;
     cell.streamPeakOpen = v.replay.peakOpenAttempts;
     if (!v.streamOk) {
         cell.streamOk = false;
@@ -211,10 +237,16 @@ checkStreamedCell(Cell &cell, const std::string &path,
             " streamed records";
         return;
     }
-    if (!reenactReportsMatch(v.replay.report, cell.r.reenact)) {
+    // Field-for-field verdict parity: the streamed file is the complete
+    // dense record stream, so every audit counter (the reenact.* rows
+    // of the metrics table), not just the verdict, must agree.
+    api::RunResult windowed = cell.r;
+    windowed.reenact = v.replay.report;
+    if (std::string row = api::firstDifference(windowed, cell.r);
+        !row.empty()) {
         cell.streamOk = false;
-        cell.streamNote = "windowed verdict diverged from the live "
-                          "audit (windowed: " +
+        cell.streamNote = "windowed " + row +
+                          " diverged from the live audit (windowed: " +
                           v.replay.report.summary() +
                           "; live: " + cell.r.reenact.summary() + ")";
         return;
@@ -345,12 +377,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--trace-keep") == 0) {
             trace_keep = true;
         } else if (std::strcmp(argv[i], "--backoff") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--backoff requires a policy "
-                                     "(none|linear|exp|prop)\n");
-                return 1;
-            }
-            backoff = htm::backoffPolicyFromName(argv[++i]);
+            const char *policy = i + 1 < argc ? argv[++i] : "";
+            if (!htm::backoffPolicyFromName(policy, backoff))
+                bad = std::string("--backoff: unknown policy '") +
+                      policy + "' (none|linear|exp|prop)";
         } else if (argv[i][0] == '-' && argv[i][1] == '-') {
             // An unrecognized --flag must never be silently consumed
             // as a positional (a typo would quietly change the sweep).
@@ -372,11 +402,6 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (!bad.empty()) {
-        std::fprintf(stderr, "%s\n", bad.c_str());
-        usage(argv[0]);
-        return 1;
-    }
     // --quick sets CI-sized defaults but never overrides explicitly
     // supplied scale/nthreads.
     if (quick && positional == 0) {
@@ -385,21 +410,13 @@ main(int argc, char **argv)
     } else if (quick && positional == 1) {
         nthreads = 4;
     }
-    if (shards < 1)
-        shards = 1;
-    if (shards > nthreads)
-        shards = nthreads;
-    if (banks < 1)
-        banks = 1;
-    if (banks > 64)
-        banks = 64;
-    if (clusters < 1)
-        clusters = 1;
-    // Fleet-wide totals must respect the machine limits (64 cores,
-    // 64 banks); nthreads and banks are per-cluster sizes here.
-    while (clusters > 1 &&
-           (clusters * nthreads > 64 || clusters * banks > 64))
-        --clusters;
+    if (bad.empty())
+        bad = sizeError(nthreads, shards, banks, clusters);
+    if (!bad.empty()) {
+        std::fprintf(stderr, "%s\n", bad.c_str());
+        usage(argv[0]);
+        return 1;
+    }
     if (xc_fraction < 0.0)
         xc_fraction = clusters > 1 ? 0.25 : 0.0;
     if (trace_out && !audit) {
@@ -549,23 +566,15 @@ main(int argc, char **argv)
                 "workload", "seq-cyc", "eager", "lazy-vb", "retcon",
                 "datm", "backoff", "wall-ms");
     bool all_ok = true;
-    std::uint64_t chains_validated = 0;
-    std::uint64_t chains_skipped = 0;
-    std::uint64_t forward_links = 0;
-    std::uint64_t stream_records = 0;
-    std::uint64_t stream_bytes = 0;
-    std::uint64_t stream_flushes = 0;
+    Totals sweep; // Every run cell of the sweep.
     std::uint64_t stream_peak_open = 0;
-    double stream_flush_ms = 0.0;
-    std::uint64_t xc_token_waits = 0;
-    std::uint64_t net_messages = 0;
-    std::uint64_t net_queue_cycles = 0;
     for (const Row &row : rows) {
         std::string line;
         appendf(line, "%-18s %10llu |", row.name.c_str(),
                 (unsigned long long)row.seq);
         bool ok = true;
-        std::uint64_t backoff_cycles = 0;
+        Totals sum; // This row's run cells.
+        std::uint64_t peak_backlog = 0;
         double row_wall_ms = row.seqWallMs;
         for (const Cell &cell : row.cells) {
             if (!cell.supported) {
@@ -585,28 +594,25 @@ main(int argc, char **argv)
                 appendf(line, "(AUDIT: %s)",
                         r.reenact.summary().c_str());
             }
-            if (audit) {
-                chains_validated += r.reenact.forwardedCommitsChecked;
-                chains_skipped += r.reenact.forwardedCommitsSkipped;
-                forward_links += r.reenact.forwardsChecked;
+            if (trace_out && !cell.streamOk) {
+                ok = false;
+                appendf(line, "(STREAM: %s)", cell.streamNote.c_str());
             }
-            if (trace_out) {
-                if (!cell.streamOk) {
-                    ok = false;
-                    appendf(line, "(STREAM: %s)",
-                            cell.streamNote.c_str());
-                }
-                stream_records += r.traceStream.records;
-                stream_bytes += r.traceStream.bytesWritten;
-                stream_flushes += r.traceStream.flushes;
-                stream_flush_ms += r.traceStream.flushWallMs;
-                if (cell.streamPeakOpen > stream_peak_open)
-                    stream_peak_open = cell.streamPeakOpen;
+            const api::ScenarioSummary &s = r.scenario;
+            if (s.injected != s.completed + s.dropped) {
+                ok = false;
+                appendf(line,
+                        " (ARRIVAL LEDGER: %llu injected != %llu "
+                        "completed + %llu dropped)",
+                        (unsigned long long)s.injected,
+                        (unsigned long long)s.completed,
+                        (unsigned long long)s.dropped);
             }
-            backoff_cycles += r.machineStats.backoffCycles;
-            xc_token_waits += r.machineStats.xcTokenWaits;
-            net_messages += r.net.messages;
-            net_queue_cycles += r.net.queueCycles;
+            addRun(sum, r);
+            addRun(sweep, r);
+            stream_peak_open = std::max(stream_peak_open,
+                                        cell.streamPeakOpen);
+            peak_backlog = std::max(peak_backlog, s.peakBacklog);
             row_wall_ms += cell.wallMs;
         }
         std::string scen_note;
@@ -626,54 +632,27 @@ main(int argc, char **argv)
             env.nthreads = nthreads * clusters;
             env.clusters = clusters;
             sc->setup(plan, env);
-            api::ScenarioSummary sum;
-            for (const Cell &cell : row.cells) {
-                if (!cell.supported)
-                    continue;
-                const api::ScenarioSummary &s = cell.r.scenario;
-                if (s.injected != s.completed + s.dropped) {
-                    ok = false;
-                    appendf(line,
-                            " (ARRIVAL LEDGER: %llu injected != %llu "
-                            "completed + %llu dropped)",
-                            (unsigned long long)s.injected,
-                            (unsigned long long)s.completed,
-                            (unsigned long long)s.dropped);
-                }
-                sum.injected += s.injected;
-                sum.completed += s.completed;
-                sum.dropped += s.dropped;
-                sum.peakBacklog =
-                    std::max(sum.peakBacklog, s.peakBacklog);
-                sum.latencySum += s.latencySum;
-                sum.latencyMax = std::max(sum.latencyMax, s.latencyMax);
-                sum.phaseMarks += s.phaseMarks;
-                sum.stallHits += s.stallHits;
-                sum.stallCycles += s.stallCycles;
-                sum.bankFaultStalls += s.bankFaultStalls;
-                sum.bankFaultCycles += s.bankFaultCycles;
-                sum.linkFaultMessages += s.linkFaultMessages;
-                sum.linkFaultCycles += s.linkFaultCycles;
-            }
             if (plan.arrival.open()) {
                 appendf(scen_note,
                         "  arrivals: %llu injected, %llu completed, "
                         "%llu dropped, peak backlog %llu, mean wait "
                         "%.1f cyc\n",
-                        (unsigned long long)sum.injected,
-                        (unsigned long long)sum.completed,
-                        (unsigned long long)sum.dropped,
-                        (unsigned long long)sum.peakBacklog,
-                        sum.completed ? double(sum.latencySum) /
-                                            double(sum.completed)
-                                      : 0.0);
-                if (sum.injected == 0) {
+                        count(sum, "scenario.injected"),
+                        count(sum, "scenario.completed"),
+                        count(sum, "scenario.dropped"),
+                        (unsigned long long)peak_backlog,
+                        sum.at("scenario.completed")
+                            ? sum.at("scenario.latency_sum") /
+                                  sum.at("scenario.completed")
+                            : 0.0);
+                if (count(sum, "scenario.injected") == 0) {
                     ok = false;
                     appendf(line, " (SCENARIO VACUOUS: open-loop "
                                   "arrivals never injected)");
                 }
             }
-            if (plan.shift.phases > 1 && sum.phaseMarks == 0) {
+            if (plan.shift.phases > 1 &&
+                count(sum, "scenario.phase_marks") == 0) {
                 ok = false;
                 appendf(line, " (SCENARIO VACUOUS: no phase shift "
                               "annotations)");
@@ -681,9 +660,9 @@ main(int argc, char **argv)
             if (plan.fault.coreStall) {
                 appendf(scen_note,
                         "  core stall: %llu windows, %llu cycles\n",
-                        (unsigned long long)sum.stallHits,
-                        (unsigned long long)sum.stallCycles);
-                if (sum.stallHits == 0) {
+                        count(sum, "scenario.stall_hits"),
+                        count(sum, "scenario.stall_cycles"));
+                if (count(sum, "scenario.stall_hits") == 0) {
                     ok = false;
                     appendf(line, " (SCENARIO VACUOUS: core-stall "
                                   "fault never fired)");
@@ -692,9 +671,9 @@ main(int argc, char **argv)
             if (plan.fault.bankSlow) {
                 appendf(scen_note,
                         "  bank fault: %llu stalls, %llu cycles\n",
-                        (unsigned long long)sum.bankFaultStalls,
-                        (unsigned long long)sum.bankFaultCycles);
-                if (sum.bankFaultCycles == 0) {
+                        count(sum, "scenario.bank_fault_stalls"),
+                        count(sum, "scenario.bank_fault_cycles"));
+                if (count(sum, "scenario.bank_fault_cycles") == 0) {
                     ok = false;
                     appendf(line, " (SCENARIO VACUOUS: bank fault "
                                   "never fired)");
@@ -704,22 +683,24 @@ main(int argc, char **argv)
                 appendf(scen_note,
                         "  link fault: %llu messages, %llu extra "
                         "cycles\n",
-                        (unsigned long long)sum.linkFaultMessages,
-                        (unsigned long long)sum.linkFaultCycles);
-                if (sum.linkFaultMessages == 0) {
+                        count(sum, "scenario.link_fault_messages"),
+                        count(sum, "scenario.link_fault_cycles"));
+                if (count(sum, "scenario.link_fault_messages") == 0) {
                     ok = false;
                     appendf(line, " (SCENARIO VACUOUS: link fault "
                                   "never touched a message)");
                 }
             }
         }
+        const unsigned long long backoff_cycles =
+            count(sum, "htm.backoff_cycles");
         if (backoff == htm::BackoffPolicy::None && backoff_cycles != 0) {
             // The off switch must really be off (bit-identical runs).
             appendf(line, " (BACKOFF LEAK)");
             ok = false;
         }
-        appendf(line, " | %10llu | %8.1f | %s\n",
-                (unsigned long long)backoff_cycles, row_wall_ms,
+        appendf(line, " | %10llu | %8.1f | %s\n", backoff_cycles,
+                row_wall_ms,
                 ok ? "yes" : "NO");
         std::fputs(line.c_str(), stdout);
         if (!scen_note.empty())
@@ -729,15 +710,16 @@ main(int argc, char **argv)
     if (clusters > 1) {
         std::printf("fleet: %llu cross-cluster token waits, %llu net "
                     "messages, %llu net queue cycles\n",
-                    (unsigned long long)xc_token_waits,
-                    (unsigned long long)net_messages,
-                    (unsigned long long)net_queue_cycles);
-        if (net_messages == 0) {
+                    count(sweep, "htm.xc_token_waits"),
+                    count(sweep, "net.messages"),
+                    count(sweep, "net.queue_cycles"));
+        if (count(sweep, "net.messages") == 0) {
             std::printf("FAIL: a multi-cluster sweep never crossed "
                         "the interconnect\n");
             all_ok = false;
         }
-        if (!only && xc_fraction > 0.0 && xc_token_waits == 0) {
+        if (!only && xc_fraction > 0.0 &&
+            count(sweep, "htm.xc_token_waits") == 0) {
             std::printf("FAIL: no commit ever waited on a remote "
                         "bank token — the two-level commit protocol "
                         "was vacuous\n");
@@ -745,15 +727,19 @@ main(int argc, char **argv)
         }
     }
     if (audit) {
+        const unsigned long long chains_validated =
+            count(sweep, "reenact.forwarded_commits_checked");
+        const unsigned long long chains_skipped =
+            count(sweep, "reenact.forwarded_commits_skipped");
         std::printf("audit: %llu datm-forwarded commits re-derived "
                     "(%llu forward links), %llu skipped\n",
-                    (unsigned long long)chains_validated,
-                    (unsigned long long)forward_links,
-                    (unsigned long long)chains_skipped);
+                    chains_validated,
+                    count(sweep, "reenact.forwards_checked"),
+                    chains_skipped);
         if (chains_skipped > 0) {
             std::printf("FAIL: %llu forwarding chains escaped the "
                         "audit\n",
-                        (unsigned long long)chains_skipped);
+                        chains_skipped);
             all_ok = false;
         }
         // The chain audit can only be vacuous if a DATM cell actually
@@ -777,17 +763,18 @@ main(int argc, char **argv)
         // disk, amortized frame cost, and host-side flush stalls
         // (docs/trace-format.md). Peak open attempts is the windowed
         // validator's resident-state bound, checked per cell above.
+        const double records = sweep.at("trace.stream_records");
         std::printf("trace stream: %llu records, %llu bytes "
                     "(%.1f bytes/record), %llu flushes, %.1f "
                     "flush-stall ms, peak %llu open attempts\n",
-                    (unsigned long long)stream_records,
-                    (unsigned long long)stream_bytes,
-                    stream_records
-                        ? double(stream_bytes) / double(stream_records)
-                        : 0.0,
-                    (unsigned long long)stream_flushes, stream_flush_ms,
+                    count(sweep, "trace.stream_records"),
+                    count(sweep, "trace.stream_bytes"),
+                    records ? sweep.at("trace.stream_bytes") / records
+                            : 0.0,
+                    count(sweep, "trace.flushes"),
+                    sweep.at("trace.flush_wall_ms"),
                     (unsigned long long)stream_peak_open);
-        if (stream_records == 0) {
+        if (records == 0) {
             std::printf("FAIL: --trace-out streamed zero records — "
                         "the windowed validation was vacuous\n");
             all_ok = false;

@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 #include "exec/cluster.hpp"
 #include "trace/reenact.hpp"
 #include "trace/shard_mux.hpp"
@@ -44,29 +44,6 @@ serviceConfig(unsigned partitions, unsigned shards, unsigned banks)
     cfg.servicePartitions = partitions;
     cfg.trace.enabled = true;
     return cfg;
-}
-
-struct Fingerprint {
-    Cycle cycles;
-    std::uint64_t commits;
-    std::uint64_t aborts;
-    std::uint64_t nacks;
-    std::uint64_t backoffCycles;
-
-    bool
-    operator==(const Fingerprint &o) const
-    {
-        return cycles == o.cycles && commits == o.commits &&
-               aborts == o.aborts && nacks == o.nacks &&
-               backoffCycles == o.backoffCycles;
-    }
-};
-
-Fingerprint
-fingerprint(const api::RunResult &r)
-{
-    return {r.cycles, r.coreStats.commits, r.coreStats.aborts,
-            r.machineStats.nacks, r.machineStats.backoffCycles};
 }
 
 } // namespace
@@ -116,10 +93,11 @@ TEST(Contention, AllKnobsOffIsBitIdenticalToDefaults)
     knobs.servicePartitions = 1;
     knobs.tm.backoff.policy = htm::BackoffPolicy::None;
     knobs.contentionSched = false;
-    Fingerprint a = fingerprint(api::runOnce(plain));
-    Fingerprint b = fingerprint(api::runOnce(knobs));
-    EXPECT_TRUE(a == b);
-    EXPECT_EQ(a.backoffCycles, 0u);
+    api::RunResult a = api::runOnce(plain);
+    api::RunResult b = api::runOnce(knobs);
+    EXPECT_EQ(api::fingerprint(a), api::fingerprint(b))
+        << "first difference: " << api::firstDifference(a, b);
+    EXPECT_EQ(a.machineStats.backoffCycles, 0u);
 }
 
 TEST(Contention, BackoffSameSeedSameResult)
@@ -131,11 +109,13 @@ TEST(Contention, BackoffSameSeedSameResult)
         cfg.tm.backoff.policy = pol;
         cfg.tm.backoff.jitter = true;
         cfg.seed = 7;
-        Fingerprint a = fingerprint(api::runOnce(cfg));
-        Fingerprint b = fingerprint(api::runOnce(cfg));
-        EXPECT_TRUE(a == b)
+        api::RunResult a = api::runOnce(cfg);
+        api::RunResult b = api::runOnce(cfg);
+        EXPECT_EQ(api::fingerprint(a), api::fingerprint(b))
             << "policy " << htm::backoffPolicyName(pol)
-            << " is not deterministic for a fixed seed";
+            << " is not deterministic for a fixed seed: first "
+               "difference "
+            << api::firstDifference(a, b);
     }
 }
 
@@ -168,15 +148,14 @@ TEST(Contention, BackoffSeedChangesJitterSchedule)
     api::RunConfig cfg = serviceConfig(1, 1, 1);
     cfg.tm.backoff.policy = htm::BackoffPolicy::ExpCapped;
     bool any_difference = false;
-    Fingerprint first{};
+    std::uint64_t first = 0;
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
         cfg.seed = seed;
         api::RunResult r = api::runOnce(cfg);
         EXPECT_TRUE(r.validation.ok) << r.validation.note;
-        Fingerprint f = fingerprint(r);
         if (seed == 1)
-            first = f;
-        else if (!(f == first))
+            first = r.machineStats.backoffCycles;
+        else if (r.machineStats.backoffCycles != first)
             any_difference = true;
     }
     EXPECT_TRUE(any_difference)
@@ -198,15 +177,11 @@ TEST(Contention, SchedulerEngagedStaysAuditCleanAndDefers)
     api::RunResult r = api::runOnce(cfg);
     EXPECT_TRUE(r.validation.ok) << r.validation.note;
     EXPECT_TRUE(r.reenact.ok()) << r.reenact.summary();
-    std::uint64_t observed = 0, defers = 0, defer_cycles = 0;
-    for (const api::ShardSummary &s : r.shards) {
-        observed += s.schedObserved;
-        defers += s.schedDefers;
-        defer_cycles += s.schedDeferCycles;
-    }
-    EXPECT_GT(observed, 0u) << "no contention events reached the tables";
-    EXPECT_GT(defers, 0u) << "scheduler never deferred a restart";
-    EXPECT_GT(defer_cycles, 0u);
+    EXPECT_GT(api::metric(r, "exec.sched_observed"), 0)
+        << "no contention events reached the tables";
+    EXPECT_GT(api::metric(r, "exec.sched_defers"), 0)
+        << "scheduler never deferred a restart";
+    EXPECT_GT(api::metric(r, "exec.sched_defer_cycles"), 0);
 }
 
 TEST(Contention, SchedulerOffReportsZeroDefers)
@@ -214,11 +189,9 @@ TEST(Contention, SchedulerOffReportsZeroDefers)
     api::RunConfig cfg = serviceConfig(1, 4, 4);
     cfg.tm = api::eagerConfig();
     api::RunResult r = api::runOnce(cfg);
-    for (const api::ShardSummary &s : r.shards) {
-        EXPECT_EQ(s.schedObserved, 0u);
-        EXPECT_EQ(s.schedDefers, 0u);
-        EXPECT_EQ(s.schedDeferCycles, 0u);
-    }
+    EXPECT_EQ(api::metric(r, "exec.sched_observed"), 0);
+    EXPECT_EQ(api::metric(r, "exec.sched_defers"), 0);
+    EXPECT_EQ(api::metric(r, "exec.sched_defer_cycles"), 0);
 }
 
 TEST(Contention, RepairableBlameSkipDropsDefersOnServiceMix)
@@ -236,19 +209,13 @@ TEST(Contention, RepairableBlameSkipDropsDefersOnServiceMix)
     waive.sched.skipRepairableBlame = true;
     api::RunResult skip = api::runOnce(waive);
 
-    std::uint64_t defers = 0, skips = 0;
-    for (const api::ShardSummary &s : defer.shards) {
-        defers += s.schedDefers;
-        EXPECT_EQ(s.schedRepairableSkips, 0u) << "skips without knob";
-    }
-    std::uint64_t skipDefers = 0;
-    for (const api::ShardSummary &s : skip.shards) {
-        skipDefers += s.schedDefers;
-        skips += s.schedRepairableSkips;
-    }
-    EXPECT_GT(defers, 0u) << "vacuous: scheduler never deferred";
-    EXPECT_GT(skips, 0u) << "no repairable-class blame was waived";
-    EXPECT_LT(skipDefers, defers)
+    const double defers = api::metric(defer, "exec.sched_defers");
+    EXPECT_EQ(api::metric(defer, "exec.sched_repairable_skips"), 0)
+        << "skips without knob";
+    EXPECT_GT(defers, 0) << "vacuous: scheduler never deferred";
+    EXPECT_GT(api::metric(skip, "exec.sched_repairable_skips"), 0)
+        << "no repairable-class blame was waived";
+    EXPECT_LT(api::metric(skip, "exec.sched_defers"), defers)
         << "waiving repairable blame did not drop deferrals";
     EXPECT_TRUE(skip.validation.ok) << skip.validation.note;
     EXPECT_TRUE(skip.reenact.ok()) << skip.reenact.summary();

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 #include "exec/fleet.hpp"
 #include "net/interconnect.hpp"
 #include "trace/reenact.hpp"
@@ -21,40 +21,6 @@ using namespace retcon;
 using namespace retcon::exec;
 
 namespace {
-
-/** Fingerprint of everything a run's outcome observable to callers. */
-struct RunPrint {
-    Cycle cycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t nacks = 0;
-    double totalTxnCycles = 0;
-    bool valid = false;
-
-    bool
-    operator==(const RunPrint &o) const
-    {
-        return cycles == o.cycles && commits == o.commits &&
-               aborts == o.aborts && conflicts == o.conflicts &&
-               nacks == o.nacks && totalTxnCycles == o.totalTxnCycles &&
-               valid == o.valid;
-    }
-};
-
-RunPrint
-fingerprint(const api::RunResult &r)
-{
-    RunPrint p;
-    p.cycles = r.cycles;
-    p.commits = r.machineStats.commits;
-    p.aborts = r.machineStats.aborts;
-    p.conflicts = r.machineStats.conflicts;
-    p.nacks = r.machineStats.nacks;
-    p.totalTxnCycles = r.machineStats.totalTxnCycles;
-    p.valid = r.validation.ok;
-    return p;
-}
 
 api::RunConfig
 serviceConfig()
@@ -250,17 +216,16 @@ TEST(Fleet, OneClusterIsBitIdenticalRegardlessOfNetKnobs)
     EXPECT_EQ(base.net.messages, 0u);
     EXPECT_TRUE(base.net.links.empty());
     EXPECT_EQ(base.machineStats.xcTokenMsgs, 0u);
-    RunPrint want = fingerprint(base);
 
     api::RunConfig knobs = cfg;
     knobs.netTopology = "ring";
     knobs.netLatency = 500;
     knobs.netBandwidth = 1;
     knobs.crossClusterFraction = 0.9;
-    RunPrint got = fingerprint(api::runOnce(knobs));
-    EXPECT_TRUE(want == got)
-        << "net knobs perturbed a 1-cluster run: cycles " << got.cycles
-        << " vs " << want.cycles;
+    api::RunResult got = api::runOnce(knobs);
+    EXPECT_EQ(api::fingerprint(got), api::fingerprint(base))
+        << "net knobs perturbed a 1-cluster run: first difference "
+        << api::firstDifference(got, base);
 }
 
 TEST(Fleet, SameSeedSameResultAtTwoAndFourClusters)
@@ -272,12 +237,9 @@ TEST(Fleet, SameSeedSameResultAtTwoAndFourClusters)
         api::RunResult a = api::runOnce(cfg);
         api::RunResult b = api::runOnce(cfg);
         ASSERT_TRUE(a.validation.ok) << clusters << " clusters";
-        EXPECT_TRUE(fingerprint(a) == fingerprint(b))
+        EXPECT_EQ(api::fingerprint(a), api::fingerprint(b))
             << clusters << " clusters diverged across identical runs: "
-            << a.cycles << " vs " << b.cycles << " cycles";
-        EXPECT_EQ(a.net.messages, b.net.messages);
-        EXPECT_EQ(a.machineStats.xcTokenCycles,
-                  b.machineStats.xcTokenCycles);
+            << "first difference " << api::firstDifference(a, b);
         EXPECT_EQ(a.clusterSummaries.size(), clusters);
         EXPECT_EQ(b.clusterSummaries.size(), clusters);
         for (unsigned c = 0; c < clusters; ++c) {

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 #include "exec/cluster.hpp"
 #include "mem/directory.hpp"
 #include "trace/reenact.hpp"
@@ -88,40 +88,6 @@ runBankedCounter(htm::TMMode mode, Word repair_xor, Word fwd_xor)
     return validator.report();
 }
 
-/** Fingerprint of everything a run's outcome observable to callers. */
-struct RunPrint {
-    Cycle cycles = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t nacks = 0;
-    double totalTxnCycles = 0;
-    bool valid = false;
-
-    bool
-    operator==(const RunPrint &o) const
-    {
-        return cycles == o.cycles && commits == o.commits &&
-               aborts == o.aborts && conflicts == o.conflicts &&
-               nacks == o.nacks && totalTxnCycles == o.totalTxnCycles &&
-               valid == o.valid;
-    }
-};
-
-RunPrint
-fingerprint(const api::RunResult &r)
-{
-    RunPrint p;
-    p.cycles = r.cycles;
-    p.commits = r.machineStats.commits;
-    p.aborts = r.machineStats.aborts;
-    p.conflicts = r.machineStats.conflicts;
-    p.nacks = r.machineStats.nacks;
-    p.totalTxnCycles = r.machineStats.totalTxnCycles;
-    p.valid = r.validation.ok;
-    return p;
-}
-
 api::RunConfig
 serviceConfig()
 {
@@ -185,13 +151,13 @@ TEST(MemBanks, BitIdenticalAcrossBankCountsWhenUnmodeled)
     cfg.shards = 2;
     api::RunResult base = api::runOnce(cfg);
     ASSERT_TRUE(base.validation.ok);
-    RunPrint want = fingerprint(base);
     for (unsigned banks : {2u, 4u, 64u}) {
         api::RunConfig c = cfg;
         c.memBanks = banks;
-        RunPrint got = fingerprint(api::runOnce(c));
-        EXPECT_TRUE(want == got) << banks << " banks diverged: cycles "
-                                 << got.cycles << " vs " << want.cycles;
+        api::RunResult got = api::runOnce(c);
+        EXPECT_EQ(api::fingerprint(got), api::fingerprint(base))
+            << banks << " banks diverged: first difference "
+            << api::firstDifference(got, base);
     }
 }
 
@@ -201,12 +167,13 @@ TEST(MemBanks, BitIdenticalAcrossBankCountsEagerMode)
     cfg.tm = api::eagerConfig();
     api::RunResult base = api::runOnce(cfg);
     ASSERT_TRUE(base.validation.ok);
-    RunPrint want = fingerprint(base);
     for (unsigned banks : {2u, 4u}) {
         api::RunConfig c = cfg;
         c.memBanks = banks;
-        RunPrint got = fingerprint(api::runOnce(c));
-        EXPECT_TRUE(want == got) << banks << " banks diverged";
+        api::RunResult got = api::runOnce(c);
+        EXPECT_EQ(api::fingerprint(got), api::fingerprint(base))
+            << banks << " banks diverged: first difference "
+            << api::firstDifference(got, base);
     }
 }
 
@@ -230,13 +197,8 @@ TEST(MemBanks, AuditCleanWithContentionModeled)
         // The contention model must actually engage: directory
         // requests are accounted per bank, and commits acquired
         // tokens.
-        std::uint64_t requests = 0, acquires = 0;
-        for (const api::BankSummary &b : r.banks) {
-            requests += b.requests;
-            acquires += b.tokenAcquires;
-        }
-        EXPECT_GT(requests, 0u);
-        EXPECT_GT(acquires, 0u);
+        EXPECT_GT(api::metric(r, "mem.bank_requests"), 0);
+        EXPECT_GT(api::metric(r, "mem.bank_token_acquires"), 0);
         EXPECT_EQ(r.banks.size(), n);
     }
 }
@@ -322,13 +284,7 @@ TEST(MemBanks, TokenStatsOnlyWithArbitration)
     api::RunConfig cfg = serviceConfig();
     cfg.memBanks = 4;
     api::RunResult r = api::runOnce(cfg);
-    std::uint64_t acquires = 0, waits = 0;
-    for (const api::BankSummary &b : r.banks) {
-        acquires += b.tokenAcquires;
-        waits += b.tokenWaits;
-    }
-    EXPECT_EQ(acquires, 0u);
-    EXPECT_EQ(waits, 0u);
-    for (const api::ShardSummary &s : r.shards)
-        EXPECT_EQ(s.tokenWaits, 0u);
+    EXPECT_EQ(api::metric(r, "mem.bank_token_acquires"), 0);
+    EXPECT_EQ(api::metric(r, "mem.bank_token_waits"), 0);
+    EXPECT_EQ(api::metric(r, "htm.token_waits"), 0);
 }

@@ -19,56 +19,13 @@
 #include <string>
 
 #include "api/datm_envelope.hpp"
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 #include "net/topology.hpp"
 #include "scenario/scenario.hpp"
 
 using namespace retcon;
 
 namespace {
-
-/** FNV-1a over every simulated observable, scenario fields included. */
-std::uint64_t
-fingerprint(const api::RunResult &r)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(r.cycles);
-    mix(r.coreStats.txns);
-    mix(r.coreStats.commits);
-    mix(r.coreStats.aborts);
-    mix(r.coreStats.finishCycle);
-    mix(r.validation.ok);
-    mix(r.traceEvents);
-    mix(r.reenact.commitsChecked);
-    mix(r.reenact.repairsChecked);
-    mix(r.reenact.forwardsChecked);
-    mix(r.reenact.forwardedCommitsChecked);
-    mix(r.reenact.forwardedCommitsSkipped);
-    mix(r.reenact.mismatches);
-    const api::ScenarioSummary &s = r.scenario;
-    mix(s.openLoop);
-    mix(s.phases);
-    mix(s.injected);
-    mix(s.completed);
-    mix(s.dropped);
-    mix(s.peakBacklog);
-    mix(s.latencySum);
-    mix(s.latencyMax);
-    mix(s.phaseMarks);
-    mix(s.stallHits);
-    mix(s.stallCycles);
-    mix(s.bankFaultStalls);
-    mix(s.bankFaultCycles);
-    mix(s.linkFaultMessages);
-    mix(s.linkFaultCycles);
-    return h;
-}
 
 /** Quick-sized audited service run of @p scenarioName. */
 api::RunConfig
@@ -148,8 +105,10 @@ TEST(ScenarioGrid, BitIdenticalAcrossShards)
         api::RunConfig cfg = base;
         cfg.shards = 4;
         std::string tag = std::string(s.name) + " shards 4";
-        EXPECT_EQ(fingerprint(runClean(cfg, tag)), fingerprint(ref))
-            << tag << " diverged from shards 1";
+        api::RunResult got = runClean(cfg, tag);
+        EXPECT_EQ(api::fingerprint(got), api::fingerprint(ref))
+            << tag << " diverged from shards 1: first difference "
+            << api::firstDifference(got, ref);
     }
 }
 

@@ -14,7 +14,7 @@
 
 #include <unordered_map>
 
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 #include "exec/cluster.hpp"
 #include "trace/reenact.hpp"
 #include "trace/shard_mux.hpp"
@@ -128,9 +128,9 @@ TEST(ShardedExec, ServiceWorkloadStateIdenticalAcrossShardCounts)
         cfg.shards = n;
         api::RunResult r = api::runOnce(cfg);
         EXPECT_TRUE(r.validation.ok) << r.validation.note;
-        EXPECT_EQ(r.cycles, one.cycles) << n << " shards";
-        EXPECT_EQ(r.coreStats.commits, one.coreStats.commits);
-        EXPECT_EQ(r.coreStats.aborts, one.coreStats.aborts);
+        EXPECT_EQ(api::fingerprint(r), api::fingerprint(one))
+            << n << " shards: first difference "
+            << api::firstDifference(r, one);
     }
 }
 

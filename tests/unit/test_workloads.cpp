@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/runner.hpp"
+#include "api/metrics.hpp"
 
 using namespace retcon;
 
@@ -56,9 +56,10 @@ TEST(WorkloadDeterminism, SameSeedSameCycles)
     cfg.nthreads = 4;
     cfg.scale = 0.05;
     cfg.tm = api::retconConfig();
-    Cycle a = api::runOnce(cfg).cycles;
-    Cycle b = api::runOnce(cfg).cycles;
-    EXPECT_EQ(a, b);
+    api::RunResult a = api::runOnce(cfg);
+    api::RunResult b = api::runOnce(cfg);
+    EXPECT_EQ(api::fingerprint(a), api::fingerprint(b))
+        << "first difference: " << api::firstDifference(a, b);
 }
 
 TEST(WorkloadShape, RetconLiftsPythonOpt)

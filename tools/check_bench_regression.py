@@ -10,21 +10,28 @@ Reads the two bench JSON documents the CI bench job produces:
 and compares them against the copies committed under bench/baselines/.
 Two very different tolerance regimes apply:
 
-  * Simulated metrics (cycles, commits/kcycle, throughput gain) are
-    produced by a deterministic simulator: identical code must produce
-    identical numbers on any host. A small band (--sim-tolerance,
-    default 2%) only absorbs legitimate rounding in derived ratios; a
-    real change beyond it — in EITHER direction — means the PR changed
-    simulated behaviour and must either fix the regression or
-    consciously update the baseline (docs/repro-guide.md describes
-    how). Unacknowledged improvements fail too: a stale baseline
-    would let a later regression back down to it pass unnoticed.
+  * Simulated metrics (every "sim" value of a service point, and the
+    throughput gain) are produced by a deterministic simulator:
+    identical code must produce identical numbers on any host. A small
+    band (--sim-tolerance, default 2%) only absorbs legitimate rounding
+    in derived ratios; a real change beyond it — in EITHER direction —
+    means the PR changed simulated behaviour and must either fix the
+    regression or consciously update the baseline
+    (docs/repro-guide.md describes how). Unacknowledged improvements
+    fail too: a stale baseline would let a later regression back down
+    to it pass unnoticed. A baseline value of 0 requires 0, and the
+    arrival ledger (scenario.injected/completed/dropped) requires
+    equality.
 
-  * Host-time metrics (micro_structures items_per_second, and the
-    service bench's per-point host_wall_ms) vary with the runner, so
-    only large regressions fail (--host-tolerance, default 60% slower
-    — the linear scans this guards against regress lookups by 10-50x,
-    not 10%). Improvements never fail.
+  * Host-time metrics (micro_structures items_per_second, and every
+    "host" value a service point's baseline carries) vary with the
+    runner, so only large regressions fail (--host-tolerance, default
+    60% slower — the linear scans this guards against regress lookups
+    by 10-50x, not 10%). Improvements never fail.
+
+The service bench's points carry the api metrics table's names and
+classes (src/api/metrics.hpp), so this script walks every point array
+the same way instead of naming fields.
 
 Exit status: 0 when everything is within tolerance, 1 on any
 regression or missing/malformed file. --report writes the comparison
@@ -71,22 +78,54 @@ def load(path, rep):
     return None
 
 
-def check_host_ms(label, bp, fp, tol, rep):
-    """Gate one host_wall_ms pair: one-sided, lower is better."""
-    b, f = bp.get("host_wall_ms"), fp.get("host_wall_ms")
-    if not b or f is None:
-        return
-    delta = (f - b) / b
-    verdict = "ok" if f <= b * (1 + tol) else "REGRESSED"
-    rep.line(f"  {label}: {b:.1f} -> {f:.1f} ms host wall "
-             f"({delta:+.1%}) {verdict}")
-    if verdict != "ok":
-        rep.fail(f"host wall time at {label} regressed {delta:+.1%} "
-                 f"(tolerance +{tol:.0%})")
+# Arrival-ledger counters are exact: any drift at all means
+# traffic-shape behaviour changed, so the band does not apply.
+LEDGER = {"scenario.injected", "scenario.completed", "scenario.dropped"}
+
+
+def bench_points(doc):
+    """Every point of a bench document, by label. Each list-valued key
+    holds points; a point is its axis keys plus the "sim" and "host"
+    objects of the api metrics table (src/api/metrics.hpp)."""
+    points = {}
+    for key, arr in doc.items():
+        for p in arr if isinstance(arr, list) else []:
+            axes = ",".join(f"{k}={v}" for k, v in p.items()
+                            if k not in ("sim", "host"))
+            points[f"{key}[{axes}]"] = p
+    return points
+
+
+def check_value(label, name, cls, b, f, tol, host_tol, rep):
+    """Gate one metric by its class; return the relative change.
+
+    sim: two-sided band, because the simulator is deterministic and a
+    change in EITHER direction means simulated behaviour changed (an
+    unacknowledged improvement would let a later regression back to
+    the stale baseline pass). A baseline of 0 requires 0, and the
+    arrival ledger requires equality. host: one-sided, lower is
+    better; a baseline of 0 has nothing to compare against."""
+    delta = (f - b) / b if b else (0.0 if f == b else float("inf"))
+    what = f"{label} {name}"
+    if cls == "host":
+        if b and f > b * (1 + host_tol):
+            rep.fail(f"{what} host time regressed {b:.1f} -> {f:.1f} "
+                     f"({delta:+.1%}, tolerance +{host_tol:.0%})")
+    elif name in LEDGER and f != b:
+        rep.fail(f"{what} changed {b} -> {f} "
+                 f"(deterministic arrival ledger)")
+    elif b == 0 and f != 0:
+        rep.fail(f"{what} changed {b} -> {f} (a baseline of 0 "
+                 f"requires 0; update the baseline)")
+    elif abs(delta) > tol:
+        rep.fail(f"{what} changed {b} -> {f} ({delta:+.1%}, tolerance "
+                 f"+/-{tol:.0%}; update the baseline if deliberate)")
+    return delta
 
 
 def check_service(base, fresh, tol, host_tol, rep):
-    rep.line(f"== service_scalability (simulated, tolerance {tol:.0%})")
+    rep.line(f"== service_scalability (sim +/-{tol:.0%}, host "
+             f"+{host_tol:.0%})")
     if base.get("scale") != fresh.get("scale") or \
             base.get("nthreads") != fresh.get("nthreads"):
         rep.line(
@@ -94,106 +133,41 @@ def check_service(base, fresh, tol, host_tol, rep):
             f"(baseline scale={base.get('scale')} nthreads="
             f"{base.get('nthreads')}, fresh scale={fresh.get('scale')} "
             f"nthreads={fresh.get('nthreads')}); update the baseline")
-    base_pts = {(p.get("shards"), p.get("banks", 1)): p
-                for p in base.get("points", [])}
-    fresh_pts = {(p.get("shards"), p.get("banks", 1)): p
-                 for p in fresh.get("points", [])}
-    for key, bp in sorted(base_pts.items()):
-        fp = fresh_pts.get(key)
-        label = f"{key[0]} shards x {key[1]} banks"
+    base_pts, fresh_pts = bench_points(base), bench_points(fresh)
+    ungated = set()
+    for label, bp in base_pts.items():
+        fp = fresh_pts.get(label)
         if fp is None:
             rep.fail(f"service point {label} missing from fresh run")
             continue
-        b, f = bp["commits_per_kcycle"], fp["commits_per_kcycle"]
-        delta = (f - b) / b if b else 0.0
-        # Two-sided: the simulator is deterministic, so a change in
-        # EITHER direction means simulated behaviour changed and the
-        # baseline must be consciously regenerated (an unacknowledged
-        # improvement would let a later regression back to the stale
-        # baseline pass unnoticed).
-        verdict = "ok" if abs(delta) <= tol else (
-            "REGRESSED" if delta < 0 else "CHANGED (update baseline)")
-        rep.line(f"  {label}: {b:.4f} -> {f:.4f} commits/kcycle "
-                 f"({delta:+.1%}) {verdict}")
-        if verdict != "ok":
-            rep.fail(f"service throughput at {label} changed "
-                     f"{delta:+.1%} (tolerance +/-{tol:.0%})")
-    for key in sorted(set(fresh_pts) - set(base_pts)):
-        rep.line(f"  note: new point {key[0]}x{key[1]} has no baseline")
-    # The fleet axis (2-cluster scale-out, docs/fleet.md) is keyed by
-    # cross-cluster fraction; the same deterministic two-sided band
-    # applies.
-    base_fleet = {p.get("xc_fraction"): p
-                  for p in base.get("fleet_points", [])}
-    fresh_fleet = {p.get("xc_fraction"): p
-                   for p in fresh.get("fleet_points", [])}
-    for xc, bp in sorted(base_fleet.items()):
-        fp = fresh_fleet.get(xc)
-        label = f"fleet xc={xc:.2f}"
-        if fp is None:
-            rep.fail(f"service point {label} missing from fresh run")
-            continue
-        b, f = bp["commits_per_kcycle"], fp["commits_per_kcycle"]
-        delta = (f - b) / b if b else 0.0
-        verdict = "ok" if abs(delta) <= tol else (
-            "REGRESSED" if delta < 0 else "CHANGED (update baseline)")
-        rep.line(f"  {label}: {b:.4f} -> {f:.4f} commits/kcycle "
-                 f"({delta:+.1%}) {verdict}")
-        if verdict != "ok":
-            rep.fail(f"service throughput at {label} changed "
-                     f"{delta:+.1%} (tolerance +/-{tol:.0%})")
-    for xc in sorted(set(fresh_fleet) - set(base_fleet)):
-        rep.line(f"  note: new fleet point xc={xc:.2f} has no baseline")
-    # Scenario axis (docs/scenarios.md): one point per registered
-    # scenario at the top scale-up config. Throughput sits in the
-    # deterministic two-sided band; the arrival ledger fields are
-    # exact simulated counters, so any drift at all means traffic-shape
-    # behaviour changed and the baseline must be regenerated.
-    base_scen = {p.get("scenario"): p
-                 for p in base.get("scenario_points", [])}
-    fresh_scen = {p.get("scenario"): p
-                  for p in fresh.get("scenario_points", [])}
-    for name, bp in sorted(base_scen.items()):
-        fp = fresh_scen.get(name)
-        label = f"scenario {name}"
-        if fp is None:
-            rep.fail(f"service point {label} missing from fresh run")
-            continue
-        b, f = bp["commits_per_kcycle"], fp["commits_per_kcycle"]
-        delta = (f - b) / b if b else 0.0
-        verdict = "ok" if abs(delta) <= tol else (
-            "REGRESSED" if delta < 0 else "CHANGED (update baseline)")
-        rep.line(f"  {label}: {b:.4f} -> {f:.4f} commits/kcycle "
-                 f"({delta:+.1%}) {verdict}")
-        if verdict != "ok":
-            rep.fail(f"service throughput at {label} changed "
-                     f"{delta:+.1%} (tolerance +/-{tol:.0%})")
-        for field in ("injected", "completed", "dropped"):
-            bv, fv = bp.get(field), fp.get(field)
-            if bv is not None and fv is not None and bv != fv:
-                rep.fail(f"{label} {field} changed {bv} -> {fv} "
-                         f"(deterministic arrival ledger)")
-    for name in sorted(set(fresh_scen) - set(base_scen)):
-        rep.line(f"  note: new scenario point {name} has no baseline")
+        worst, hosts = (0.0, None), ""
+        for cls in ("sim", "host"):
+            bv, fv = bp.get(cls, {}), fp.get(cls, {})
+            ungated |= {f"{cls}.{n}" for n in fv.keys() - bv.keys()}
+            for name, b in bv.items():
+                f = fv.get(name)
+                if f is None:
+                    rep.fail(f"{label} {name} missing from fresh run")
+                    continue
+                d = check_value(label, name, cls, b, f, tol, host_tol,
+                                rep)
+                if cls == "host":
+                    hosts += f"; {name} {b:.1f} -> {f:.1f} ({d:+.1%})"
+                elif abs(d) > abs(worst[0]):
+                    worst = (d, name)
+        sim = (f"sim {worst[0]:+.1%} at {worst[1]}" if worst[1] else
+               f"sim +0.0% on all {len(bp.get('sim', {}))} values")
+        rep.line(f"  {label}: {sim}{hosts}")
+    for label in sorted(set(fresh_pts) - set(base_pts)):
+        rep.line(f"  note: new point {label} has no baseline")
+    if ungated:
+        rep.line(f"  note: no baseline (not gated): "
+                 f"{', '.join(sorted(ungated))}")
     bg, fg = base.get("throughput_gain"), fresh.get("throughput_gain")
-    if bg is not None and fg is not None and bg > 0:
-        delta = (fg - bg) / bg
-        verdict = "ok" if abs(delta) <= tol else (
-            "REGRESSED" if delta < 0 else "CHANGED (update baseline)")
-        rep.line(f"  scale-out gain: {bg:.4f}x -> {fg:.4f}x "
-                 f"({delta:+.1%}) {verdict}")
-        if verdict != "ok":
-            rep.fail(f"scale-out gain changed {delta:+.1%} "
-                     f"(tolerance +/-{tol:.0%})")
-
-    # Host wall time (one-sided, wide band), per scale-up point.
-    rep.line(f"== service_scalability (host time, tolerance "
-             f"{host_tol:.0%})")
-    for key, bp in sorted(base_pts.items()):
-        fp = fresh_pts.get(key)
-        if fp is not None:
-            check_host_ms(f"{key[0]} shards x {key[1]} banks", bp, fp,
-                          host_tol, rep)
+    if bg is not None and fg is not None:
+        d = check_value("scale-out", "throughput_gain", "sim", bg, fg,
+                        tol, host_tol, rep)
+        rep.line(f"  scale-out gain: {bg:.4f}x -> {fg:.4f}x ({d:+.1%})")
 
 
 def check_micro(base, fresh, tol, rep):
@@ -248,17 +222,12 @@ def check_trace(base, fresh, tol, host_tol, rep):
          lambda d: (d.get("service") or {}).get("bytes_written")),
     ]:
         b, f = getter(base), getter(fresh)
-        if not b or f is None:
+        if b is None or f is None:
             rep.line(f"  note: {label} missing from baseline or fresh")
             continue
-        delta = (f - b) / b
-        verdict = "ok" if abs(delta) <= tol else (
-            "REGRESSED" if delta < 0 else "CHANGED (update baseline)")
-        rep.line(f"  {label}: {b:.1f} -> {f:.1f} ({delta:+.1%}) "
-                 f"{verdict}")
-        if verdict != "ok":
-            rep.fail(f"trace_stream {label} changed {delta:+.1%} "
-                     f"(tolerance +/-{tol:.0%})")
+        d = check_value("trace_stream", label, "sim", b, f, tol,
+                        host_tol, rep)
+        rep.line(f"  {label}: {b:.1f} -> {f:.1f} ({d:+.1%})")
     rep.line(f"== trace_stream (host time, tolerance {host_tol:.0%})")
     for label in ("write_recs_per_sec", "read_recs_per_sec"):
         b, f = base.get(label), fresh.get(label)
