@@ -43,7 +43,11 @@ struct CoreTxState {
     CoreTxState(const TMConfig &cfg, const mem::CacheGeometry &perm_geom)
         : ivb(cfg.unlimitedState ? SIZE_MAX : cfg.ivbEntries),
           constraints(cfg.unlimitedState ? SIZE_MAX : cfg.constraintEntries),
-          ssb(cfg.unlimitedState ? SIZE_MAX : cfg.ssbEntries),
+          // TCC's write buffer (Lazy) is unbounded; only RETCON's
+          // symbolic store buffer has the Table 1 capacity.
+          ssb(cfg.unlimitedState || cfg.mode == TMMode::Lazy
+                  ? SIZE_MAX
+                  : cfg.ssbEntries),
           permCache(perm_geom)
     {}
 
