@@ -2,8 +2,10 @@
  * @file
  * Shared scaffolding for the paper-reproduction bench binaries.
  *
- * Every bench accepts two environment overrides:
- *   RETCON_SCALE    input-size multiplier (default 0.5)
+ * Every bench accepts two environment overrides, parsed as the
+ * api::applyKnob knobs `scale` and `nthreads` (a malformed value exits
+ * 2 with `bad RETCON_SCALE value` / `bad RETCON_THREADS value`):
+ *   RETCON_SCALE    input-size multiplier (default 0.4)
  *   RETCON_THREADS  simulated core count  (default 32, as in Table 1)
  */
 
@@ -15,21 +17,19 @@
 #include <string>
 
 #include "api/runner.hpp"
+#include "api/whatif.hpp"
 
 namespace retcon::bench {
 
-inline double
-envScale()
+/** Apply environment variable @p var, if set, as run knob @p knob. */
+inline void
+applyEnv(api::RunConfig &cfg, const char *var, const char *knob)
 {
-    const char *s = std::getenv("RETCON_SCALE");
-    return s ? std::atof(s) : 0.4;
-}
-
-inline unsigned
-envThreads()
-{
-    const char *s = std::getenv("RETCON_THREADS");
-    return s ? static_cast<unsigned>(std::atoi(s)) : 32;
+    const char *s = std::getenv(var);
+    if (s && !api::applyKnob(cfg, knob, s)) {
+        std::fprintf(stderr, "bad %s value '%s'\n", var, s);
+        std::exit(2);
+    }
 }
 
 inline api::RunConfig
@@ -37,20 +37,23 @@ baseConfig(const std::string &workload)
 {
     api::RunConfig cfg;
     cfg.workload = workload;
-    cfg.nthreads = envThreads();
-    cfg.scale = envScale();
+    cfg.nthreads = 32;
+    cfg.scale = 0.4;
+    applyEnv(cfg, "RETCON_SCALE", "scale");
+    applyEnv(cfg, "RETCON_THREADS", "nthreads");
     return cfg;
 }
 
 inline void
 printHeader(const char *experiment, const char *paper_ref)
 {
+    api::RunConfig cfg = baseConfig("");
     std::printf("==================================================\n");
     std::printf("%s\n", experiment);
     std::printf("reproduces: %s\n", paper_ref);
     std::printf("machine: %u cores, scale %.2f "
                 "(RETCON_THREADS / RETCON_SCALE to override)\n",
-                envThreads(), envScale());
+                cfg.nthreads, cfg.scale);
     std::printf("==================================================\n");
 }
 

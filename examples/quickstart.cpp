@@ -6,9 +6,10 @@
  * Cluster construction, coroutine thread programs, transactional
  * load/add/store with symbolic tracking, and statistics.
  *
- * Expected output: both runs produce the correct final counter value;
- * RETCON commits with far fewer aborts and fewer total cycles because
- * remote increments are repaired at commit instead of causing aborts.
+ * Expected output: both runs produce the correct final counter value
+ * (the program exits 1 otherwise); RETCON commits with far fewer
+ * aborts and fewer total cycles because remote increments are
+ * repaired at commit instead of causing aborts.
  */
 
 #include <cstdio>
@@ -44,8 +45,9 @@ threadMain(WorkerCtx &ctx)
     co_await ctx.barrier();
 }
 
+/** Run one mode; clears @p ok unless the counter ends at 800. */
 Cycle
-runMode(htm::TMMode mode, const char *label)
+runMode(htm::TMMode mode, const char *label, bool &ok)
 {
     ClusterConfig cfg;
     cfg.numThreads = 8;
@@ -57,9 +59,10 @@ runMode(htm::TMMode mode, const char *label)
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     Cycle cycles = cluster.run();
     auto stats = cluster.aggregateStats();
+    Word counter = cluster.memory().readWord(kCounter);
+    ok = ok && counter == cfg.numThreads * kIncrementsPerThread;
     std::printf("%-8s counter=%llu cycles=%llu commits=%llu aborts=%llu\n",
-                label,
-                (unsigned long long)cluster.memory().readWord(kCounter),
+                label, (unsigned long long)counter,
                 (unsigned long long)cycles,
                 (unsigned long long)stats.commits,
                 (unsigned long long)stats.aborts);
@@ -74,9 +77,10 @@ main()
     std::printf("8 threads x %d transactional increments of one shared "
                 "counter\n",
                 kIncrementsPerThread);
-    Cycle eager = runMode(htm::TMMode::Eager, "eager");
-    Cycle rc = runMode(htm::TMMode::Retcon, "retcon");
+    bool ok = true;
+    Cycle eager = runMode(htm::TMMode::Eager, "eager", ok);
+    Cycle rc = runMode(htm::TMMode::Retcon, "retcon", ok);
     std::printf("RETCON speedup over eager: %.2fx\n",
                 double(eager) / double(rc));
-    return 0;
+    return ok ? 0 : 1;
 }

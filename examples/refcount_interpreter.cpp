@@ -5,7 +5,8 @@
  * counts of shared objects. Run the python_opt workload model at a
  * small scale under eager / lazy-vb / RETCON and report speedups over
  * sequential — the headline "no scaling becomes near-linear scaling"
- * result, scaled down to run in seconds.
+ * result, scaled down to run in seconds. Exits 1 if any run fails
+ * its workload validation.
  */
 
 #include <cstdio>
@@ -26,6 +27,7 @@ main()
     Cycle seq = api::sequentialCycles(cfg);
     std::printf("sequential: %llu cycles\n",
                 (unsigned long long)seq);
+    bool ok = true;
     for (auto &[label, tm] : api::paperConfigs()) {
         cfg.tm = tm;
         api::RunResult r = api::runOnce(cfg);
@@ -35,6 +37,7 @@ main()
                     double(seq) / double(r.cycles),
                     (unsigned long long)r.machineStats.aborts,
                     r.validation.ok ? "yes" : "NO");
+        ok = ok && r.validation.ok;
     }
-    return 0;
+    return ok ? 0 : 1;
 }

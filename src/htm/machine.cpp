@@ -1,6 +1,7 @@
 #include "htm/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hpp"
@@ -134,13 +135,6 @@ TMMachine::~TMMachine()
 }
 
 void
-TMMachine::emitTrace(CoreId core, const char *kind, Addr addr, Word value)
-{
-    if (_trace)
-        _trace(TraceEvent{_eq.now(), core, kind, addr, value});
-}
-
-void
 TMMachine::audit(CoreId core, trace::EventKind kind, Addr addr, Word a,
                  Word b, const std::optional<rtc::SymTag> &sym,
                  rtc::CmpOp cmp, std::uint8_t aux, std::uint64_t vid)
@@ -182,6 +176,22 @@ TMMachine::effectiveTs(CoreId core, bool txnal) const
     return st.timestamp;
 }
 
+template <typename Fn>
+void
+TMMachine::forEachToucher(CoreId self, Addr block, bool with_readers,
+                          Fn &&fn) const
+{
+    for (CoreId c = 0; c < _ms.numCores(); ++c) {
+        const CoreTxState &st = *_cores[c];
+        if (c == self || !st.active())
+            continue;
+        bool wrote = st.writeSet.count(block);
+        bool read = with_readers && st.readSet.count(block);
+        if (wrote || read)
+            fn(c, wrote, read);
+    }
+}
+
 TMMachine::ConflictInfo
 TMMachine::findConflicts(CoreId requester, Addr block, bool is_write) const
 {
@@ -193,23 +203,16 @@ TMMachine::findConflicts(CoreId requester, Addr block, bool is_write) const
         _cores[requester]->status == TxStatus::Committing;
     std::uint64_t req_ts =
         requester == kNoCore ? 0 : effectiveTs(requester, requester_txnal);
-    for (CoreId c = 0; c < _ms.numCores(); ++c) {
-        if (c == requester)
-            continue;
-        const CoreTxState &st = *_cores[c];
-        if (!st.active())
-            continue;
-        bool hit = st.writeSet.count(block) ||
-                   (is_write && st.readSet.count(block));
-        if (!hit)
-            continue;
-        info.holders.push_back(c);
+    forEachToucher(requester, block, is_write,
+                   [&](CoreId c, bool, bool) {
+        info.holders |= std::uint64_t(1) << c;
         // Commit priority: a transaction that reached its commit
         // point is logically serialized; requesters wait for it
         // rather than aborting it (deadlock-free: committers never
         // wait on active transactions, and committer-vs-committer
         // falls back to timestamps).
-        bool holder_committing = st.status == TxStatus::Committing;
+        bool holder_committing =
+            _cores[c]->status == TxStatus::Committing;
         bool holder_wins;
         if (holder_committing && !requester_committing)
             holder_wins = true;
@@ -219,7 +222,7 @@ TMMachine::findConflicts(CoreId requester, Addr block, bool is_write) const
             holder_wins = effectiveTs(c, true) < req_ts;
         if (holder_wins)
             info.anyOlder = true;
-    }
+    });
     return info;
 }
 
@@ -228,7 +231,7 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
                            Addr block, bool is_write, bool is_retry)
 {
     ConflictInfo info = findConflicts(requester, block, is_write);
-    if (info.holders.empty()) {
+    if (!info.holders) {
         if (requester_txnal)
             _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
         return OpStatus::Ok;
@@ -251,27 +254,24 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
 
     switch (policy) {
       case CMPolicy::OldestWins:
-        if (!info.anyOlder) {
-            for (CoreId h : info.holders)
-                doAbort(h, AbortCause::Conflict, true, block);
+        if (info.anyOlder) {
+            ++_stats.nacks;
             if (requester_txnal)
-                _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
-            return OpStatus::Ok;
+                _cores[requester]->lastNackBlock = block;
+            return OpStatus::Nack;
         }
-        ++_stats.nacks;
+        [[fallthrough]];
+      case CMPolicy::RequesterWins:
+        for (std::uint64_t m = info.holders; m; m &= m - 1)
+            doAbort(static_cast<CoreId>(std::countr_zero(m)),
+                    AbortCause::Conflict, true, block);
         if (requester_txnal)
-            _cores[requester]->lastNackBlock = block;
-        emitTrace(requester, "nack", block, 0);
-        return OpStatus::Nack;
+            _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
+        return OpStatus::Ok;
 
       case CMPolicy::RequesterLoses:
         doAbort(requester, AbortCause::Conflict, false, block);
         return OpStatus::AbortSelf;
-
-      case CMPolicy::RequesterWins:
-        for (CoreId h : info.holders)
-            doAbort(h, AbortCause::Conflict, true, block);
-        return OpStatus::Ok;
     }
     return OpStatus::Ok;
 }
@@ -280,42 +280,53 @@ void
 TMMachine::doAbort(CoreId core, AbortCause cause, bool notify_exec,
                    Addr blame)
 {
+    sim_assert(_cores[core]->active(),
+               "aborting an idle transaction on core %u", core);
     if (_cfg.mode == TMMode::DATM) {
         datmAbortCascade(core, cause, notify_exec, blame);
         return;
     }
+    _cores[core]->undo.rollback(_ms.memory());
+    retireAborted(core, cause, blame, notify_exec, /*cascade=*/false);
+}
+
+void
+TMMachine::retireAborted(CoreId core, AbortCause cause, Addr blame,
+                         bool notify, bool cascade)
+{
     CoreTxState &st = *_cores[core];
-    sim_assert(st.active(), "aborting an idle transaction on core %u",
-               core);
     _abortBlame[core] = blame;
     ++_abortStreak[core];
     _nackStreak[core] = 0;
+    if (cascade)
+        ++_cascadeStreak[core];
     if (blame != 0) {
         ++_conflictHeat[core];
         if (_contention)
             _contention(core, blame);
     }
-    st.undo.rollback(_ms.memory());
-    if (_serialLockHolder == core)
-        _serialLockHolder = kNoCore;
-    if (_overflowTokenHolder == core)
-        _overflowTokenHolder = kNoCore;
-    if (_lazyCommitToken == core)
-        _lazyCommitToken = kNoCore;
-    releaseCommitTokens(core);
+    releaseTokens(core);
     _activeUids.erase(st.uid);
     st.resetSpeculation();
     ++_stats.aborts;
     ++_stats.abortsByCause[static_cast<int>(cause)];
-    emitTrace(core, "abort", 0, static_cast<Word>(cause));
     // The abort record carries the blamed block (0 when the abort has
     // no conflicting block, e.g. constraint violations): the same key
     // the contention scheduler heats, now queryable offline as a
     // blame chain (src/query/, docs/trace-query.md).
     audit(core, trace::EventKind::Abort, blame, 0, 0, std::nullopt,
           rtc::CmpOp::EQ, static_cast<std::uint8_t>(cause));
-    if (notify_exec && _onRemoteAbort)
+    if (notify && _onRemoteAbort)
         _onRemoteAbort(core, cause);
+}
+
+void
+TMMachine::violationAbort(CoreId core, Addr block, bool value_mismatch)
+{
+    _predictor.observeViolation(block);
+    if (value_mismatch)
+        ++_stats.abortsLazyValueMismatch;
+    doAbort(core, AbortCause::ConstraintViolation, false);
 }
 
 void
@@ -374,20 +385,22 @@ TMMachine::findForwardProducer(CoreId reader, Addr word,
     // writer — see the ROADMAP item on byte-granular attribution.
     // Block-level dependence edges (set by the caller) still order
     // every writer, so this limits audit coverage, not correctness.
-    Addr block = blockAddr(word);
     CoreId producer = kNoCore;
     std::uint64_t newest = 0;
-    for (CoreId c = 0; c < _ms.numCores(); ++c) {
-        const CoreTxState &st = *_cores[c];
-        if (!st.active() || !st.writeSet.count(block))
-            continue;
-        auto it = st.datmStoreSeq.find(word);
-        if (it != st.datmStoreSeq.end() && it->second >= newest) {
-            newest = it->second;
+    auto seqOf = [&](CoreId c) -> std::uint64_t {
+        auto it = _cores[c]->datmStoreSeq.find(word);
+        return it == _cores[c]->datmStoreSeq.end() ? 0 : it->second;
+    };
+    forEachToucher(reader, blockAddr(word), false,
+                   [&](CoreId c, bool, bool) {
+        if (seqOf(c) > newest) {
+            newest = seqOf(c);
             producer = c;
         }
-    }
-    if (producer == reader)
+    });
+    // Write sequence numbers are unique and nonzero, so the reader's
+    // own store owns the value exactly when it is the newest.
+    if (seqOf(reader) > newest)
         return kNoCore;
     store_seq = newest;
     return producer;
@@ -397,23 +410,17 @@ void
 TMMachine::datmAbortCascade(CoreId core, AbortCause cause,
                             bool notify_exec, Addr blame)
 {
-    CoreTxState &root = *_cores[core];
-    sim_assert(root.active(), "DATM cascade from idle core %u", core);
-
     // Collect the initiating transaction plus every transitive
     // *dataflow* successor: transactions that consumed or overwrote a
     // member's speculative data must abort with it. Pure anti/output
     // ordering edges do not cascade.
     std::vector<CoreId> members{core};
-    bool grew = true;
-    while (grew) {
+    for (bool grew = true; grew;) {
         grew = false;
         for (CoreId c = 0; c < _ms.numCores(); ++c) {
-            CoreTxState &st = *_cores[c];
-            if (!st.active())
-                continue;
-            if (std::find(members.begin(), members.end(), c) !=
-                members.end())
+            const CoreTxState &st = *_cores[c];
+            if (!st.active() || std::find(members.begin(), members.end(),
+                                          c) != members.end())
                 continue;
             for (CoreId m : members) {
                 auto it = st.datmPreds.find(_cores[m]->uid);
@@ -429,9 +436,10 @@ TMMachine::datmAbortCascade(CoreId core, AbortCause cause,
     // Merge all undo entries and restore newest-first so interleaved
     // forwarded writes unwind in correct reverse order.
     std::vector<UndoEntry> entries;
-    for (CoreId m : members)
-        for (const UndoEntry &e : _cores[m]->undo.entries())
-            entries.push_back(e);
+    for (CoreId m : members) {
+        const auto &log = _cores[m]->undo.entries();
+        entries.insert(entries.end(), log.begin(), log.end());
+    }
     std::sort(entries.begin(), entries.end(),
               [](const UndoEntry &a, const UndoEntry &b) {
                   return a.seq > b.seq;
@@ -440,37 +448,46 @@ TMMachine::datmAbortCascade(CoreId core, AbortCause cause,
         _ms.memory().writeWord(e.word, e.oldValue);
 
     for (CoreId m : members) {
-        CoreTxState &st = *_cores[m];
-        st.undo.clear();
-        releaseCommitTokens(m);
-        _activeUids.erase(st.uid);
-        st.resetSpeculation();
-        ++_stats.aborts;
-        Addr bl = (m == core) ? blame : 0;
-        _abortBlame[m] = bl;
-        ++_abortStreak[m];
-        _nackStreak[m] = 0;
-        if (bl != 0) {
-            ++_conflictHeat[m];
-            if (_contention)
-                _contention(m, bl);
-        }
-        AbortCause c = (m == core) ? cause : AbortCause::DatmCascade;
+        bool initiator = m == core;
+        AbortCause c = initiator ? cause : AbortCause::DatmCascade;
         // Any multi-member cascade (or a dependence-cycle kill) bumps
         // every member's cascade streak: each one's restart will be
         // back-pressured so the chain doesn't instantly rebuild. A
         // plain single-transaction DATM abort is not a cascade.
-        if (members.size() > 1 || c == AbortCause::DatmCycle ||
-            c == AbortCause::DatmCascade)
-            ++_cascadeStreak[m];
-        ++_stats.abortsByCause[static_cast<int>(c)];
-        emitTrace(m, "abort", 0, static_cast<Word>(c));
-        audit(m, trace::EventKind::Abort, bl, 0, 0, std::nullopt,
-              rtc::CmpOp::EQ, static_cast<std::uint8_t>(c));
-        bool notify = (m != core) || notify_exec;
-        if (notify && _onRemoteAbort)
-            _onRemoteAbort(m, c);
+        bool cascade = members.size() > 1 || c == AbortCause::DatmCycle ||
+                       c == AbortCause::DatmCascade;
+        retireAborted(m, c, initiator ? blame : 0,
+                      !initiator || notify_exec, cascade);
     }
+}
+
+bool
+TMMachine::datmOrderAfter(CoreId core, Addr block, bool is_write)
+{
+    CoreTxState &st = *_cores[core];
+    bool survived = true;
+    forEachToucher(core, block, is_write,
+                   [&](CoreId h, bool wrote, bool) {
+        if (!survived)
+            return;
+        const CoreTxState &hs = *_cores[h];
+        if (hs.datmPreds.count(st.uid) ||
+            datmCreatesCycle(hs.uid, st.uid)) {
+            // Cyclic dependence: abort the younger (Figure 2b).
+            if (hs.timestamp > st.timestamp) {
+                doAbort(h, AbortCause::DatmCycle, true, block);
+            } else {
+                doAbort(core, AbortCause::DatmCycle, false, block);
+                survived = false;
+            }
+            return;
+        }
+        // A writer's data flows into ours (a forwarded value, or our
+        // write layered above theirs): dataflow. A pure reader before
+        // our write is anti ordering only.
+        st.datmPreds[hs.uid] |= wrote ? 2 : 1;
+    });
+    return survived;
 }
 
 // ---------------------------------------------------------------------
@@ -488,7 +505,6 @@ TMMachine::onRemoteTake(CoreId victim, Addr block,
         if (rtc::IvbEntry *e = st.ivb.find(block)) {
             if (!e->lost) {
                 e->lost = true;
-                emitTrace(victim, "steal", block, 0);
                 audit(victim, trace::EventKind::BlockLost, block);
             }
         }
@@ -533,17 +549,13 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
                        unsigned size, bool txnal, bool is_retry)
 {
     Addr block = blockAddr(addr);
-    Addr word = wordAddr(addr);
     MemOpOutcome out;
 
     if (_cfg.mode != TMMode::Serial) {
         OpStatus s =
             resolveConflict(core, txnal, block, is_write, is_retry);
-        if (s != OpStatus::Ok) {
-            out.status = s;
-            out.latency = s == OpStatus::Nack ? nackLatency(core) : 0;
-            return out;
-        }
+        if (s != OpStatus::Ok)
+            return failedAccess(core, s);
     }
 
     mem::AccessResult res = _ms.access(core, block, is_write);
@@ -558,17 +570,9 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
     }
 
     if (is_write) {
-        std::uint64_t vid = _writeSeq++;
-        if (txnal)
-            st.undo.record(word, _ms.memory().readWord(word), vid);
-        _ms.memory().write(addr, value, size);
-        emitTrace(core, "store", addr, value);
-        audit(core, trace::EventKind::Store, addr, value,
-              _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
-              rtc::CmpOp::EQ, 0, vid);
+        speculativeWrite(core, addr, value, size, txnal);
     } else {
         out.value = _ms.memory().read(addr, size);
-        emitTrace(core, "load", addr, out.value);
         audit(core, trace::EventKind::Load, addr, out.value);
     }
     return out;
@@ -583,11 +587,9 @@ TMMachine::plainLoad(CoreId core, Addr addr, unsigned size)
 {
     if (_cfg.mode == TMMode::Lazy) {
         // Memory holds only committed data (writes are buffered).
-        mem::AccessResult res = _ms.access(core, blockAddr(addr), false);
-        MemOpOutcome out;
-        out.latency = res.latency;
-        out.value = _ms.memory().read(addr, size);
-        return out;
+        Cycle lat = _ms.access(core, blockAddr(addr), false).latency;
+        return {OpStatus::Ok, lat, _ms.memory().read(addr, size),
+                std::nullopt};
     }
     return eagerAccess(core, addr, false, 0, size, false, false);
 }
@@ -597,21 +599,15 @@ TMMachine::plainStore(CoreId core, Addr addr, Word value, unsigned size)
 {
     if (_cfg.mode == TMMode::Lazy) {
         // Acts as a degenerate committed transaction: committer wins.
+        // (A buffered store to the word also put its block in the
+        // write set.)
         Addr block = blockAddr(addr);
-        for (CoreId c = 0; c < _ms.numCores(); ++c) {
-            if (c == core)
-                continue;
-            CoreTxState &st = *_cores[c];
-            if (st.active() && (st.readSet.count(block) ||
-                                st.writeSet.count(block) ||
-                                st.ssb.find(wordAddr(addr))))
-                doAbort(c, AbortCause::LazyCommitter, true, block);
-        }
+        forEachToucher(core, block, true, [&](CoreId c, bool, bool) {
+            doAbort(c, AbortCause::LazyCommitter, true, block);
+        });
         mem::AccessResult res = _ms.access(core, block, true);
         _ms.memory().write(addr, value, size);
-        MemOpOutcome out;
-        out.latency = res.latency;
-        return out;
+        return {OpStatus::Ok, res.latency, 0, std::nullopt};
     }
     return eagerAccess(core, addr, true, value, size, false, false);
 }
@@ -633,11 +629,9 @@ TMMachine::txBegin(CoreId core, bool is_retry)
     out.latency = _cfg.beginLatency;
 
     if (_cfg.mode == TMMode::Serial) {
-        if (_serialLockHolder != kNoCore && _serialLockHolder != core) {
-            out.status = OpStatus::Nack;
-            out.latency = nackLatency(core, /*conflict=*/false);
-            return out;
-        }
+        if (_serialLockHolder != kNoCore && _serialLockHolder != core)
+            return {OpStatus::Nack, nackLatency(core, /*conflict=*/false),
+                    0, std::nullopt};
         _serialLockHolder = core;
         out.latency = _cfg.serialLockLatency;
     }
@@ -650,7 +644,6 @@ TMMachine::txBegin(CoreId core, bool is_retry)
     _activeUids[st.uid] = core;
     st.status = TxStatus::Active;
     st.txnStartCycle = _eq.now();
-    emitTrace(core, "begin", 0, st.timestamp);
     audit(core, trace::EventKind::TxBegin, 0, st.timestamp, st.uid);
     return out;
 }
@@ -658,26 +651,10 @@ TMMachine::txBegin(CoreId core, bool is_retry)
 MemOpOutcome
 TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
 {
+    if (auto gated = txAccessGate(core))
+        return *gated;
+
     CoreTxState &st = *_cores[core];
-    sim_assert(st.status == TxStatus::Active,
-               "txLoad outside active transaction (core %u)", core);
-
-    if (st.earlyViolation)
-        return earlyViolationAbort(core);
-
-    // OneTM overflow handling: acquire the serialization token first.
-    if (st.overflowPending && !st.overflowed) {
-        if (_overflowTokenHolder != kNoCore) {
-            return MemOpOutcome{OpStatus::Nack,
-                                nackLatency(core, /*conflict=*/false), 0,
-                                std::nullopt};
-        }
-        _overflowTokenHolder = core;
-        st.overflowed = true;
-        st.overflowPending = false;
-        ++_stats.overflows;
-    }
-
     Addr block = blockAddr(addr);
     Addr word = wordAddr(addr);
     unsigned byte_off = byteInWord(addr);
@@ -699,7 +676,6 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
         MemOpOutcome out;
         out.latency = res.latency;
         out.value = _ms.memory().read(addr, size);
-        emitTrace(core, "load", addr, out.value);
         audit(core, trace::EventKind::Load, addr, out.value);
         return out;
       }
@@ -742,7 +718,6 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
                                   ie->initWords[w]);
                     }
                 }
-                emitTrace(core, "load", addr, out.value);
                 audit(core, trace::EventKind::Load, addr, out.value);
                 return out;
             }
@@ -772,15 +747,10 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
                 // transaction — abort now rather than let it chase
                 // stale pointers (zombie containment).
                 if (_ms.memory().readWord(word) != e->initWords[w]) {
-                    _predictor.observeViolation(block);
-                    ++_stats.abortsLazyValueMismatch;
-                    doAbort(core, AbortCause::ConstraintViolation,
-                            false);
-                    return MemOpOutcome{OpStatus::AbortSelf, 0, 0,
-                                        std::nullopt};
+                    violationAbort(core, block, true);
+                    return failedAccess(core, OpStatus::AbortSelf);
                 }
             }
-            emitTrace(core, "load", addr, out.value);
             audit(core,
                   out.sym ? trace::EventKind::SymLoad
                           : trace::EventKind::Load,
@@ -793,27 +763,8 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
       }
 
       case TMMode::DATM: {
-        for (CoreId h = 0; h < _ms.numCores(); ++h) {
-            if (h == core)
-                continue;
-            CoreTxState &hs = *_cores[h];
-            if (!hs.active() || !hs.writeSet.count(block))
-                continue;
-            if (hs.datmPreds.count(st.uid) ||
-                datmCreatesCycle(hs.uid, st.uid)) {
-                // Cyclic dependence: abort the younger (Figure 2b).
-                if (hs.timestamp > st.timestamp) {
-                    datmAbortCascade(h, AbortCause::DatmCycle, true,
-                                     block);
-                    continue;
-                }
-                datmAbortCascade(core, AbortCause::DatmCycle, false,
-                                 block);
-                return MemOpOutcome{OpStatus::AbortSelf, 0, 0,
-                                    std::nullopt};
-            }
-            st.datmPreds[hs.uid] |= 2; // Dataflow: forwarded value.
-        }
+        if (!datmOrderAfter(core, block, false))
+            return failedAccess(core, OpStatus::AbortSelf);
         mem::AccessResult res = _ms.access(core, block, false);
         st.readSet.insert(block);
         MemOpOutcome out;
@@ -838,13 +789,11 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             out.value = extractBytes(delivered, byte_off, size);
             ++_stats.fwdReads;
             st.datmForwardedRead = true;
-            emitTrace(core, "forward", addr, out.value);
             audit(core, trace::EventKind::Forward, word, delivered,
                   _cores[producer]->uid, std::nullopt, rtc::CmpOp::EQ,
                   0, store_seq);
         } else {
             out.value = _ms.memory().read(addr, size);
-            emitTrace(core, "load", addr, out.value);
             audit(core, trace::EventKind::Load, addr, out.value);
         }
         return out;
@@ -865,11 +814,8 @@ TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
     // not involved with symbolic repair use the baseline detection;
     // the repair machinery only tolerates later remote writes).
     OpStatus s = resolveConflict(core, true, block, false, is_retry);
-    if (s != OpStatus::Ok) {
-        return MemOpOutcome{
-            s, s == OpStatus::Nack ? nackLatency(core) : Cycle(0), 0,
-            std::nullopt};
-    }
+    if (s != OpStatus::Ok)
+        return failedAccess(core, s);
 
     mem::AccessResult res = _ms.access(core, block, false);
 
@@ -892,7 +838,6 @@ TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
         e->eqMask |= 1u << w;
         audit(core, trace::EventKind::Pin, wordAddr(addr), words[w]);
     }
-    emitTrace(core, "load", addr, out.value);
     audit(core,
           out.sym ? trace::EventKind::SymLoad : trace::EventKind::Load,
           addr, out.value, 0, out.sym);
@@ -904,25 +849,10 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
                    const std::optional<rtc::SymTag> &sym, unsigned size,
                    bool is_retry)
 {
+    if (auto gated = txAccessGate(core))
+        return *gated;
+
     CoreTxState &st = *_cores[core];
-    sim_assert(st.status == TxStatus::Active,
-               "txStore outside active transaction (core %u)", core);
-
-    if (st.earlyViolation)
-        return earlyViolationAbort(core);
-
-    if (st.overflowPending && !st.overflowed) {
-        if (_overflowTokenHolder != kNoCore) {
-            return MemOpOutcome{OpStatus::Nack,
-                                nackLatency(core, /*conflict=*/false), 0,
-                                std::nullopt};
-        }
-        _overflowTokenHolder = core;
-        st.overflowed = true;
-        st.overflowPending = false;
-        ++_stats.overflows;
-    }
-
     Addr block = blockAddr(addr);
     Addr word = wordAddr(addr);
 
@@ -940,7 +870,6 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         sim_assert(put != rtc::SymbolicStoreBuffer::Put::Full,
                    "lazy write buffer is unbounded");
         st.writeSet.insert(block);
-        emitTrace(core, "store", addr, value);
         audit(core, trace::EventKind::SymStore, word, merged);
         return MemOpOutcome{OpStatus::Ok, 1, 0, std::nullopt};
       }
@@ -955,7 +884,6 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
             if (put != rtc::SymbolicStoreBuffer::Put::Full) {
                 if (rtc::IvbEntry *e = st.ivb.find(block))
                     e->written = true;
-                emitTrace(core, "store", addr, value);
                 // aux=1 marks an overwrite of an earlier symbolic
                 // store to the same word (last writer wins at drain).
                 audit(core, trace::EventKind::SymStore, word, value, 0,
@@ -978,55 +906,21 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         // A re-write invalidates values already forwarded to readers:
         // any transaction that consumed our speculative data for this
         // block read a stale intermediate value and must abort.
-        for (CoreId s = 0; s < _ms.numCores(); ++s) {
-            if (s == core)
-                continue;
-            CoreTxState &ss = *_cores[s];
-            if (!ss.active())
-                continue;
-            auto it = ss.datmPreds.find(st.uid);
-            if (it != ss.datmPreds.end() && (it->second & 2) &&
-                ss.readSet.count(block) && st.writeSet.count(block)) {
-                datmAbortCascade(s, AbortCause::DatmCascade, true,
-                                 block);
-            }
+        // (The dependence graph is acyclic, so none of these
+        // cascades reaches the storing transaction itself.)
+        if (st.writeSet.count(block)) {
+            forEachToucher(core, block, true, [&](CoreId s, bool, bool read) {
+                const auto &preds = _cores[s]->datmPreds;
+                auto it = preds.find(st.uid);
+                if (read && it != preds.end() && (it->second & 2))
+                    doAbort(s, AbortCause::DatmCascade, true, block);
+            });
         }
-        for (CoreId h = 0; h < _ms.numCores(); ++h) {
-            if (h == core)
-                continue;
-            CoreTxState &hs = *_cores[h];
-            if (!hs.active())
-                continue;
-            bool waw = hs.writeSet.count(block);
-            bool anti = hs.readSet.count(block);
-            if (!waw && !anti)
-                continue;
-            if (hs.datmPreds.count(st.uid) ||
-                datmCreatesCycle(hs.uid, st.uid)) {
-                if (hs.timestamp > st.timestamp) {
-                    datmAbortCascade(h, AbortCause::DatmCycle, true,
-                                     block);
-                    continue;
-                }
-                datmAbortCascade(core, AbortCause::DatmCycle, false,
-                                 block);
-                return MemOpOutcome{OpStatus::AbortSelf, 0, 0,
-                                    std::nullopt};
-            }
-            // WAW: our write layers above theirs (dataflow); pure
-            // read-before-write is anti ordering only.
-            st.datmPreds[hs.uid] |= waw ? 2 : 1;
-        }
+        if (!datmOrderAfter(core, block, true))
+            return failedAccess(core, OpStatus::AbortSelf);
         mem::AccessResult res = _ms.access(core, block, true);
         st.writeSet.insert(block);
-        std::uint64_t vid = _writeSeq++;
-        st.undo.record(word, _ms.memory().readWord(word), vid);
-        st.datmStoreSeq[word] = vid;
-        _ms.memory().write(addr, value, size);
-        emitTrace(core, "store", addr, value);
-        audit(core, trace::EventKind::Store, addr, value,
-              _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
-              rtc::CmpOp::EQ, 0, vid);
+        st.datmStoreSeq[word] = speculativeWrite(core, addr, value, size);
         return MemOpOutcome{OpStatus::Ok, res.latency, 0, std::nullopt};
       }
     }
@@ -1049,12 +943,8 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
     // before we look at the word's pre-store value, otherwise we could
     // freeze a remote core's uncommitted data.
     OpStatus s = resolveConflict(core, true, block, true, is_retry);
-    if (s != OpStatus::Ok) {
-        MemOpOutcome out;
-        out.status = s;
-        out.latency = s == OpStatus::Nack ? nackLatency(core) : 0;
-        return out;
-    }
+    if (s != OpStatus::Ok)
+        return failedAccess(core, s);
     mem::AccessResult res = _ms.access(core, block, true);
 
     // Storing into a value-tracked word fixes its input value: validate
@@ -1067,19 +957,11 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
             Word pre = _ms.memory().readWord(word);
             bool value_sensitive =
                 ((e->readMask >> w) & 1) && ((e->eqMask >> w) & 1);
-            if (value_sensitive && pre != e->initWords[w]) {
-                _predictor.observeViolation(block);
-                ++_stats.abortsLazyValueMismatch;
-                doAbort(core, AbortCause::ConstraintViolation, false);
-                return MemOpOutcome{OpStatus::AbortSelf, 0, 0,
-                                    std::nullopt};
-            }
-            if (!st.constraints.satisfied(
-                    word, static_cast<std::int64_t>(pre))) {
-                _predictor.observeViolation(block);
-                doAbort(core, AbortCause::ConstraintViolation, false);
-                return MemOpOutcome{OpStatus::AbortSelf, 0, 0,
-                                    std::nullopt};
+            bool mismatch = value_sensitive && pre != e->initWords[w];
+            if (mismatch || !st.constraints.satisfied(
+                                word, static_cast<std::int64_t>(pre))) {
+                violationAbort(core, block, mismatch);
+                return failedAccess(core, OpStatus::AbortSelf);
             }
             e->curWords[w] = pre;
             e->frozenMask |= 1u << w;
@@ -1088,13 +970,7 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
     }
 
     st.writeSet.insert(block);
-    std::uint64_t vid = _writeSeq++;
-    st.undo.record(word, _ms.memory().readWord(word), vid);
-    _ms.memory().write(addr, value, size);
-    emitTrace(core, "store", addr, value);
-    audit(core, trace::EventKind::Store, addr, value,
-          _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
-          rtc::CmpOp::EQ, 0, vid);
+    speculativeWrite(core, addr, value, size);
     return MemOpOutcome{OpStatus::Ok, res.latency, 0, std::nullopt};
 }
 
@@ -1152,14 +1028,52 @@ TMMachine::pinEquality(CoreId core, Addr root)
     }
 }
 
-MemOpOutcome
-TMMachine::earlyViolationAbort(CoreId core)
+std::optional<MemOpOutcome>
+TMMachine::txAccessGate(CoreId core)
 {
     CoreTxState &st = *_cores[core];
-    _predictor.observeViolation(st.earlyViolationBlock);
-    ++_stats.abortsLazyValueMismatch;
-    doAbort(core, AbortCause::ConstraintViolation, false);
-    return MemOpOutcome{OpStatus::AbortSelf, 0, 0, std::nullopt};
+    sim_assert(st.status == TxStatus::Active,
+               "transactional access outside active transaction "
+               "(core %u)",
+               core);
+    if (st.earlyViolation) {
+        violationAbort(core, st.earlyViolationBlock, true);
+        return failedAccess(core, OpStatus::AbortSelf);
+    }
+    // OneTM overflow handling: acquire the serialization token first.
+    if (st.overflowPending && !st.overflowed) {
+        if (_overflowTokenHolder != kNoCore)
+            return MemOpOutcome{OpStatus::Nack,
+                                nackLatency(core, /*conflict=*/false), 0,
+                                std::nullopt};
+        _overflowTokenHolder = core;
+        st.overflowed = true;
+        st.overflowPending = false;
+        ++_stats.overflows;
+    }
+    return std::nullopt;
+}
+
+MemOpOutcome
+TMMachine::failedAccess(CoreId core, OpStatus s)
+{
+    return {s, s == OpStatus::Nack ? nackLatency(core) : 0, 0,
+            std::nullopt};
+}
+
+std::uint64_t
+TMMachine::speculativeWrite(CoreId core, Addr addr, Word value,
+                            unsigned size, bool txnal)
+{
+    Addr word = wordAddr(addr);
+    std::uint64_t vid = _writeSeq++;
+    if (txnal)
+        _cores[core]->undo.record(word, _ms.memory().readWord(word), vid);
+    _ms.memory().write(addr, value, size);
+    audit(core, trace::EventKind::Store, addr, value,
+          _sink ? _ms.memory().readWord(word) : 0, std::nullopt,
+          rtc::CmpOp::EQ, 0, vid);
+    return vid;
 }
 
 // ---------------------------------------------------------------------
@@ -1294,23 +1208,31 @@ TMMachine::acquireCommitTokens(CoreId core)
     // trip each; grant or NACK is learned from the slowest reply, so
     // the wire cost (max RTT over contacted clusters) is paid either
     // way and shows up in the commit step's latency.
-    for (unsigned b = 0; b < _bankTokens.size(); ++b) {
-        if (!((need >> b) & 1) || topo.clusterOfBank(b) != my)
-            continue;
-        CoreId h = _bankTokens[b].holder;
-        if (h == kNoCore || h == core)
-            continue;
-        if (effectiveTs(h, true) < req_ts) {
+    auto olderHolderWaits = [&](bool remote) {
+        for (unsigned b = 0; b < _bankTokens.size(); ++b) {
+            bool mine = topo.clusterOfBank(b) == my;
+            if (!((need >> b) & 1) || mine == remote)
+                continue;
+            CoreId h = _bankTokens[b].holder;
+            if (h == kNoCore || h == core ||
+                effectiveTs(h, true) >= req_ts)
+                continue;
             ++_stats.tokenWaits;
             ++_bankTokens[b].stats.waits;
             ++_tokenWaitsByCore[core];
-            emitTrace(core, "token-wait", b, h);
+            if (remote) {
+                ++_stats.xcTokenWaits;
+                ++_xcTokenWaitsByCore[core];
+            }
             audit(core, trace::EventKind::TokenWait, b, h, need);
             if (_contention)
                 _contention(core, tokenBlameKey(b));
-            return false;
+            return true;
         }
-    }
+        return false;
+    };
+    if (olderHolderWaits(false))
+        return false;
     if (_net && topo.fleet()) {
         for (unsigned c = 0; c < topo.clusters; ++c) {
             if (c == my)
@@ -1327,25 +1249,8 @@ TMMachine::acquireCommitTokens(CoreId core)
         }
         _stats.xcTokenCycles += _tokenWireLat;
     }
-    for (unsigned b = 0; b < _bankTokens.size(); ++b) {
-        if (!((need >> b) & 1) || topo.clusterOfBank(b) == my)
-            continue;
-        CoreId h = _bankTokens[b].holder;
-        if (h == kNoCore || h == core)
-            continue;
-        if (effectiveTs(h, true) < req_ts) {
-            ++_stats.tokenWaits;
-            ++_stats.xcTokenWaits;
-            ++_bankTokens[b].stats.waits;
-            ++_tokenWaitsByCore[core];
-            ++_xcTokenWaitsByCore[core];
-            emitTrace(core, "token-wait", b, h);
-            audit(core, trace::EventKind::TokenWait, b, h, need);
-            if (_contention)
-                _contention(core, tokenBlameKey(b));
-            return false;
-        }
-    }
+    if (olderHolderWaits(true))
+        return false;
     // Evict younger holders first (doAbort releases their tokens),
     // then take every needed bank — never assign tokens partially.
     for (unsigned b = 0; b < _bankTokens.size(); ++b) {
@@ -1377,8 +1282,14 @@ TMMachine::acquireCommitTokens(CoreId core)
 }
 
 void
-TMMachine::releaseCommitTokens(CoreId core)
+TMMachine::releaseTokens(CoreId core)
 {
+    if (_serialLockHolder == core)
+        _serialLockHolder = kNoCore;
+    if (_overflowTokenHolder == core)
+        _overflowTokenHolder = kNoCore;
+    if (_lazyCommitToken == core)
+        _lazyCommitToken = kNoCore;
     CoreTxState &st = *_cores[core];
     if (!st.commitTokensHeld)
         return;
@@ -1429,42 +1340,32 @@ TMMachine::commitStep(CoreId core, bool is_retry)
         audit(core, trace::EventKind::CommitStart);
     }
 
-    CommitStepOutcome out;
     switch (_cfg.mode) {
       case TMMode::Serial:
       case TMMode::Eager:
       case TMMode::DATM:
-        if (_cfg.mode == TMMode::DATM) {
-            // Globally-enforced commit order: wait for predecessors.
-            for (const auto &[p, flags] : st.datmPreds) {
-                if (_activeUids.count(p)) {
-                    out.status = OpStatus::Nack;
-                    out.latency = nackLatency(core, /*conflict=*/false);
-                    st.commitCycles += out.latency;
-                    return out;
-                }
-            }
-        }
+        // DATM's globally-enforced commit order: wait for predecessors.
+        for (const auto &[p, flags] : st.datmPreds)
+            if (_activeUids.count(p))
+                return commitCharge(core,
+                                    nackLatency(core, /*conflict=*/false),
+                                    OpStatus::Nack);
         // Tokens are requested only after every commit-order
         // predecessor resolved (DATM), so a token holder can never be
         // waiting on the requester.
         if (_cfg.commitTokenArbitration && _cfg.mode != TMMode::Serial &&
-            !acquireCommitTokens(core)) {
-            out.status = OpStatus::Nack;
-            out.latency = nackLatency(core) + _tokenWireLat;
-            st.commitCycles += out.latency;
-            return out;
-        }
+            !acquireCommitTokens(core))
+            return commitCharge(core, nackLatency(core) + _tokenWireLat,
+                                OpStatus::Nack);
         if (st.commitPhase == 0) {
             st.commitPhase = 3;
-            out.latency = _cfg.commitTokenLatency + _tokenWireLat;
-            st.commitCycles += out.latency;
-            return out;
+            return commitCharge(core,
+                                _cfg.commitTokenLatency + _tokenWireLat);
         }
         return finalizeCommit(core);
 
       case TMMode::Lazy:
-        return commitStepLazy(core, is_retry);
+        return commitStepLazy(core);
 
       case TMMode::LazyVB:
       case TMMode::Retcon:
@@ -1474,24 +1375,32 @@ TMMachine::commitStep(CoreId core, bool is_retry)
 }
 
 CommitStepOutcome
+TMMachine::commitCharge(CoreId core, Cycle latency, OpStatus status)
+{
+    _cores[core]->commitCycles += latency;
+    return {status, latency, false};
+}
+
+CommitStepOutcome
+TMMachine::commitFailed(CoreId core, OpStatus s)
+{
+    // An aborted commit charges nothing (its state is already reset).
+    return commitCharge(core, failedAccess(core, s).latency, s);
+}
+
+CommitStepOutcome
 TMMachine::commitStepRetcon(CoreId core, bool is_retry)
 {
     CoreTxState &st = *_cores[core];
-    CommitStepOutcome out;
 
     if (st.commitPhase == 0) {
-        if (_cfg.commitTokenArbitration && !acquireCommitTokens(core)) {
-            out.status = OpStatus::Nack;
-            out.latency = nackLatency(core) + _tokenWireLat;
-            st.commitCycles += out.latency;
-            return out;
-        }
+        if (_cfg.commitTokenArbitration && !acquireCommitTokens(core))
+            return commitCharge(core, nackLatency(core) + _tokenWireLat,
+                                OpStatus::Nack);
         st.commitPhase = 1;
         st.commitIvbIdx = 0;
         st.commitSsbIdx = 0;
-        out.latency = _cfg.commitTokenLatency + _tokenWireLat;
-        st.commitCycles += out.latency;
-        return out;
+        return commitCharge(core, _cfg.commitTokenLatency + _tokenWireLat);
     }
 
     // Phase 1 (Figure 7, step 1): reacquire lost blocks, validate.
@@ -1519,20 +1428,9 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
             if (!have) {
                 OpStatus s = resolveConflict(core, true, e.block,
                                              want_write, is_retry);
-                if (s == OpStatus::Nack) {
-                    out.status = OpStatus::Nack;
-                    out.latency = nackLatency(core);
-                    st.commitCycles += out.latency;
-                    return out;
-                }
-                if (s == OpStatus::AbortSelf) {
-                    out.status = OpStatus::AbortSelf;
-                    out.latency = 0;
-                    return out;
-                }
-                mem::AccessResult res =
-                    _ms.access(core, e.block, want_write);
-                lat = res.latency;
+                if (s != OpStatus::Ok)
+                    return commitFailed(core, s);
+                lat = _ms.access(core, e.block, want_write).latency;
             }
             // Protect the block eagerly for the rest of the commit
             // (Figure 7 sets the speculatively-read bit).
@@ -1550,35 +1448,21 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
                 if (!read)
                     continue;
                 bool eq = (e.eqMask >> w) & 1;
-                if (eq && !((e.frozenMask >> w) & 1) &&
-                    e.curWords[w] != e.initWords[w]) {
-                    _predictor.observeViolation(e.block);
-                    doAbort(core, AbortCause::ConstraintViolation,
-                            false);
-                    out.status = OpStatus::AbortSelf;
-                    out.latency = 0;
-                    ++_stats.abortsLazyValueMismatch;
-                    return out;
-                }
+                bool mismatch = eq && !((e.frozenMask >> w) & 1) &&
+                                e.curWords[w] != e.initWords[w];
                 Addr word_addr = e.block + w * kWordBytes;
-                if (!st.constraints.satisfied(
+                if (mismatch ||
+                    !st.constraints.satisfied(
                         word_addr,
                         static_cast<std::int64_t>(e.curWords[w]))) {
-                    _predictor.observeViolation(e.block);
-                    doAbort(core, AbortCause::ConstraintViolation,
-                            false);
-                    out.status = OpStatus::AbortSelf;
-                    out.latency = 0;
-                    return out;
+                    violationAbort(core, e.block, mismatch);
+                    return commitFailed(core, OpStatus::AbortSelf);
                 }
             }
             ++st.commitIvbIdx;
             max_lat = std::max(max_lat, lat);
         }
-        out.latency = max_lat;
-        st.commitCycles += out.latency;
-        emitTrace(core, "repair", 0, 0);
-        return out;
+        return commitCharge(core, max_lat);
     }
 
     // Phase 2 (Figure 7, step 2): drain the symbolic store buffer.
@@ -1593,19 +1477,9 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         if (!_ms.hasWritePerm(core, block)) {
             OpStatus s =
                 resolveConflict(core, true, block, true, is_retry);
-            if (s == OpStatus::Nack) {
-                out.status = OpStatus::Nack;
-                out.latency = nackLatency(core);
-                st.commitCycles += out.latency;
-                return out;
-            }
-            if (s == OpStatus::AbortSelf) {
-                out.status = OpStatus::AbortSelf;
-                out.latency = 0;
-                return out;
-            }
-            mem::AccessResult res = _ms.access(core, block, true);
-            lat = res.latency;
+            if (s != OpStatus::Ok)
+                return commitFailed(core, s);
+            lat = _ms.access(core, block, true).latency;
         }
         st.writeSet.insert(block);
         Word value = e.concrete;
@@ -1621,38 +1495,29 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         Word before = _ms.memory().readWord(e.word);
         st.undo.record(e.word, before, _writeSeq++);
         _ms.memory().write(e.word, value, e.size);
-        emitTrace(core, "repair-store", e.word, value);
         audit(core, trace::EventKind::Repair, e.word, before, value,
               e.sym);
         ++st.commitSsbIdx;
-        out.latency = _cfg.freeCommitStores ? 0 : lat;
-        st.commitCycles += out.latency;
-        return out;
+        return commitCharge(core, _cfg.freeCommitStores ? 0 : lat);
     }
 
     return finalizeCommit(core);
 }
 
 CommitStepOutcome
-TMMachine::commitStepLazy(CoreId core, [[maybe_unused]] bool is_retry)
+TMMachine::commitStepLazy(CoreId core)
 {
     CoreTxState &st = *_cores[core];
-    CommitStepOutcome out;
 
     if (st.commitPhase == 0) {
-        if (_lazyCommitToken != kNoCore && _lazyCommitToken != core) {
-            out.status = OpStatus::Nack;
-            out.latency = nackLatency(core, /*conflict=*/false);
-            st.commitCycles += out.latency;
-            return out;
-        }
+        if (_lazyCommitToken != kNoCore && _lazyCommitToken != core)
+            return commitCharge(core, nackLatency(core, /*conflict=*/false),
+                                OpStatus::Nack);
         _lazyCommitToken = core;
         st.commitPhase = 2;
         st.commitSsbIdx = 0;
         audit(core, trace::EventKind::CommitDrain);
-        out.latency = _cfg.commitTokenLatency;
-        st.commitCycles += out.latency;
-        return out;
+        return commitCharge(core, _cfg.commitTokenLatency);
     }
 
     if (st.commitPhase == 2) {
@@ -1664,26 +1529,16 @@ TMMachine::commitStepLazy(CoreId core, [[maybe_unused]] bool is_retry)
         Addr block = blockAddr(e.word);
         // Committer wins: every other transaction that touched this
         // block aborts (Figure 2e).
-        for (CoreId c = 0; c < _ms.numCores(); ++c) {
-            if (c == core)
-                continue;
-            CoreTxState &cs = *_cores[c];
-            if (!cs.active())
-                continue;
-            bool touched = cs.readSet.count(block) ||
-                           cs.writeSet.count(block);
-            if (touched)
-                doAbort(c, AbortCause::LazyCommitter, true, block);
-        }
+        forEachToucher(core, block, true, [&](CoreId c, bool, bool) {
+            doAbort(c, AbortCause::LazyCommitter, true, block);
+        });
         mem::AccessResult res = _ms.access(core, block, true);
         Word value = e.concrete ^ _cfg.faultInjectRepairXor;
         Word before = _ms.memory().readWord(e.word);
         _ms.memory().writeWord(e.word, value);
         audit(core, trace::EventKind::Repair, e.word, before, value);
         ++st.commitSsbIdx;
-        out.latency = res.latency;
-        st.commitCycles += out.latency;
-        return out;
+        return commitCharge(core, res.latency);
     }
 
     return finalizeCommit(core);
@@ -1702,13 +1557,7 @@ TMMachine::finalizeCommit(CoreId core)
 
     sampleTxnStats(core);
 
-    if (_serialLockHolder == core)
-        _serialLockHolder = kNoCore;
-    if (_overflowTokenHolder == core)
-        _overflowTokenHolder = kNoCore;
-    if (_lazyCommitToken == core)
-        _lazyCommitToken = kNoCore;
-    releaseCommitTokens(core);
+    releaseTokens(core);
     _activeUids.erase(st.uid);
 
     // The forwarded-data flag must be read before resetSpeculation()
@@ -1726,14 +1575,10 @@ TMMachine::finalizeCommit(CoreId core)
     _conflictHeat[core] >>= 1;
     _cascadeStreak[core] = 0;
     ++_stats.commits;
-    emitTrace(core, "commit", 0, 0);
     audit(core, trace::EventKind::Commit, 0, 0, 0, std::nullopt,
           rtc::CmpOp::EQ, commit_aux);
 
-    CommitStepOutcome out;
-    out.done = true;
-    out.latency = 1;
-    return out;
+    return {OpStatus::Ok, 1, true};
 }
 
 void

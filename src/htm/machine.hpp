@@ -101,9 +101,6 @@ class TMMachine : public mem::CoherenceListener
     /** Called when a core's transaction is aborted by a remote event. */
     using RemoteAbortFn = std::function<void(CoreId, AbortCause)>;
 
-    /** Timeline hook for the Figure 2 bench. */
-    using TraceFn = std::function<void(const TraceEvent &)>;
-
     /**
      * Contention observation hook (the feed of the exec layer's
      * hot-block tables): called with the blamed key every time a
@@ -126,14 +123,13 @@ class TMMachine : public mem::CoherenceListener
     TMMachine &operator=(const TMMachine &) = delete;
 
     void setRemoteAbortHandler(RemoteAbortFn fn) { _onRemoteAbort = fn; }
-    void setTraceHook(TraceFn fn) { _trace = fn; }
     void setContentionHook(ContentionFn fn) { _contention = std::move(fn); }
 
     /**
-     * Attach a provenance sink (trace/). Null detaches. With no sink
-     * attached every instrumentation point is a single pointer check;
-     * simulated timing is identical either way (audit events carry no
-     * latency).
+     * Attach a provenance sink (trace/), the machine's only event
+     * channel. Null detaches. With no sink attached every
+     * instrumentation point is a single pointer check; simulated
+     * timing is identical either way (audit events carry no latency).
      */
     void setTraceSink(trace::TraceSink *sink) { _sink = sink; }
     trace::TraceSink *traceSink() const { return _sink; }
@@ -275,7 +271,6 @@ class TMMachine : public mem::CoherenceListener
     rtc::ConflictPredictor _predictor;
     std::vector<std::unique_ptr<CoreTxState>> _cores;
     RemoteAbortFn _onRemoteAbort;
-    TraceFn _trace;
     ContentionFn _contention;
     trace::TraceSink *_sink = nullptr;
     std::uint64_t _auditSeq = 1; ///< Global provenance-record order.
@@ -326,12 +321,24 @@ class TMMachine : public mem::CoherenceListener
 
     // ---- Internal helpers -------------------------------------------
     struct ConflictInfo {
-        std::vector<CoreId> holders;
+        std::uint64_t holders = 0; ///< Bit c: core c holds the block.
         bool anyOlder = false;
     };
 
     /** Effective age for arbitration (overflowed = oldest, non-tx = 0). */
     std::uint64_t effectiveTs(CoreId core, bool txnal) const;
+
+    /**
+     * The block-toucher query, the one place that looks for another
+     * core's claim on a block: call `fn(c, wrote, read)` for each
+     * active transaction c other than @p self, in ascending core
+     * order, whose write set holds @p block (with @p with_readers,
+     * or whose read set does). Membership is checked live at each
+     * core, because a DATM cascade inside @p fn can retire later ones.
+     */
+    template <typename Fn>
+    void forEachToucher(CoreId self, Addr block, bool with_readers,
+                        Fn &&fn) const;
 
     /** Find eager conflicts for an access. */
     ConflictInfo findConflicts(CoreId requester, Addr block,
@@ -345,13 +352,23 @@ class TMMachine : public mem::CoherenceListener
                              Addr block, bool is_write, bool is_retry);
 
     /**
-     * Roll back and reset @p core's transaction. @p blame names the
+     * Roll back and reset @p core's transaction (in DATM, with its
+     * dataflow successors). @p blame names the
      * contention cause (contested block / token-blame key) when the
      * abort was a contention loss; it is published via abortBlame()
      * and fed to the contention hook.
      */
     void doAbort(CoreId core, AbortCause cause, bool notify_exec,
                  Addr blame = 0);
+
+    /** The rest of an abort, once @p core's memory is rolled back;
+     *  @p cascade bumps its DATM cascade streak. */
+    void retireAborted(CoreId core, AbortCause cause, Addr blame,
+                       bool notify, bool cascade);
+
+    /** Abort @p core for a failed value (@p value_mismatch) or
+     *  constraint check on @p block. */
+    void violationAbort(CoreId core, Addr block, bool value_mismatch);
 
     /**
      * NACK retry latency for @p core: nackRetryCycles plus the
@@ -377,19 +394,21 @@ class TMMachine : public mem::CoherenceListener
      */
     bool acquireCommitTokens(CoreId core);
 
-    /** Release @p core's commit tokens (commit completion or abort). */
-    void releaseCommitTokens(CoreId core);
+    /** Release every token @p core holds: serial lock, overflow,
+     *  lazy commit and bank commit tokens (at commit or abort). */
+    void releaseTokens(CoreId core);
 
     /** DATM: abort @p core and all transitive successors. */
     void datmAbortCascade(CoreId core, AbortCause cause, bool notify_exec,
                           Addr blame = 0);
 
+    /** DATM: order @p core after the block's other writers (and,
+     *  with @p is_write, readers); false if a cycle aborted @p core. */
+    bool datmOrderAfter(CoreId core, Addr block, bool is_write);
+
     /** DATM: would adding edge pred->succ create a dependence cycle? */
     bool datmCreatesCycle(std::uint64_t pred_uid,
                           std::uint64_t succ_uid) const;
-
-    /** Mark a block's speculative bit placement; detects overflow. */
-    void noteSpecBlock(CoreId core, Addr block);
 
     /** Common eager load/store path (also Serial, untracked RETCON). */
     MemOpOutcome eagerAccess(CoreId core, Addr addr, bool is_write,
@@ -407,16 +426,31 @@ class TMMachine : public mem::CoherenceListener
     MemOpOutcome retconEagerStore(CoreId core, Addr addr, Word value,
                                   unsigned size, bool is_retry);
 
-    /** Convert a deferred use-time validation failure into an abort. */
-    MemOpOutcome earlyViolationAbort(CoreId core);
+    /** Checks before every transactional access (deferred violation,
+     *  OneTM overflow token); an outcome means: do not proceed. */
+    std::optional<MemOpOutcome> txAccessGate(CoreId core);
+
+    /** Outcome of an access refused with NACK or AbortSelf. */
+    MemOpOutcome failedAccess(CoreId core, OpStatus s);
+
+    /** Undo-log (@p txnal), write and audit one store; returns its
+     *  machine-global write sequence number. */
+    std::uint64_t speculativeWrite(CoreId core, Addr addr, Word value,
+                                   unsigned size, bool txnal = true);
+
+    /** Charge one commit step's @p latency to the commit. */
+    CommitStepOutcome commitCharge(CoreId core, Cycle latency,
+                                   OpStatus status = OpStatus::Ok);
+
+    /** The commit-step form of failedAccess. */
+    CommitStepOutcome commitFailed(CoreId core, OpStatus s);
 
     /** Commit-phase helpers. */
     CommitStepOutcome commitStepRetcon(CoreId core, bool is_retry);
-    CommitStepOutcome commitStepLazy(CoreId core, bool is_retry);
+    CommitStepOutcome commitStepLazy(CoreId core);
     CommitStepOutcome finalizeCommit(CoreId core);
 
     void sampleTxnStats(CoreId core);
-    void emitTrace(CoreId core, const char *kind, Addr addr, Word value);
 
     /** Provenance emission (no-op without a sink). */
     void audit(CoreId core, trace::EventKind kind, Addr addr = 0,
@@ -433,8 +467,6 @@ class TMMachine : public mem::CoherenceListener
      */
     CoreId findForwardProducer(CoreId reader, Addr word,
                                std::uint64_t &store_seq) const;
-
-    friend class MachineTestPeer;
 };
 
 } // namespace retcon::htm

@@ -102,7 +102,7 @@ struct CoreTxState {
     bool datmForwardedRead = false;
 
     /// Per-bank commit tokens held by this commit (bit = bank index).
-    /// Managed explicitly by TMMachine::{acquire,release}CommitTokens —
+    /// Managed explicitly by TMMachine::acquireCommitTokens/releaseTokens —
     /// released on commit and on abort, never by resetSpeculation.
     std::uint64_t heldBankMask = 0;
     bool commitTokensHeld = false;

@@ -248,16 +248,6 @@ struct TMConfig {
     Word faultInjectForwardXor = 0;
 };
 
-/** Observable machine events (used by the Figure 2 timeline bench). */
-struct TraceEvent {
-    Cycle cycle;
-    CoreId core;
-    const char *kind; ///< "begin", "load", "store", "abort", "commit",
-                      ///< "repair", "forward", "nack".
-    Addr addr;
-    Word value;
-};
-
 } // namespace retcon::htm
 
 #endif // RETCON_HTM_TYPES_HPP

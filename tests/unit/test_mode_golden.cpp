@@ -19,6 +19,7 @@
 #include "api/runner.hpp"
 
 using namespace retcon;
+using htm::TMMode;
 
 namespace {
 
@@ -30,7 +31,7 @@ enum class Knobs {
 
 struct GoldenRow {
     const char *label;
-    htm::TMMode mode;
+    TMMode mode;
     Knobs knobs;
     /** Metric that must be > 0: the row's own mechanism ran. */
     const char *path;
@@ -43,20 +44,34 @@ struct GoldenRow {
 };
 
 const GoldenRow kRows[] = {
-    // label           mode                 knobs          path                       cycles commits aborts nacks fwd steals
-    {"serial",         htm::TMMode::Serial, Knobs::Plain,  "exec.conflict_cycles",    67681, 160,   0,     0,    0,   0},
-    {"serial+banked",  htm::TMMode::Serial, Knobs::Banked, "htm.backoff_cycles",      67638, 160,   0,     0,    0,   0},
-    {"eager",          htm::TMMode::Eager,  Knobs::Plain,  "htm.nacks",               31136, 160,   417,   3312, 0,   0},
-    {"eager+banked",   htm::TMMode::Eager,  Knobs::Banked, "htm.token_acquires",      30447, 160,   419,   1795, 0,   0},
-    {"lazy",           htm::TMMode::Lazy,   Knobs::Plain,  "reenact.repairs_checked", 33861, 160,   433,   0,    0,   0},
-    {"lazy+banked",    htm::TMMode::Lazy,   Knobs::Banked, "htm.backoff_cycles",      35303, 160,   422,   0,    0,   0},
-    {"lazy-vb",        htm::TMMode::LazyVB, Knobs::Plain,  "htm.lazy_value_mismatch", 31874, 160,   286,   3097, 0,   0},
-    {"lazy-vb+banked", htm::TMMode::LazyVB, Knobs::Banked, "htm.token_acquires",      31899, 160,   333,   1641, 0,   0},
-    {"retcon",         htm::TMMode::Retcon, Knobs::Plain,  "reenact.repairs_checked", 28864, 160,   235,   3034, 0,   0},
-    {"retcon+banked",  htm::TMMode::Retcon, Knobs::Banked, "htm.token_steals",        29511, 160,   222,   1627, 0,   30},
-    {"datm",           htm::TMMode::DATM,   Knobs::Plain,  "htm.cascade_bp_restarts", 56400, 160,   322,   0,    61,  0},
-    {"datm+banked",    htm::TMMode::DATM,   Knobs::Banked, "htm.cascade_bp_restarts", 48760, 160,   279,   0,    61,  1},
-    {"retcon+fleet",   htm::TMMode::Retcon, Knobs::Fleet,  "htm.xc_token_msgs",       26702, 160,   216,   3246, 0,   29},
+    // label, mode, knobs, path,
+    // cycles, commits, aborts, nacks, fwdReads, tokenSteals
+    {"serial", TMMode::Serial, Knobs::Plain, "exec.conflict_cycles",
+     67681, 160, 0, 0, 0, 0},
+    {"serial+banked", TMMode::Serial, Knobs::Banked, "htm.backoff_cycles",
+     67638, 160, 0, 0, 0, 0},
+    {"eager", TMMode::Eager, Knobs::Plain, "htm.nacks",
+     31136, 160, 417, 3312, 0, 0},
+    {"eager+banked", TMMode::Eager, Knobs::Banked, "htm.token_acquires",
+     30447, 160, 419, 1795, 0, 0},
+    {"lazy", TMMode::Lazy, Knobs::Plain, "reenact.repairs_checked",
+     33861, 160, 433, 0, 0, 0},
+    {"lazy+banked", TMMode::Lazy, Knobs::Banked, "htm.backoff_cycles",
+     35303, 160, 422, 0, 0, 0},
+    {"lazy-vb", TMMode::LazyVB, Knobs::Plain, "htm.lazy_value_mismatch",
+     31874, 160, 286, 3097, 0, 0},
+    {"lazy-vb+banked", TMMode::LazyVB, Knobs::Banked, "htm.token_acquires",
+     31899, 160, 333, 1641, 0, 0},
+    {"retcon", TMMode::Retcon, Knobs::Plain, "reenact.repairs_checked",
+     28864, 160, 235, 3034, 0, 0},
+    {"retcon+banked", TMMode::Retcon, Knobs::Banked, "htm.token_steals",
+     29511, 160, 222, 1627, 0, 30},
+    {"datm", TMMode::DATM, Knobs::Plain, "htm.cascade_bp_restarts",
+     56400, 160, 322, 0, 61, 0},
+    {"datm+banked", TMMode::DATM, Knobs::Banked, "htm.cascade_bp_restarts",
+     48760, 160, 279, 0, 61, 1},
+    {"retcon+fleet", TMMode::Retcon, Knobs::Fleet, "htm.xc_token_msgs",
+     26702, 160, 216, 3246, 0, 29},
 };
 
 api::RunConfig
