@@ -15,8 +15,8 @@
  *  - per-mode arena sizing (arenaBytesFor): DATM runs get 4x the
  *    default per-thread arena, clamped so (nthreads + 1) arenas still
  *    fit one cluster heap region — headroom for the leak-per-abort;
- *  - cascade back-pressure (htm::TMConfig::datmCascadeBackpressure,
- *    on by default): cores aborted by a forwarding cascade delay
+ *  - cascade back-pressure (always on, fixed constants in
+ *    htm/machine.cpp): cores aborted by a forwarding cascade delay
  *    their restart exponentially in the cascade streak, breaking the
  *    retry storms that previously kept yada/intruder from converging
  *    at moderate scales.

@@ -88,8 +88,6 @@ metrics()
         {"exec.sched_observed", Sim, sum<shards, &Sh::schedObserved>},
         {"exec.sched_defers", Sim, sum<shards, &Sh::schedDefers>},
         {"exec.sched_defer_cycles", Sim, sum<shards, &Sh::schedDeferCycles>},
-        {"exec.sched_repairable_skips", Sim,
-         sum<shards, &Sh::schedRepairableSkips>},
 
         {"sim.scheduled", Sim, sum<shards, &Sh::queueScheduled>},
         {"sim.events", Sim, sum<shards, &Sh::queueExecuted>},

@@ -243,7 +243,6 @@ runOnce(const RunConfig &cfg)
         sum.schedObserved = sched.observed;
         sum.schedDefers = sched.defers;
         sum.schedDeferCycles = sched.deferCycles;
-        sum.schedRepairableSkips = sched.repairableSkips;
     }
 
     result.banks.resize(cluster.numBanks());

@@ -123,7 +123,7 @@ struct RunConfig {
      */
     bool contentionSched = false;
 
-    /** Scheduler knobs. The scheduler engages when either this
+    /** Scheduler switch. The scheduler engages when either this
      *  struct's own `enabled` or `contentionSched` above is set. */
     exec::SchedulerConfig sched{};
 
@@ -198,9 +198,6 @@ struct ShardSummary {
     std::uint64_t schedObserved = 0;
     std::uint64_t schedDefers = 0;
     std::uint64_t schedDeferCycles = 0;
-    /// Defers waived because the blamed block is repairable-class
-    /// (0 unless sched.skipRepairableBlame).
-    std::uint64_t schedRepairableSkips = 0;
 };
 
 /** Per-directory-bank outcome of a run (one entry per memory bank). */

@@ -57,22 +57,13 @@ Cluster::Cluster(const ClusterConfig &cfg)
         _cores[victim]->onRemoteAbort(c);
     });
     if (cfg.sched.enabled) {
-        _sched = std::make_unique<ContentionScheduler>(cfg.numShards,
-                                                       cfg.sched);
+        _sched = std::make_unique<ContentionScheduler>(cfg.numShards);
         _tm->setContentionHook([this](CoreId core, Addr key) {
             _sched->observe(shardOf(core), key, _eq.now());
         });
         for (auto &core : _cores)
             core->setDeferHook([this](CoreId c) {
-                Addr blame = _tm->abortBlame(c);
-                // Predictor-aware skip: a conflict on a repairable-
-                // class (symbolically tracked) block is absorbed by
-                // pre-commit repair on retry — no de-phasing needed.
-                if (_cfg.sched.skipRepairableBlame && blame != 0 &&
-                    blame < htm::kTokenBlameBase &&
-                    _tm->wouldTrack(blame))
-                    return _sched->noteRepairableSkip(shardOf(c));
-                return _sched->deferDelay(shardOf(c), blame,
+                return _sched->deferDelay(shardOf(c), _tm->abortBlame(c),
                                           _eq.now());
             });
     }

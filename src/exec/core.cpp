@@ -4,6 +4,19 @@
 
 namespace retcon::exec {
 
+namespace {
+
+/**
+ * Zombie containment: value-based modes execute on snapshot values,
+ * so a doomed transaction can chase stale pointers through an
+ * inconsistent structure indefinitely. Early validation (eq-pinned
+ * words are revalidated on use) catches almost all of these; this
+ * per-attempt memory-operation bound is the backstop.
+ */
+constexpr std::uint64_t kZombieOpLimit = 100000;
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // Barrier
 // ---------------------------------------------------------------------
@@ -404,7 +417,7 @@ Core::tryMemOp(bool is_retry)
 {
     MemOpAwait *op = _pendingOp;
     htm::MemOpOutcome out;
-    if (op->txnal && ++_attemptOps > _tm.config().zombieOpLimit) {
+    if (op->txnal && ++_attemptOps > kZombieOpLimit) {
         // Doomed snapshot execution (zombie) backstop: discard the
         // attempt; the retry re-reads fresh values.
         _tm.abortSelf(_id, htm::AbortCause::Zombie);

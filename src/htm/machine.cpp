@@ -40,7 +40,6 @@ backoffPolicyName(BackoffPolicy p)
       case BackoffPolicy::None: return "none";
       case BackoffPolicy::Linear: return "linear";
       case BackoffPolicy::ExpCapped: return "exp";
-      case BackoffPolicy::ConflictProportional: return "prop";
     }
     return "?";
 }
@@ -49,8 +48,7 @@ bool
 backoffPolicyFromName(const char *name, BackoffPolicy &out)
 {
     for (auto p : {BackoffPolicy::None, BackoffPolicy::Linear,
-                   BackoffPolicy::ExpCapped,
-                   BackoffPolicy::ConflictProportional}) {
+                   BackoffPolicy::ExpCapped}) {
         if (std::strcmp(name, backoffPolicyName(p)) == 0) {
             out = p;
             return true;
@@ -78,6 +76,25 @@ abortCauseName(AbortCause c)
 }
 
 namespace {
+
+/// Fixed machine latencies (cycles) of the Table 1 configuration.
+constexpr Cycle kBeginLatency = 2;       ///< Transaction begin overhead.
+constexpr Cycle kCommitTokenLatency = 2; ///< Baseline commit overhead.
+constexpr Cycle kSerialLockLatency = 40; ///< Global-lock handoff (Serial).
+constexpr Cycle kNackRetryCycles = 25;   ///< Base delay before a NACK retry.
+
+/**
+ * DATM cascade back-pressure (part of the DATM support envelope —
+ * api/datm_envelope.hpp). A core whose transaction was killed by a
+ * forwarding cascade delays its restart by
+ * min(kCascadeBpCap, kCascadeBpBase << (streak - 1)) cycles, where
+ * the streak counts consecutive cascade aborts since the core's last
+ * commit. This breaks the retry storms that keep cascading workloads
+ * from converging: re-launching every cascade member at once just
+ * rebuilds the same dataflow chain and kills it again.
+ */
+constexpr Cycle kCascadeBpBase = 16;
+constexpr Cycle kCascadeBpCap = 2048;
 
 /** Extract a size-byte value at byte offset within a word. */
 Word
@@ -120,7 +137,6 @@ TMMachine::TMMachine(const SimClock &clock, mem::MemorySystem &ms,
     _xcTokenWaitsByCore.assign(ms.numCores(), 0);
     _nackStreak.assign(ms.numCores(), 0);
     _abortStreak.assign(ms.numCores(), 0);
-    _conflictHeat.assign(ms.numCores(), 0);
     _cascadeStreak.assign(ms.numCores(), 0);
     _abortBlame.assign(ms.numCores(), 0);
     _backoffRng.reserve(ms.numCores());
@@ -300,11 +316,8 @@ TMMachine::retireAborted(CoreId core, AbortCause cause, Addr blame,
     _nackStreak[core] = 0;
     if (cascade)
         ++_cascadeStreak[core];
-    if (blame != 0) {
-        ++_conflictHeat[core];
-        if (_contention)
-            _contention(core, blame);
-    }
+    if (blame != 0 && _contention)
+        _contention(core, blame);
     releaseTokens(core);
     _activeUids.erase(st.uid);
     st.resetSpeculation();
@@ -626,14 +639,13 @@ TMMachine::txBegin(CoreId core, bool is_retry)
                "txBegin with commit tokens still held (core %u)", core);
 
     MemOpOutcome out;
-    out.latency = _cfg.beginLatency;
+    out.latency = kBeginLatency;
 
     if (_cfg.mode == TMMode::Serial) {
         if (_serialLockHolder != kNoCore && _serialLockHolder != core)
-            return {OpStatus::Nack, nackLatency(core, /*conflict=*/false),
-                    0, std::nullopt};
+            return {OpStatus::Nack, nackLatency(core), 0, std::nullopt};
         _serialLockHolder = core;
-        out.latency = _cfg.serialLockLatency;
+        out.latency = kSerialLockLatency;
     }
 
     if (!is_retry || !st.hasTimestamp) {
@@ -1043,8 +1055,7 @@ TMMachine::txAccessGate(CoreId core)
     // OneTM overflow handling: acquire the serialization token first.
     if (st.overflowPending && !st.overflowed) {
         if (_overflowTokenHolder != kNoCore)
-            return MemOpOutcome{OpStatus::Nack,
-                                nackLatency(core, /*conflict=*/false), 0,
+            return MemOpOutcome{OpStatus::Nack, nackLatency(core), 0,
                                 std::nullopt};
         _overflowTokenHolder = core;
         st.overflowed = true;
@@ -1098,12 +1109,9 @@ TMMachine::backoffExtra(CoreId core, std::uint32_t steps)
         extra = steps >= 16 ? b.cap
                             : b.base * (Cycle(1) << (steps - 1));
         break;
-      case BackoffPolicy::ConflictProportional:
-        extra = b.base * _conflictHeat[core];
-        break;
     }
     extra = std::min(extra, b.cap);
-    if (b.jitter && extra > 1) {
+    if (extra > 1) {
         // Equal jitter: uniform in [extra/2, extra], per-core stream.
         extra = extra / 2 + _backoffRng[core].below(extra / 2 + 1);
     }
@@ -1111,13 +1119,11 @@ TMMachine::backoffExtra(CoreId core, std::uint32_t steps)
 }
 
 Cycle
-TMMachine::nackLatency(CoreId core, bool conflict)
+TMMachine::nackLatency(CoreId core)
 {
-    Cycle lat = _cfg.nackRetryCycles;
+    Cycle lat = kNackRetryCycles;
     if (_cfg.backoff.policy == BackoffPolicy::None)
         return lat;
-    if (conflict)
-        ++_conflictHeat[core];
     ++_nackStreak[core];
     Cycle extra = backoffExtra(core, _nackStreak[core]);
     if (extra > 0) {
@@ -1135,10 +1141,9 @@ TMMachine::restartBackoff(CoreId core)
     // whose last abort came from a forwarding cascade — every
     // non-DATM mode never builds a streak and is bit-identical.
     Cycle cascade = 0;
-    if (_cfg.datmCascadeBackpressure && _cascadeStreak[core] > 0) {
+    if (_cascadeStreak[core] > 0) {
         std::uint32_t s = std::min(_cascadeStreak[core] - 1, 16u);
-        cascade = std::min(_cfg.datmCascadeCap,
-                           _cfg.datmCascadeBase << s);
+        cascade = std::min(kCascadeBpCap, kCascadeBpBase << s);
         ++_stats.cascadeBpRestarts;
         _stats.cascadeBpCycles += cascade;
     }
@@ -1321,13 +1326,6 @@ TMMachine::finalRootValue(CoreId core, Addr root) const
     return it->second;
 }
 
-bool
-TMMachine::wouldTrack(Addr block) const
-{
-    return (_cfg.mode == TMMode::Retcon || _cfg.mode == TMMode::LazyVB) &&
-           _predictor.shouldTrack(block);
-}
-
 CommitStepOutcome
 TMMachine::commitStep(CoreId core, bool is_retry)
 {
@@ -1347,8 +1345,7 @@ TMMachine::commitStep(CoreId core, bool is_retry)
         // DATM's globally-enforced commit order: wait for predecessors.
         for (const auto &[p, flags] : st.datmPreds)
             if (_activeUids.count(p))
-                return commitCharge(core,
-                                    nackLatency(core, /*conflict=*/false),
+                return commitCharge(core, nackLatency(core),
                                     OpStatus::Nack);
         // Tokens are requested only after every commit-order
         // predecessor resolved (DATM), so a token holder can never be
@@ -1359,8 +1356,7 @@ TMMachine::commitStep(CoreId core, bool is_retry)
                                 OpStatus::Nack);
         if (st.commitPhase == 0) {
             st.commitPhase = 3;
-            return commitCharge(core,
-                                _cfg.commitTokenLatency + _tokenWireLat);
+            return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
         }
         return finalizeCommit(core);
 
@@ -1400,7 +1396,7 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         st.commitPhase = 1;
         st.commitIvbIdx = 0;
         st.commitSsbIdx = 0;
-        return commitCharge(core, _cfg.commitTokenLatency + _tokenWireLat);
+        return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
     }
 
     // Phase 1 (Figure 7, step 1): reacquire lost blocks, validate.
@@ -1424,7 +1420,7 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
             bool have = want_write
                             ? _ms.hasWritePerm(core, e.block)
                             : _ms.hasReadPerm(core, e.block);
-            Cycle lat = _ms.timing().l1Hit;
+            Cycle lat = mem::kL1HitCycles;
             if (!have) {
                 OpStatus s = resolveConflict(core, true, e.block,
                                              want_write, is_retry);
@@ -1473,7 +1469,7 @@ TMMachine::commitStepRetcon(CoreId core, bool is_retry)
         }
         rtc::SsbEntry &e = st.ssb.entries()[st.commitSsbIdx];
         Addr block = blockAddr(e.word);
-        Cycle lat = _ms.timing().l1Hit;
+        Cycle lat = mem::kL1HitCycles;
         if (!_ms.hasWritePerm(core, block)) {
             OpStatus s =
                 resolveConflict(core, true, block, true, is_retry);
@@ -1511,13 +1507,12 @@ TMMachine::commitStepLazy(CoreId core)
 
     if (st.commitPhase == 0) {
         if (_lazyCommitToken != kNoCore && _lazyCommitToken != core)
-            return commitCharge(core, nackLatency(core, /*conflict=*/false),
-                                OpStatus::Nack);
+            return commitCharge(core, nackLatency(core), OpStatus::Nack);
         _lazyCommitToken = core;
         st.commitPhase = 2;
         st.commitSsbIdx = 0;
         audit(core, trace::EventKind::CommitDrain);
-        return commitCharge(core, _cfg.commitTokenLatency);
+        return commitCharge(core, kCommitTokenLatency);
     }
 
     if (st.commitPhase == 2) {
@@ -1567,12 +1562,9 @@ TMMachine::finalizeCommit(CoreId core)
         st.datmForwardedRead ? trace::kCommitAuxDatmForwarded : 0;
     st.resetSpeculation();
     st.hasTimestamp = false;
-    // Backoff streaks end with the transaction; conflict heat decays
-    // geometrically so the proportional policy tracks *recent*
-    // pressure instead of a whole run's history.
+    // Backoff streaks end with the transaction.
     _nackStreak[core] = 0;
     _abortStreak[core] = 0;
-    _conflictHeat[core] >>= 1;
     _cascadeStreak[core] = 0;
     ++_stats.commits;
     audit(core, trace::EventKind::Commit, 0, 0, 0, std::nullopt,

@@ -69,9 +69,9 @@ struct MachineStats {
     std::uint64_t backoffRestarts = 0; ///< Post-abort restarts delayed.
     std::uint64_t backoffCycles = 0;   ///< Total extra delay imposed.
 
-    /// DATM cascade back-pressure (0 unless mode == DATM and
-    /// TMConfig::datmCascadeBackpressure; reported separately from
-    /// the backoff counters so policy-None runs still show 0 there).
+    /// DATM cascade back-pressure (0 unless mode == DATM; reported
+    /// separately from the backoff counters so policy-None runs still
+    /// show 0 there).
     std::uint64_t cascadeBpRestarts = 0; ///< Restarts delayed.
     std::uint64_t cascadeBpCycles = 0;   ///< Total extra delay.
 
@@ -214,9 +214,6 @@ class TMMachine : public mem::CoherenceListener
     /** Final value of a symbolic root after commit repair. */
     Word finalRootValue(CoreId core, Addr root) const;
 
-    /** Whether @p block would currently be tracked symbolically. */
-    bool wouldTrack(Addr block) const;
-
     rtc::ConflictPredictor &predictor() { return _predictor; }
     const TMConfig &config() const { return _cfg; }
     const MachineStats &stats() const { return _stats; }
@@ -304,15 +301,12 @@ class TMMachine : public mem::CoherenceListener
 
     /// NACK/abort backoff state (all per core). Streaks reset at
     /// commit; the NACK streak additionally resets at abort (the
-    /// restart is a fresh attempt). Heat is the conflict-proportional
-    /// policy's pressure estimate: ++ on conflict NACK/abort, halved
-    /// on commit.
+    /// restart is a fresh attempt).
     std::vector<Xoshiro> _backoffRng;
     std::vector<std::uint32_t> _nackStreak;
     std::vector<std::uint32_t> _abortStreak;
-    std::vector<std::uint32_t> _conflictHeat;
     /// Consecutive cascade-cause aborts since the core's last commit
-    /// (TMConfig::datmCascadeBackpressure).
+    /// (DATM cascade back-pressure, restartBackoff).
     std::vector<std::uint32_t> _cascadeStreak;
     std::vector<Addr> _abortBlame;
 
@@ -371,14 +365,11 @@ class TMMachine : public mem::CoherenceListener
     void violationAbort(CoreId core, Addr block, bool value_mismatch);
 
     /**
-     * NACK retry latency for @p core: nackRetryCycles plus the
+     * NACK retry latency for @p core: the fixed retry delay plus the
      * configured backoff policy's extra delay (which grows with the
-     * attempt's consecutive-NACK streak). @p conflict marks NACKs
-     * caused by block/token contention — they raise the conflict-
-     * proportional heat; availability waits (serial lock, overflow
-     * token, DATM predecessor) do not.
+     * attempt's consecutive-NACK streak).
      */
-    Cycle nackLatency(CoreId core, bool conflict = true);
+    Cycle nackLatency(CoreId core);
 
     /** Policy-scaled extra delay for a streak of @p steps retries. */
     Cycle backoffExtra(CoreId core, std::uint32_t steps);

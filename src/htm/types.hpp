@@ -81,24 +81,21 @@ struct CommitStepOutcome {
 
 /**
  * NACK/abort retry backoff policy. The baseline machine retries a
- * NACKed operation after a fixed `nackRetryCycles` and re-begins an
- * aborted transaction immediately — under heavy contention every
- * loser re-arrives in lockstep and loses again. A backoff policy adds
- * a growing extra delay so conflicting transactions de-phase.
+ * NACKed operation after a fixed 25 cycles and re-begins an aborted
+ * transaction immediately — under heavy contention every loser
+ * re-arrives in lockstep and loses again. A backoff policy adds a
+ * growing extra delay so conflicting transactions de-phase.
  */
 enum class BackoffPolicy : std::uint8_t {
-    None,        ///< Fixed nackRetryCycles, immediate restart (baseline).
+    None,        ///< Fixed NACK retry, immediate restart (baseline).
     Linear,      ///< extra = base * streak, capped.
     ExpCapped,   ///< extra = base * 2^(streak-1), capped (binary
                  ///< exponential backoff).
-    ConflictProportional, ///< extra = base * per-core conflict heat
-                          ///< (heat rises on every conflict NACK/abort,
-                          ///< halves on commit), capped.
 };
 
 const char *backoffPolicyName(BackoffPolicy p);
 
-/** Parse a policy name ("none", "linear", "exp", "prop") into @p out;
+/** Parse a policy name ("none", "linear", "exp") into @p out;
  *  false (out untouched) on unknown names. */
 bool backoffPolicyFromName(const char *name, BackoffPolicy &out);
 
@@ -113,17 +110,12 @@ struct BackoffConfig {
     /// docs/tuning.md).
     Cycle base = 2;
 
-    /// Upper bound on the extra delay of a single retry.
+    /// Upper bound on the extra delay of a single retry. The delay
+    /// actually imposed is drawn uniformly from [extra/2, extra]
+    /// (equal jitter) from a per-core xoshiro stream seeded by
+    /// (seed, core): deterministic for a fixed seed, but different
+    /// cores de-phase differently instead of re-colliding.
     Cycle cap = 64;
-
-    /**
-     * Equal-jitter randomization: the extra delay is drawn uniformly
-     * from [extra/2, extra] per retry, from a per-core xoshiro stream
-     * seeded by (seed, core) — fully deterministic for a fixed seed,
-     * but different cores de-phase differently. Without jitter every
-     * core backs off by the same schedule and re-collides.
-     */
-    bool jitter = true;
 
     /**
      * Seed of the per-core jitter streams. 0 (the default) means
@@ -165,20 +157,15 @@ struct TMConfig {
     bool parallelReacquire = false;  ///< Pre-commit reacquires overlap.
     bool freeCommitStores = false;   ///< Commit-time stores cost nothing.
 
-    Cycle nackRetryCycles = 25;   ///< Base delay before retrying a NACK.
-
     /**
      * NACK/abort retry backoff. With the policy None (the default)
-     * the machine reproduces the PR-4 behaviour bit-for-bit: fixed
-     * nackRetryCycles per NACK, immediate restart after an abort.
-     * Any other policy adds a growing, optionally jittered extra
-     * delay per consecutive NACK (and before restarting an aborted
-     * transaction), counted in MachineStats::{backoffNacks,
-     * backoffRestarts, backoffCycles}.
+     * the machine reproduces the PR-4 behaviour bit-for-bit: a fixed
+     * NACK retry delay, immediate restart after an abort. Any other
+     * policy adds a growing, jittered extra delay per consecutive
+     * NACK (and before restarting an aborted transaction), counted in
+     * MachineStats::{backoffNacks, backoffRestarts, backoffCycles}.
      */
     BackoffConfig backoff{};
-    Cycle beginLatency = 2;       ///< Transaction begin overhead.
-    Cycle commitTokenLatency = 2; ///< Baseline commit overhead.
 
     /**
      * Model commit-token arbitration against the memory system's
@@ -189,44 +176,14 @@ struct TMConfig {
      * oldest-wins (an older committer aborts a younger token holder;
      * a younger requester NACKs), which keeps every wait younger->older
      * and therefore deadlock-free. Off (the default) reproduces the
-     * PR-3 implicit arbiter: acquisition always succeeds after
-     * commitTokenLatency, making results independent of the bank
-     * count. Lazy (TCC) mode keeps its single global commit token
+     * PR-3 implicit arbiter: acquisition always succeeds after the
+     * fixed commit-token latency, making results independent of the
+     * bank count. Lazy (TCC) mode keeps its single global commit token
      * either way — committer-wins drains are not undo-logged, so a
      * mid-drain abort (possible only with concurrent committers) would
      * corrupt memory.
      */
     bool commitTokenArbitration = false;
-    Cycle abortRollbackCycles = 0; ///< §2: zero-cycle rollback baseline.
-    Cycle serialLockLatency = 40; ///< Global-lock handoff (Serial mode).
-
-    /**
-     * Zombie containment: value-based modes execute on snapshot values,
-     * so a doomed transaction can chase stale pointers through an
-     * inconsistent structure indefinitely. Early validation (eq-pinned
-     * words are revalidated on use) catches almost all of these; this
-     * per-attempt memory-operation bound is the backstop.
-     */
-    std::uint64_t zombieOpLimit = 100000;
-
-    /**
-     * DATM cascade back-pressure (part of the DATM support envelope —
-     * api/datm_envelope.hpp). A core whose transaction was killed by
-     * a forwarding cascade delays its restart by
-     * min(datmCascadeCap, datmCascadeBase << (streak - 1)) cycles,
-     * where the streak counts consecutive cascade aborts since the
-     * core's last commit. This breaks the retry storms that keep
-     * cascading workloads from converging: re-launching every cascade
-     * member at once just rebuilds the same dataflow chain and kills
-     * it again. On by default; only cascade-cause aborts are charged,
-     * so every non-DATM mode is bit-identical either way, and the
-     * delay is deterministic (no jitter) independent of
-     * BackoffConfig::policy. Charged cycles are reported separately
-     * (MachineStats::cascadeBpCycles), never as backoffCycles.
-     */
-    bool datmCascadeBackpressure = true;
-    Cycle datmCascadeBase = 16;
-    Cycle datmCascadeCap = 2048;
 
     /**
      * Test-only fault injection: XORed into every commit-time repaired

@@ -35,8 +35,8 @@ MemorySystem::bankVisit(Addr block)
         // The request reaches the directory one hop after issue; the
         // bank services requests back to back, `bankOccupancy` cycles
         // each.
-        Cycle arrive = _clock->now() + _timing.l1Hit + _timing.l2Hit +
-                       _timing.hop;
+        Cycle arrive =
+            _clock->now() + kL1HitCycles + kL2HitCycles + kHopCycles;
         Cycle start = std::max(arrive, _bankFreeAt[bank]);
         _bankFreeAt[bank] = start + _timing.bankOccupancy;
         stall = start - arrive;
@@ -97,29 +97,29 @@ MemorySystem::localLatency(CoreId core, Addr block, bool is_write) const
     bool perm = is_write ? _directory.hasWritePerm(block, core)
                          : _directory.hasReadPerm(block, core);
     if (perm && cc.l1.contains(block))
-        return _timing.l1Hit;
+        return kL1HitCycles;
     if (perm && cc.l2.contains(block))
-        return _timing.l1Hit + _timing.l2Hit;
+        return kL1HitCycles + kL2HitCycles;
 
     // Miss: L1 issue + L2 lookup + hop to directory...
-    Cycle lat = _timing.l1Hit + _timing.l2Hit + _timing.hop;
+    Cycle lat = kL1HitCycles + kL2HitCycles + kHopCycles;
     DirEntry e = _directory.lookup(block);
     if (e.state == DirState::Modified && e.owner != core) {
         // Forward to owner; owner L2 access; data to requester.
-        lat += _timing.hop + _timing.l2Hit + _timing.hop;
+        lat += kHopCycles + kL2HitCycles + kHopCycles;
     } else if (e.state == DirState::Shared && is_write) {
         // Invalidate sharers (parallel) + ack; data from memory if the
         // requester lacks a copy.
         bool requester_shares = (e.sharers >> core) & 1;
-        lat += 2 * _timing.hop;
+        lat += 2 * kHopCycles;
         if (!requester_shares)
-            lat += _timing.dram;
+            lat += kDramCycles;
     } else if (e.state == DirState::Shared && !is_write) {
         // Clean data supplied by memory.
-        lat += _timing.dram + _timing.hop;
+        lat += kDramCycles + kHopCycles;
     } else {
         // Invalid at directory: fetch from DRAM.
-        lat += _timing.dram + _timing.hop;
+        lat += kDramCycles + kHopCycles;
     }
     return lat;
 }

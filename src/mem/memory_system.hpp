@@ -32,13 +32,14 @@
 
 namespace retcon::mem {
 
-/** Latency parameters (cycles), defaults per Table 1. */
-struct MemTimingConfig {
-    Cycle l1Hit = 1;
-    Cycle l2Hit = 10;
-    Cycle hop = 20;      ///< Directory/interconnect hop.
-    Cycle dram = 100;    ///< DRAM lookup.
+/// Fixed access latencies (cycles) of the Table 1 machine.
+inline constexpr Cycle kL1HitCycles = 1;
+inline constexpr Cycle kL2HitCycles = 10;
+inline constexpr Cycle kHopCycles = 20;   ///< Directory/interconnect hop.
+inline constexpr Cycle kDramCycles = 100; ///< DRAM lookup.
 
+/** Directory timing beyond the fixed latencies above. */
+struct MemTimingConfig {
     /**
      * Cycles a directory bank is occupied servicing one request
      * (0 = occupancy unmodeled, the PR-3 behaviour). With a nonzero
@@ -199,8 +200,6 @@ class MemorySystem
     {
         return _directory.topology();
     }
-
-    const MemTimingConfig &timing() const { return _timing; }
 
     const CacheConfig &cacheConfig() const { return _cacheConfig; }
 

@@ -205,17 +205,21 @@ encodeStreamHeader(bool dense_seq,
 // ---------------------------------------------------------------------
 // StreamWriter
 
-StreamWriter::StreamWriter(const std::string &path, bool dense_seq,
-                           std::size_t buffer_bytes)
-    : _path(path), _bufLimit(buffer_bytes < kFrameBytes ? kFrameBytes
-                                                        : buffer_bytes)
+namespace {
+
+/// Frames batch up to this many bytes before one write() call.
+constexpr std::size_t kWriterBufferBytes = 1 << 16;
+
+} // namespace
+
+StreamWriter::StreamWriter(const std::string &path) : _path(path)
 {
     _f = std::fopen(path.c_str(), "wb");
     if (!_f)
         fatal("cannot open trace stream %s for writing", path.c_str());
-    _buf.reserve(_bufLimit + kFrameBytes);
+    _buf.reserve(kWriterBufferBytes + kFrameBytes);
     _buf.resize(kStreamHeaderBytes);
-    encodeStreamHeader(dense_seq, _buf.data());
+    encodeStreamHeader(/*dense_seq=*/true, _buf.data());
 }
 
 StreamWriter::~StreamWriter()
@@ -232,7 +236,7 @@ StreamWriter::onEvent(const Record &r)
     _buf.resize(at + kFrameBytes);
     encodeFrame(r, _buf.data() + at);
     ++_stats.records;
-    if (_buf.size() >= _bufLimit)
+    if (_buf.size() >= kWriterBufferBytes)
         flush();
 }
 
@@ -268,8 +272,7 @@ StreamWriter::close()
 // ---------------------------------------------------------------------
 // StreamReader
 
-StreamReader::StreamReader(const std::string &path, bool resync)
-    : _resync(resync)
+StreamReader::StreamReader(const std::string &path)
 {
     _f = std::fopen(path.c_str(), "rb");
     if (!_f)
@@ -317,66 +320,13 @@ StreamReader::Status
 StreamReader::fail(StreamFault &fault, StreamFault::Kind kind,
                    std::uint64_t offset, std::uint64_t seq)
 {
-    ++_faults;
     fault.kind = kind;
     fault.offset = offset;
     fault.recordIndex = _records;
     fault.prevSeq = _lastSeq;
     fault.seq = seq;
-    if (!_resync) {
-        _done = true;
-    } else if (kind != StreamFault::Kind::SeqGap) {
-        // Skip at least one byte of the bad region, then hunt for the
-        // next checksum-valid frame. A SeqGap frame is itself intact
-        // (it is sitting in _pendingRec), so nothing is skipped.
-        if (kind == StreamFault::Kind::SeqOrder) {
-            // The frame parsed and checksummed; only its seq is
-            // stale. Drop the whole frame, not one byte of it.
-            _skipped += kFrameBytes;
-            _pos += kFrameBytes;
-        } else if (kind == StreamFault::Kind::Truncated) {
-            _skipped += avail();
-            _pos = _buf.size();
-        } else {
-            ++_skipped;
-            ++_pos;
-        }
-        scanToFrame();
-    }
+    _done = true;
     return Status::Fault;
-}
-
-bool
-StreamReader::frameValid()
-{
-    refill(kFrameBytes);
-    if (avail() < kFrameBytes)
-        return false;
-    const unsigned char *p = _buf.data() + _pos;
-    if (p[0] != kFrameSync0 || p[1] != kFrameSync1)
-        return false;
-    if (get16(p + 2) != kFramePayloadBytes)
-        return false;
-    return get32(p + 12 + kFramePayloadBytes) ==
-           crc32(p + 2, 2 + 8 + kFramePayloadBytes);
-}
-
-void
-StreamReader::scanToFrame()
-{
-    while (true) {
-        refill(kFrameBytes);
-        if (avail() < kFrameBytes) {
-            // Tail shorter than a frame can hide no record.
-            _skipped += avail();
-            _pos = _buf.size();
-            return;
-        }
-        if (frameValid())
-            return;
-        ++_skipped;
-        ++_pos;
-    }
 }
 
 bool
@@ -392,26 +342,22 @@ StreamReader::parseHeader(StreamFault &fault, Status &status)
         status = torn ? fail(fault, StreamFault::Kind::Truncated,
                              offsetAt(avail()), 0)
                       : fail(fault, StreamFault::Kind::BadMagic, 0, 0);
-        _done = true; // A headerless stream cannot be resynced.
         return false;
     }
     const unsigned char *p = _buf.data() + _pos;
     if (std::memcmp(p, kStreamMagic, sizeof(kStreamMagic)) != 0) {
         status = fail(fault, StreamFault::Kind::BadMagic, 0, 0);
-        _done = true;
         return false;
     }
     std::uint16_t version = get16(p + 8);
     if (version != kStreamVersion) {
         status = fail(fault, StreamFault::Kind::BadVersion, 8, version);
-        _done = true;
         return false;
     }
     std::uint16_t hdrBytes = get16(p + 10);
     if (hdrBytes < kStreamHeaderBytes) {
         status = fail(fault, StreamFault::Kind::BadLength, 10,
                       hdrBytes);
-        _done = true;
         return false;
     }
     _dense = (get32(p + 12) & kStreamFlagDenseSeq) != 0;
@@ -420,7 +366,6 @@ StreamReader::parseHeader(StreamFault &fault, Status &status)
     if (avail() < hdrBytes) {
         status = fail(fault, StreamFault::Kind::Truncated,
                       offsetAt(avail()), 0);
-        _done = true;
         return false;
     }
     _pos += hdrBytes;
@@ -436,11 +381,6 @@ StreamReader::next(Record &out, StreamFault &fault)
     Status status = Status::End;
     if (!_headerParsed && !parseHeader(fault, status))
         return status;
-    if (_pending) {
-        _pending = false;
-        out = _pendingRec;
-        return Status::Record;
-    }
     refill(kFrameBytes);
     if (avail() == 0) {
         _done = true;
@@ -475,27 +415,13 @@ StreamReader::next(Record &out, StreamFault &fault)
     if (seq <= _lastSeq)
         return fail(fault, StreamFault::Kind::SeqOrder, frameOff + 4,
                     seq);
-    bool gap = _dense && _lastSeq != 0 && seq != _lastSeq + 1;
+    // A dense stream with missing records is an incomplete recording
+    // masquerading as a complete one.
+    if (_dense && _lastSeq != 0 && seq != _lastSeq + 1)
+        return fail(fault, StreamFault::Kind::SeqGap, frameOff + 4, seq);
     _pos += kFrameBytes;
-    std::uint64_t prev = _lastSeq;
     _lastSeq = seq;
     ++_records;
-    if (gap) {
-        // The record is intact; deliver it on the next call so the
-        // gap itself is observable (strict mode treats it as fatal:
-        // a dense stream with missing records is an incomplete
-        // recording masquerading as a complete one).
-        --_records; // fail() reports the pre-record index...
-        Status s = fail(fault, StreamFault::Kind::SeqGap, frameOff + 4,
-                        seq);
-        fault.prevSeq = prev;
-        ++_records;
-        if (_resync) {
-            _pending = true;
-            _pendingRec = rec;
-        }
-        return s;
-    }
     out = rec;
     return Status::Record;
 }
@@ -521,13 +447,11 @@ std::size_t
 exportBinaryFile(const std::vector<Record> &recs,
                  const std::string &path)
 {
-    bool dense = true;
     for (std::size_t i = 1; i < recs.size(); ++i)
-        if (recs[i].seq != recs[i - 1].seq + 1) {
-            dense = false;
-            break;
-        }
-    StreamWriter w(path, dense);
+        sim_assert(recs[i].seq == recs[i - 1].seq + 1,
+                   "exportBinaryFile needs consecutive seqs (record %zu)",
+                   i);
+    StreamWriter w(path);
     for (const Record &r : recs)
         w.onEvent(r);
     w.close();

@@ -23,11 +23,9 @@
  *              and payload; the sync marker is excluded so a marker
  *              found by scanning is validated by the checksum.
  *
- * The framing is escape-free: payload bytes are written verbatim, so
- * a reader that loses sync (corruption, torn write, mid-file seek)
- * resynchronizes by scanning for the sync marker and accepting the
- * first candidate whose length and checksum validate. The per-frame
- * seq then tells it exactly how many records the gap swallowed.
+ * The framing is escape-free: payload bytes are written verbatim. The
+ * reader treats the first integrity fault as terminal; the per-frame
+ * seq tells a diagnostic exactly how many records a gap swallowed.
  */
 
 #ifndef RETCON_TRACE_STREAM_HPP
@@ -71,7 +69,7 @@ void encodeFrame(const Record &r, unsigned char out[kFrameBytes]);
  */
 bool decodePayload(const unsigned char *payload, Record &out);
 
-/** Serialize the 16-byte file header. */
+/** Serialize the 16-byte file header (@p dense_seq sets flag bit 0). */
 void encodeStreamHeader(bool dense_seq,
                         unsigned char out[kStreamHeaderBytes]);
 
@@ -95,13 +93,11 @@ class StreamWriter final : public TraceSink
     };
 
     /**
-     * @param dense_seq sets the header's dense flag: a live
-     * machine-attached writer sees every record (seq 1, 2, 3, ...),
-     * so a reader may treat any gap as data loss. Pass false when
-     * writing a windowed/merged subset.
+     * Always sets the header's dense flag: a live machine-attached
+     * writer sees every record (seq 1, 2, 3, ...), so a reader may
+     * treat any gap as data loss.
      */
-    explicit StreamWriter(const std::string &path, bool dense_seq = true,
-                          std::size_t buffer_bytes = 1 << 16);
+    explicit StreamWriter(const std::string &path);
     ~StreamWriter() override;
     StreamWriter(const StreamWriter &) = delete;
     StreamWriter &operator=(const StreamWriter &) = delete;
@@ -120,7 +116,6 @@ class StreamWriter final : public TraceSink
     std::FILE *_f = nullptr;
     std::string _path;
     std::vector<unsigned char> _buf;
-    std::size_t _bufLimit;
     Stats _stats;
 };
 
@@ -136,8 +131,6 @@ struct StreamFault {
                      ///< legal record (hand-crafted/wrong-version).
         SeqOrder,    ///< Frame seq <= the previous frame's seq.
         SeqGap,      ///< Dense stream skipped seqs: records lost.
-                     ///< The record itself is intact and is still
-                     ///< delivered by the following next() call.
         Truncated,   ///< Stream ends mid-frame (torn final write).
     };
     Kind kind = Kind::BadSync;
@@ -153,16 +146,9 @@ struct StreamFault {
 /**
  * Incremental .rtt reader: yields one record per next() call from a
  * bounded internal buffer, so resident memory never depends on trace
- * length. Two modes:
- *
- *  - strict (default): the first fault is terminal — next() reports
- *    it once and then returns End. This is the loader's mode: a
- *    corrupted or truncated trace must not masquerade as a recording.
- *  - resync: a fault is reported, then the reader scans forward for
- *    the next checksum-valid frame and continues — the
- *    flight-recorder mode, where the records after a torn region are
- *    still worth having. bytesSkipped() totals what the scans
- *    discarded.
+ * length. The first fault is terminal — next() reports it once and
+ * then returns End: a corrupted or truncated trace must not
+ * masquerade as a recording.
  */
 class StreamReader
 {
@@ -170,11 +156,10 @@ class StreamReader
     enum class Status : std::uint8_t {
         Record, ///< @p out holds the next record.
         Fault,  ///< @p fault describes a detected integrity fault.
-        End,    ///< Clean end of stream (or terminal after strict
-                ///< fault).
+        End,    ///< Clean end of stream (or after a fault).
     };
 
-    explicit StreamReader(const std::string &path, bool resync = false);
+    explicit StreamReader(const std::string &path);
     ~StreamReader();
     StreamReader(const StreamReader &) = delete;
     StreamReader &operator=(const StreamReader &) = delete;
@@ -187,8 +172,6 @@ class StreamReader
     /** Header dense flag (valid after the first next()). */
     bool denseSeq() const { return _dense; }
     std::uint64_t recordsRead() const { return _records; }
-    std::uint64_t faultsSeen() const { return _faults; }
-    std::uint64_t bytesSkipped() const { return _skipped; }
 
   private:
     std::size_t avail() const { return _buf.size() - _pos; }
@@ -197,14 +180,8 @@ class StreamReader
     Status fail(StreamFault &fault, StreamFault::Kind kind,
                 std::uint64_t offset, std::uint64_t seq);
     bool parseHeader(StreamFault &fault, Status &status);
-    /** Resync scan: drop bytes until a checksum-valid frame heads
-     *  the buffer (or EOF). */
-    void scanToFrame();
-    /** Frame at _pos is complete and checksum-valid. */
-    bool frameValid();
 
     std::FILE *_f = nullptr;
-    bool _resync;
     bool _headerParsed = false;
     bool _done = false;
     bool _dense = false;
@@ -214,17 +191,12 @@ class StreamReader
     std::uint64_t _base = 0;    ///< File offset of _buf[0].
     std::uint64_t _lastSeq = 0;
     std::uint64_t _records = 0;
-    std::uint64_t _faults = 0;
-    std::uint64_t _skipped = 0;
-    bool _pending = false; ///< A SeqGap left its record undelivered.
-    Record _pendingRec{};
 };
 
 /**
  * Write @p recs as one .rtt stream (how tests build fixture streams
- * from an in-memory capture). The dense header flag is set when the
- * records' seqs are actually consecutive — true for a complete
- * capture, false for a subset.
+ * from an in-memory capture). The stream claims dense seqs, so @p recs
+ * must be a complete capture (consecutive seqs).
  * @return records written.
  */
 std::size_t exportBinaryFile(const std::vector<Record> &recs,

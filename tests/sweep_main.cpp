@@ -37,7 +37,7 @@
 //                 like --shards, results are bit-identical for any N
 //                 and --audit re-proves it commit by commit)
 //   --backoff P   NACK/abort retry backoff policy for every run
-//                 (none|linear|exp|prop — htm::BackoffConfig,
+//                 (none|linear|exp — htm::BackoffConfig,
 //                 docs/tuning.md). Non-none policies change timing
 //                 only; validation and the audit must stay green,
 //                 and the `backoff` column reports the total extra
@@ -109,7 +109,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--quick] [--audit] [--shards N] [--mem-banks N]\n"
-        "          [--backoff none|linear|exp|prop] [--clusters N]\n"
+        "          [--backoff none|linear|exp] [--clusters N]\n"
         "          [--xc-fraction F] [--jobs N]\n"
         "          [--annotate-phases] [--trace-out PREFIX]\n"
         "          [--trace-keep] [--scenario NAME|all]\n"
@@ -380,7 +380,7 @@ main(int argc, char **argv)
             const char *policy = i + 1 < argc ? argv[++i] : "";
             if (!htm::backoffPolicyFromName(policy, backoff))
                 bad = std::string("--backoff: unknown policy '") +
-                      policy + "' (none|linear|exp|prop)";
+                      policy + "' (none|linear|exp)";
         } else if (argv[i][0] == '-' && argv[i][1] == '-') {
             // An unrecognized --flag must never be silently consumed
             // as a positional (a typo would quietly change the sweep).

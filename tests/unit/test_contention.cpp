@@ -103,11 +103,9 @@ TEST(Contention, AllKnobsOffIsBitIdenticalToDefaults)
 TEST(Contention, BackoffSameSeedSameResult)
 {
     for (htm::BackoffPolicy pol :
-         {htm::BackoffPolicy::Linear, htm::BackoffPolicy::ExpCapped,
-          htm::BackoffPolicy::ConflictProportional}) {
+         {htm::BackoffPolicy::Linear, htm::BackoffPolicy::ExpCapped}) {
         api::RunConfig cfg = serviceConfig(2, 4, 4);
         cfg.tm.backoff.policy = pol;
-        cfg.tm.backoff.jitter = true;
         cfg.seed = 7;
         api::RunResult a = api::runOnce(cfg);
         api::RunResult b = api::runOnce(cfg);
@@ -122,8 +120,7 @@ TEST(Contention, BackoffSameSeedSameResult)
 TEST(Contention, BackoffPoliciesImposeDelayAndStayValid)
 {
     for (htm::BackoffPolicy pol :
-         {htm::BackoffPolicy::Linear, htm::BackoffPolicy::ExpCapped,
-          htm::BackoffPolicy::ConflictProportional}) {
+         {htm::BackoffPolicy::Linear, htm::BackoffPolicy::ExpCapped}) {
         api::RunConfig cfg = serviceConfig(1, 1, 1);
         cfg.tm.backoff.policy = pol;
         api::RunResult r = api::runOnce(cfg);
@@ -192,33 +189,6 @@ TEST(Contention, SchedulerOffReportsZeroDefers)
     EXPECT_EQ(api::metric(r, "exec.sched_observed"), 0);
     EXPECT_EQ(api::metric(r, "exec.sched_defers"), 0);
     EXPECT_EQ(api::metric(r, "exec.sched_defer_cycles"), 0);
-}
-
-TEST(Contention, RepairableBlameSkipDropsDefersOnServiceMix)
-{
-    // skipRepairableBlame: a restart whose last abort blamed a
-    // tracked (repairable-class) block needs no de-phasing — RETCON's
-    // pre-commit repair absorbs that conflict — so waiving those
-    // deferrals must record skips, lower the defer count, and cost
-    // nothing in validity or audit cleanliness.
-    api::RunConfig base = serviceConfig(1, 4, 4);
-    base.contentionSched = true;
-    api::RunResult defer = api::runOnce(base);
-
-    api::RunConfig waive = base;
-    waive.sched.skipRepairableBlame = true;
-    api::RunResult skip = api::runOnce(waive);
-
-    const double defers = api::metric(defer, "exec.sched_defers");
-    EXPECT_EQ(api::metric(defer, "exec.sched_repairable_skips"), 0)
-        << "skips without knob";
-    EXPECT_GT(defers, 0) << "vacuous: scheduler never deferred";
-    EXPECT_GT(api::metric(skip, "exec.sched_repairable_skips"), 0)
-        << "no repairable-class blame was waived";
-    EXPECT_LT(api::metric(skip, "exec.sched_defers"), defers)
-        << "waiving repairable blame did not drop deferrals";
-    EXPECT_TRUE(skip.validation.ok) << skip.validation.note;
-    EXPECT_TRUE(skip.reenact.ok()) << skip.reenact.summary();
 }
 
 TEST(Contention, SchedulerEngagedCatchesCorruptedRepair)

@@ -16,24 +16,15 @@
 #include "query/replay.hpp"
 #include "trace/recorder.hpp"
 
+#include "counter_harness.hpp"
+
 using namespace retcon;
 using namespace retcon::exec;
+using namespace retcon::test;
 
 namespace {
 
-constexpr Addr kCounter = 0x1000;
-constexpr int kIters = 25;
-constexpr unsigned kThreads = 8;
 constexpr Word kPhaseMark = 7;
-
-Task<TxValue>
-incrementBody(Tx &tx)
-{
-    TxValue v = co_await tx.load(kCounter);
-    v = tx.add(v, 1);
-    co_await tx.store(kCounter, v);
-    co_return v;
-}
 
 /** Contended-counter run under RETCON, fully recorded. */
 std::vector<trace::Record>
@@ -49,10 +40,7 @@ recordCounterRun(bool annotate = false)
     cluster.start([annotate](WorkerCtx &ctx) -> Task<void> {
         if (annotate)
             ctx.annotate(kPhaseMark);
-        for (int i = 0; i < kIters; ++i) {
-            co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
-            co_await ctx.work(20);
-        }
+        co_await counterLoop(ctx);
         if (annotate)
             ctx.annotate(kPhaseMark + 1);
         co_await ctx.barrier();

@@ -19,33 +19,13 @@
 #include "trace/reenact.hpp"
 #include "trace/shard_mux.hpp"
 
+#include "counter_harness.hpp"
+
 using namespace retcon;
 using namespace retcon::exec;
+using namespace retcon::test;
 
 namespace {
-
-constexpr Addr kCounter = 0x1000;
-constexpr int kIters = 25;
-constexpr unsigned kThreads = 8;
-
-Task<TxValue>
-incrementBody(Tx &tx)
-{
-    TxValue v = co_await tx.load(kCounter);
-    v = tx.add(v, 1);
-    co_await tx.store(kCounter, v);
-    co_return v;
-}
-
-Task<void>
-threadMain(WorkerCtx &ctx)
-{
-    for (int i = 0; i < kIters; ++i) {
-        co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
-        co_await ctx.work(20);
-    }
-    co_await ctx.barrier();
-}
 
 struct ShardedRun {
     Cycle cycles = 0;

@@ -5,9 +5,8 @@
  * validateStreamFile): payload codec round trips, writer/reader and
  * loader file round trips (bit-exact), corruption detection with
  * offset-precise diagnostics (checksum, truncation, seq gap, seq
- * regression), resynchronization after a corrupted frame, and
- * windowed-vs-post-hoc verdict identity with the resident-state bound
- * (docs/trace-format.md).
+ * regression), and windowed-vs-post-hoc verdict identity with the
+ * resident-state bound (docs/trace-format.md).
  */
 
 #include <gtest/gtest.h>
@@ -22,23 +21,13 @@
 #include "trace/recorder.hpp"
 #include "trace/stream.hpp"
 
+#include "counter_harness.hpp"
+
 using namespace retcon;
 using namespace retcon::exec;
+using namespace retcon::test;
 
 namespace {
-
-constexpr Addr kCounter = 0x1000;
-constexpr int kIters = 25;
-constexpr unsigned kThreads = 8;
-
-Task<TxValue>
-incrementBody(Tx &tx)
-{
-    TxValue v = co_await tx.load(kCounter);
-    v = tx.add(v, 1);
-    co_await tx.store(kCounter, v);
-    co_return v;
-}
 
 /** Contended-counter run under RETCON, fully recorded (dense seq). */
 std::vector<trace::Record>
@@ -51,13 +40,7 @@ recordCounterRun()
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
     trace::TraceRecorder ring(1 << 16);
     cluster.setTraceSink(&ring);
-    cluster.start([](WorkerCtx &ctx) -> Task<void> {
-        for (int i = 0; i < kIters; ++i) {
-            co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
-            co_await ctx.work(20);
-        }
-        co_await ctx.barrier();
-    });
+    cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
     EXPECT_EQ(cluster.memory().readWord(kCounter),
               Word{kThreads} * kIters);
@@ -256,7 +239,7 @@ TEST(StreamFile, WriterReaderRoundTripIsLossless)
 }
 
 // ---------------------------------------------------------------------
-// Fault detection: checksum, truncation, seq gap/regression, resync
+// Fault detection: checksum, truncation, seq gap/regression
 // ---------------------------------------------------------------------
 
 TEST(StreamFile, ChecksumCorruptionIsRejectedWithItsOffset)
@@ -342,44 +325,6 @@ TEST(StreamFile, TextTracesAreRejectedAsBadMagic)
     std::remove(path.c_str());
 }
 
-TEST(StreamFile, ResyncRecoversEverythingAfterACorruptFrame)
-{
-    const std::string path = "test_stream_resync.rtt";
-    std::vector<trace::Record> recs = recordCounterRun();
-    trace::exportBinaryFile(recs, path);
-
-    std::vector<unsigned char> bytes = readBytes(path);
-    const std::size_t frame = recs.size() / 2;
-    const std::size_t frameOff =
-        trace::kStreamHeaderBytes + frame * trace::kFrameBytes;
-    bytes[frameOff + 20] ^= 0x40;
-    writeBytes(path, bytes);
-
-    // Resync mode: one frame is lost, everything else is recovered.
-    // The scan reports the checksum fault, skips exactly the broken
-    // frame, and the dense-seq check then flags the swallowed record.
-    trace::StreamReader reader(path, /*resync=*/true);
-    DrainResult got = drain(reader);
-    ASSERT_EQ(got.records.size(), recs.size() - 1);
-    ASSERT_EQ(got.faults.size(), 2u);
-    EXPECT_EQ(got.faults[0].kind,
-              trace::StreamFault::Kind::BadChecksum);
-    EXPECT_EQ(got.faults[1].kind, trace::StreamFault::Kind::SeqGap);
-    EXPECT_EQ(got.faults[1].prevSeq, recs[frame - 1].seq);
-    EXPECT_EQ(got.faults[1].seq, recs[frame + 1].seq);
-    EXPECT_EQ(reader.bytesSkipped(), trace::kFrameBytes);
-
-    // Order and identity: the survivors are exactly recs minus the
-    // corrupted frame's record.
-    for (std::size_t i = 0; i < got.records.size(); ++i) {
-        const trace::Record &want =
-            i < frame ? recs[i] : recs[i + 1];
-        ASSERT_TRUE(trace::recordsIdentical(got.records[i], want))
-            << "record " << i;
-    }
-    std::remove(path.c_str());
-}
-
 TEST(StreamFile, DenseSeqGapIsFatalInStrictMode)
 {
     const std::string path = "test_stream_gap.rtt";
@@ -398,16 +343,9 @@ TEST(StreamFile, DenseSeqGapIsFatalInStrictMode)
     EXPECT_EQ(got.faults[0].prevSeq, 2u);
     EXPECT_EQ(got.faults[0].seq, 4u);
 
-    // Resync mode reports the same gap but still delivers the intact
-    // record behind it.
-    trace::StreamReader lax(path, /*resync=*/true);
-    DrainResult got2 = drain(lax);
-    EXPECT_EQ(got2.records.size(), 3u);
-    ASSERT_EQ(got2.faults.size(), 1u);
-    EXPECT_EQ(got2.faults[0].kind, trace::StreamFault::Kind::SeqGap);
-
-    // A sparse (non-dense) stream makes the same seqs legal: windowed
-    // exports gap by construction.
+    // A header without the dense flag makes the same seqs legal: the
+    // flag is part of the v1 format, so the reader honours it even
+    // though the writer always sets it.
     craftStream(path, /*dense=*/false, recs);
     trace::StreamReader sparse(path);
     DrainResult got3 = drain(sparse);
@@ -433,12 +371,6 @@ TEST(StreamFile, SeqRegressionIsRejected)
     EXPECT_EQ(got.faults[0].kind, trace::StreamFault::Kind::SeqOrder);
     EXPECT_EQ(got.faults[0].prevSeq, 5u);
     EXPECT_EQ(got.faults[0].seq, 3u);
-
-    // Resync skips the stale frame and keeps going.
-    trace::StreamReader lax(path, /*resync=*/true);
-    DrainResult got2 = drain(lax);
-    EXPECT_EQ(got2.records.size(), 2u);
-    EXPECT_EQ(got2.records[1].seq, 6u);
     std::remove(path.c_str());
 }
 

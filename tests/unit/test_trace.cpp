@@ -16,23 +16,13 @@
 #include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
 
+#include "counter_harness.hpp"
+
 using namespace retcon;
 using namespace retcon::exec;
+using namespace retcon::test;
 
 namespace {
-
-constexpr Addr kCounter = 0x1000;
-constexpr int kIters = 25;
-constexpr unsigned kThreads = 8;
-
-Task<TxValue>
-incrementBody(Tx &tx)
-{
-    TxValue v = co_await tx.load(kCounter);
-    v = tx.add(v, 1);
-    co_await tx.store(kCounter, v);
-    co_return v;
-}
 
 /** Branches on the symbolic counter so constraints get recorded. */
 Task<TxValue>
@@ -43,22 +33,6 @@ boundedIncrementBody(Tx &tx)
         v = tx.add(v, 1);
     co_await tx.store(kCounter, v);
     co_return v;
-}
-
-Task<void>
-threadMain(WorkerCtx &ctx, bool bounded)
-{
-    for (int i = 0; i < kIters; ++i) {
-        if (bounded) {
-            co_await ctx.txn(
-                [](Tx &tx) { return boundedIncrementBody(tx); });
-        } else {
-            co_await ctx.txn(
-                [](Tx &tx) { return incrementBody(tx); });
-        }
-        co_await ctx.work(20);
-    }
-    co_await ctx.barrier();
 }
 
 struct RunOutput {
@@ -91,7 +65,8 @@ runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
     }
 
     cluster.start([bounded](WorkerCtx &ctx) {
-        return threadMain(ctx, bounded);
+        return threadMain(ctx, bounded ? boundedIncrementBody
+                                       : incrementBody);
     });
     RunOutput out;
     out.cycles = cluster.run();

@@ -110,11 +110,10 @@ TEST(WorkloadShape, FixedTablesOutscaleResizableOnEager)
 TEST(WorkloadShape, Table1DefaultsMatchPaper)
 {
     // Table 1 configuration constants.
-    mem::MemTimingConfig t;
-    EXPECT_EQ(t.l1Hit, 1u);
-    EXPECT_EQ(t.l2Hit, 10u);
-    EXPECT_EQ(t.hop, 20u);
-    EXPECT_EQ(t.dram, 100u);
+    EXPECT_EQ(mem::kL1HitCycles, 1u);
+    EXPECT_EQ(mem::kL2HitCycles, 10u);
+    EXPECT_EQ(mem::kHopCycles, 20u);
+    EXPECT_EQ(mem::kDramCycles, 100u);
     mem::CacheConfig c;
     EXPECT_EQ(c.l1.sizeBytes, 64u * 1024);
     EXPECT_EQ(c.l1.ways, 4u);

@@ -14,7 +14,9 @@
 // <trace.rtt> is a framed .rtt stream (docs/trace-format.md), loaded
 // strictly: any other content, or a corrupted stream, fails with an
 // offset-precise diagnostic. `dump` prints it as JSON Lines, one
-// object per record. Addresses accept 0x-prefixed hex.
+// object per record. Numeric arguments are decimal, or hex with a 0x
+// prefix; anything else (a sign, a space, a leading-zero octal) is
+// rejected with exit 2.
 //
 // whatif run options (the recorded base configuration):
 //   --workload W  (default service)   --nthreads N  (default 8)
@@ -33,6 +35,7 @@
 // that diverges no earlier than it can reach). Exits nonzero on any
 // failure.
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -52,13 +55,18 @@ using namespace retcon;
 
 namespace {
 
+/** Decimal, or hex after a `0x` prefix; no sign, space or octal. */
 bool
 parseAddr(const char *s, std::uint64_t &out)
 {
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 0); // Base 0: accepts 0x... and dec.
-    return errno == 0 && end != s && *end == '\0';
+    int base = 10;
+    if (std::strncmp(s, "0x", 2) == 0) {
+        s += 2;
+        base = 16;
+    }
+    const char *end = s + std::strlen(s);
+    auto [ptr, ec] = std::from_chars(s, end, out, base);
+    return ec == std::errc() && ptr == end && ptr != s;
 }
 
 void
