@@ -13,7 +13,6 @@
 #include "retcon/ivb.hpp"
 #include "retcon/predictor.hpp"
 #include "retcon/ssb.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -23,10 +22,10 @@ static void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     for (auto _ : state) {
-        EventQueue eq;
+        ShardedEventQueue eq;
         int sink = 0;
         for (int i = 0; i < 1024; ++i)
-            eq.schedule(i, [&sink] { ++sink; });
+            eq.schedule(0, i, [&sink] { ++sink; });
         eq.run();
         benchmark::DoNotOptimize(sink);
     }
@@ -72,11 +71,12 @@ BM_EventQueueCancelChurn(benchmark::State &state)
     // before it fires, while the other cores keep dispatching. One item
     // is one cancel + reschedule + dispatch.
     constexpr unsigned kCores = 32;
-    EventQueue eq;
+    ShardedEventQueue eq;
     std::vector<EventHandle> pending(kCores);
     Xoshiro rng(13);
     std::function<void(unsigned)> arm = [&](unsigned c) {
-        pending[c] = eq.scheduleAfter(1 + rng.below(8), [&arm, c] { arm(c); });
+        pending[c] =
+            eq.scheduleAfter(0, 1 + rng.below(8), [&arm, c] { arm(c); });
     };
     for (unsigned c = 0; c < kCores; ++c)
         arm(c);

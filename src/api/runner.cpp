@@ -1,5 +1,6 @@
 #include "api/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "api/datm_envelope.hpp"
@@ -8,22 +9,6 @@
 #include "trace/stream.hpp"
 
 namespace retcon::api {
-
-namespace {
-
-/** TraceOptions::captureInto as a live mux downstream. */
-class CaptureSink final : public trace::TraceSink
-{
-  public:
-    explicit CaptureSink(std::vector<trace::Record> &out) : _out(out) {}
-
-    void onEvent(const trace::Record &r) override { _out.push_back(r); }
-
-  private:
-    std::vector<trace::Record> &_out;
-};
-
-} // namespace
 
 htm::TMConfig
 eagerConfig()
@@ -176,7 +161,7 @@ runOnce(const RunConfig &cfg)
     std::unique_ptr<trace::ShardMux> mux;
     std::unique_ptr<trace::ReenactmentValidator> validator;
     std::unique_ptr<trace::StreamWriter> streamWriter;
-    std::unique_ptr<CaptureSink> capture;
+    std::unique_ptr<trace::CaptureSink> capture;
     if (cfg.trace.enabled) {
         mux = std::make_unique<trace::ShardMux>(
             cluster.numShards(),
@@ -195,7 +180,8 @@ runOnce(const RunConfig &cfg)
             mux->addDownstream(streamWriter.get());
         }
         if (cfg.trace.captureInto) {
-            capture = std::make_unique<CaptureSink>(*cfg.trace.captureInto);
+            capture = std::make_unique<trace::CaptureSink>(
+                *cfg.trace.captureInto);
             mux->addDownstream(capture.get());
         }
         cluster.setTraceSink(mux.get());
@@ -321,6 +307,27 @@ runOnce(const RunConfig &cfg)
     return result;
 }
 
+std::string
+sizeError(const RunConfig &cfg, const SizeNames &names)
+{
+    auto range = [](const char *what, std::uint64_t v, std::uint64_t hi) {
+        return std::string(what) + " " + std::to_string(v) +
+               " is out of range 1.." + std::to_string(hi);
+    };
+    if (cfg.nthreads < 1 || cfg.nthreads > 64)
+        return range(names.nthreads, cfg.nthreads, 64);
+    if (cfg.shards < 1 || cfg.shards > cfg.nthreads)
+        return range(names.shards, cfg.shards, cfg.nthreads) + " (" +
+               names.nthreads + ")";
+    if (cfg.memBanks < 1 || cfg.memBanks > 64)
+        return range(names.memBanks, cfg.memBanks, 64);
+    const unsigned most = 64 / std::max(cfg.nthreads, cfg.memBanks);
+    if (cfg.clusters < 1 || cfg.clusters > most)
+        return range(names.clusters, cfg.clusters, most) +
+               " (64 cores and 64 banks fleet-wide)";
+    return "";
+}
+
 Cycle
 sequentialCycles(const RunConfig &cfg)
 {
@@ -331,15 +338,6 @@ sequentialCycles(const RunConfig &cfg)
     seq.crossClusterFraction = 0.0;
     seq.tm = serialConfig();
     return runOnce(seq).cycles;
-}
-
-double
-speedupOverSequential(const RunConfig &cfg)
-{
-    Cycle seq = sequentialCycles(cfg);
-    RunResult par = runOnce(cfg);
-    sim_assert(par.cycles > 0, "zero-cycle run");
-    return static_cast<double>(seq) / static_cast<double>(par.cycles);
 }
 
 } // namespace retcon::api

@@ -10,7 +10,7 @@
  *   cfg.workload = "python_opt";
  *   cfg.tm = api::retconConfig();
  *   api::RunResult r = api::runOnce(cfg);
- *   double speedup = api::speedupOverSequential(cfg);
+ *   double speedup = double(api::sequentialCycles(cfg)) / r.cycles;
  */
 
 #ifndef RETCON_API_RUNNER_HPP
@@ -338,7 +338,30 @@ htm::TMConfig retconConfig();
 /** Global-lock serialization (the sequential baseline substrate). */
 htm::TMConfig serialConfig();
 
-/** Execute one run (setup, simulate, validate). fatal()s on deadlock. */
+/** What a caller calls each run size in its diagnostics. */
+struct SizeNames {
+    const char *nthreads = "nthreads";
+    const char *shards = "shards";
+    const char *memBanks = "memBanks";
+    const char *clusters = "clusters";
+};
+
+/**
+ * The first of @p cfg's sizes the machine cannot hold, as a message
+ * naming it with @p names (e.g. "shards 99 is out of range 1..8
+ * (nthreads)"); empty when every size fits. Limits: nthreads 1..64,
+ * shards 1..nthreads, memBanks 1..64, and clusters x nthreads and
+ * clusters x memBanks at most 64; on a fleet nthreads and memBanks
+ * are per-cluster sizes. runOnce panics on a size this rejects, so
+ * callers check outside input here first and reject it, never clamp
+ * it: a clamp would quietly run a different configuration.
+ */
+std::string sizeError(const RunConfig &cfg, const SizeNames &names = {});
+
+/**
+ * Execute one run (setup, simulate, validate). fatal()s on deadlock;
+ * sizes must pass sizeError.
+ */
 RunResult runOnce(const RunConfig &cfg);
 
 /**
@@ -346,9 +369,6 @@ RunResult runOnce(const RunConfig &cfg);
  * and return its makespan in cycles.
  */
 Cycle sequentialCycles(const RunConfig &cfg);
-
-/** Makespan speedup of @p cfg over the sequential baseline. */
-double speedupOverSequential(const RunConfig &cfg);
 
 /** Name -> config for the three Figure 9/10 machine configurations. */
 struct ConfigPoint {

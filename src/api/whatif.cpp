@@ -174,6 +174,14 @@ runWhatIf(const RunConfig &base, const std::vector<KnobChange> &changes)
             out.reach = rc;
     }
 
+    for (const RunConfig *cfg : {&rec, &var}) {
+        std::string bad = sizeError(*cfg);
+        if (!bad.empty()) {
+            out.error = (cfg == &rec ? "base run: " : "variant: ") + bad;
+            return out;
+        }
+    }
+
     rec.trace.captureInto = &out.recorded;
     out.baseResult = runOnce(rec);
     var.trace.captureInto = &out.variant;

@@ -128,7 +128,9 @@ struct WhatIfResult {
  * Record @p base (tracing forced on), apply @p changes, re-run, and
  * compare. Both runs capture their complete record streams through
  * TraceOptions::captureInto, however long the run; the rest of
- * @p base's trace options pass through to both runs unchanged.
+ * @p base's trace options pass through to both runs unchanged. A bad
+ * knob change, or a base or variant size that fails sizeError, runs
+ * nothing and sets `error`.
  */
 WhatIfResult runWhatIf(const RunConfig &base,
                        const std::vector<KnobChange> &changes);

@@ -5,9 +5,9 @@
  * Owns the sharded event queue, the coherent memory hierarchy, the TM
  * machine, the barrier, and one Core per simulated thread, wired
  * together per Table 1. Cores map round-robin onto the event-queue
- * shards (core i -> shard i % numShards); each shard is its own clock
- * domain with a work-stealing fallback, while commit/repair ordering
- * stays globally correct (see sim/sharded_queue.hpp and
+ * shards (core i -> shard i % numShards); each shard has its own
+ * dispatch slots with a work-stealing fallback, while commit/repair
+ * ordering stays globally correct (see sim/sharded_queue.hpp and
  * docs/architecture.md). Workloads install one thread program per
  * core and run() the event loop to completion.
  */

@@ -70,13 +70,6 @@ class Fleet
     net::Interconnect *net() { return _net.get(); }
     const net::Interconnect *net() const { return _net.get(); }
 
-    /** Core-id range [first, first + count) of cluster @p c. */
-    CoreId firstCore(unsigned c) const
-    {
-        return static_cast<CoreId>(c * _topo.threadsPerCluster);
-    }
-    unsigned threadsPerCluster() const { return _topo.threadsPerCluster; }
-
     /** Roll up cluster @p c's cores (stats + token waits). */
     ClusterSummary summarize(unsigned c);
 

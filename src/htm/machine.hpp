@@ -33,7 +33,7 @@
 #include "htm/types.hpp"
 #include "mem/memory_system.hpp"
 #include "retcon/predictor.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/types.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "trace/sink.hpp"

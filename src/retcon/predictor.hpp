@@ -4,7 +4,7 @@
  * symbolic tracking (§5.1).
  *
  * The predictor trains up from observed conflicts: once a block has
- * caused at least `trainUpThreshold` conflicts it is tracked. A
+ * caused at least `kTrainUpThreshold` (1) conflict it is tracked. A
  * violated constraint at commit "trains down aggressively": the block
  * must be observed in `trainDownConflicts` (100) further conflicts
  * before symbolic tracking is attempted again, which keeps transactions
@@ -25,8 +25,10 @@ namespace retcon::rtc {
 class ConflictPredictor
 {
   public:
+    /** Conflicts on a block before it is tracked. */
+    static constexpr std::uint32_t kTrainUpThreshold = 1;
+
     struct Config {
-        std::uint32_t trainUpThreshold = 1;
         std::uint32_t trainDownConflicts = 100;
     };
 
@@ -41,7 +43,7 @@ class ConflictPredictor
         if (it == _table.end())
             return false;
         const State &s = it->second;
-        return s.conflicts >= _cfg.trainUpThreshold && s.cooldown == 0;
+        return s.conflicts >= kTrainUpThreshold && s.cooldown == 0;
     }
 
     /** A conflict was observed on @p block (any transaction). */

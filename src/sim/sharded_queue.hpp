@@ -1,20 +1,24 @@
 /**
  * @file
- * ShardedEventQueue: N per-shard event queues behind one global clock.
+ * ShardedEventQueue: the deterministic discrete-event kernel, with
+ * events partitioned across N shards behind one global clock.
  *
- * The single-queue cluster funnels every core's events through one
- * binary heap — the scale-out bottleneck the ROADMAP calls out on the
- * path to service-scale workloads. This queue partitions events across
- * N shards (cores map to shards round-robin); each shard is a plain
- * EventQueue and keeps its own clock domain (shardNow() = the cycle of
- * the last event that shard dispatched).
- *
- * Global correctness: execution always picks the globally earliest
- * live event, with same-cycle ties broken by a *global* sequence
- * number allocated at schedule time. With unlimited dispatch bandwidth
- * this reproduces the single queue's execution order bit-for-bit, so
- * shard count never changes simulated results — the determinism the
+ * Events are callbacks scheduled at an absolute cycle on a home shard
+ * (cores map to shards round-robin). Execution always picks the
+ * globally earliest live event, with same-cycle ties broken by a global
+ * sequence number allocated at schedule time, so a simulation with a
+ * fixed seed is bit-for-bit reproducible. With unlimited dispatch
+ * bandwidth this order does not depend on the shard count, so shard
+ * count never changes simulated results — the determinism the
  * repair-audit oracle and the unit tests rely on.
+ *
+ * Storage is split so dispatch never moves a closure through a heap:
+ * each shard's heap orders 24-byte POD keys {when, seq, slot}, and
+ * callbacks live in one slab of slots recycled through a free list. A
+ * handle names (slot, generation); a slot's generation advances when
+ * the slot is freed, so cancel() is an O(1) flag write and a stale
+ * handle (its event already ran, or the slot was reused) is a no-op. A
+ * cancelled event keeps its key in the heap and is skipped when popped.
  *
  * Dispatch bandwidth models the sequencer serialization a real
  * sharded cluster removes: each shard dispatches at most
@@ -34,12 +38,20 @@
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
 #define RETCON_SIM_SHARDED_QUEUE_HPP
 
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/types.hpp"
 
 namespace retcon {
+
+/** Opaque ticket identifying a scheduled event so it can be cancelled. */
+struct EventHandle {
+    std::uint64_t id = 0;
+
+    bool valid() const { return id != 0; }
+};
 
 /** Sharded-queue configuration. */
 struct ShardedQueueConfig {
@@ -72,7 +84,7 @@ struct ShardedQueueConfig {
 class ShardedEventQueue final : public SimClock
 {
   public:
-    using Callback = EventQueue::Callback;
+    using Callback = std::function<void()>;
 
     /** Per-shard load and work-stealing counters. */
     struct ShardStats {
@@ -84,34 +96,36 @@ class ShardedEventQueue final : public SimClock
     };
 
     explicit ShardedEventQueue(const ShardedQueueConfig &cfg = {});
+    ShardedEventQueue(const ShardedEventQueue &) = delete;
+    ShardedEventQueue &operator=(const ShardedEventQueue &) = delete;
 
     unsigned numShards() const { return _cfg.nshards; }
     const ShardedQueueConfig &config() const { return _cfg; }
 
-    /** Global simulated cycle (max over dispatched events). */
+    /** Simulated cycle of the last dispatched event. */
     Cycle now() const override { return _now; }
-
-    /** Shard-local clock domain: cycle of @p shard's last dispatch. */
-    Cycle shardNow(unsigned shard) const;
 
     /** Schedule @p cb on @p shard at absolute cycle @p when. */
     EventHandle schedule(unsigned shard, Cycle when, Callback cb);
 
-    /** Schedule @p cb on @p shard @p delta cycles after global now. */
+    /** Schedule @p cb on @p shard @p delta cycles after now(). */
     EventHandle
     scheduleAfter(unsigned shard, Cycle delta, Callback cb)
     {
         return schedule(shard, _now + delta, std::move(cb));
     }
 
-    /** Cancel a previously scheduled event. Idempotent. */
+    /**
+     * Cancel a previously scheduled event. Idempotent; a handle whose
+     * event already ran is a no-op.
+     */
     void cancel(EventHandle h);
 
-    /** True when no live events remain on any shard. */
-    bool empty() const;
+    /** True when no live events remain. */
+    bool empty() const { return _live == 0; }
 
     /** Live (non-cancelled) pending events across all shards. */
-    std::size_t pending() const;
+    std::size_t pending() const { return _live; }
 
     /**
      * Dispatch exactly one live event (the globally earliest, after
@@ -122,7 +136,7 @@ class ShardedEventQueue final : public SimClock
 
     /**
      * Run until every shard drains or the next event would fire past
-     * @p maxCycles. @return the final global now().
+     * @p maxCycles. @return the final now().
      */
     Cycle run(Cycle maxCycles = ~Cycle(0));
 
@@ -132,34 +146,64 @@ class ShardedEventQueue final : public SimClock
     const ShardStats &shardStats(unsigned shard) const;
 
   private:
+    /// Heap key; in a slipped set `when` is 0 and the set's cycle applies.
+    struct Key {
+        Cycle when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    struct Slot {
+        Callback cb;
+        std::uint64_t seq = 0;
+        std::uint32_t gen = 1;
+        std::uint8_t shard = 0; ///< Home shard.
+        bool live = false;      ///< Scheduled, not yet run or cancelled.
+        bool slipped = false;   ///< Keyed in its shard's slipped set.
+    };
+
+    struct Shard {
+        std::vector<Key> heap;
+        std::vector<Key> slipped; ///< Seq-ordered heap at cycle slipWhen.
+        Cycle slipWhen = 0;
+        std::size_t slippedLive = 0;
+        /// No thief can ever drain this shard (stealing off, or a steal
+        /// group of one), so an over-quota cycle slips all its due
+        /// events in one batch (slipDue).
+        bool batchSlip = false;
+        unsigned dispatched = 0; ///< This cycle's dispatch slots used.
+        ShardStats stats;
+    };
+
     ShardedQueueConfig _cfg;
-    /// unique_ptr because EventQueue is non-movable (owns a heap).
-    std::vector<std::unique_ptr<EventQueue>> _shards;
-    std::vector<ShardStats> _stats;
+    std::vector<Shard> _shards;
+    std::vector<Slot> _slots;
+    std::vector<std::uint32_t> _free;
 
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
+    std::size_t _live = 0;
     std::uint64_t _executed = 0;
 
     /// Per-cycle dispatch accounting (reset when the clock advances).
     Cycle _dispatchCycle = 0;
-    std::vector<unsigned> _dispatched;
     unsigned _stealCursor = 0;
-
-    /// Per shard: no thief can ever drain it (stealing off, or a steal
-    /// group of one), so an over-quota cycle slips all its due events
-    /// in one batch (EventQueue::slipDue).
-    std::vector<bool> _batchSlip;
 
     /// Dispatch position: the (cycle, seq) last taken as the global
     /// earliest. Every event before it has run or slipped.
     Cycle _atWhen = 0;
     std::uint64_t _atSeq = 0;
 
-    /// Shard index is packed into the handle's top byte.
-    static constexpr unsigned kShardShift = 56;
-    static constexpr std::uint64_t kIdMask =
-        (std::uint64_t(1) << kShardShift) - 1;
+    std::uint32_t acquire(unsigned shard, std::uint64_t seq, Callback &&cb);
+    void release(std::uint32_t slot);
+    /** @return the live slot @p h names, or kNoSlot. */
+    std::uint32_t find(EventHandle h) const;
+
+    /** Prune both tops; @return the set holding the next live key. */
+    std::vector<Key> *nextSet(Shard &sh);
+
+    /** The next live event on @p sh. @return false when drained. */
+    bool peek(Shard &sh, Cycle &when, std::uint64_t &seq);
 
     /** Find the shard holding the globally earliest live event. */
     int findEarliest(Cycle &when, std::uint64_t &seq);
@@ -170,6 +214,14 @@ class ShardedEventQueue final : public SimClock
      * with spare slots (work stealing), else -1 (the event must slip).
      */
     int pickExecutor(unsigned home, Cycle when);
+
+    /**
+     * Slip every live event @p sh has due at @p when to @p when + 1 at
+     * once, keeping seqs: they join the slipped set, which all sits at
+     * one cycle, so slipping it again is O(1). Call only when @p when
+     * is the shard's next live cycle. @return the live events slipped.
+     */
+    std::size_t slipDue(Shard &sh, Cycle when);
 };
 
 /**

@@ -70,10 +70,10 @@ byteInWord(Addr a)
 /**
  * Read-only view of a simulated clock.
  *
- * Both the single EventQueue and the sharded cluster queue implement
- * this, so consumers that only observe time (the TM machine stamps
- * latencies and provenance records but never schedules) work against
- * either clock source.
+ * The event kernel (sim/sharded_queue.hpp) implements this; consumers
+ * that only observe time (the TM machine stamps latencies and
+ * provenance records but never schedules, the memory system reads bank
+ * occupancy against it) depend on this view, not on the scheduler.
  */
 class SimClock
 {

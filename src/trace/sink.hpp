@@ -6,8 +6,8 @@
  * attached, instrumentation reduces to a single null check per
  * event site and no Record is ever constructed (zero cost when
  * disabled). MultiSink fans one event stream out to several
- * consumers (e.g. a ring-buffer recorder plus the reenactment
- * validator).
+ * consumers (e.g. an in-memory capture plus the reenactment
+ * validator); CaptureSink keeps a whole run's records in memory.
  */
 
 #ifndef RETCON_TRACE_SINK_HPP
@@ -51,6 +51,22 @@ class MultiSink final : public TraceSink
 
   private:
     std::vector<TraceSink *> _children;
+};
+
+/**
+ * Append-only in-memory capture: every record, in arrival order, with
+ * nothing dropped however long the run.
+ */
+class CaptureSink final : public TraceSink
+{
+  public:
+    /** Append to @p out, which must outlive the sink's last event. */
+    explicit CaptureSink(std::vector<Record> &out) : _out(out) {}
+
+    void onEvent(const Record &r) override { _out.push_back(r); }
+
+  private:
+    std::vector<Record> &_out;
 };
 
 } // namespace retcon::trace

@@ -142,34 +142,6 @@ parseExact(const char *s, T &out)
     return ec == std::errc() && p == end && p != s;
 }
 
-/**
- * Why the sweep sizes are out of range, or "" when they fit. Sizes
- * are rejected, never clamped: a clamp would quietly run a different
- * sweep than the one asked for. On a fleet, nthreads and banks are
- * per-cluster sizes and the totals must fit the 64-core, 64-bank
- * machine.
- */
-std::string
-sizeError(unsigned nthreads, unsigned shards, unsigned banks,
-          unsigned clusters)
-{
-    auto range = [](const char *what, std::uint64_t v, std::uint64_t hi) {
-        return std::string(what) + " " + std::to_string(v) +
-               " is out of range 1.." + std::to_string(hi);
-    };
-    if (nthreads < 1 || nthreads > 64)
-        return range("nthreads", nthreads, 64);
-    if (shards < 1 || shards > nthreads)
-        return range("--shards", shards, nthreads) + " (nthreads)";
-    if (banks < 1 || banks > 64)
-        return range("--mem-banks", banks, 64);
-    const unsigned most = 64 / std::max(nthreads, banks);
-    if (clusters < 1 || clusters > most)
-        return range("--clusters", clusters, most) +
-               " (64 cores and 64 banks fleet-wide)";
-    return "";
-}
-
 /** Metrics-table rows (api/metrics.hpp) summed over runs, by name. */
 using Totals = std::map<std::string, double>;
 
@@ -410,8 +382,16 @@ main(int argc, char **argv)
     } else if (quick && positional == 1) {
         nthreads = 4;
     }
-    if (bad.empty())
-        bad = sizeError(nthreads, shards, banks, clusters);
+    if (bad.empty()) {
+        api::RunConfig sizes;
+        sizes.nthreads = nthreads;
+        sizes.shards = shards;
+        sizes.memBanks = banks;
+        sizes.clusters = clusters;
+        bad = api::sizeError(sizes,
+                             {"nthreads", "--shards", "--mem-banks",
+                              "--clusters"});
+    }
     if (!bad.empty()) {
         std::fprintf(stderr, "%s\n", bad.c_str());
         usage(argv[0]);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "htm/machine.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace retcon;
 using namespace retcon::htm;
@@ -18,7 +19,7 @@ constexpr Addr kA = 0x10000;
 constexpr Addr kB = 0x20000;
 
 struct EagerRig {
-    EventQueue eq;
+    ShardedEventQueue eq;
     mem::MemorySystem ms{4};
     TMMachine tm;
     std::vector<std::pair<CoreId, AbortCause>> remoteAborts;
@@ -241,7 +242,7 @@ TEST(EagerHtm, OverflowTakesOneTmTokenAndWins)
     small.l1 = {128, 2};     // 1 set of 2.
     small.l2 = {256, 2};     // 2 sets of 2.
     small.permOnly = {128, 2}; // 1 set of 2.
-    EventQueue eq;
+    ShardedEventQueue eq;
     mem::MemorySystem ms(2, mem::MemTimingConfig{}, small);
     TMConfig cfg;
     cfg.mode = TMMode::Eager;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "htm/machine.hpp"
+#include "sim/sharded_queue.hpp"
 
 using namespace retcon;
 using namespace retcon::htm;
@@ -18,7 +19,7 @@ constexpr Addr kA = 0x10000; // Tracked block.
 constexpr Addr kB = 0x20000;
 
 struct Rig {
-    EventQueue eq;
+    ShardedEventQueue eq;
     mem::MemorySystem ms{4};
     TMMachine tm;
     int remoteAborts = 0;
@@ -258,7 +259,7 @@ TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
     TMConfig cfg;
     cfg.mode = TMMode::Retcon;
     cfg.ssbEntries = 2;
-    EventQueue eq;
+    ShardedEventQueue eq;
     mem::MemorySystem ms(2);
     TMMachine tm(eq, ms, cfg);
     tm.predictor().observeConflict(blockAddr(kA));

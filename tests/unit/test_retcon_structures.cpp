@@ -192,18 +192,17 @@ TEST(Predictor, UntrainedBlocksNotTracked)
     EXPECT_FALSE(p.shouldTrack(0x1000));
 }
 
-TEST(Predictor, TrainsUpAfterThresholdConflicts)
+TEST(Predictor, TrainsUpOnTheFirstConflict)
 {
-    ConflictPredictor p(ConflictPredictor::Config{2, 100});
-    p.observeConflict(0x1000);
-    EXPECT_FALSE(p.shouldTrack(0x1000));
+    static_assert(ConflictPredictor::kTrainUpThreshold == 1);
+    ConflictPredictor p;
     p.observeConflict(0x1000);
     EXPECT_TRUE(p.shouldTrack(0x1000));
 }
 
 TEST(Predictor, ViolationTrainsDownFor100Conflicts)
 {
-    ConflictPredictor p(ConflictPredictor::Config{1, 100});
+    ConflictPredictor p(ConflictPredictor::Config{100});
     p.observeConflict(0x1000);
     ASSERT_TRUE(p.shouldTrack(0x1000));
     p.observeViolation(0x1000);
@@ -218,7 +217,7 @@ TEST(Predictor, ViolationTrainsDownFor100Conflicts)
 
 TEST(Predictor, BlocksAreIndependent)
 {
-    ConflictPredictor p(ConflictPredictor::Config{1, 100});
+    ConflictPredictor p(ConflictPredictor::Config{100});
     p.observeConflict(0x1000);
     p.observeViolation(0x1000);
     p.observeConflict(0x2000);

@@ -2,8 +2,8 @@
  * @file
  * Tests for the sharded event queue (sim/sharded_queue.hpp): global
  * time/schedule ordering across shards, equivalence with a single
- * queue for any shard count, per-shard clock domains, cancellation
- * routing, dispatch-bandwidth slips, and the work-stealing fallback.
+ * queue for any shard count, cancellation routing, dispatch-bandwidth
+ * slips, and the work-stealing fallback.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <tuple>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_queue.hpp"
 
@@ -322,26 +321,17 @@ TEST(ShardedQueue, ExecutionOrderIndependentOfShardCount)
     EXPECT_EQ(trace(8), one);
 }
 
-TEST(ShardedQueue, ShardClocksAreIndependentDomains)
-{
-    ShardedEventQueue q(config(2));
-    q.schedule(0, 10, [] {});
-    q.schedule(1, 25, [] {});
-    q.run();
-    EXPECT_EQ(q.shardNow(0), 10u);
-    EXPECT_EQ(q.shardNow(1), 25u);
-    EXPECT_EQ(q.now(), 25u);
-}
-
 TEST(ShardedQueue, CancelRoutesToTheHomeShard)
 {
     ShardedEventQueue q(config(4));
+    EXPECT_TRUE(q.empty());
     bool fired = false;
     q.schedule(0, 5, [] {});
     EventHandle h = q.schedule(3, 5, [&] { fired = true; });
     EXPECT_EQ(q.pending(), 2u);
     q.cancel(h);
-    q.cancel(h); // Idempotent.
+    q.cancel(h);             // Idempotent.
+    q.cancel(EventHandle{}); // The empty handle names no event.
     EXPECT_EQ(q.pending(), 1u);
     q.run();
     EXPECT_FALSE(fired);

@@ -18,7 +18,7 @@
 #include "exec/cluster.hpp"
 #include "query/loader.hpp"
 #include "query/replay.hpp"
-#include "trace/recorder.hpp"
+#include "trace/sink.hpp"
 #include "trace/stream.hpp"
 
 #include "counter_harness.hpp"
@@ -38,15 +38,13 @@ recordCounterRun()
     cfg.tm.mode = htm::TMMode::Retcon;
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
-    trace::TraceRecorder ring(1 << 16);
-    cluster.setTraceSink(&ring);
+    std::vector<trace::Record> recs;
+    trace::CaptureSink capture(recs);
+    cluster.setTraceSink(&capture);
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
     EXPECT_EQ(cluster.memory().readWord(kCounter),
               Word{kThreads} * kIters);
-    std::vector<trace::Record> recs;
-    ring.forEach([&](const trace::Record &r) { recs.push_back(r); });
-    EXPECT_EQ(ring.dropped(), 0u);
     return recs;
 }
 

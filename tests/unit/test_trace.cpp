@@ -43,7 +43,7 @@ struct RunOutput {
 
 RunOutput
 runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
-           bool bounded = false, trace::TraceRecorder *ring = nullptr,
+           bool bounded = false, trace::CaptureSink *capture = nullptr,
            Word fwd_fault_xor = 0)
 {
     ClusterConfig cfg;
@@ -59,8 +59,7 @@ runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
     if (traced) {
         sink.add(&validator);
-        if (ring)
-            sink.add(ring);
+        sink.add(capture);
         cluster.setTraceSink(&sink);
     }
 
@@ -75,16 +74,16 @@ runCounter(htm::TMMode mode, bool traced, Word fault_xor = 0,
     return out;
 }
 
-/** The `retcon-query dump` rendering of a ring: one JSON object per
+/** The `retcon-query dump` rendering of records: one JSON object per
  *  line. */
 std::string
-jsonLines(const trace::TraceRecorder &ring)
+jsonLines(const std::vector<trace::Record> &recs)
 {
     std::ostringstream os;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs) {
         trace::writeJsonRecord(r, os);
         os << '\n';
-    });
+    }
     return os.str();
 }
 
@@ -245,9 +244,10 @@ TEST(TraceExport, AnnotationMarksSurfaceInTheJsonView)
     // with machine events (docs/trace-format.md).
     ClusterConfig cfg;
     cfg.numThreads = 2;
-    trace::TraceRecorder ring(1 << 10);
+    std::vector<trace::Record> recs;
+    trace::CaptureSink capture(recs);
     Cluster cluster(cfg);
-    cluster.setTraceSink(&ring);
+    cluster.setTraceSink(&capture);
     cluster.start([](WorkerCtx &ctx) -> Task<void> {
         ctx.annotate(0xBEE5 + ctx.tid());
         co_await ctx.txn([](Tx &tx) { return incrementBody(tx); });
@@ -257,12 +257,11 @@ TEST(TraceExport, AnnotationMarksSurfaceInTheJsonView)
     cluster.run();
 
     std::uint64_t marks = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs)
         marks += r.kind == trace::EventKind::UserMark;
-    });
     EXPECT_EQ(marks, 4u); // Two per thread.
 
-    const std::string json = jsonLines(ring);
+    const std::string json = jsonLines(recs);
     EXPECT_NE(json.find("\"kind\":\"mark\""), std::string::npos);
     EXPECT_NE(json.find("\"annotation\":" + std::to_string(0xBEE5)),
               std::string::npos);
@@ -282,18 +281,19 @@ TEST(TraceDatm, ForwardedCommitsCarryTheDatmForwardedFlag)
     // Every commit that consumed forwarded data is flagged, and every
     // flagged commit's chain is re-derived by the validator (the
     // Forward records name the producing attempt + store).
-    trace::TraceRecorder ring(1 << 14);
+    std::vector<trace::Record> recs;
+    trace::CaptureSink capture(recs);
     RunOutput out =
-        runCounter(htm::TMMode::DATM, true, 0, false, &ring);
+        runCounter(htm::TMMode::DATM, true, 0, false, &capture);
     EXPECT_EQ(out.counter, Word(kThreads * kIters));
     std::uint64_t commits = 0, flagged = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs) {
         if (r.kind != trace::EventKind::Commit)
-            return;
+            continue;
         ++commits;
         if (r.aux & trace::kCommitAuxDatmForwarded)
             ++flagged;
-    });
+    }
     EXPECT_EQ(commits, std::uint64_t(kThreads * kIters));
     // The contended counter forwards constantly under DATM.
     EXPECT_GT(flagged, 0u);
@@ -303,7 +303,7 @@ TEST(TraceDatm, ForwardedCommitsCarryTheDatmForwardedFlag)
     EXPECT_EQ(out.report.forwardedCommitsSkipped, 0u);
 
     // And the flag surfaces in the JSON view.
-    const std::string json = jsonLines(ring);
+    const std::string json = jsonLines(recs);
     EXPECT_NE(json.find("\"datm_forwarded\":true"), std::string::npos);
     EXPECT_NE(json.find("\"datm_forwarded\":false"), std::string::npos);
 }
@@ -323,21 +323,22 @@ TEST(TraceDatm, ForwardingChainsAreReDerived)
 
 TEST(TraceDatm, ForwardRecordsNameProducerAndValueId)
 {
-    trace::TraceRecorder ring(1 << 14);
-    runCounter(htm::TMMode::DATM, true, 0, false, &ring);
+    std::vector<trace::Record> recs;
+    trace::CaptureSink capture(recs);
+    runCounter(htm::TMMode::DATM, true, 0, false, &capture);
     std::uint64_t forwards = 0;
-    ring.forEach([&](const trace::Record &r) {
+    for (const trace::Record &r : recs) {
         if (r.kind != trace::EventKind::Forward)
-            return;
+            continue;
         ++forwards;
         EXPECT_NE(r.b, 0u);   // Producer attempt uid.
         EXPECT_NE(r.vid, 0u); // Producing store's write seq.
         EXPECT_EQ(r.addr % kWordBytes, 0u);
-    });
+    }
     EXPECT_GT(forwards, 0u);
 
     // Forward records surface in the JSON view.
-    const std::string json = jsonLines(ring);
+    const std::string json = jsonLines(recs);
     EXPECT_NE(json.find("\"kind\":\"forward\""), std::string::npos);
     EXPECT_NE(json.find("\"producer_uid\":"), std::string::npos);
     EXPECT_NE(json.find("\"vid\":"), std::string::npos);
@@ -505,11 +506,12 @@ TEST(TraceDatmProtocol, LinksWithoutTheCommitFlagAreFlagged)
 
 TEST(TraceDatm, NonDatmCommitsNeverCarryTheFlag)
 {
-    trace::TraceRecorder ring(1 << 14);
-    runCounter(htm::TMMode::Retcon, true, 0, false, &ring);
-    ring.forEach([&](const trace::Record &r) {
+    std::vector<trace::Record> recs;
+    trace::CaptureSink capture(recs);
+    runCounter(htm::TMMode::Retcon, true, 0, false, &capture);
+    for (const trace::Record &r : recs) {
         if (r.kind == trace::EventKind::Commit) {
             EXPECT_EQ(r.aux & trace::kCommitAuxDatmForwarded, 0);
         }
-    });
+    }
 }
