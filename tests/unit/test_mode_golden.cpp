@@ -2,8 +2,11 @@
  * @file
  * Cross-commit determinism per TM mode: every mode of the machine runs
  * the `service` workload (8 threads, scale 0.1, seed 1) plain and with
- * the sharded/banked/arbitrated/backoff knobs, plus one fleet point,
- * and must reproduce pinned simulated results exactly.
+ * the sharded/banked/arbitrated/backoff knobs, plus one fleet point and
+ * two RETCON points at a dispatch bandwidth of 1 event per shard-cycle
+ * (one shard, where over-quota events batch-slip, and four shards,
+ * where idle shards steal), and must reproduce pinned simulated
+ * results exactly, event-kernel counters included.
  *
  * The literals are the values of the current machine. A refactor of
  * htm::TMMachine that claims "no behaviour change" must leave every
@@ -27,6 +30,8 @@ enum class Knobs {
     Plain,  ///< One shard, one bank, no arbitration, no backoff.
     Banked, ///< 4 shards, 4 banks, commit-token arbitration, exp backoff.
     Fleet,  ///< 2 clusters of 2 shards x 2 banks, 25% cross-cluster.
+    Slip,   ///< 1 shard dispatching 1 event/cycle: batch slips.
+    Steal,  ///< 4 shards dispatching 1 event/cycle each: steals.
 };
 
 struct GoldenRow {
@@ -41,37 +46,45 @@ struct GoldenRow {
     double nacks;
     double fwdReads;
     double tokenSteals;
+    double events;
+    double slipped;
+    double stolen;
 };
 
 const GoldenRow kRows[] = {
     // label, mode, knobs, path,
-    // cycles, commits, aborts, nacks, fwdReads, tokenSteals
+    // cycles, commits, aborts, nacks, fwdReads, tokenSteals,
+    // events, slipped, stolen
     {"serial", TMMode::Serial, Knobs::Plain, "exec.conflict_cycles",
-     67681, 160, 0, 0, 0, 0},
+     67681, 160, 0, 0, 0, 0, 19648, 0, 0},
     {"serial+banked", TMMode::Serial, Knobs::Banked, "htm.backoff_cycles",
-     67638, 160, 0, 0, 0, 0},
+     67638, 160, 0, 0, 0, 0, 10440, 0, 0},
     {"eager", TMMode::Eager, Knobs::Plain, "htm.nacks",
-     31136, 160, 417, 3312, 0, 0},
+     31136, 160, 417, 3312, 0, 0, 12175, 0, 0},
     {"eager+banked", TMMode::Eager, Knobs::Banked, "htm.token_acquires",
-     30447, 160, 419, 1795, 0, 0},
+     30447, 160, 419, 1795, 0, 0, 11083, 0, 0},
     {"lazy", TMMode::Lazy, Knobs::Plain, "reenact.repairs_checked",
-     33861, 160, 433, 0, 0, 0},
+     33861, 160, 433, 0, 0, 0, 22666, 0, 0},
     {"lazy+banked", TMMode::Lazy, Knobs::Banked, "htm.backoff_cycles",
-     35303, 160, 422, 0, 0, 0},
+     35303, 160, 422, 0, 0, 0, 21211, 0, 0},
     {"lazy-vb", TMMode::LazyVB, Knobs::Plain, "htm.lazy_value_mismatch",
-     31874, 160, 286, 3097, 0, 0},
+     31874, 160, 286, 3097, 0, 0, 12007, 0, 0},
     {"lazy-vb+banked", TMMode::LazyVB, Knobs::Banked, "htm.token_acquires",
-     31899, 160, 333, 1641, 0, 0},
+     31899, 160, 333, 1641, 0, 0, 11121, 0, 0},
     {"retcon", TMMode::Retcon, Knobs::Plain, "reenact.repairs_checked",
-     28864, 160, 235, 3034, 0, 0},
+     28864, 160, 235, 3034, 0, 0, 11010, 0, 0},
     {"retcon+banked", TMMode::Retcon, Knobs::Banked, "htm.token_steals",
-     29511, 160, 222, 1627, 0, 30},
+     29511, 160, 222, 1627, 0, 30, 9582, 0, 0},
     {"datm", TMMode::DATM, Knobs::Plain, "htm.cascade_bp_restarts",
-     56400, 160, 322, 0, 61, 0},
+     56400, 160, 322, 0, 61, 0, 10970, 0, 0},
     {"datm+banked", TMMode::DATM, Knobs::Banked, "htm.cascade_bp_restarts",
-     48760, 160, 279, 0, 61, 1},
+     48760, 160, 279, 0, 61, 1, 9723, 0, 0},
     {"retcon+fleet", TMMode::Retcon, Knobs::Fleet, "htm.xc_token_msgs",
-     26702, 160, 216, 3246, 0, 29},
+     26702, 160, 216, 3246, 0, 29, 11286, 0, 0},
+    {"retcon+slip", TMMode::Retcon, Knobs::Slip, "sim.slipped",
+     29400, 160, 233, 2915, 0, 0, 10679, 9327, 0},
+    {"retcon+steal", TMMode::Retcon, Knobs::Steal, "sim.stolen",
+     29393, 160, 206, 3314, 0, 0, 10809, 276, 586},
 };
 
 api::RunConfig
@@ -101,6 +114,13 @@ rowConfig(const GoldenRow &row)
         cfg.tm.commitTokenArbitration = true;
         cfg.crossClusterFraction = 0.25;
         break;
+      case Knobs::Slip:
+        cfg.shardBandwidth = 1;
+        break;
+      case Knobs::Steal:
+        cfg.shards = 4;
+        cfg.shardBandwidth = 1;
+        break;
     }
     return cfg;
 }
@@ -124,5 +144,8 @@ TEST(ModeGolden, EveryModeReproducesPinnedResults)
         EXPECT_EQ(api::metric(r, "htm.nacks"), row.nacks);
         EXPECT_EQ(api::metric(r, "htm.fwd_reads"), row.fwdReads);
         EXPECT_EQ(api::metric(r, "htm.token_steals"), row.tokenSteals);
+        EXPECT_EQ(api::metric(r, "sim.events"), row.events);
+        EXPECT_EQ(api::metric(r, "sim.slipped"), row.slipped);
+        EXPECT_EQ(api::metric(r, "sim.stolen"), row.stolen);
     }
 }
