@@ -21,43 +21,38 @@ using namespace retcon;
 static void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
+    // One wake per slot of a full 64-core table, woken in scrambled
+    // order, then drained. One item is one wake + dispatch.
+    constexpr unsigned kSlots = 64;
+    ShardedEventQueue eq({}, std::vector<unsigned>(kSlots, 0));
     for (auto _ : state) {
-        ShardedEventQueue eq;
-        int sink = 0;
-        for (int i = 0; i < 1024; ++i)
-            eq.schedule(0, i, [&sink] { ++sink; });
-        eq.run();
-        benchmark::DoNotOptimize(sink);
+        for (unsigned i = 0; i < kSlots; ++i)
+            eq.wake((i * 37) % kSlots, i);
+        while (eq.step() >= 0) {
+        }
     }
-    state.SetItemsProcessed(state.iterations() * 1024);
+    benchmark::DoNotOptimize(eq.executed());
+    state.SetItemsProcessed(state.iterations() * kSlots);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
 static void
 BM_ShardedQueueSaturated(benchmark::State &state)
 {
-    // The monolith's shape: one shard dispatching one event per cycle
-    // under 32 self-rescheduling cores, so most due events slip.
+    // The monolith's shape: one shard dispatching one wake per cycle
+    // under 32 self-rewaking cores, so most due wakes slip.
     constexpr int kEvents = 4096;
-    struct Cores {
-        ShardedEventQueue &q;
-        int left;
-
-        void
-        tick(unsigned c)
-        {
-            if (left-- > 0)
-                q.scheduleAfter(0, 1 + c % 4, [this, c] { tick(c); });
-        }
-    };
+    constexpr unsigned kCores = 32;
     for (auto _ : state) {
         ShardedQueueConfig cfg;
         cfg.dispatchBandwidth = 1;
-        ShardedEventQueue q(cfg);
-        Cores cores{q, kEvents};
-        for (unsigned c = 0; c < 32; ++c)
-            cores.tick(c);
-        q.run();
+        ShardedEventQueue q(cfg, std::vector<unsigned>(kCores, 0));
+        for (unsigned c = 0; c < kCores; ++c)
+            q.wake(c, 1 + c % 4);
+        int left = kEvents - int(kCores);
+        for (int c; (c = q.step()) >= 0;)
+            if (left-- > 0)
+                q.wake(c, 1 + c % 4);
         benchmark::DoNotOptimize(q.executed());
     }
     state.SetItemsProcessed(state.iterations() * kEvents);
@@ -67,24 +62,19 @@ BENCHMARK(BM_ShardedQueueSaturated);
 static void
 BM_EventQueueCancelChurn(benchmark::State &state)
 {
-    // Remote aborts: a core's pending event is cancelled and replaced
+    // Remote aborts: a core's pending wake is cancelled and replaced
     // before it fires, while the other cores keep dispatching. One item
-    // is one cancel + reschedule + dispatch.
+    // is one cancel + rewake + dispatch.
     constexpr unsigned kCores = 32;
-    ShardedEventQueue eq;
-    std::vector<EventHandle> pending(kCores);
+    ShardedEventQueue eq({}, std::vector<unsigned>(kCores, 0));
     Xoshiro rng(13);
-    std::function<void(unsigned)> arm = [&](unsigned c) {
-        pending[c] =
-            eq.scheduleAfter(0, 1 + rng.below(8), [&arm, c] { arm(c); });
-    };
     for (unsigned c = 0; c < kCores; ++c)
-        arm(c);
+        eq.wake(c, 1 + rng.below(8));
     for (auto _ : state) {
         auto c = static_cast<unsigned>(rng.below(kCores));
-        eq.cancel(pending[c]);
-        arm(c);
-        eq.step();
+        eq.cancel(c);
+        eq.wake(c, 1 + rng.below(8));
+        eq.wake(static_cast<unsigned>(eq.step()), 1 + rng.below(8));
     }
     benchmark::DoNotOptimize(eq.executed());
     state.SetItemsProcessed(state.iterations());

@@ -20,10 +20,10 @@ queueConfig(const ClusterConfig &cfg)
     return q;
 }
 
-} // namespace
-
-Cluster::Cluster(const ClusterConfig &cfg)
-    : _cfg(cfg), _eq(queueConfig(cfg))
+/** Each core's home shard: round-robin, within the core's own
+ *  cluster's shard slice in a fleet. Checks the machine's sizes. */
+std::vector<unsigned>
+coreHomes(const ClusterConfig &cfg)
 {
     sim_assert(cfg.numThreads >= 1 && cfg.numThreads <= 64,
                "thread count out of range");
@@ -33,6 +33,24 @@ Cluster::Cluster(const ClusterConfig &cfg)
                    (cfg.numShards % cfg.fleet.clusters == 0 &&
                     cfg.net != nullptr),
                "a fleet needs per-cluster shard slices and a wire");
+    std::vector<unsigned> homes(cfg.numThreads);
+    for (CoreId i = 0; i < cfg.numThreads; ++i) {
+        if (!cfg.fleet.fleet()) {
+            homes[i] = i % cfg.numShards;
+            continue;
+        }
+        unsigned per = cfg.numShards / cfg.fleet.clusters;
+        homes[i] = cfg.fleet.clusterOfCore(i) * per +
+                   (i % cfg.fleet.threadsPerCluster) % per;
+    }
+    return homes;
+}
+
+} // namespace
+
+Cluster::Cluster(const ClusterConfig &cfg)
+    : _cfg(cfg), _eq(queueConfig(cfg), coreHomes(cfg))
+{
     _ms = std::make_unique<mem::MemorySystem>(cfg.numThreads, cfg.timing,
                                               cfg.caches, cfg.memBanks,
                                               cfg.fleet);
@@ -51,7 +69,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
     _barrier = std::make_unique<Barrier>(cfg.numThreads);
     for (CoreId i = 0; i < cfg.numThreads; ++i)
         _cores.push_back(std::make_unique<Core>(
-            i, ShardRef(_eq, shardOf(i)), *_tm, *_barrier,
+            i, _eq, *_tm, *_barrier,
             cfg.numThreads, cfg.seed));
     _tm->setRemoteAbortHandler([this](CoreId victim, htm::AbortCause c) {
         _cores[victim]->onRemoteAbort(c);
@@ -87,7 +105,9 @@ Cluster::start(const Core::ProgramFactory &factory)
 Cycle
 Cluster::run()
 {
-    Cycle end = _eq.run(_cfg.maxCycles);
+    for (int c; (c = _eq.step(_cfg.maxCycles)) >= 0;)
+        _cores[c]->fire();
+    Cycle end = _eq.now();
     for (auto &core : _cores) {
         if (!core->finished()) {
             warn("core %u did not finish within %llu cycles "
@@ -128,7 +148,7 @@ Cluster::shardCoreStats(unsigned shard) const
 {
     CoreStats total;
     for (const auto &core : _cores) {
-        if (core->shard() != shard)
+        if (shardOf(core->id()) != shard)
             continue;
         total.txns += core->stats().txns;
         total.commits += core->stats().commits;

@@ -120,15 +120,7 @@ class Cluster
 
     /** Home event-queue shard of core @p i: round-robin placement,
      *  within the core's own cluster's shard slice in a fleet. */
-    unsigned
-    shardOf(CoreId i) const
-    {
-        if (!_cfg.fleet.fleet())
-            return i % _cfg.numShards;
-        unsigned per = _cfg.numShards / _cfg.fleet.clusters;
-        return _cfg.fleet.clusterOfCore(i) * per +
-               (i % _cfg.fleet.threadsPerCluster) % per;
-    }
+    unsigned shardOf(CoreId i) const { return _eq.home(i); }
 
     /** Aggregate time breakdown over all cores. */
     TimeBreakdown aggregateBreakdown() const;

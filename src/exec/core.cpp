@@ -239,8 +239,8 @@ WorkerCtx::now() const
 // Core
 // ---------------------------------------------------------------------
 
-Core::Core(CoreId id, ShardRef eq, htm::TMMachine &tm, Barrier &barrier,
-           unsigned nthreads, std::uint64_t seed)
+Core::Core(CoreId id, ShardedEventQueue &eq, htm::TMMachine &tm,
+           Barrier &barrier, unsigned nthreads, std::uint64_t seed)
     : _id(id), _eq(eq), _tm(tm), _barrier(barrier), _tx(this)
 {
     _ctx.emplace(this, id, nthreads, seed);
@@ -280,26 +280,53 @@ Core::accountTo(Cat cat)
 }
 
 void
-Core::schedule(Cycle delay, Cat cat, std::function<void()> fn)
+Core::schedule(Cycle delay, Cat cat, Next next)
 {
-    sim_assert(!_pendingEvent.valid(),
-               "core %u double-scheduled an event", _id);
-    // At most one event is pending, so its category and body live here
-    // and the queue holds a closure small enough to store inline.
+    // At most one wake is pending (the kernel enforces it), so its
+    // category and continuation live here.
     _pendingCat = cat;
-    _pendingFn = std::move(fn);
-    _pendingEvent = _eq.scheduleAfter(delay, [this]() { firePending(); });
+    _next = next;
+    _eq.wake(_id, delay);
 }
 
 void
-Core::firePending()
+Core::fire()
 {
-    _pendingEvent = EventHandle{};
     accountTo(_pendingCat);
-    // The body usually schedules the next event, which refills
-    // _pendingFn: run it from a local.
-    std::function<void()> fn = std::move(_pendingFn);
-    fn();
+    switch (_next) {
+      case Next::Start:
+        _program.emplace(_programFactory(*_ctx));
+        _program->start();
+        postResume();
+        return;
+      case Next::RetryBegin:
+        beginTxnAttempt(true);
+        return;
+      case Next::Launch:
+        launchBody();
+        return;
+      case Next::MemOp:
+        tryMemOp(false);
+        return;
+      case Next::RetryMemOp:
+        tryMemOp(true);
+        return;
+      case Next::Cleanup:
+        cleanupAttempt();
+        return;
+      case Next::Resume:
+        resumeCoroutine(_resumePoint);
+        return;
+      case Next::Deliver:
+        deliverResult();
+        return;
+      case Next::Commit:
+        commitLoop(false);
+        return;
+      case Next::RetryCommit:
+        commitLoop(true);
+        return;
+    }
 }
 
 void
@@ -310,11 +337,7 @@ Core::start(ProgramFactory factory)
     // captures, so the callable is kept for the core's lifetime.
     _programFactory = std::move(factory);
     _lastCycle = _eq.now();
-    schedule(0, Cat::Busy, [this]() {
-        _program.emplace(_programFactory(*_ctx));
-        _program->start();
-        postResume();
-    });
+    schedule(0, Cat::Busy, Next::Start);
 }
 
 void
@@ -378,11 +401,10 @@ Core::beginTxnAttempt(bool retry)
 {
     htm::MemOpOutcome out = _tm.txBegin(_id, retry);
     if (out.status == htm::OpStatus::Nack) {
-        schedule(out.latency, Cat::Stall,
-                 [this]() { beginTxnAttempt(true); });
+        schedule(out.latency, Cat::Stall, Next::RetryBegin);
         return;
     }
-    schedule(out.latency, Cat::Commit, [this]() { launchBody(); });
+    schedule(out.latency, Cat::Commit, Next::Launch);
 }
 
 void
@@ -405,7 +427,7 @@ Core::issueMemOp(MemOpAwait *op, std::coroutine_handle<> h)
         Cycle pending = _tx._pending;
         if (pending > 0) {
             _tx._pending = 0;
-            schedule(pending, Cat::Work, [this]() { tryMemOp(false); });
+            schedule(pending, Cat::Work, Next::MemOp);
             return;
         }
     }
@@ -421,7 +443,7 @@ Core::tryMemOp(bool is_retry)
         // Doomed snapshot execution (zombie) backstop: discard the
         // attempt; the retry re-reads fresh values.
         _tm.abortSelf(_id, htm::AbortCause::Zombie);
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
         return;
     }
     if (op->txnal) {
@@ -443,15 +465,14 @@ Core::tryMemOp(bool is_retry)
       case htm::OpStatus::Ok:
         op->out = out;
         schedule(out.latency, op->txnal ? Cat::Work : Cat::Busy,
-                 [this]() { resumeCoroutine(_resumePoint); });
+                 Next::Resume);
         return;
       case htm::OpStatus::Nack:
-        schedule(out.latency, Cat::Stall,
-                 [this]() { tryMemOp(true); });
+        schedule(out.latency, Cat::Stall, Next::RetryMemOp);
         return;
       case htm::OpStatus::AbortSelf:
         // The machine already rolled us back.
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
         return;
     }
 }
@@ -465,8 +486,7 @@ Core::issueWork(Cycle cycles, bool txnal, std::coroutine_handle<> h)
         total += _tx._pending;
         _tx._pending = 0;
     }
-    schedule(total, txnal ? Cat::Work : Cat::Busy,
-             [this]() { resumeCoroutine(_resumePoint); });
+    schedule(total, txnal ? Cat::Work : Cat::Busy, Next::Resume);
 }
 
 void
@@ -479,7 +499,9 @@ Core::enterBarrier(std::coroutine_handle<> h)
 void
 Core::resumeFromBarrier(std::coroutine_handle<> h, Cycle delay)
 {
-    schedule(delay, Cat::Barrier, [this, h]() { resumeCoroutine(h); });
+    // No operation is in flight while the core waits at a barrier.
+    _resumePoint = h;
+    schedule(delay, Cat::Barrier, Next::Resume);
 }
 
 void
@@ -488,20 +510,14 @@ Core::commitLoop(bool is_retry)
     htm::CommitStepOutcome out = _tm.commitStep(_id, is_retry);
     switch (out.status) {
       case htm::OpStatus::Ok:
-        if (out.done) {
-            schedule(out.latency, Cat::Commit,
-                     [this]() { deliverResult(); });
-        } else {
-            schedule(out.latency, Cat::Commit,
-                     [this]() { commitLoop(false); });
-        }
+        schedule(out.latency, Cat::Commit,
+                 out.done ? Next::Deliver : Next::Commit);
         return;
       case htm::OpStatus::Nack:
-        schedule(out.latency, Cat::Stall,
-                 [this]() { commitLoop(true); });
+        schedule(out.latency, Cat::Stall, Next::RetryCommit);
         return;
       case htm::OpStatus::AbortSelf:
-        schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+        schedule(0, Cat::Stall, Next::Cleanup);
         return;
     }
 }
@@ -547,7 +563,7 @@ Core::cleanupAttempt()
     if (_deferHook)
         delay += _deferHook(_id);
     if (delay > 0) {
-        schedule(delay, Cat::Stall, [this]() { beginTxnAttempt(true); });
+        schedule(delay, Cat::Stall, Next::RetryBegin);
         return;
     }
     beginTxnAttempt(true);
@@ -560,11 +576,8 @@ Core::onRemoteAbort([[maybe_unused]] htm::AbortCause cause)
                _id);
     // Cancel whatever this core was waiting for; rollback was already
     // performed by the machine (zero-cycle rollback).
-    if (_pendingEvent.valid()) {
-        _eq.cancel(_pendingEvent);
-        _pendingEvent = EventHandle{};
-    }
-    schedule(0, Cat::Stall, [this]() { cleanupAttempt(); });
+    _eq.cancel(_id);
+    schedule(0, Cat::Stall, Next::Cleanup);
 }
 
 } // namespace retcon::exec

@@ -265,8 +265,9 @@ class Core
      */
     using DeferFn = std::function<Cycle(CoreId)>;
 
-    Core(CoreId id, ShardRef eq, htm::TMMachine &tm, Barrier &barrier,
-         unsigned nthreads, std::uint64_t seed);
+    /** Core @p id wakes through slot @p id of @p eq. */
+    Core(CoreId id, ShardedEventQueue &eq, htm::TMMachine &tm,
+         Barrier &barrier, unsigned nthreads, std::uint64_t seed);
 
     /** Install and start the thread program at the current cycle. */
     void start(ProgramFactory factory);
@@ -276,8 +277,6 @@ class Core
 
     bool finished() const { return _finished; }
     CoreId id() const { return _id; }
-    /** Home event-queue shard this core schedules onto. */
-    unsigned shard() const { return _eq.shard(); }
     /** Current global simulated cycle (see WorkerCtx::now). */
     Cycle now() const { return _eq.now(); }
     const TimeBreakdown &breakdown() const { return _breakdown; }
@@ -287,6 +286,9 @@ class Core
 
     /** Remote-abort notification from the machine. */
     void onRemoteAbort(htm::AbortCause cause);
+
+    /** Run the continuation whose wake just fired (called by Cluster). */
+    void fire();
 
     // ---- Called by awaitables ---------------------------------------
     void issueMemOp(MemOpAwait *op, std::coroutine_handle<> h);
@@ -304,8 +306,14 @@ class Core
     /** Internal accounting categories, resolved at commit/abort. */
     enum class Cat { Busy, Work, Stall, Commit, Barrier };
 
+    /** Continuation of the pending wake; fire() maps each to a call. */
+    enum class Next {
+        Start, RetryBegin, Launch, MemOp, RetryMemOp,
+        Cleanup, Resume, Deliver, Commit, RetryCommit,
+    };
+
     CoreId _id;
-    ShardRef _eq; ///< Home-shard scheduling handle (global clock).
+    ShardedEventQueue &_eq; ///< Owns this core's wake slot (_id).
     htm::TMMachine &_tm;
     Barrier &_barrier;
     Tx _tx;
@@ -317,14 +325,14 @@ class Core
     std::optional<Task<TxValue>> _body;
     TxnAwait *_txnAwait = nullptr;
     std::coroutine_handle<> _programCont;
+    /// Suspended at a memory op, a work delay or a barrier.
     std::coroutine_handle<> _resumePoint;
     MemOpAwait *_pendingOp = nullptr;
 
     bool _inTxn = false;
     bool _finished = false;
-    EventHandle _pendingEvent;
-    Cat _pendingCat = Cat::Busy;      ///< Category of _pendingEvent.
-    std::function<void()> _pendingFn; ///< Body of _pendingEvent.
+    Cat _pendingCat = Cat::Busy; ///< Category of the pending wake.
+    Next _next = Next::Start;    ///< Continuation of the pending wake.
     std::uint64_t _attemptOps = 0;
 
     // Accounting.
@@ -336,8 +344,7 @@ class Core
 
     CoreStats _stats;
 
-    void schedule(Cycle delay, Cat cat, std::function<void()> fn);
-    void firePending();
+    void schedule(Cycle delay, Cat cat, Next next);
     void accountTo(Cat cat);
     void resumeCoroutine(std::coroutine_handle<> h);
     void postResume();

@@ -112,8 +112,8 @@ class TMMachine : public mem::CoherenceListener
 
     /**
      * @p clock is only observed (latency stamps, provenance records):
-     * pass the driving EventQueue or a ShardedEventQueue's global
-     * clock — the machine never schedules events itself.
+     * pass the driving ShardedEventQueue — the machine never wakes a
+     * core itself.
      */
     TMMachine(const SimClock &clock, mem::MemorySystem &ms,
               const TMConfig &cfg);

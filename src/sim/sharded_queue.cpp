@@ -6,50 +6,26 @@
 
 namespace retcon {
 
-namespace {
-
-constexpr unsigned kSlotBits = 24;
-constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
-constexpr std::uint32_t kGenLimit = 1u << 31;
-constexpr std::uint32_t kNoSlot = ~0u;
-
-/// Min-heap order on (when, seq) for std::push_heap/std::pop_heap.
-struct Later {
-    template <class K>
-    bool
-    operator()(const K &a, const K &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-};
-
-template <class K>
-void
-push(std::vector<K> &heap, const K &k)
-{
-    heap.push_back(k);
-    std::push_heap(heap.begin(), heap.end(), Later{});
-}
-
-template <class K>
-K
-pop(std::vector<K> &heap)
-{
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    K k = heap.back();
-    heap.pop_back();
-    return k;
-}
-
-} // namespace
-
-ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg)
+ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg,
+                                     const std::vector<unsigned> &homes)
     : _cfg(cfg), _shards(cfg.nshards)
 {
     sim_assert(cfg.nshards >= 1 && cfg.nshards <= 64,
                "shard count out of range");
+    sim_assert(homes.size() <= 64, "wake slot count out of range");
+    std::size_t leaves = 1;
+    while (leaves < homes.size())
+        leaves *= 2;
+    _slots.resize(leaves);
+    for (std::size_t i = 0; i < homes.size(); ++i) {
+        sim_assert(homes[i] < cfg.nshards, "shard %u out of range",
+                   homes[i]);
+        _slots[i].shard = static_cast<std::uint8_t>(homes[i]);
+    }
+    _tree.resize(2 * leaves);
+    for (std::size_t i = 0; i < leaves; ++i)
+        _tree[leaves + i] = static_cast<std::uint8_t>(i);
+    rebuild();
     // Same candidate set pickExecutor probes: the rest of the shard's
     // steal group, clipped to the shard count.
     unsigned group = cfg.stealGroup ? cfg.stealGroup : cfg.nshards;
@@ -68,157 +44,71 @@ ShardedEventQueue::shardStats(unsigned shard) const
     return _shards[shard].stats;
 }
 
-EventHandle
-ShardedEventQueue::schedule(unsigned shard, Cycle when, Callback cb)
-{
-    sim_assert(shard < _cfg.nshards, "shard %u out of range", shard);
-    sim_assert(when >= _now, "scheduling into the past");
-    std::uint64_t seq = _nextSeq++;
-    std::uint32_t slot = acquire(shard, seq, std::move(cb));
-    Shard &sh = _shards[shard];
-    push(sh.heap, Key{when, seq, slot});
-    ++sh.stats.scheduled;
-    return EventHandle{(std::uint64_t(_slots[slot].gen) << kSlotBits) |
-                       slot};
-}
-
-std::uint32_t
-ShardedEventQueue::acquire(unsigned shard, std::uint64_t seq, Callback &&cb)
-{
-    std::uint32_t slot;
-    if (!_free.empty()) {
-        slot = _free.back();
-        _free.pop_back();
-    } else {
-        sim_assert(_slots.size() <= kSlotMask, "event slab exhausted");
-        slot = static_cast<std::uint32_t>(_slots.size());
-        _slots.emplace_back();
-    }
-    Slot &s = _slots[slot];
-    s.cb = std::move(cb);
-    s.seq = seq;
-    s.shard = static_cast<std::uint8_t>(shard);
-    s.live = true;
-    ++_live;
-    return slot;
-}
-
 void
-ShardedEventQueue::release(std::uint32_t slot)
+ShardedEventQueue::wake(unsigned slot, Cycle delta)
 {
+    sim_assert(slot < _slots.size(), "wake slot %u out of range", slot);
     Slot &s = _slots[slot];
-    s.cb = nullptr;
-    s.live = false;
+    sim_assert(s.when == kIdle, "slot %u woken twice", slot);
+    sim_assert(delta < kIdle - _now, "wake past the end of time");
+    s.when = _now + delta;
+    s.seq = _nextSeq++;
     s.slipped = false;
-    // A new generation turns every outstanding handle to the slot stale.
-    s.gen = s.gen + 1 == kGenLimit ? 1 : s.gen + 1;
-    _free.push_back(slot);
-}
-
-std::uint32_t
-ShardedEventQueue::find(EventHandle h) const
-{
-    // Generations start at 1, so the empty handle matches no slot.
-    auto slot = static_cast<std::uint32_t>(h.id & kSlotMask);
-    if (slot >= _slots.size())
-        return kNoSlot;
-    const Slot &s = _slots[slot];
-    return s.live && s.gen == (h.id >> kSlotBits) ? slot : kNoSlot;
+    ++_shards[s.shard].stats.scheduled;
+    update(slot);
 }
 
 void
-ShardedEventQueue::cancel(EventHandle h)
+ShardedEventQueue::cancel(unsigned slot)
 {
-    std::uint32_t slot = find(h);
-    if (slot == kNoSlot)
-        return;
     Slot &s = _slots[slot];
+    if (s.when == kIdle)
+        return;
     if (s.slipped) {
-        // A batched slip counts an event at (slipped-set cycle - 1, its
-        // seq) in dispatch order, before the per-event order reaches
-        // it. Cancelling the event before that point takes the count
-        // back, so `deferred` stays equal to the per-event count.
-        Shard &sh = _shards[s.shard];
-        Cycle counted = sh.slipWhen - 1;
+        // A batched slip counts a wake at (its cycle - 1, its seq) in
+        // dispatch order, before the per-wake order reaches it.
+        // Cancelling the wake before that point takes the count back,
+        // so `deferred` stays equal to the per-wake count.
+        Cycle counted = s.when - 1;
         if (counted > _atWhen || (counted == _atWhen && s.seq > _atSeq))
-            --sh.stats.deferred;
-        --sh.slippedLive;
+            --_shards[s.shard].stats.deferred;
     }
-    s.live = false;
-    --_live;
-}
-
-std::vector<ShardedEventQueue::Key> *
-ShardedEventQueue::nextSet(Shard &sh)
-{
-    while (!sh.heap.empty() && !_slots[sh.heap.front().slot].live)
-        release(pop(sh.heap).slot);
-    while (!sh.slipped.empty() && !_slots[sh.slipped.front().slot].live)
-        release(pop(sh.slipped).slot);
-    if (sh.slipped.empty())
-        return sh.heap.empty() ? nullptr : &sh.heap;
-    if (sh.heap.empty())
-        return &sh.slipped;
-    const Key &h = sh.heap.front();
-    bool heapFirst = h.when < sh.slipWhen ||
-                     (h.when == sh.slipWhen && h.seq < sh.slipped.front().seq);
-    return heapFirst ? &sh.heap : &sh.slipped;
-}
-
-bool
-ShardedEventQueue::peek(Shard &sh, Cycle &when, std::uint64_t &seq)
-{
-    std::vector<Key> *set = nextSet(sh);
-    if (!set)
-        return false;
-    when = set == &sh.slipped ? sh.slipWhen : set->front().when;
-    seq = set->front().seq;
-    return true;
+    s.when = kIdle;
+    update(slot);
 }
 
 std::size_t
-ShardedEventQueue::slipDue(Shard &sh, Cycle when)
+ShardedEventQueue::pending() const
 {
-    std::size_t slipped = 0;
-    if (sh.slipped.empty() || sh.slipWhen == when) {
-        // The set already at `when` slips whole: one clock write.
-        if (!sh.slipped.empty())
-            slipped = sh.slippedLive;
-        sh.slipWhen = when + 1;
-    }
-    sim_assert(sh.slipWhen == when + 1, "slipped set out of step");
-    while (!sh.heap.empty() && sh.heap.front().when == when) {
-        Key k = pop(sh.heap);
-        Slot &s = _slots[k.slot];
-        if (!s.live) {
-            release(k.slot);
-            continue;
-        }
-        k.when = 0;
-        push(sh.slipped, k);
-        s.slipped = true;
-        ++sh.slippedLive;
-        ++slipped;
-    }
-    return slipped;
+    return std::count_if(_slots.begin(), _slots.end(),
+                         [](const Slot &s) { return s.when != kIdle; });
 }
 
-int
-ShardedEventQueue::findEarliest(Cycle &when, std::uint64_t &seq)
+void
+ShardedEventQueue::update(unsigned slot)
 {
-    int best = -1;
-    for (unsigned s = 0; s < _cfg.nshards; ++s) {
-        Cycle w;
-        std::uint64_t q;
-        if (!peek(_shards[s], w, q))
-            continue;
-        if (best < 0 || w < when || (w == when && q < seq)) {
-            best = static_cast<int>(s);
-            when = w;
-            seq = q;
-        }
+    unsigned win = slot;
+    for (std::size_t n = _slots.size() + slot; n > 1; n /= 2) {
+        win = first(win, _tree[n ^ 1]);
+        _tree[n / 2] = static_cast<std::uint8_t>(win);
     }
-    return best;
+}
+
+void
+ShardedEventQueue::rebuild()
+{
+    for (std::size_t n = _slots.size() - 1; n >= 1; --n)
+        _tree[n] =
+            static_cast<std::uint8_t>(first(_tree[2 * n], _tree[2 * n + 1]));
+}
+
+bool
+ShardedEventQueue::dueOn(unsigned shard, Cycle when) const
+{
+    for (const Slot &s : _slots)
+        if (s.shard == shard && s.when <= when)
+            return true;
+    return false;
 }
 
 int
@@ -229,7 +119,7 @@ ShardedEventQueue::pickExecutor(unsigned home, Cycle when)
         return static_cast<int>(home);
     if (!_cfg.workStealing || _cfg.nshards == 1)
         return -1;
-    // Work-stealing fallback: a shard with no event due this cycle and
+    // Work-stealing fallback: a shard with no wake due this cycle and
     // spare dispatch slots drains the busy shard. The rotating cursor
     // spreads steals across idle shards deterministically. Candidates
     // come from the home shard's steal group only — the whole machine
@@ -240,9 +130,7 @@ ShardedEventQueue::pickExecutor(unsigned home, Cycle when)
         unsigned t = base + (_stealCursor + probe) % group;
         if (t == home || t >= _cfg.nshards || _shards[t].dispatched >= bw)
             continue;
-        Cycle w;
-        std::uint64_t q;
-        if (peek(_shards[t], w, q) && w <= when)
+        if (dueOn(t, when))
             continue; // Busy itself this cycle; not a thief.
         _stealCursor = (t + 1) % group;
         ++_shards[t].stats.stolen;
@@ -251,44 +139,48 @@ ShardedEventQueue::pickExecutor(unsigned home, Cycle when)
     return -1;
 }
 
-bool
+int
 ShardedEventQueue::step(Cycle maxCycles)
 {
     for (;;) {
-        Cycle when = 0;
-        std::uint64_t seq = 0;
-        int found = findEarliest(when, seq);
-        if (found < 0)
-            return false;
+        // Idle slots sit at kIdle, after every pending wake.
+        unsigned found = _tree[1];
+        Slot &s = _slots[found];
+        Cycle when = s.when;
+        if (when == kIdle)
+            return -1;
         _atWhen = when;
-        _atSeq = seq;
+        _atSeq = s.seq;
         if (when > maxCycles)
-            return false;
+            return -1;
 
-        Shard &home = _shards[found];
+        Shard &home = _shards[s.shard];
         if (when != _dispatchCycle) {
             // Clock advances: all dispatch slots refill.
             _dispatchCycle = when;
             for (Shard &sh : _shards)
                 sh.dispatched = 0;
         }
-        int exec = pickExecutor(static_cast<unsigned>(found), when);
+        int exec = pickExecutor(s.shard, when);
         if (exec < 0) {
-            // All slots this cycle are spoken for: the event slips. With
-            // no possible thief, every other event the shard has due
-            // this cycle would slip in turn, so they all slip now.
-            if (home.batchSlip) {
-                home.stats.deferred += slipDue(home, when);
-            } else {
-                // The peeked event heads the heap (the shard never
-                // batch-slips); it moves one cycle on, keeping its seq
-                // and so its order among the events it was ahead of.
-                sim_assert(home.slipped.empty(), "slip on a batch shard");
-                std::pop_heap(home.heap.begin(), home.heap.end(), Later{});
-                ++home.heap.back().when;
-                std::push_heap(home.heap.begin(), home.heap.end(), Later{});
+            // All slots this cycle are spoken for: the wake slips one
+            // cycle on, keeping its seq and so its order among the
+            // wakes it was ahead of. With no possible thief, every
+            // other wake the shard has due this cycle would slip in
+            // turn, so they all slip now.
+            if (!home.batchSlip) {
+                ++s.when;
                 ++home.stats.deferred;
+                update(found);
+                continue;
             }
+            for (Slot &due : _slots) {
+                bool hit = due.shard == s.shard && due.when == when;
+                due.when += hit;
+                due.slipped |= hit;
+                home.stats.deferred += hit;
+            }
+            rebuild();
             continue;
         }
         ++_shards[exec].dispatched;
@@ -296,30 +188,10 @@ ShardedEventQueue::step(Cycle maxCycles)
         ++_shards[exec].stats.executed;
         ++_executed;
         _now = when;
-
-        // The earliest key still heads its set: only other shards were
-        // peeked since findEarliest.
-        std::vector<Key> &set = *nextSet(home);
-        std::uint32_t slot = pop(set).slot;
-        Slot &s = _slots[slot];
-        --_live;
-        if (s.slipped)
-            --home.slippedLive;
-        // Move the callback out before running it: it may schedule, and
-        // a growing slab relocates its slots.
-        Callback cb = std::move(s.cb);
-        release(slot);
-        cb();
-        return true;
+        s.when = kIdle;
+        update(found);
+        return static_cast<int>(found);
     }
-}
-
-Cycle
-ShardedEventQueue::run(Cycle maxCycles)
-{
-    while (step(maxCycles)) {
-    }
-    return _now;
 }
 
 } // namespace retcon

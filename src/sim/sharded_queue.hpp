@@ -1,37 +1,32 @@
 /**
  * @file
- * ShardedEventQueue: the deterministic discrete-event kernel, with
- * events partitioned across N shards behind one global clock.
+ * ShardedEventQueue: the deterministic discrete-event kernel, a table
+ * of wake slots partitioned across N shards behind one global clock.
  *
- * Events are callbacks scheduled at an absolute cycle on a home shard
- * (cores map to shards round-robin). Execution always picks the
- * globally earliest live event, with same-cycle ties broken by a global
- * sequence number allocated at schedule time, so a simulation with a
+ * Each simulated core has at most one operation in flight, so the
+ * kernel holds one wake slot per core and nothing else: a slot is
+ * {when, seq} plus its home shard (cores map to shards round-robin).
+ * The kernel stores no continuation; step() returns the slot whose
+ * wake fired and the caller resumes that core. Execution always picks
+ * the globally earliest pending wake, with same-cycle ties broken by a
+ * global sequence number allocated per wake, so a simulation with a
  * fixed seed is bit-for-bit reproducible. With unlimited dispatch
  * bandwidth this order does not depend on the shard count, so shard
  * count never changes simulated results — the determinism the
  * repair-audit oracle and the unit tests rely on.
  *
- * Storage is split so dispatch never moves a closure through a heap:
- * each shard's heap orders 24-byte POD keys {when, seq, slot}, and
- * callbacks live in one slab of slots recycled through a free list. A
- * handle names (slot, generation); a slot's generation advances when
- * the slot is freed, so cancel() is an O(1) flag write and a stale
- * handle (its event already ran, or the slot was reused) is a no-op. A
- * cancelled event keeps its key in the heap and is skipped when popped.
- *
  * Dispatch bandwidth models the sequencer serialization a real
  * sharded cluster removes: each shard dispatches at most
- * `dispatchBandwidth` events per cycle (0 = unlimited). An event that
+ * `dispatchBandwidth` wakes per cycle (0 = unlimited). A wake that
  * finds its home shard's slots exhausted either slips to the next
  * cycle or — the work-stealing fallback — is drained by an idle shard
- * (one with no event due this cycle) that still has slots, so idle
+ * (one with no wake due this cycle) that still has slots, so idle
  * shards absorb bursts from busy ones. Stealing changes attribution
  * and slip timing only; the drain order is still the unique global
  * (cycle, seq) order, so runs stay deterministic for a fixed
  * configuration. A shard no thief can reach (stealing off, or a steal
- * group of one) slips all its due events at once when its slots run
- * out; the keys and the `deferred` count equal slipping them one by
+ * group of one) slips all its due wakes in one loop when its slots run
+ * out; the wakes and the `deferred` count equal slipping them one by
  * one, so the batch is a host-side shortcut only.
  */
 
@@ -39,19 +34,11 @@
 #define RETCON_SIM_SHARDED_QUEUE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/types.hpp"
 
 namespace retcon {
-
-/** Opaque ticket identifying a scheduled event so it can be cancelled. */
-struct EventHandle {
-    std::uint64_t id = 0;
-
-    bool valid() const { return id != 0; }
-};
 
 /** Sharded-queue configuration. */
 struct ShardedQueueConfig {
@@ -80,96 +67,70 @@ struct ShardedQueueConfig {
     unsigned stealGroup = 0;
 };
 
-/** Cycle-ordered event queue sharded N ways under one global clock. */
+/** Per-core wake table sharded N ways under one global clock. */
 class ShardedEventQueue final : public SimClock
 {
   public:
-    using Callback = std::function<void()>;
-
     /** Per-shard load and work-stealing counters. */
     struct ShardStats {
-        std::uint64_t scheduled = 0; ///< Events homed to this shard.
-        std::uint64_t drained = 0;   ///< Events popped from this queue.
-        std::uint64_t executed = 0;  ///< Events this shard dispatched.
-        std::uint64_t stolen = 0;    ///< Of executed: other shards' events.
+        std::uint64_t scheduled = 0; ///< Wakes homed to this shard.
+        std::uint64_t drained = 0;   ///< Wakes fired from this shard.
+        std::uint64_t executed = 0;  ///< Wakes this shard dispatched.
+        std::uint64_t stolen = 0;    ///< Of executed: other shards' wakes.
         std::uint64_t deferred = 0;  ///< Slips to the next cycle.
     };
 
-    explicit ShardedEventQueue(const ShardedQueueConfig &cfg = {});
+    /** One wake slot per entry of @p homes, homed on that shard. */
+    explicit ShardedEventQueue(const ShardedQueueConfig &cfg = {},
+                               const std::vector<unsigned> &homes = {});
     ShardedEventQueue(const ShardedEventQueue &) = delete;
     ShardedEventQueue &operator=(const ShardedEventQueue &) = delete;
 
-    unsigned numShards() const { return _cfg.nshards; }
-    const ShardedQueueConfig &config() const { return _cfg; }
-
-    /** Simulated cycle of the last dispatched event. */
+    /** Simulated cycle of the last dispatched wake. */
     Cycle now() const override { return _now; }
 
-    /** Schedule @p cb on @p shard at absolute cycle @p when. */
-    EventHandle schedule(unsigned shard, Cycle when, Callback cb);
-
-    /** Schedule @p cb on @p shard @p delta cycles after now(). */
-    EventHandle
-    scheduleAfter(unsigned shard, Cycle delta, Callback cb)
-    {
-        return schedule(shard, _now + delta, std::move(cb));
-    }
+    /** Home shard of @p slot. */
+    unsigned home(unsigned slot) const { return _slots[slot].shard; }
 
     /**
-     * Cancel a previously scheduled event. Idempotent; a handle whose
-     * event already ran is a no-op.
+     * Wake @p slot @p delta cycles after now(). The slot must be idle:
+     * a core has at most one wake pending.
      */
-    void cancel(EventHandle h);
+    void wake(unsigned slot, Cycle delta);
 
-    /** True when no live events remain. */
-    bool empty() const { return _live == 0; }
+    /** Drop @p slot's pending wake, if any. */
+    void cancel(unsigned slot);
 
-    /** Live (non-cancelled) pending events across all shards. */
-    std::size_t pending() const { return _live; }
+    /** Slots with a wake pending. */
+    std::size_t pending() const;
 
     /**
-     * Dispatch exactly one live event (the globally earliest, after
-     * any bandwidth slips). @return false when drained, or when the
-     * earliest event lies past @p maxCycles (it is left queued).
+     * Dispatch the globally earliest wake, after any bandwidth slips.
+     * @return its slot, or -1 when no wake is pending or the earliest
+     * lies past @p maxCycles (it is left pending).
      */
-    bool step(Cycle maxCycles = ~Cycle(0));
+    int step(Cycle maxCycles = ~Cycle(0));
 
-    /**
-     * Run until every shard drains or the next event would fire past
-     * @p maxCycles. @return the final now().
-     */
-    Cycle run(Cycle maxCycles = ~Cycle(0));
-
-    /** Total events dispatched since construction. */
+    /** Total wakes dispatched since construction. */
     std::uint64_t executed() const { return _executed; }
 
     const ShardStats &shardStats(unsigned shard) const;
 
   private:
-    /// Heap key; in a slipped set `when` is 0 and the set's cycle applies.
-    struct Key {
-        Cycle when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
+    static constexpr Cycle kIdle = ~Cycle(0); ///< `when` of an idle slot.
 
     struct Slot {
-        Callback cb;
+        Cycle when = kIdle;
         std::uint64_t seq = 0;
-        std::uint32_t gen = 1;
         std::uint8_t shard = 0; ///< Home shard.
-        bool live = false;      ///< Scheduled, not yet run or cancelled.
-        bool slipped = false;   ///< Keyed in its shard's slipped set.
+        /// Batch-slipped: its last slip was counted ahead of dispatch.
+        bool slipped = false;
     };
 
     struct Shard {
-        std::vector<Key> heap;
-        std::vector<Key> slipped; ///< Seq-ordered heap at cycle slipWhen.
-        Cycle slipWhen = 0;
-        std::size_t slippedLive = 0;
         /// No thief can ever drain this shard (stealing off, or a steal
         /// group of one), so an over-quota cycle slips all its due
-        /// events in one batch (slipDue).
+        /// wakes in one loop.
         bool batchSlip = false;
         unsigned dispatched = 0; ///< This cycle's dispatch slots used.
         ShardStats stats;
@@ -177,12 +138,15 @@ class ShardedEventQueue final : public SimClock
 
     ShardedQueueConfig _cfg;
     std::vector<Shard> _shards;
+    /// Padded with idle slots to a power of two, the tree's leaf count.
     std::vector<Slot> _slots;
-    std::vector<std::uint32_t> _free;
+    /// Tournament tree over the slots: node n (1-based) holds the slot
+    /// with the earliest wake under it; node _slots.size() + i is leaf
+    /// i. The root, node 1, is the globally earliest wake.
+    std::vector<std::uint8_t> _tree;
 
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
-    std::size_t _live = 0;
     std::uint64_t _executed = 0;
 
     /// Per-cycle dispatch accounting (reset when the clock advances).
@@ -190,64 +154,39 @@ class ShardedEventQueue final : public SimClock
     unsigned _stealCursor = 0;
 
     /// Dispatch position: the (cycle, seq) last taken as the global
-    /// earliest. Every event before it has run or slipped.
+    /// earliest. Every wake before it has fired or slipped.
     Cycle _atWhen = 0;
     std::uint64_t _atSeq = 0;
 
-    std::uint32_t acquire(unsigned shard, std::uint64_t seq, Callback &&cb);
-    void release(std::uint32_t slot);
-    /** @return the live slot @p h names, or kNoSlot. */
-    std::uint32_t find(EventHandle h) const;
-
-    /** Prune both tops; @return the set holding the next live key. */
-    std::vector<Key> *nextSet(Shard &sh);
-
-    /** The next live event on @p sh. @return false when drained. */
-    bool peek(Shard &sh, Cycle &when, std::uint64_t &seq);
-
-    /** Find the shard holding the globally earliest live event. */
-    int findEarliest(Cycle &when, std::uint64_t &seq);
-
     /**
-     * Pick the shard that dispatches an event due at @p when homed on
-     * @p home: the home shard if it has bandwidth, else an idle shard
-     * with spare slots (work stealing), else -1 (the event must slip).
+     * Of slots @p a and @p b, the one whose wake comes first (@p a on
+     * a tie of idle slots). Branch-free: under saturation many wakes
+     * share a cycle and a branch on the order would mispredict.
      */
-    int pickExecutor(unsigned home, Cycle when);
-
-    /**
-     * Slip every live event @p sh has due at @p when to @p when + 1 at
-     * once, keeping seqs: they join the slipped set, which all sits at
-     * one cycle, so slipping it again is O(1). Call only when @p when
-     * is the shard's next live cycle. @return the live events slipped.
-     */
-    std::size_t slipDue(Shard &sh, Cycle when);
-};
-
-/**
- * A core's handle onto its home shard: global clock plus scheduling.
- * Value type — cores hold it by value and never outlive the queue.
- */
-class ShardRef
-{
-  public:
-    ShardRef(ShardedEventQueue &q, unsigned shard) : _q(&q), _shard(shard)
-    {}
-
-    Cycle now() const { return _q->now(); }
-    unsigned shard() const { return _shard; }
-
-    EventHandle
-    scheduleAfter(Cycle delta, ShardedEventQueue::Callback cb)
+    unsigned
+    first(unsigned a, unsigned b) const
     {
-        return _q->scheduleAfter(_shard, delta, std::move(cb));
+        const Slot &x = _slots[a], &y = _slots[b];
+        bool bFirst =
+            (y.when < x.when) | ((y.when == x.when) & (y.seq < x.seq));
+        return a ^ ((a ^ b) & -unsigned(bFirst));
     }
 
-    void cancel(EventHandle h) { _q->cancel(h); }
+    /** Replay the tree's matches on @p slot's path after it changed. */
+    void update(unsigned slot);
 
-  private:
-    ShardedEventQueue *_q;
-    unsigned _shard;
+    /** Replay every match (after a batch slip moved many slots). */
+    void rebuild();
+
+    /** True when @p shard has a wake due at or before @p when. */
+    bool dueOn(unsigned shard, Cycle when) const;
+
+    /**
+     * Pick the shard that dispatches a wake due at @p when homed on
+     * @p home: the home shard if it has bandwidth, else an idle shard
+     * with spare slots (work stealing), else -1 (the wake must slip).
+     */
+    int pickExecutor(unsigned home, Cycle when);
 };
 
 } // namespace retcon

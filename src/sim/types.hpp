@@ -11,7 +11,6 @@
 #define RETCON_SIM_TYPES_HPP
 
 #include <cstdint>
-#include <functional>
 
 namespace retcon {
 

@@ -7,75 +7,73 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
 #include "sim/sharded_queue.hpp"
 
 using namespace retcon;
 
-TEST(EventKernel, SameCycleEventsFireInScheduleOrder)
+TEST(EventKernel, SameCycleWakesFireInWakeOrder)
 {
-    ShardedEventQueue eq;
-    std::vector<int> order;
+    // Slot ids do not order wakes; the order they were woken in does.
+    ShardedEventQueue eq({}, std::vector<unsigned>(16, 0));
+    std::vector<int> woken, fired;
     for (int i = 0; i < 16; ++i)
-        eq.schedule(0, 5, [&order, i] { order.push_back(i); });
-    eq.run();
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[i], i);
+        woken.push_back((i * 7) % 16);
+    for (int s : woken)
+        eq.wake(s, 5);
+    for (int s; (s = eq.step()) >= 0;)
+        fired.push_back(s);
+    EXPECT_EQ(fired, woken);
 }
 
-TEST(EventKernel, ClockAdvancesOnlyWhenEventsFire)
+TEST(EventKernel, ClockAdvancesOnlyWhenWakesFire)
 {
-    ShardedEventQueue eq;
-    eq.schedule(0, 100, [] {});
+    ShardedEventQueue eq({}, {0});
+    eq.wake(0, 100);
     EXPECT_EQ(eq.now(), 0u);
-    eq.step();
+    EXPECT_EQ(eq.step(), 0);
     EXPECT_EQ(eq.now(), 100u);
 }
 
-TEST(EventKernel, EventsCanScheduleMoreEvents)
+TEST(EventKernel, AFiredSlotCanWakeAgain)
 {
-    ShardedEventQueue eq;
+    ShardedEventQueue eq({}, {0});
     int depth = 0;
-    std::function<void()> chain = [&] {
+    eq.wake(0, 0);
+    while (eq.step() == 0)
         if (++depth < 5)
-            eq.scheduleAfter(0, 7, chain);
-    };
-    eq.schedule(0, 0, chain);
-    eq.run();
+            eq.wake(0, 7);
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.now(), 28u);
 }
 
-TEST(EventKernel, ExecutedCountsFiredEventsOnly)
+TEST(EventKernel, ExecutedCountsFiredWakesOnly)
 {
-    ShardedEventQueue eq;
-    EventHandle h = eq.schedule(0, 1, [] {});
-    eq.schedule(0, 2, [] {});
-    eq.cancel(h);
-    eq.run();
+    ShardedEventQueue eq({}, {0, 0});
+    eq.wake(0, 1);
+    eq.wake(1, 2);
+    eq.cancel(0);
+    while (eq.step() >= 0) {
+    }
     EXPECT_EQ(eq.executed(), 1u);
 }
 
-TEST(EventKernel, StaleHandleDoesNotCancelTheSlotsNextEvent)
+TEST(EventKernelDeath, WakePastTheLastCyclePanics)
 {
-    ShardedEventQueue eq;
-    bool fired = false;
-    EventHandle first = eq.schedule(0, 1, [] {});
-    eq.run();
-    // The next event reuses the freed slot under a new generation.
-    eq.schedule(0, 2, [&] { fired = true; });
-    eq.cancel(first);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_TRUE(fired);
+    // A wake delta is never negative; the one cycle it cannot reach is
+    // past the end of the clock.
+    ShardedEventQueue eq({}, {0, 0});
+    eq.wake(0, 50);
+    eq.step();
+    EXPECT_DEATH(eq.wake(1, ~Cycle(0) - 10), "end of time");
 }
 
-TEST(EventKernelDeath, SchedulingIntoThePastPanics)
+TEST(EventKernelDeath, WakingAPendingSlotPanics)
 {
-    ShardedEventQueue eq;
-    eq.schedule(0, 50, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(0, 10, [] {}), "past");
+    // A core has at most one operation in flight: a second wake before
+    // the first fires or is cancelled is a simulator bug.
+    ShardedEventQueue eq({}, {0});
+    eq.wake(0, 5);
+    EXPECT_DEATH(eq.wake(0, 1), "woken twice");
 }

@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the sharded event queue (sim/sharded_queue.hpp): global
- * time/schedule ordering across shards, equivalence with a single
- * queue for any shard count, cancellation routing, dispatch-bandwidth
- * slips, and the work-stealing fallback.
+ * Tests for the sharded wake table (sim/sharded_queue.hpp): global
+ * time/wake ordering across shards, equivalence with a single queue
+ * for any shard count, cancellation routing, dispatch-bandwidth slips,
+ * and the work-stealing fallback.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -40,80 +39,82 @@ fields(const ShardStats &s)
 }
 
 /**
- * Brute-force reference for ShardedEventQueue: one flat event list,
- * scanned linearly, where an over-quota event slips literally, one
- * event and one cycle at a time. It shares the dispatch rules
- * (per-shard bandwidth, steal groups, the rotating steal cursor) and
- * none of the queue's data structures.
+ * Brute-force reference for ShardedEventQueue: one flat list of every
+ * wake ever made, scanned linearly, where an over-quota wake slips
+ * literally, one wake and one cycle at a time. It shares the dispatch
+ * rules (per-shard bandwidth, steal groups, the rotating steal cursor)
+ * and none of the queue's data structures.
  */
 class RefQueue
 {
   public:
-    using Handle = std::size_t;
-
-    explicit RefQueue(const ShardedQueueConfig &cfg)
-        : _cfg(cfg), _stats(cfg.nshards), _dispatched(cfg.nshards, 0)
+    RefQueue(const ShardedQueueConfig &cfg, std::vector<unsigned> homes)
+        : _cfg(cfg), _homes(std::move(homes)), _stats(cfg.nshards),
+          _dispatched(cfg.nshards, 0)
     {}
 
     Cycle now() const { return _now; }
     unsigned executor() const { return _exec; }
     const ShardStats &shardStats(unsigned s) const { return _stats[s]; }
 
-    Handle
-    schedule(unsigned shard, Cycle when, std::function<void()> cb)
+    void
+    wake(unsigned slot, Cycle delta)
     {
-        _events.push_back({when, shard, true, std::move(cb)});
-        ++_stats[shard].scheduled;
-        return _events.size() - 1;
+        _events.push_back({_now + delta, slot, true});
+        ++_stats[_homes[slot]].scheduled;
     }
 
-    void cancel(Handle h) { _events[h].live = false; }
+    void
+    cancel(unsigned slot)
+    {
+        for (Event &e : _events)
+            if (e.slot == slot)
+                e.live = false;
+    }
 
-    bool
+    int
     step()
     {
         for (;;) {
             Event *e = earliest(-1);
             if (!e)
-                return false;
+                return -1;
+            unsigned home = _homes[e->slot];
             if (e->when != _dispatchCycle) {
                 _dispatchCycle = e->when;
                 std::fill(_dispatched.begin(), _dispatched.end(), 0u);
             }
-            int exec = pick(e->shard, e->when);
+            int exec = pick(home, e->when);
             if (exec < 0) {
                 ++e->when;
-                ++_stats[e->shard].deferred;
+                ++_stats[home].deferred;
                 continue;
             }
             ++_dispatched[exec];
-            ++_stats[e->shard].drained;
+            ++_stats[home].drained;
             ++_stats[exec].executed;
             _now = e->when;
             _exec = static_cast<unsigned>(exec);
             e->live = false;
-            std::function<void()> cb = std::move(e->cb);
-            cb();
-            return true;
+            return static_cast<int>(e->slot);
         }
     }
 
   private:
-    /// Indexed by schedule order, which is the global tie-break seq.
+    /// Indexed by wake order, which is the global tie-break seq.
     struct Event {
         Cycle when;
-        unsigned shard;
+        unsigned slot;
         bool live;
-        std::function<void()> cb;
     };
 
-    /** Earliest live event on @p shard (-1: on any shard). */
+    /** Earliest live wake homed on @p shard (-1: on any shard). */
     Event *
     earliest(int shard)
     {
         Event *best = nullptr;
         for (Event &e : _events)
-            if (e.live && (shard < 0 || e.shard == unsigned(shard)) &&
+            if (e.live && (shard < 0 || _homes[e.slot] == unsigned(shard)) &&
                 (!best || e.when < best->when))
                 best = &e;
         return best;
@@ -144,6 +145,7 @@ class RefQueue
     }
 
     ShardedQueueConfig _cfg;
+    std::vector<unsigned> _homes;
     std::vector<Event> _events;
     std::vector<ShardStats> _stats;
     std::vector<unsigned> _dispatched;
@@ -157,10 +159,9 @@ class RefQueue
 class RealQueue
 {
   public:
-    using Handle = EventHandle;
-
-    explicit RealQueue(const ShardedQueueConfig &cfg)
-        : _q(cfg), _seen(cfg.nshards, 0)
+    RealQueue(const ShardedQueueConfig &cfg,
+              const std::vector<unsigned> &homes)
+        : _q(cfg, homes), _seen(cfg.nshards, 0)
     {}
 
     Cycle now() const { return _q.now(); }
@@ -169,14 +170,9 @@ class RealQueue
         return _q.shardStats(s);
     }
 
-    Handle
-    schedule(unsigned shard, Cycle when, std::function<void()> cb)
-    {
-        return _q.schedule(shard, when, std::move(cb));
-    }
-
-    void cancel(Handle h) { _q.cancel(h); }
-    bool step() { return _q.step(); }
+    void wake(unsigned slot, Cycle delta) { _q.wake(slot, delta); }
+    void cancel(unsigned slot) { _q.cancel(slot); }
+    int step() { return _q.step(); }
 
     /** The shard whose executed count moved since the last call. */
     unsigned
@@ -197,122 +193,134 @@ class RealQueue
 };
 
 /**
- * Seeded random script: self-rescheduling "cores", random cancels
- * (inside events and between steps, of pending and of stale handles),
- * and delta-0 schedules onto random shards. Logs every dispatch as
- * (seq, cycle, executor shard).
+ * Seeded random script making the moves a Core makes with its wake
+ * slot: a fired core re-wakes itself 0..3 cycles on, remote-aborts
+ * another pending core (cancel, then re-wake it at delta 0), releases
+ * an idle core from a barrier (wake at delta 0), or goes idle. Logs
+ * every dispatch as (slot, cycle, executor shard).
  */
 template <class Q>
 struct Script {
-    Script(Q &queue, unsigned shards, std::uint64_t seed)
-        : q(queue), nshards(shards), rng(seed)
+    Script(Q &queue, unsigned slots, std::uint64_t seed)
+        : q(queue), nslots(slots), rng(seed)
     {}
 
     Q &q;
-    unsigned nshards;
+    unsigned nslots;
     Xoshiro rng;
-    std::vector<typename Q::Handle> handles;
-    std::vector<std::tuple<std::size_t, Cycle, unsigned>> log;
+    std::vector<bool> pending;
     std::vector<int> budget;
+    std::vector<std::tuple<int, Cycle, unsigned>> log;
 
     void
-    add(unsigned shard, Cycle delta, std::function<void()> body)
+    wake(unsigned c, Cycle delta)
     {
-        std::size_t seq = handles.size();
-        handles.push_back(
-            q.schedule(shard, q.now() + delta, [this, seq, body] {
-                log.emplace_back(seq, q.now(), q.executor());
-                body();
-            }));
+        q.wake(c, delta);
+        pending[c] = true;
+    }
+
+    /** A random slot other than @p c, pending or idle; -1 if none. */
+    int
+    other(unsigned c, bool isPending)
+    {
+        auto start = static_cast<unsigned>(rng.below(nslots));
+        for (unsigned k = 0; k < nslots; ++k) {
+            unsigned o = (start + k) % nslots;
+            if (o != c && pending[o] == isPending)
+                return static_cast<int>(o);
+        }
+        return -1;
     }
 
     void
-    cancelRecent()
+    fire(unsigned c)
     {
-        // Recent handles are mostly pending; older ones mostly stale.
-        std::size_t n = std::min<std::size_t>(handles.size(), 24);
-        q.cancel(handles[handles.size() - 1 - rng.below(n)]);
-    }
-
-    void
-    core(unsigned c)
-    {
+        pending[c] = false;
+        log.emplace_back(c, q.now(), q.executor());
         if (budget[c]-- <= 0)
             return;
         std::uint64_t r = rng.below(16);
-        if (r < 2)
-            cancelRecent();
-        else if (r < 5)
-            add(static_cast<unsigned>(rng.below(nshards)), 0, [] {});
-        add(c % nshards, r == 15 ? 0 : 1 + rng.below(3),
-            [this, c] { core(c); });
+        int o = r < 5 ? other(c, r < 3) : -1;
+        if (o >= 0 && r < 3)
+            q.cancel(static_cast<unsigned>(o)); // Remote abort.
+        if (o >= 0)
+            wake(static_cast<unsigned>(o), 0);
+        if (r != 15)
+            wake(c, rng.below(4));
     }
 
-    /** Run to the end, with random cancels between steps. */
     void
-    run(unsigned ncores)
+    run()
     {
-        budget.assign(ncores, 30);
-        for (unsigned c = 0; c < ncores; ++c)
-            add(c % nshards, c % 3, [this, c] { core(c); });
-        while (q.step()) {
-            if (rng.below(8) == 0)
-                cancelRecent();
-        }
+        pending.assign(nslots, false);
+        budget.assign(nslots, 30);
+        for (unsigned c = 0; c < nslots; ++c)
+            wake(c, c % 3);
+        for (int c; (c = q.step()) >= 0;)
+            fire(static_cast<unsigned>(c));
     }
 };
 
-} // namespace
-
-TEST(ShardedQueue, RunsEventsInGlobalTimeOrderAcrossShards)
+/** @p n slots homed round-robin over @p nshards. */
+std::vector<unsigned>
+roundRobin(unsigned n, unsigned nshards)
 {
-    ShardedEventQueue q(config(3));
-    std::vector<int> order;
-    q.schedule(2, 30, [&] { order.push_back(30); });
-    q.schedule(0, 10, [&] { order.push_back(10); });
-    q.schedule(1, 20, [&] { order.push_back(20); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
-    EXPECT_EQ(q.now(), 30u);
-    EXPECT_TRUE(q.empty());
+    std::vector<unsigned> homes(n);
+    for (unsigned i = 0; i < n; ++i)
+        homes[i] = i % nshards;
+    return homes;
 }
 
-TEST(ShardedQueue, SameCycleTiesBreakOnGlobalScheduleOrder)
+/** Fire every pending wake; @return (slot, cycle) per dispatch. */
+std::vector<std::pair<int, Cycle>>
+drain(ShardedEventQueue &q, Cycle maxCycles = ~Cycle(0))
 {
-    // Same-cycle events land on different shards but must fire in the
-    // order they were scheduled, exactly as one queue would run them.
-    ShardedEventQueue q(config(4));
-    std::vector<int> order;
-    q.schedule(3, 5, [&] { order.push_back(0); });
-    q.schedule(1, 5, [&] { order.push_back(1); });
-    q.schedule(2, 5, [&] { order.push_back(2); });
-    q.schedule(0, 5, [&] { order.push_back(3); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    std::vector<std::pair<int, Cycle>> fired;
+    for (int s; (s = q.step(maxCycles)) >= 0;)
+        fired.emplace_back(s, q.now());
+    return fired;
+}
+
+} // namespace
+
+TEST(ShardedQueue, RunsWakesInGlobalTimeOrderAcrossShards)
+{
+    ShardedEventQueue q(config(3), {0, 1, 2});
+    q.wake(2, 30);
+    q.wake(0, 10);
+    q.wake(1, 20);
+    std::vector<std::pair<int, Cycle>> want = {{0, 10}, {1, 20}, {2, 30}};
+    EXPECT_EQ(drain(q), want);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(ShardedQueue, SameCycleTiesBreakOnGlobalWakeOrder)
+{
+    // Same-cycle wakes land on different shards but must fire in the
+    // order they were made, exactly as one queue would run them.
+    ShardedEventQueue q(config(4), {3, 1, 2, 0});
+    for (unsigned s : {2u, 0u, 3u, 1u})
+        q.wake(s, 5);
+    std::vector<std::pair<int, Cycle>> want = {{2, 5}, {0, 5}, {3, 5},
+                                               {1, 5}};
+    EXPECT_EQ(drain(q), want);
 }
 
 TEST(ShardedQueue, ExecutionOrderIndependentOfShardCount)
 {
-    // A deterministic self-scheduling workload must execute in the
-    // same order for any shard count (cores map round-robin).
+    // Self-rewaking cores must execute in the same order for any shard
+    // count (cores map round-robin).
     auto trace = [](unsigned nshards) {
-        ShardedEventQueue q(config(nshards));
-        std::vector<int> order;
         constexpr unsigned kCores = 8;
-        for (unsigned c = 0; c < kCores; ++c) {
-            unsigned shard = c % nshards;
-            // Each "core" reschedules itself with a varying stride.
-            auto tick = [&q, &order, c, shard](auto &&self,
-                                               int depth) -> void {
-                order.push_back(static_cast<int>(c * 100) + depth);
-                if (depth >= 6)
-                    return;
-                q.scheduleAfter(shard, 1 + (c + depth) % 3,
-                                [&, self, depth] { self(self, depth + 1); });
-            };
-            q.schedule(shard, c % 4, [&, tick] { tick(tick, 0); });
+        ShardedEventQueue q(config(nshards), roundRobin(kCores, nshards));
+        std::vector<int> depth(kCores, 0), order;
+        for (unsigned c = 0; c < kCores; ++c)
+            q.wake(c, c % 4);
+        for (int c; (c = q.step()) >= 0;) {
+            order.push_back(c * 100 + depth[c]);
+            if (depth[c] < 6)
+                q.wake(c, 1 + (c + depth[c]++) % 3);
         }
-        q.run();
         return order;
     };
     std::vector<int> one = trace(1);
@@ -323,43 +331,42 @@ TEST(ShardedQueue, ExecutionOrderIndependentOfShardCount)
 
 TEST(ShardedQueue, CancelRoutesToTheHomeShard)
 {
-    ShardedEventQueue q(config(4));
-    EXPECT_TRUE(q.empty());
-    bool fired = false;
-    q.schedule(0, 5, [] {});
-    EventHandle h = q.schedule(3, 5, [&] { fired = true; });
+    ShardedEventQueue q(config(4), {0, 3});
+    EXPECT_EQ(q.pending(), 0u);
+    q.wake(0, 5);
+    q.wake(1, 5);
     EXPECT_EQ(q.pending(), 2u);
-    q.cancel(h);
-    q.cancel(h);             // Idempotent.
-    q.cancel(EventHandle{}); // The empty handle names no event.
+    q.cancel(1);
+    q.cancel(1); // Idempotent.
     EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_FALSE(fired);
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}};
+    EXPECT_EQ(drain(q), want);
     EXPECT_EQ(q.executed(), 1u);
+    EXPECT_EQ(q.shardStats(3).scheduled, 1u);
+    EXPECT_EQ(q.shardStats(3).drained, 0u);
 }
 
-TEST(ShardedQueue, BandwidthSlipsOverQuotaEventsToLaterCycles)
+TEST(ShardedQueue, BandwidthSlipsOverQuotaWakesToLaterCycles)
 {
-    ShardedEventQueue q(config(1, /*bandwidth=*/1));
-    std::vector<Cycle> at;
-    for (int i = 0; i < 3; ++i)
-        q.schedule(0, 5, [&] { at.push_back(q.now()); });
-    q.run();
+    ShardedEventQueue q(config(1, /*bandwidth=*/1), {0, 0, 0});
+    for (unsigned s = 0; s < 3; ++s)
+        q.wake(s, 5);
     // One dispatch per cycle: the burst serializes over 5, 6, 7.
-    EXPECT_EQ(at, (std::vector<Cycle>{5, 6, 7}));
-    EXPECT_GT(q.shardStats(0).deferred, 0u);
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}, {1, 6}, {2, 7}};
+    EXPECT_EQ(drain(q), want);
+    // Slot 1 slips once, slot 2 twice.
+    EXPECT_EQ(q.shardStats(0).deferred, 3u);
 }
 
 TEST(ShardedQueue, IdleShardStealsInsteadOfSlipping)
 {
-    ShardedEventQueue q(config(2, /*bandwidth=*/1));
-    std::vector<Cycle> at;
-    q.schedule(0, 5, [&] { at.push_back(q.now()); });
-    q.schedule(0, 5, [&] { at.push_back(q.now()); });
-    q.run();
-    // Shard 1 is idle at cycle 5 and drains shard 0's second event in
+    ShardedEventQueue q(config(2, /*bandwidth=*/1), {0, 0});
+    q.wake(0, 5);
+    q.wake(1, 5);
+    // Shard 1 is idle at cycle 5 and drains shard 0's second wake in
     // the same cycle — no slip.
-    EXPECT_EQ(at, (std::vector<Cycle>{5, 5}));
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}, {1, 5}};
+    EXPECT_EQ(drain(q), want);
     EXPECT_EQ(q.shardStats(1).stolen, 1u);
     EXPECT_EQ(q.shardStats(1).executed, 1u);
     EXPECT_EQ(q.shardStats(0).drained, 2u);
@@ -368,41 +375,36 @@ TEST(ShardedQueue, IdleShardStealsInsteadOfSlipping)
 
 TEST(ShardedQueue, StealingDisabledFallsBackToSlips)
 {
-    ShardedEventQueue q(config(2, /*bandwidth=*/1, /*stealing=*/false));
-    std::vector<Cycle> at;
-    q.schedule(0, 5, [&] { at.push_back(q.now()); });
-    q.schedule(0, 5, [&] { at.push_back(q.now()); });
-    q.run();
-    EXPECT_EQ(at, (std::vector<Cycle>{5, 6}));
+    ShardedEventQueue q(config(2, /*bandwidth=*/1, /*stealing=*/false),
+                        {0, 0});
+    q.wake(0, 5);
+    q.wake(1, 5);
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}, {1, 6}};
+    EXPECT_EQ(drain(q), want);
     EXPECT_EQ(q.shardStats(0).deferred, 1u);
     EXPECT_EQ(q.shardStats(1).stolen, 0u);
 }
 
 TEST(ShardedQueue, BusyShardIsNotPickedAsThief)
 {
-    // Both shards have an event due this cycle; neither may steal, so
-    // the over-quota burst on shard 0 slips instead.
-    ShardedEventQueue q(config(2, /*bandwidth=*/1));
-    std::vector<std::pair<int, Cycle>> at;
-    q.schedule(0, 5, [&] { at.emplace_back(0, q.now()); });
-    q.schedule(0, 5, [&] { at.emplace_back(1, q.now()); });
-    q.schedule(1, 5, [&] { at.emplace_back(2, q.now()); });
-    q.run();
-    EXPECT_EQ(at, (std::vector<std::pair<int, Cycle>>{
-                      {0, 5}, {2, 5}, {1, 6}}));
+    // Both shards have a wake due this cycle; neither may steal, so the
+    // over-quota burst on shard 0 slips instead.
+    ShardedEventQueue q(config(2, /*bandwidth=*/1), {0, 0, 1});
+    for (unsigned s = 0; s < 3; ++s)
+        q.wake(s, 5);
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}, {2, 5}, {1, 6}};
+    EXPECT_EQ(drain(q), want);
     EXPECT_EQ(q.shardStats(0).deferred, 1u);
     EXPECT_EQ(q.shardStats(1).stolen, 0u);
 }
 
 TEST(ShardedQueue, PendingAndExecutedAggregateAcrossShards)
 {
-    ShardedEventQueue q(config(3));
-    for (unsigned s = 0; s < 3; ++s)
-        for (int i = 0; i < 2; ++i)
-            q.schedule(s, s + 1, [] {});
+    ShardedEventQueue q(config(3), roundRobin(6, 3));
+    for (unsigned s = 0; s < 6; ++s)
+        q.wake(s, s % 3 + 1);
     EXPECT_EQ(q.pending(), 6u);
-    EXPECT_FALSE(q.empty());
-    q.run();
+    drain(q);
     EXPECT_EQ(q.executed(), 6u);
     for (unsigned s = 0; s < 3; ++s) {
         EXPECT_EQ(q.shardStats(s).scheduled, 2u);
@@ -412,28 +414,24 @@ TEST(ShardedQueue, PendingAndExecutedAggregateAcrossShards)
 
 TEST(ShardedQueue, RunStopsAtMaxCycles)
 {
-    ShardedEventQueue q(config(2));
-    int ran = 0;
-    q.schedule(0, 10, [&] { ++ran; });
-    q.schedule(1, 100, [&] { ++ran; });
-    q.run(50);
-    EXPECT_EQ(ran, 1);
+    ShardedEventQueue q(config(2), {0, 1});
+    q.wake(0, 10);
+    q.wake(1, 100);
+    EXPECT_EQ(drain(q, 50).size(), 1u);
     EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(ShardedQueue, CancellingAnEventThatAlreadyRanIsANoOp)
+TEST(ShardedQueue, CancellingAWakeThatAlreadyFiredIsANoOp)
 {
-    ShardedEventQueue q(config(2));
-    int fired = 0;
-    EventHandle first = q.schedule(1, 1, [&] { ++fired; });
-    q.schedule(0, 5, [&] { ++fired; });
-    q.step();
-    q.cancel(first);
+    ShardedEventQueue q(config(2), {1, 0});
+    q.wake(0, 1);
+    q.wake(1, 5);
+    EXPECT_EQ(q.step(), 0);
+    q.cancel(0);
     EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(drain(q).size(), 1u);
+    EXPECT_EQ(q.executed(), 2u);
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
@@ -441,8 +439,11 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
     // Drive the queue and the brute-force reference with one seeded
     // script over shards × bandwidth × stealing × steal group; require
     // the same dispatch sequence and the same per-shard counters.
-    // Batched slips (no possible thief) and per-event slips (stealing)
-    // must both reproduce literal one-at-a-time slipping.
+    // Batched slips (no possible thief) and per-wake slips (stealing)
+    // must both reproduce literal one-at-a-time slipping, also when a
+    // remote abort cancels a batch-slipped wake before the dispatch
+    // order reaches it.
+    constexpr unsigned kSlots = 12;
     std::uint64_t deferred = 0, stolen = 0;
     for (unsigned nshards : {1u, 2u, 4u})
         for (unsigned bw : {0u, 1u, 2u, 3u})
@@ -456,12 +457,12 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
                                      << " steal=" << steal
                                      << " group=" << group
                                      << " seed=" << seed);
-                        RealQueue real(cfg);
-                        Script<RealQueue> a(real, nshards, seed);
-                        a.run(12);
-                        RefQueue ref(cfg);
-                        Script<RefQueue> b(ref, nshards, seed);
-                        b.run(12);
+                        RealQueue real(cfg, roundRobin(kSlots, nshards));
+                        Script<RealQueue> a(real, kSlots, seed);
+                        a.run();
+                        RefQueue ref(cfg, roundRobin(kSlots, nshards));
+                        Script<RefQueue> b(ref, kSlots, seed);
+                        b.run();
                         ASSERT_EQ(a.log, b.log);
                         for (unsigned s = 0; s < nshards; ++s) {
                             EXPECT_EQ(fields(real.shardStats(s)),
