@@ -68,9 +68,8 @@ Cluster::Cluster(const ClusterConfig &cfg)
         _tm->setNet(cfg.net);
     _barrier = std::make_unique<Barrier>(cfg.numThreads);
     for (CoreId i = 0; i < cfg.numThreads; ++i)
-        _cores.push_back(std::make_unique<Core>(
-            i, _eq, *_tm, *_barrier,
-            cfg.numThreads, cfg.seed));
+        _cores.push_back(std::make_unique<Core>(i, _eq, *_tm, *_barrier,
+                                                cfg.numThreads, cfg.seed));
     _tm->setRemoteAbortHandler([this](CoreId victim, htm::AbortCause c) {
         _cores[victim]->onRemoteAbort(c);
     });

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
