@@ -272,3 +272,27 @@ TEST(EagerHtm, OverflowTakesOneTmTokenAndWins)
     }
     EXPECT_TRUE(nacked);
 }
+
+TEST(LazyHtm, PlainStoreMidDrainRollsBackDrainedWords)
+{
+    // A plain store that hits a Lazy committer's write set mid-drain
+    // aborts the committer (committer-wins treats the store as a
+    // committed transaction). The words already drained must be rolled
+    // back with it, or memory keeps half the write buffer.
+    TMConfig cfg;
+    cfg.mode = TMMode::Lazy;
+    EagerRig rig(cfg);
+    rig.ms.memory().writeWord(kA, 1);
+    rig.ms.memory().writeWord(kB, 2);
+    rig.begin(0);
+    rig.tm.txStore(0, kA, 10, std::nullopt);
+    rig.tm.txStore(0, kB, 20, std::nullopt);
+    ASSERT_EQ(rig.tm.commitStep(0).status, OpStatus::Ok); // Token.
+    ASSERT_EQ(rig.tm.commitStep(0).status, OpStatus::Ok); // Drain kA.
+    ASSERT_EQ(rig.ms.memory().readWord(kA), 10u);
+
+    EXPECT_EQ(rig.tm.plainStore(1, kB, 99).status, OpStatus::Ok);
+    EXPECT_EQ(rig.tm.status(0), TxStatus::Idle);
+    EXPECT_EQ(rig.ms.memory().readWord(kA), 1u);
+    EXPECT_EQ(rig.ms.memory().readWord(kB), 99u);
+}
