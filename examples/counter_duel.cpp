@@ -74,8 +74,8 @@ main()
         ClusterConfig cfg;
         cfg.numThreads = 2;
         cfg.tm.mode = mode;
-        cfg.traceSink = &printer;
         Cluster cluster(cfg);
+        cluster.setTraceSink(&printer);
         cluster.machine().predictor().observeConflict(
             blockAddr(kCounter));
         cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });

@@ -84,8 +84,6 @@ Cluster::Cluster(const ClusterConfig &cfg)
                                           _eq.now());
             });
     }
-    if (cfg.traceSink)
-        _tm->setTraceSink(cfg.traceSink);
 }
 
 void

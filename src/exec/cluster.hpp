@@ -74,12 +74,6 @@ struct ClusterConfig {
     SchedulerConfig sched{};
 
     /**
-     * Optional provenance sink (non-owning; must outlive the cluster).
-     * Null disables tracing entirely — the zero-cost default.
-     */
-    trace::TraceSink *traceSink = nullptr;
-
-    /**
      * Fleet partition of this machine (exec/fleet.hpp fills both in;
      * hand-built clusters leave them defaulted). With a fleet
      * topology, numThreads/numShards/memBanks are fleet-wide totals
@@ -146,7 +140,10 @@ class Cluster
                       : ContentionScheduler::Stats{};
     }
 
-    /** Attach/detach a provenance sink after construction. */
+    /**
+     * Attach (or, with null, detach) a provenance sink: non-owning,
+     * it must outlive the cluster. Without one, tracing costs nothing.
+     */
     void setTraceSink(trace::TraceSink *sink);
 
   private:

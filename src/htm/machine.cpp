@@ -1334,40 +1334,20 @@ TMMachine::commitStep(CoreId core, bool is_retry)
 
     if (st.status == TxStatus::Active) {
         st.status = TxStatus::Committing;
-        st.commitPhase = 0;
         audit(core, trace::EventKind::CommitStart);
     }
 
-    switch (_cfg.mode) {
-      case TMMode::Serial:
-      case TMMode::Eager:
-      case TMMode::DATM:
-        // DATM's globally-enforced commit order: wait for predecessors.
-        for (const auto &[p, flags] : st.datmPreds)
-            if (_activeUids.count(p))
-                return commitCharge(core, nackLatency(core),
-                                    OpStatus::Nack);
-        // Tokens are requested only after every commit-order
-        // predecessor resolved (DATM), so a token holder can never be
-        // waiting on the requester.
-        if (_cfg.commitTokenArbitration && _cfg.mode != TMMode::Serial &&
-            !acquireCommitTokens(core))
-            return commitCharge(core, nackLatency(core) + _tokenWireLat,
-                                OpStatus::Nack);
-        if (st.commitPhase == 0) {
-            st.commitPhase = 3;
-            return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
-        }
-        return finalizeCommit(core);
-
-      case TMMode::Lazy:
-        return commitStepLazy(core);
-
-      case TMMode::LazyVB:
-      case TMMode::Retcon:
-        return commitStepRetcon(core, is_retry);
+    switch (st.commitPhase) {
+      case CommitPhase::Arbitrate:
+        return commitArbitrate(core);
+      case CommitPhase::Walk:
+        return commitWalk(core, is_retry);
+      case CommitPhase::Drain:
+        return commitDrain(core, is_retry);
+      case CommitPhase::Finalize:
+        break;
     }
-    panic("unreachable commitStep mode");
+    return finalizeCommit(core);
 }
 
 CommitStepOutcome
@@ -1384,159 +1364,157 @@ TMMachine::commitFailed(CoreId core, OpStatus s)
     return commitCharge(core, failedAccess(core, s).latency, s);
 }
 
-CommitStepOutcome
-TMMachine::commitStepRetcon(CoreId core, bool is_retry)
+void
+TMMachine::enterDrain(CoreId core)
 {
-    CoreTxState &st = *_cores[core];
-
-    if (st.commitPhase == 0) {
-        if (_cfg.commitTokenArbitration && !acquireCommitTokens(core))
-            return commitCharge(core, nackLatency(core) + _tokenWireLat,
-                                OpStatus::Nack);
-        st.commitPhase = 1;
-        st.commitIvbIdx = 0;
-        st.commitSsbIdx = 0;
-        return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
-    }
-
-    // Phase 1 (Figure 7, step 1): reacquire lost blocks, validate.
-    if (st.commitPhase == 1) {
-        if (st.commitIvbIdx >= st.ivb.entries().size()) {
-            st.commitPhase = 2;
-            // Every tracked block is now reacquired and protected by
-            // the conflict sets: the roots' architectural values are
-            // final for the rest of the commit.
-            audit(core, trace::EventKind::CommitDrain);
-            return commitStepRetcon(core, is_retry);
-        }
-        std::size_t count = _cfg.parallelReacquire
-                                ? st.ivb.entries().size() -
-                                      st.commitIvbIdx
-                                : 1;
-        Cycle max_lat = 0;
-        for (std::size_t n = 0; n < count; ++n) {
-            rtc::IvbEntry &e = st.ivb.entries()[st.commitIvbIdx];
-            bool want_write = e.written; // §4.4 upgrade-miss avoidance.
-            bool have = want_write
-                            ? _ms.hasWritePerm(core, e.block)
-                            : _ms.hasReadPerm(core, e.block);
-            Cycle lat = mem::kL1HitCycles;
-            if (!have) {
-                OpStatus s = resolveConflict(core, true, e.block,
-                                             want_write, is_retry);
-                if (s != OpStatus::Ok)
-                    return commitFailed(core, s);
-                lat = _ms.access(core, e.block, want_write).latency;
-            }
-            // Protect the block eagerly for the rest of the commit
-            // (Figure 7 sets the speculatively-read bit).
-            st.readSet.insert(e.block);
-            if (want_write)
-                st.writeSet.insert(e.block);
-
-            // Refresh final values and check all constraints.
-            for (unsigned w = 0; w < kWordsPerBlock; ++w) {
-                if (!((e.frozenMask >> w) & 1)) {
-                    e.curWords[w] = _ms.memory().readWord(
-                        e.block + w * kWordBytes);
-                }
-                bool read = (e.readMask >> w) & 1;
-                if (!read)
-                    continue;
-                bool eq = (e.eqMask >> w) & 1;
-                bool mismatch = eq && !((e.frozenMask >> w) & 1) &&
-                                e.curWords[w] != e.initWords[w];
-                Addr word_addr = e.block + w * kWordBytes;
-                if (mismatch ||
-                    !st.constraints.satisfied(
-                        word_addr,
-                        static_cast<std::int64_t>(e.curWords[w]))) {
-                    violationAbort(core, e.block, mismatch);
-                    return commitFailed(core, OpStatus::AbortSelf);
-                }
-            }
-            ++st.commitIvbIdx;
-            max_lat = std::max(max_lat, lat);
-        }
-        return commitCharge(core, max_lat);
-    }
-
-    // Phase 2 (Figure 7, step 2): drain the symbolic store buffer.
-    if (st.commitPhase == 2) {
-        if (st.commitSsbIdx >= st.ssb.entries().size()) {
-            st.commitPhase = 3;
-            return finalizeCommit(core);
-        }
-        rtc::SsbEntry &e = st.ssb.entries()[st.commitSsbIdx];
-        Addr block = blockAddr(e.word);
-        Cycle lat = mem::kL1HitCycles;
-        if (!_ms.hasWritePerm(core, block)) {
-            OpStatus s =
-                resolveConflict(core, true, block, true, is_retry);
-            if (s != OpStatus::Ok)
-                return commitFailed(core, s);
-            lat = _ms.access(core, block, true).latency;
-        }
-        st.writeSet.insert(block);
-        Word value = e.concrete;
-        if (e.sym) {
-            rtc::IvbEntry *root_entry =
-                st.ivb.find(blockAddr(e.sym->root));
-            sim_assert(root_entry, "symbolic store with untracked root");
-            Word root_val =
-                root_entry->curWords[wordInBlock(e.sym->root)];
-            value = rtc::evalSym(*e.sym, root_val);
-        }
-        value ^= _cfg.faultInjectRepairXor;
-        Word before = _ms.memory().readWord(e.word);
-        st.undo.record(e.word, before, _writeSeq++);
-        _ms.memory().write(e.word, value, e.size);
-        audit(core, trace::EventKind::Repair, e.word, before, value,
-              e.sym);
-        ++st.commitSsbIdx;
-        return commitCharge(core, _cfg.freeCommitStores ? 0 : lat);
-    }
-
-    return finalizeCommit(core);
+    // Every tracked block (Lazy tracks none) is now reacquired and
+    // protected by the conflict sets: the roots' architectural values
+    // are final for the rest of the commit.
+    _cores[core]->commitPhase = CommitPhase::Drain;
+    audit(core, trace::EventKind::CommitDrain);
 }
 
 CommitStepOutcome
-TMMachine::commitStepLazy(CoreId core)
+TMMachine::commitArbitrate(CoreId core)
 {
     CoreTxState &st = *_cores[core];
 
-    if (st.commitPhase == 0) {
+    // DATM's globally-enforced commit order: wait for predecessors.
+    // Tokens are requested only after every commit-order predecessor
+    // resolved, so a token holder can never be waiting on the
+    // requester.
+    for (const auto &[p, flags] : st.datmPreds)
+        if (_activeUids.count(p))
+            return commitCharge(core, nackLatency(core), OpStatus::Nack);
+
+    if (_cfg.mode == TMMode::Lazy) {
+        // TCC's single global commit token.
         if (_lazyCommitToken != kNoCore && _lazyCommitToken != core)
             return commitCharge(core, nackLatency(core), OpStatus::Nack);
         _lazyCommitToken = core;
-        st.commitPhase = 2;
-        st.commitSsbIdx = 0;
-        audit(core, trace::EventKind::CommitDrain);
-        return commitCharge(core, kCommitTokenLatency);
+    } else if (_cfg.commitTokenArbitration &&
+               _cfg.mode != TMMode::Serial && !acquireCommitTokens(core)) {
+        return commitCharge(core, nackLatency(core) + _tokenWireLat,
+                            OpStatus::Nack);
     }
 
-    if (st.commitPhase == 2) {
-        if (st.commitSsbIdx >= st.ssb.entries().size()) {
-            st.commitPhase = 3;
-            return finalizeCommit(core);
+    switch (_cfg.mode) {
+      case TMMode::LazyVB:
+      case TMMode::Retcon:
+        st.commitPhase = CommitPhase::Walk;
+        break;
+      case TMMode::Lazy:
+        enterDrain(core);
+        break;
+      case TMMode::Serial:
+      case TMMode::Eager:
+      case TMMode::DATM:
+        st.commitPhase = CommitPhase::Finalize;
+        break;
+    }
+    return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
+}
+
+CommitStepOutcome
+TMMachine::commitWalk(CoreId core, bool is_retry)
+{
+    // Figure 7, step 1: reacquire lost blocks, validate.
+    CoreTxState &st = *_cores[core];
+    if (st.commitIvbIdx >= st.ivb.entries().size()) {
+        enterDrain(core);
+        return commitDrain(core, is_retry);
+    }
+    std::size_t count = _cfg.parallelReacquire
+                            ? st.ivb.entries().size() - st.commitIvbIdx
+                            : 1;
+    Cycle max_lat = 0;
+    for (std::size_t n = 0; n < count; ++n) {
+        rtc::IvbEntry &e = st.ivb.entries()[st.commitIvbIdx];
+        bool want_write = e.written; // §4.4 upgrade-miss avoidance.
+        bool have = want_write ? _ms.hasWritePerm(core, e.block)
+                               : _ms.hasReadPerm(core, e.block);
+        Cycle lat = mem::kL1HitCycles;
+        if (!have) {
+            OpStatus s = resolveConflict(core, true, e.block, want_write,
+                                         is_retry);
+            if (s != OpStatus::Ok)
+                return commitFailed(core, s);
+            lat = _ms.access(core, e.block, want_write).latency;
         }
-        rtc::SsbEntry &e = st.ssb.entries()[st.commitSsbIdx];
-        Addr block = blockAddr(e.word);
+        // Protect the block eagerly for the rest of the commit
+        // (Figure 7 sets the speculatively-read bit).
+        st.readSet.insert(e.block);
+        if (want_write)
+            st.writeSet.insert(e.block);
+
+        // Refresh final values and check all constraints.
+        for (unsigned w = 0; w < kWordsPerBlock; ++w) {
+            if (!((e.frozenMask >> w) & 1)) {
+                e.curWords[w] =
+                    _ms.memory().readWord(e.block + w * kWordBytes);
+            }
+            bool read = (e.readMask >> w) & 1;
+            if (!read)
+                continue;
+            bool eq = (e.eqMask >> w) & 1;
+            bool mismatch = eq && !((e.frozenMask >> w) & 1) &&
+                            e.curWords[w] != e.initWords[w];
+            Addr word_addr = e.block + w * kWordBytes;
+            if (mismatch ||
+                !st.constraints.satisfied(
+                    word_addr, static_cast<std::int64_t>(e.curWords[w]))) {
+                violationAbort(core, e.block, mismatch);
+                return commitFailed(core, OpStatus::AbortSelf);
+            }
+        }
+        ++st.commitIvbIdx;
+        max_lat = std::max(max_lat, lat);
+    }
+    return commitCharge(core, max_lat);
+}
+
+CommitStepOutcome
+TMMachine::commitDrain(CoreId core, bool is_retry)
+{
+    // Figure 7, step 2: drain the store buffer, one entry per step.
+    CoreTxState &st = *_cores[core];
+    if (st.commitSsbIdx >= st.ssb.entries().size())
+        return finalizeCommit(core);
+    rtc::SsbEntry &e = st.ssb.entries()[st.commitSsbIdx];
+    Addr block = blockAddr(e.word);
+    bool lazy = _cfg.mode == TMMode::Lazy;
+    Cycle lat = mem::kL1HitCycles;
+    if (lazy) {
         // Committer wins: every other transaction that touched this
         // block aborts (Figure 2e).
         forEachToucher(core, block, true, [&](CoreId c, bool, bool) {
             doAbort(c, AbortCause::LazyCommitter, true, block);
         });
-        mem::AccessResult res = _ms.access(core, block, true);
-        Word value = e.concrete ^ _cfg.faultInjectRepairXor;
-        Word before = _ms.memory().readWord(e.word);
-        _ms.memory().writeWord(e.word, value);
-        audit(core, trace::EventKind::Repair, e.word, before, value);
-        ++st.commitSsbIdx;
-        return commitCharge(core, res.latency);
+        lat = _ms.access(core, block, true).latency;
+    } else if (!_ms.hasWritePerm(core, block)) {
+        OpStatus s = resolveConflict(core, true, block, true, is_retry);
+        if (s != OpStatus::Ok)
+            return commitFailed(core, s);
+        lat = _ms.access(core, block, true).latency;
     }
-
-    return finalizeCommit(core);
+    st.writeSet.insert(block);
+    Word value = e.concrete;
+    if (e.sym) {
+        rtc::IvbEntry *root_entry = st.ivb.find(blockAddr(e.sym->root));
+        sim_assert(root_entry, "symbolic store with untracked root");
+        value = rtc::evalSym(*e.sym,
+                             root_entry->curWords[wordInBlock(e.sym->root)]);
+    }
+    value ^= _cfg.faultInjectRepairXor;
+    // Undo-logged like any speculative store: a commit aborted
+    // mid-drain (a plain store hitting a Lazy committer's write set)
+    // rolls back the words it already drained.
+    Word before = _ms.memory().readWord(e.word);
+    st.undo.record(e.word, before, _writeSeq++);
+    _ms.memory().write(e.word, value, e.size);
+    audit(core, trace::EventKind::Repair, e.word, before, value, e.sym);
+    ++st.commitSsbIdx;
+    return commitCharge(core, _cfg.freeCommitStores && !lazy ? 0 : lat);
 }
 
 CommitStepOutcome

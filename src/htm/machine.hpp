@@ -174,9 +174,11 @@ class TMMachine : public mem::CoherenceListener
                          unsigned size = 8, bool is_retry = false);
 
     /**
-     * Drive one step of the commit process (pre-commit repair walk for
-     * RETCON/LazyVB, write-buffer drain for Lazy, finalization for
-     * all). Call repeatedly until `done` or `AbortSelf`.
+     * Drive one step of the commit pipeline: arbitrate (DATM order,
+     * then the mode's commit token), walk (RETCON/lazy-vb reacquire
+     * and validate), drain (the SSB, or Lazy's write buffer, through
+     * the undo log), finalize. Call repeatedly until `done` or
+     * `AbortSelf`.
      */
     CommitStepOutcome commitStep(CoreId core, bool is_retry = false);
 
@@ -436,10 +438,14 @@ class TMMachine : public mem::CoherenceListener
     /** The commit-step form of failedAccess. */
     CommitStepOutcome commitFailed(CoreId core, OpStatus s);
 
-    /** Commit-phase helpers. */
-    CommitStepOutcome commitStepRetcon(CoreId core, bool is_retry);
-    CommitStepOutcome commitStepLazy(CoreId core);
+    /** The commit pipeline's phases (CommitPhase), one step each. */
+    CommitStepOutcome commitArbitrate(CoreId core);
+    CommitStepOutcome commitWalk(CoreId core, bool is_retry);
+    CommitStepOutcome commitDrain(CoreId core, bool is_retry);
     CommitStepOutcome finalizeCommit(CoreId core);
+
+    /** Move @p core's commit into the drain (audits CommitDrain). */
+    void enterDrain(CoreId core);
 
     void sampleTxnStats(CoreId core);
 

@@ -38,6 +38,14 @@ struct TxnSample {
     Cycle lifetimeCycles = 0;
 };
 
+/** The commit pipeline's phases, in order (Figure 7). */
+enum class CommitPhase : std::uint8_t {
+    Arbitrate, ///< DATM predecessor wait, then the mode's token.
+    Walk,      ///< RETCON/lazy-vb: reacquire and validate the IVB.
+    Drain,     ///< Write the SSB (Lazy: the write buffer) to memory.
+    Finalize,  ///< Publish root values, release tokens, retire.
+};
+
 /** Everything one core's current transaction owns. */
 struct CoreTxState {
     CoreTxState(const TMConfig &cfg, const mem::CacheGeometry &perm_geom)
@@ -115,8 +123,9 @@ struct CoreTxState {
     std::uint64_t commitBankMask = 0;
     bool commitBankMaskValid = false;
 
-    /// Pre-commit walk cursor.
-    int commitPhase = 0;
+    /// Position in the commit pipeline (TMMachine::commitStep) and
+    /// the walk and drain cursors.
+    CommitPhase commitPhase = CommitPhase::Arbitrate;
     std::size_t commitIvbIdx = 0;
     std::size_t commitSsbIdx = 0;
 
@@ -158,7 +167,7 @@ struct CoreTxState {
         commitBankMaskValid = false;
         overflowed = false;
         overflowPending = false;
-        commitPhase = 0;
+        commitPhase = CommitPhase::Arbitrate;
         commitIvbIdx = 0;
         commitSsbIdx = 0;
         commitCycles = 0;

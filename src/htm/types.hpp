@@ -179,9 +179,9 @@ struct TMConfig {
      * PR-3 implicit arbiter: acquisition always succeeds after the
      * fixed commit-token latency, making results independent of the
      * bank count. Lazy (TCC) mode keeps its single global commit token
-     * either way — committer-wins drains are not undo-logged, so a
-     * mid-drain abort (possible only with concurrent committers) would
-     * corrupt memory.
+     * either way. Its drain is undo-logged like every mode's, so a
+     * committer aborted mid-drain (by a plain store to its write set)
+     * rolls back the words it already wrote.
      */
     bool commitTokenArbitration = false;
 

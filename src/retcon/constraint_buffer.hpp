@@ -16,15 +16,14 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "retcon/interval.hpp"
 #include "sim/types.hpp"
 
 namespace retcon::rtc {
 
-/** Fixed-capacity map: root word address -> Interval. */
+/** Fixed-capacity map: root word address -> Interval. No code reads
+ *  its order, so it is a plain hash map. */
 class ConstraintBuffer
 {
   public:
@@ -60,41 +59,36 @@ class ConstraintBuffer
     Record
     record(Addr root, CmpOp op, std::int64_t k)
     {
-        Interval *iv = find(root);
-        if (!iv) {
-            if (_entries.size() >= _capacity)
+        auto it = _map.find(root);
+        if (it == _map.end()) {
+            if (_map.size() >= _capacity)
                 return Record::Full;
-            _index.emplace(root, _entries.size());
-            _entries.emplace_back(root, Interval{});
-            iv = &_entries.back().second;
+            it = _map.emplace(root, Interval{}).first;
         }
-        Interval saved = *iv;
-        if (!iv->constrain(op, k)) {
-            *iv = saved;
+        Interval &iv = it->second;
+        Interval saved = iv;
+        if (!iv.constrain(op, k)) {
+            iv = saved;
             return Record::Inexact;
         }
-        if (iv->empty())
+        if (iv.empty())
             return Record::Unsat;
         return Record::Ok;
     }
 
-    /** Interval currently constraining @p root, or nullptr. O(1) via
-     *  the root index — satisfied() runs per store and per commit
-     *  word, where the scan this replaces was the hot path. */
+    /** Interval currently constraining @p root, or nullptr. */
     Interval *
     find(Addr root)
     {
-        auto it = _index.find(root);
-        return it == _index.end() ? nullptr
-                                  : &_entries[it->second].second;
+        auto it = _map.find(root);
+        return it == _map.end() ? nullptr : &it->second;
     }
 
     const Interval *
     find(Addr root) const
     {
-        auto it = _index.find(root);
-        return it == _index.end() ? nullptr
-                                  : &_entries[it->second].second;
+        auto it = _map.find(root);
+        return it == _map.end() ? nullptr : &it->second;
     }
 
     /** True when @p value satisfies all constraints on @p root. */
@@ -105,27 +99,13 @@ class ConstraintBuffer
         return !iv || iv->contains(value);
     }
 
-    std::size_t size() const { return _entries.size(); }
-    std::size_t capacity() const { return _capacity; }
+    std::size_t size() const { return _map.size(); }
 
-    const std::vector<std::pair<Addr, Interval>> &
-    entries() const
-    {
-        return _entries;
-    }
-
-    void
-    clear()
-    {
-        _entries.clear();
-        _index.clear();
-    }
+    void clear() { _map.clear(); }
 
   private:
     std::size_t _capacity;
-    std::vector<std::pair<Addr, Interval>> _entries;
-    /// root -> position in _entries (append-only until clear()).
-    std::unordered_map<Addr, std::size_t> _index;
+    std::unordered_map<Addr, Interval> _map;
 };
 
 } // namespace retcon::rtc

@@ -22,10 +22,8 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "sim/logging.hpp"
+#include "retcon/bounded_table.hpp"
 #include "sim/types.hpp"
 
 namespace retcon::rtc {
@@ -50,32 +48,18 @@ struct IvbEntry {
 };
 
 /** Fixed-capacity initial value buffer (16 entries in Table 1). */
-class InitialValueBuffer
+class InitialValueBuffer : private BoundedTable<IvbEntry, &IvbEntry::block>
 {
   public:
     explicit InitialValueBuffer(std::size_t capacity = 16)
-        : _capacity(capacity)
+        : BoundedTable(capacity)
     {}
 
-    /** Find the entry for @p block, or nullptr. O(1) via the index
-     *  (the scan this replaces was hot once unlimitedState grew the
-     *  buffer past its Table 1 size — see bench/micro_structures). */
-    IvbEntry *
-    find(Addr block)
-    {
-        auto it = _index.find(block);
-        return it == _index.end() ? nullptr : &_entries[it->second];
-    }
-
-    const IvbEntry *
-    find(Addr block) const
-    {
-        auto it = _index.find(block);
-        return it == _index.end() ? nullptr : &_entries[it->second];
-    }
-
-    /** True when no further blocks can be tracked. */
-    bool full() const { return _entries.size() >= _capacity; }
+    using BoundedTable::clear;
+    using BoundedTable::entries; ///< Insertion (pre-commit walk) order.
+    using BoundedTable::find;
+    using BoundedTable::full;
+    using BoundedTable::size;
 
     /**
      * Allocate an entry for @p block with the given initial words.
@@ -85,48 +69,22 @@ class InitialValueBuffer
     IvbEntry *
     allocate(Addr block, const std::array<Word, kWordsPerBlock> &words)
     {
-        sim_assert(!find(block), "IVB double allocation");
-        if (full())
-            return nullptr;
         IvbEntry e;
         e.block = block;
         e.initWords = words;
         e.curWords = words;
-        _index.emplace(block, _entries.size());
-        _entries.push_back(e);
-        return &_entries.back();
+        return insert(e);
     }
-
-    /** Entries in insertion order (the pre-commit walk order). */
-    std::vector<IvbEntry> &entries() { return _entries; }
-    const std::vector<IvbEntry> &entries() const { return _entries; }
-
-    std::size_t size() const { return _entries.size(); }
-    std::size_t capacity() const { return _capacity; }
 
     /** Number of entries marked lost (Table 3 "blocks lost"). */
     std::size_t
     lostCount() const
     {
         std::size_t n = 0;
-        for (const auto &e : _entries)
+        for (const auto &e : entries())
             n += e.lost;
         return n;
     }
-
-    void
-    clear()
-    {
-        _entries.clear();
-        _index.clear();
-    }
-
-  private:
-    std::size_t _capacity;
-    std::vector<IvbEntry> _entries;
-    /// block -> position in _entries (entries are never erased
-    /// individually, so positions are stable until clear()).
-    std::unordered_map<Addr, std::size_t> _index;
 };
 
 } // namespace retcon::rtc

@@ -75,12 +75,6 @@ class ConflictPredictor
         return n;
     }
 
-    std::size_t tableSize() const { return _table.size(); }
-
-    const Config &config() const { return _cfg; }
-
-    void clear() { _table.clear(); }
-
   private:
     struct State {
         std::uint32_t conflicts = 0;

@@ -18,9 +18,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
+#include "retcon/bounded_table.hpp"
 #include "retcon/symbolic.hpp"
 #include "sim/types.hpp"
 
@@ -35,31 +34,18 @@ struct SsbEntry {
 };
 
 /** Fixed-capacity unordered symbolic store buffer (32 in Table 1). */
-class SymbolicStoreBuffer
+class SymbolicStoreBuffer : private BoundedTable<SsbEntry, &SsbEntry::word>
 {
   public:
     explicit SymbolicStoreBuffer(std::size_t capacity = 32)
-        : _capacity(capacity)
+        : BoundedTable(capacity)
     {}
 
-    /** O(1) via the word index; the common miss (most loads/stores
-     *  touch words with no pending symbolic store) costs one hash
-     *  probe instead of a full scan. */
-    SsbEntry *
-    find(Addr word)
-    {
-        auto it = _index.find(word);
-        return it == _index.end() ? nullptr : &_entries[it->second];
-    }
-
-    const SsbEntry *
-    find(Addr word) const
-    {
-        auto it = _index.find(word);
-        return it == _index.end() ? nullptr : &_entries[it->second];
-    }
-
-    bool full() const { return _entries.size() >= _capacity; }
+    using BoundedTable::clear;
+    using BoundedTable::entries; ///< Insertion (commit drain) order.
+    using BoundedTable::find;
+    using BoundedTable::full;
+    using BoundedTable::size;
 
     /** Outcome of a put(), distinguished for provenance tracing. */
     enum class Put : std::uint8_t {
@@ -80,54 +66,13 @@ class SymbolicStoreBuffer
             e->size = size;
             return Put::Updated;
         }
-        if (full())
-            return Put::Full;
-        _index.emplace(word, _entries.size());
-        _entries.push_back(SsbEntry{word, concrete, sym, size});
-        return Put::Inserted;
+        return insert(SsbEntry{word, concrete, sym, size}) ? Put::Inserted
+                                                           : Put::Full;
     }
 
-    /**
-     * Drop the entry for @p word (overwritten by a normal store).
-     * The erase preserves insertion order (the commit drain order), so
-     * later positions shift down and the index is fixed up — O(n), but
-     * only on an actual hit; the hot no-entry case is one hash probe.
-     */
-    void
-    invalidate(Addr word)
-    {
-        auto it = _index.find(word);
-        if (it == _index.end())
-            return;
-        std::size_t pos = it->second;
-        _entries.erase(_entries.begin() +
-                       static_cast<std::ptrdiff_t>(pos));
-        _index.erase(it);
-        for (auto &[w, p] : _index)
-            if (p > pos)
-                --p;
-    }
-
-    /** Entries in insertion order (the commit drain order). */
-    std::vector<SsbEntry> &entries() { return _entries; }
-    const std::vector<SsbEntry> &entries() const { return _entries; }
-
-    std::size_t size() const { return _entries.size(); }
-    std::size_t capacity() const { return _capacity; }
-
-    void
-    clear()
-    {
-        _entries.clear();
-        _index.clear();
-    }
-
-  private:
-    std::size_t _capacity;
-    std::vector<SsbEntry> _entries;
-    /// word -> position in _entries, kept in step with every
-    /// put/invalidate (see invalidate for the erase fix-up).
-    std::unordered_map<Addr, std::size_t> _index;
+    /** Drop the entry for @p word (overwritten by a normal store),
+     *  keeping the drain order of the rest. */
+    void invalidate(Addr word) { erase(word); }
 };
 
 } // namespace retcon::rtc

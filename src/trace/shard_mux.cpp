@@ -49,24 +49,10 @@ ShardMux::onEvent(const Record &r)
     unsigned s = shardOfCore(r.core);
     Counters &c = _counters[s];
     ++c.events;
-    switch (r.kind) {
-      case EventKind::Commit:
-        ++c.commits;
-        if (r.aux & kCommitAuxDatmForwarded)
-            ++c.datmForwardedCommits;
-        break;
-      case EventKind::Abort:
-        ++c.aborts;
-        break;
-      case EventKind::Repair:
+    if (r.kind == EventKind::Repair)
         ++c.repairs;
-        break;
-      case EventKind::Forward:
+    else if (r.kind == EventKind::Forward)
         ++c.forwards;
-        break;
-      default:
-        break;
-    }
     if (!_rings.empty())
         _rings[s]->onEvent(r);
     for (TraceSink *d : _downstream)

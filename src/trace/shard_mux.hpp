@@ -51,11 +51,8 @@ class ShardMux final : public TraceSink
     /** Lifetime per-shard counters (immune to ring wraparound). */
     struct Counters {
         std::uint64_t events = 0;
-        std::uint64_t commits = 0;
-        std::uint64_t aborts = 0;
         std::uint64_t repairs = 0;
         std::uint64_t forwards = 0; ///< DATM forwarded-value loads.
-        std::uint64_t datmForwardedCommits = 0;
     };
 
     /**
