@@ -76,27 +76,12 @@ class ConstraintBuffer
         return Record::Ok;
     }
 
-    /** Interval currently constraining @p root, or nullptr. */
-    Interval *
-    find(Addr root)
-    {
-        auto it = _map.find(root);
-        return it == _map.end() ? nullptr : &it->second;
-    }
-
-    const Interval *
-    find(Addr root) const
-    {
-        auto it = _map.find(root);
-        return it == _map.end() ? nullptr : &it->second;
-    }
-
     /** True when @p value satisfies all constraints on @p root. */
     bool
     satisfied(Addr root, std::int64_t value) const
     {
-        const Interval *iv = find(root);
-        return !iv || iv->contains(value);
+        auto it = _map.find(root);
+        return it == _map.end() || it->second.contains(value);
     }
 
     std::size_t size() const { return _map.size(); }
