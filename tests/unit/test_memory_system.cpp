@@ -143,6 +143,48 @@ TEST(MemorySystem, WriteHitInOwnModifiedIsOneCycle)
     EXPECT_TRUE(r.l1Hit);
 }
 
+TEST(MemorySystem, WriteMissToRemoteSharedBlockInvalidatesAndFetches)
+{
+    MemorySystem ms(4);
+    ms.access(1, kB, false);
+    AccessResult r = ms.access(0, kB, true);
+    // 31 (to dir) + 2 hops (inval+ack) + 100 (DRAM: requester holds
+    // no copy) = 171.
+    EXPECT_EQ(r.latency, 171u);
+    EXPECT_TRUE(r.dramAccess);
+    EXPECT_FALSE(r.remoteTransfer);
+}
+
+TEST(MemorySystem, ReadMissOfSharedBlockComesFromMemory)
+{
+    MemorySystem ms(4);
+    ms.access(1, kB, false);
+    AccessResult r = ms.access(0, kB, false);
+    // Clean data from memory: 31 + 100 (DRAM) + 20 (hop back) = 151.
+    EXPECT_EQ(r.latency, 151u);
+    EXPECT_TRUE(r.dramAccess);
+    EXPECT_TRUE(ms.hasReadPerm(0, kB));
+    EXPECT_TRUE(ms.hasReadPerm(1, kB));
+}
+
+TEST(MemorySystem, ColdReadHomedOnRemoteClusterPaysTheWire)
+{
+    // Two clusters of two cores and one bank each, crossbar wire.
+    net::FleetTopology topo;
+    topo.clusters = 2;
+    topo.threadsPerCluster = 2;
+    topo.banksPerCluster = 1;
+    net::Interconnect wire(2, net::NetConfig{});
+    MemorySystem ms(4, MemTimingConfig{}, CacheConfig{}, 2, topo);
+    ms.setNet(&wire);
+    Addr remote = net::FleetTopology::regionBase(1);
+    AccessResult r = ms.access(0, remote, false);
+    // 151 (cold read) + one 50-cycle hop each way = 251.
+    EXPECT_EQ(r.latency, 251u);
+    EXPECT_TRUE(r.remoteCluster);
+    EXPECT_TRUE(r.dramAccess);
+}
+
 TEST(MemorySystem, PeekLatencyMatchesAccessWithoutStateChange)
 {
     MemorySystem ms(4);
