@@ -2,11 +2,12 @@
  * @file
  * Cross-commit determinism per TM mode: every mode of the machine runs
  * the `service` workload (8 threads, scale 0.1, seed 1) plain and with
- * the sharded/banked/arbitrated/backoff knobs, plus one fleet point and
+ * the sharded/banked/arbitrated/backoff knobs, plus one fleet point,
  * two RETCON points at a dispatch bandwidth of 1 event per shard-cycle
  * (one shard, where over-quota events batch-slip, and four shards,
- * where idle shards steal), and must reproduce pinned simulated
- * results exactly, event-kernel counters included.
+ * where idle shards steal) and the §5.3 idealized RETCON, and must
+ * reproduce pinned simulated results exactly, event-kernel counters
+ * included.
  *
  * The literals are the values of the current machine. A refactor of
  * htm::TMMachine that claims "no behaviour change" must leave every
@@ -32,6 +33,7 @@ enum class Knobs {
     Fleet,  ///< 2 clusters of 2 shards x 2 banks, 25% cross-cluster.
     Slip,   ///< 1 shard dispatching 1 event/cycle: batch slips.
     Steal,  ///< 4 shards dispatching 1 event/cycle each: steals.
+    Ideal,  ///< §5.3 idealized RETCON (unbounded state, free commit).
 };
 
 struct GoldenRow {
@@ -85,6 +87,9 @@ const GoldenRow kRows[] = {
      29400, 160, 233, 2915, 0, 0, 10679, 9327, 0},
     {"retcon+steal", TMMode::Retcon, Knobs::Steal, "sim.stolen",
      29393, 160, 206, 3314, 0, 0, 10809, 276, 586},
+    {"retcon+idealized", TMMode::Retcon, Knobs::Ideal,
+     "reenact.repairs_checked",
+     28666, 160, 230, 3034, 0, 0, 10739, 0, 0},
 };
 
 api::RunConfig
@@ -120,6 +125,11 @@ rowConfig(const GoldenRow &row)
       case Knobs::Steal:
         cfg.shards = 4;
         cfg.shardBandwidth = 1;
+        break;
+      case Knobs::Ideal:
+        cfg.tm.unlimitedState = true;
+        cfg.tm.parallelReacquire = true;
+        cfg.tm.freeCommitStores = true;
         break;
     }
     return cfg;
