@@ -5,16 +5,17 @@
  *
  * One directory entry per coherence block: Invalid (no cached copy),
  * Shared (read-only copies in `sharers`), or Modified (one owning core).
- * State transitions are applied atomically at request time; the latency
- * of the corresponding protocol messages is computed by MemorySystem.
+ * State transitions are applied atomically at request time, in the
+ * same branch of MemorySystem::access that adds the corresponding
+ * protocol messages' latency.
  *
- * The directory is split into N address-interleaved banks (block index
- * modulo bank count), mirroring how the event queue is sharded: bank
- * state is purely a partition of the block->entry map, so the bank
- * count never changes protocol behaviour — it only gives MemorySystem
- * a structural unit to model occupancy and queuing against, and gives
- * the TM machine a unit of commit-token arbitration. With one bank the
- * structure is exactly the PR-3 monolithic directory.
+ * Every block is homed on one of N address-interleaved banks
+ * (`bankOf`, a pure function of the address), mirroring how the event
+ * queue is sharded. A bank is only that home: the entries live in one
+ * block->entry map, so the bank count never changes protocol
+ * behaviour — it gives MemorySystem a structural unit to model
+ * occupancy and queuing against, and gives the TM machine a unit of
+ * commit-token arbitration. With one bank every block homes on bank 0.
  */
 
 #ifndef RETCON_MEM_DIRECTORY_HPP
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "net/topology.hpp"
 #include "sim/logging.hpp"
@@ -38,52 +38,25 @@ struct DirEntry {
     DirState state = DirState::Invalid;
     CoreId owner = kNoCore;
     std::uint64_t sharers = 0;
-};
 
-/**
- * One address-interleaved directory bank: the block->entry map for the
- * slice of the address space homed here. Pure state — occupancy and
- * queuing are modeled by MemorySystem, commit tokens by the TM machine.
- */
-class DirectoryBank
-{
-  public:
-    /** Look up (never creating) the entry for @p block. */
-    DirEntry
-    lookup(Addr block) const
+    /** True when @p core holds a readable copy. */
+    bool
+    readable(CoreId core) const
     {
-        auto it = _entries.find(block);
-        return it == _entries.end() ? DirEntry{} : it->second;
+        if (state == DirState::Modified)
+            return owner == core;
+        return state == DirState::Shared && ((sharers >> core) & 1);
     }
 
-    /** Mutable entry for @p block, created Invalid on first touch. */
-    DirEntry &entry(Addr block) { return _entries[block]; }
-
-    /** Remove @p core from the sharer/owner info (eviction). */
-    void
-    dropCore(Addr block, CoreId core)
+    /** True when @p core holds exclusive/write permission. */
+    bool
+    writable(CoreId core) const
     {
-        auto it = _entries.find(block);
-        if (it == _entries.end())
-            return;
-        DirEntry &e = it->second;
-        if (e.state == DirState::Modified && e.owner == core) {
-            e.state = DirState::Invalid;
-            e.owner = kNoCore;
-        } else if (e.state == DirState::Shared) {
-            e.sharers &= ~(std::uint64_t(1) << core);
-            if (e.sharers == 0)
-                e.state = DirState::Invalid;
-        }
+        return state == DirState::Modified && owner == core;
     }
-
-    std::size_t numEntries() const { return _entries.size(); }
-
-  private:
-    std::unordered_map<Addr, DirEntry> _entries;
 };
 
-/** The full-machine directory: N address-interleaved banks. */
+/** The full-machine directory: one block->entry map, N home banks. */
 class Directory
 {
   public:
@@ -92,7 +65,7 @@ class Directory
 
     explicit Directory(unsigned num_banks = 1,
                        const net::FleetTopology &topo = {})
-        : _banks(num_banks), _topo(topo)
+        : _numBanks(num_banks), _topo(topo)
     {
         sim_assert(num_banks >= 1 && num_banks <= kMaxBanks,
                    "directory bank count out of range (1..%u)",
@@ -103,10 +76,7 @@ class Directory
                    "fleet bank partition must cover every bank");
     }
 
-    unsigned numBanks() const
-    {
-        return static_cast<unsigned>(_banks.size());
-    }
+    unsigned numBanks() const { return _numBanks; }
 
     /**
      * Home bank of @p block. The block index is mixed (Fibonacci
@@ -129,7 +99,7 @@ class Directory
         std::uint64_t idx = block / kBlockBytes;
         idx *= 0x9E3779B97F4A7C15ull;
         if (!_topo.fleet())
-            return static_cast<unsigned>((idx >> 32) % _banks.size());
+            return static_cast<unsigned>((idx >> 32) % _numBanks);
         unsigned cluster = _topo.clusterOfAddr(block);
         return cluster * _topo.banksPerCluster +
                static_cast<unsigned>((idx >> 32) %
@@ -138,61 +108,53 @@ class Directory
 
     const net::FleetTopology &topology() const { return _topo; }
 
-    DirectoryBank &bank(unsigned b) { return _banks[b]; }
-    const DirectoryBank &bank(unsigned b) const { return _banks[b]; }
-
+    /** Look up (never creating) the entry for @p block. */
     DirEntry
     lookup(Addr block) const
     {
-        return _banks[bankOf(block)].lookup(block);
+        auto it = _entries.find(block);
+        return it == _entries.end() ? DirEntry{} : it->second;
     }
 
-    DirEntry &
-    entry(Addr block)
-    {
-        return _banks[bankOf(block)].entry(block);
-    }
+    /** Mutable entry for @p block, created Invalid on first touch. */
+    DirEntry &entry(Addr block) { return _entries[block]; }
 
     /** True when @p core holds a readable copy per the directory. */
     bool
     hasReadPerm(Addr block, CoreId core) const
     {
-        DirEntry e = lookup(block);
-        if (e.state == DirState::Modified)
-            return e.owner == core;
-        if (e.state == DirState::Shared)
-            return (e.sharers >> core) & 1;
-        return false;
+        return lookup(block).readable(core);
     }
 
     /** True when @p core holds exclusive/write permission. */
     bool
     hasWritePerm(Addr block, CoreId core) const
     {
-        DirEntry e = lookup(block);
-        return e.state == DirState::Modified && e.owner == core;
+        return lookup(block).writable(core);
     }
 
     /** Remove @p core from the sharer/owner info (eviction). */
     void
     dropCore(Addr block, CoreId core)
     {
-        _banks[bankOf(block)].dropCore(block, core);
-    }
-
-    /** Entries across all banks. */
-    std::size_t
-    numEntries() const
-    {
-        std::size_t n = 0;
-        for (const DirectoryBank &b : _banks)
-            n += b.numEntries();
-        return n;
+        auto it = _entries.find(block);
+        if (it == _entries.end())
+            return;
+        DirEntry &e = it->second;
+        if (e.state == DirState::Modified && e.owner == core) {
+            e.state = DirState::Invalid;
+            e.owner = kNoCore;
+        } else if (e.state == DirState::Shared) {
+            e.sharers &= ~(std::uint64_t(1) << core);
+            if (e.sharers == 0)
+                e.state = DirState::Invalid;
+        }
     }
 
   private:
-    std::vector<DirectoryBank> _banks;
+    unsigned _numBanks;
     net::FleetTopology _topo;
+    std::unordered_map<Addr, DirEntry> _entries;
 };
 
 } // namespace retcon::mem

@@ -72,58 +72,6 @@ MemorySystem::hasWritePerm(CoreId core, Addr block) const
     return _directory.hasWritePerm(block, core);
 }
 
-Cycle
-MemorySystem::peekLatency(CoreId core, Addr block, bool is_write) const
-{
-    Cycle lat = localLatency(core, block, is_write);
-    if (_net) {
-        const CoreCaches &cc = _cores[core];
-        bool perm = is_write ? _directory.hasWritePerm(block, core)
-                             : _directory.hasReadPerm(block, core);
-        bool hit = perm && (cc.l1.contains(block) || cc.l2.contains(block));
-        unsigned src = topology().clusterOfCore(core);
-        unsigned home = topology().clusterOfAddr(block);
-        if (!hit && src != home)
-            lat += _net->staticLatency(src, home, net::kCtrlMsgWords) +
-                   _net->staticLatency(home, src, net::kDataMsgWords);
-    }
-    return lat;
-}
-
-Cycle
-MemorySystem::localLatency(CoreId core, Addr block, bool is_write) const
-{
-    const CoreCaches &cc = _cores[core];
-    bool perm = is_write ? _directory.hasWritePerm(block, core)
-                         : _directory.hasReadPerm(block, core);
-    if (perm && cc.l1.contains(block))
-        return kL1HitCycles;
-    if (perm && cc.l2.contains(block))
-        return kL1HitCycles + kL2HitCycles;
-
-    // Miss: L1 issue + L2 lookup + hop to directory...
-    Cycle lat = kL1HitCycles + kL2HitCycles + kHopCycles;
-    DirEntry e = _directory.lookup(block);
-    if (e.state == DirState::Modified && e.owner != core) {
-        // Forward to owner; owner L2 access; data to requester.
-        lat += kHopCycles + kL2HitCycles + kHopCycles;
-    } else if (e.state == DirState::Shared && is_write) {
-        // Invalidate sharers (parallel) + ack; data from memory if the
-        // requester lacks a copy.
-        bool requester_shares = (e.sharers >> core) & 1;
-        lat += 2 * kHopCycles;
-        if (!requester_shares)
-            lat += kDramCycles;
-    } else if (e.state == DirState::Shared && !is_write) {
-        // Clean data supplied by memory.
-        lat += kDramCycles + kHopCycles;
-    } else {
-        // Invalid at directory: fetch from DRAM.
-        lat += kDramCycles + kHopCycles;
-    }
-    return lat;
-}
-
 void
 MemorySystem::fill(CoreId core, Addr block)
 {
@@ -145,25 +93,12 @@ MemorySystem::fill(CoreId core, Addr block)
 }
 
 void
-MemorySystem::invalidateRemotes(CoreId core, Addr block)
+MemorySystem::invalidate(CoreId victim, Addr block, CoreId by)
 {
-    DirEntry e = _directory.lookup(block);
-    if (e.state == DirState::Modified && e.owner != core) {
-        CoreId victim = e.owner;
-        _cores[victim].l1.invalidate(block);
-        _cores[victim].l2.invalidate(block);
-        if (_listener)
-            _listener->onRemoteTake(victim, block, core, true);
-    } else if (e.state == DirState::Shared) {
-        for (CoreId v = 0; v < _numCores; ++v) {
-            if (v == core || !((e.sharers >> v) & 1))
-                continue;
-            _cores[v].l1.invalidate(block);
-            _cores[v].l2.invalidate(block);
-            if (_listener)
-                _listener->onRemoteTake(v, block, core, true);
-        }
-    }
+    _cores[victim].l1.invalidate(block);
+    _cores[victim].l2.invalidate(block);
+    if (_listener)
+        _listener->onRemoteTake(victim, block, by, true);
 }
 
 AccessResult
@@ -173,13 +108,15 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     sim_assert(blockAddr(block) == block, "access must be block-aligned");
 
     AccessResult res;
-    res.latency = localLatency(core, block, is_write);
-
     CoreCaches &cc = _cores[core];
-    bool perm = is_write ? _directory.hasWritePerm(block, core)
-                         : _directory.hasReadPerm(block, core);
+    // The request's one directory read. The reference stays valid for
+    // the whole transition: map inserts never move entries, nothing
+    // erases one, and fill() only drops the evicted block's entry.
+    DirEntry &e = _directory.entry(block);
+    bool perm = is_write ? e.writable(core) : e.readable(core);
 
     if (perm && cc.l1.contains(block)) {
+        res.latency = kL1HitCycles;
         res.l1Hit = true;
         cc.l1.touch(block);
         cc.l2.touch(block);
@@ -187,6 +124,7 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
         return res;
     }
     if (perm && cc.l2.contains(block)) {
+        res.latency = kL1HitCycles + kL2HitCycles;
         res.l2Hit = true;
         cc.l2.touch(block);
         // Refill L1 from L2.
@@ -197,8 +135,10 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     }
 
     _stats.add(is_write ? "write_misses" : "read_misses");
-    // The miss visits the block's home directory bank; a busy bank
-    // slips the request (0 when occupancy is unmodeled).
+    // Miss: L1 issue + L2 lookup + hop to the block's home directory
+    // bank; a busy bank slips the request (0 when occupancy is
+    // unmodeled).
+    res.latency = kL1HitCycles + kL2HitCycles + kHopCycles;
     res.latency += bankVisit(block);
     // A miss homed on another cluster's bank pays the wire: a control
     // request out, a data-bearing reply back, occupying the links it
@@ -216,42 +156,56 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
             _stats.add("xc_access_cycles", static_cast<double>(wire));
         }
     }
-    DirEntry pre = _directory.lookup(block);
 
-    if (is_write) {
-        res.remoteTransfer =
-            pre.state == DirState::Modified && pre.owner != core;
-        res.dramAccess = pre.state == DirState::Invalid ||
-                         (pre.state == DirState::Shared &&
-                          !((pre.sharers >> core) & 1));
-        invalidateRemotes(core, block);
-        DirEntry &e = _directory.entry(block);
-        e.state = DirState::Modified;
-        e.owner = core;
-        e.sharers = 0;
-    } else {
-        DirEntry &e = _directory.entry(block);
-        if (e.state == DirState::Modified && e.owner != core) {
+    const std::uint64_t me = std::uint64_t(1) << core;
+    if (e.state == DirState::Modified && e.owner != core) {
+        // Forward to owner; owner L2 access; data to requester.
+        res.latency += kHopCycles + kL2HitCycles + kHopCycles;
+        res.remoteTransfer = true;
+        CoreId owner = e.owner;
+        if (is_write) {
+            invalidate(owner, block, core);
+        } else {
             // Downgrade owner to sharer; data forwarded cache-to-cache.
-            res.remoteTransfer = true;
-            CoreId owner = e.owner;
             e.state = DirState::Shared;
-            e.sharers = (std::uint64_t(1) << owner) |
-                        (std::uint64_t(1) << core);
+            e.sharers = (std::uint64_t(1) << owner) | me;
             e.owner = kNoCore;
             if (_listener)
                 _listener->onRemoteTake(owner, block, core, false);
-        } else if (e.state == DirState::Invalid) {
+        }
+    } else if (e.state == DirState::Shared && is_write) {
+        // Invalidate sharers (parallel) + ack; data from memory if the
+        // requester lacks a copy.
+        res.latency += 2 * kHopCycles;
+        if (!(e.sharers & me)) {
+            res.latency += kDramCycles;
             res.dramAccess = true;
-            e.state = DirState::Shared;
-            e.sharers = std::uint64_t(1) << core;
-        } else {
-            // Shared (or own-Modified refetch after L2 eviction).
-            if (e.state == DirState::Shared) {
-                res.dramAccess = true;
-                e.sharers |= std::uint64_t(1) << core;
+        }
+        std::uint64_t others = e.sharers & ~me;
+        for (CoreId v = 0; v < _numCores; ++v)
+            if ((others >> v) & 1)
+                invalidate(v, block, core);
+    } else if (e.state == DirState::Shared) {
+        // Clean data supplied by memory.
+        res.latency += kDramCycles + kHopCycles;
+        res.dramAccess = true;
+        e.sharers |= me;
+    } else {
+        // Invalid at directory, or the requester's own Modified block
+        // refetched after an L2 eviction: fetch from DRAM.
+        res.latency += kDramCycles + kHopCycles;
+        if (e.state == DirState::Invalid) {
+            res.dramAccess = true;
+            if (!is_write) {
+                e.state = DirState::Shared;
+                e.sharers = me;
             }
         }
+    }
+    if (is_write) {
+        e.state = DirState::Modified;
+        e.owner = core;
+        e.sharers = 0;
     }
 
     if (res.remoteTransfer)
@@ -261,15 +215,6 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
 
     fill(core, block);
     return res;
-}
-
-void
-MemorySystem::flushBlock(CoreId core, Addr block)
-{
-    CoreCaches &cc = _cores[core];
-    cc.l1.invalidate(block);
-    cc.l2.invalidate(block);
-    _directory.dropCore(block, core);
 }
 
 } // namespace retcon::mem

@@ -5,8 +5,10 @@
  * Models the Table 1 machine: per-core L1 (64KB/4-way) and private L2
  * (1MB/4-way) with 64B blocks, a directory protocol with 20-cycle hops,
  * 10-cycle L2 hits and 100-cycle DRAM. State transitions (directory and
- * tag arrays) are applied atomically at request time; the returned
- * latency schedules when the requesting core may continue. This keeps
+ * tag arrays) are applied atomically at request time, and each branch
+ * of the coherence transition adds its own protocol latency; the
+ * returned latency schedules when the requesting core may continue.
+ * Each request reads its directory entry once. This keeps
  * the interleaving of memory operations — the thing conflict behaviour
  * depends on — cycle-accurate while avoiding transient protocol states.
  *
@@ -162,30 +164,15 @@ class MemorySystem
      */
     AccessResult access(CoreId core, Addr block, bool is_write);
 
-    /**
-     * Latency the access *would* take, with no state change. Used by
-     * the RETCON pre-commit engine to cost reacquisition decisions.
-     * In a fleet, a miss to a remote cluster's bank includes the
-     * uncontended interconnect round trip (queueing is unknowable
-     * without performing the access, so the estimate is optimistic).
-     */
-    Cycle peekLatency(CoreId core, Addr block, bool is_write) const;
-
     /** True when @p core can read @p block without a miss. */
     bool hasReadPerm(CoreId core, Addr block) const;
 
     /** True when @p core can write @p block without a miss. */
     bool hasWritePerm(CoreId core, Addr block) const;
 
-    /** Drop @p block from @p core's caches (abort cleanup, tests). */
-    void flushBlock(CoreId core, Addr block);
-
     /** The functional store. */
     SparseMemory &memory() { return _memory; }
     const SparseMemory &memory() const { return _memory; }
-
-    Directory &directory() { return _directory; }
-    const Directory &directory() const { return _directory; }
 
     unsigned numCores() const { return _numCores; }
 
@@ -242,22 +229,14 @@ class MemorySystem
     /** Install @p block into @p core's L1+L2, handling evictions. */
     void fill(CoreId core, Addr block);
 
-    /** Invalidate remote copies for a write by @p core. */
-    void invalidateRemotes(CoreId core, Addr block);
+    /** Drop @p victim's copy of @p block for a write by @p by. */
+    void invalidate(CoreId victim, Addr block, CoreId by);
 
     /**
      * Account a directory visit for @p block's home bank and @return
      * the occupancy stall (0 when unmodeled or the bank is free).
      */
     Cycle bankVisit(Addr block);
-
-    /**
-     * Protocol latency of an access with no interconnect component —
-     * the single-cluster peekLatency. Both peekLatency (static wire
-     * estimate on top) and access (dynamic wire charge on top) build
-     * on this so the crossing is never counted twice.
-     */
-    Cycle localLatency(CoreId core, Addr block, bool is_write) const;
 };
 
 } // namespace retcon::mem

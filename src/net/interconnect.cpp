@@ -132,21 +132,6 @@ Interconnect::deliver(unsigned src, unsigned dst, unsigned words,
     return total;
 }
 
-Cycle
-Interconnect::staticLatency(unsigned src, unsigned dst,
-                            unsigned words) const
-{
-    if (src == dst || _clusters <= 1)
-        return 0;
-    unsigned hops = 1;
-    if (_cfg.topology == Topology::Ring) {
-        unsigned cw = (dst + _clusters - src) % _clusters;
-        unsigned ccw = _clusters - cw;
-        hops = cw <= ccw ? cw : ccw;
-    }
-    return hops * (_cfg.linkLatency + serializeCycles(words));
-}
-
 std::uint64_t
 Interconnect::totalMessages() const
 {

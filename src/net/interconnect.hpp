@@ -100,9 +100,6 @@ class Interconnect
 
     Interconnect(unsigned clusters, const NetConfig &cfg);
 
-    unsigned clusters() const { return _clusters; }
-    const NetConfig &config() const { return _cfg; }
-
     /** Install (or clear, with period 0) the degraded-link fault. */
     void setLinkFault(const LinkFault &f) { _linkFault = f; }
 
@@ -133,14 +130,6 @@ class Interconnect
         Cycle there = deliver(src, dst, reqWords, now);
         return there + deliver(dst, src, respWords, now + there);
     }
-
-    /**
-     * Uncontended latency of a @p words-word message src -> dst: hop
-     * latency plus serialization, no queueing, no state change (the
-     * peek counterpart of deliver, for cost estimates).
-     */
-    Cycle staticLatency(unsigned src, unsigned dst,
-                        unsigned words) const;
 
     unsigned numLinks() const
     {

@@ -160,12 +160,15 @@ TEST(Interconnect, CrossbarIsOneHopEachWay)
     cfg.linkLatency = 50;
     net::Interconnect net(4, cfg);
     EXPECT_EQ(net.numLinks(), 12u);
+    // Unlimited bandwidth: every pair is one hop, on a fresh
+    // interconnect so no message queues behind another.
     for (unsigned s = 0; s < 4; ++s)
-        for (unsigned d = 0; d < 4; ++d)
-            EXPECT_EQ(net.staticLatency(s, d, net::kCtrlMsgWords),
+        for (unsigned d = 0; d < 4; ++d) {
+            net::Interconnect fresh(4, cfg);
+            EXPECT_EQ(fresh.deliver(s, d, net::kCtrlMsgWords, 0),
                       s == d ? 0u : 50u);
-    // Unlimited bandwidth: deliver == static, and a round trip is two
-    // hops with no queueing.
+        }
+    // A round trip is two hops with no queueing.
     EXPECT_EQ(net.deliver(0, 2, net::kDataMsgWords, 0), 50u);
     EXPECT_EQ(net.roundTrip(1, 3, net::kCtrlMsgWords,
                             net::kDataMsgWords, 0),
@@ -181,9 +184,14 @@ TEST(Interconnect, RingPaysPerHopAndTakesShortcut)
     cfg.linkLatency = 10;
     net::Interconnect net(4, cfg);
     EXPECT_EQ(net.numLinks(), 8u);
-    EXPECT_EQ(net.staticLatency(0, 1, 2), 10u); // 1 hop clockwise.
-    EXPECT_EQ(net.staticLatency(0, 2, 2), 20u); // 2 hops (tie -> cw).
-    EXPECT_EQ(net.staticLatency(0, 3, 2), 10u); // 1 hop ccw shortcut.
+    // Unlimited bandwidth: deliver is hops x linkLatency. 0 -> 1 is
+    // one hop clockwise, 0 -> 2 two (tie -> cw), 0 -> 3 one hop on
+    // the counter-clockwise shortcut.
+    const Cycle want[] = {0, 10, 20, 10};
+    for (unsigned d = 1; d < 4; ++d) {
+        net::Interconnect fresh(4, cfg);
+        EXPECT_EQ(fresh.deliver(0, d, 2, 0), want[d]) << "0 -> " << d;
+    }
     EXPECT_EQ(net.deliver(0, 2, 2, 0), 20u);
 }
 

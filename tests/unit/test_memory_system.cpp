@@ -185,15 +185,6 @@ TEST(MemorySystem, ColdReadHomedOnRemoteClusterPaysTheWire)
     EXPECT_TRUE(r.dramAccess);
 }
 
-TEST(MemorySystem, PeekLatencyMatchesAccessWithoutStateChange)
-{
-    MemorySystem ms(4);
-    ms.access(1, kB, true);
-    Cycle peeked = ms.peekLatency(0, kB, false);
-    AccessResult r = ms.access(0, kB, false);
-    EXPECT_EQ(peeked, r.latency);
-}
-
 TEST(MemorySystem, L1EvictionStillHitsL2)
 {
     // L1 is 64KB 4-way => 256 sets; 5 blocks mapping to the same set
@@ -225,17 +216,6 @@ TEST(MemorySystem, L2CapacityEvictionNotifiesListener)
     EXPECT_EQ(rec.evicts[0].second, kB);
     // Evicted block lost its directory permissions.
     EXPECT_FALSE(ms.hasReadPerm(0, kB));
-}
-
-TEST(MemorySystem, FlushBlockDropsPermissions)
-{
-    MemorySystem ms(2);
-    ms.access(0, kB, true);
-    ms.flushBlock(0, kB);
-    EXPECT_FALSE(ms.hasReadPerm(0, kB));
-    EXPECT_FALSE(ms.hasWritePerm(0, kB));
-    AccessResult r = ms.access(0, kB, false);
-    EXPECT_EQ(r.latency, 151u); // Back to DRAM.
 }
 
 TEST(MemorySystem, IndependentBlocksDoNotInterfere)
