@@ -37,9 +37,7 @@ main()
         api::RunConfig cfg = baseConfig(name);
         cfg.tm = api::retconConfig();
         Cycle real = api::runOnce(cfg).cycles;
-        cfg.tm.unlimitedState = true;
-        cfg.tm.parallelReacquire = true;
-        cfg.tm.freeCommitStores = true;
+        cfg.tm.idealized = true;
         Cycle ideal = api::runOnce(cfg).cycles;
         std::printf("%-18s %12llu %12llu %+7.1f%%\n", name,
                     static_cast<unsigned long long>(real),

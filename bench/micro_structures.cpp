@@ -140,7 +140,7 @@ BM_SsbPutForward(benchmark::State &state)
 BENCHMARK(BM_SsbPutForward);
 
 // ---------------------------------------------------------------------
-// Grown-structure lookups (unlimitedState sizing). These pin the win
+// Grown-structure lookups (idealized-RETCON sizing). These pin the win
 // from the small-map indices that replaced the linear scans: at
 // Table 1 sizes (16/32 entries) either is fine, but idealized-RETCON
 // runs grow the buffers far past that and made find()/invalidate()

@@ -1424,7 +1424,7 @@ TMMachine::commitWalk(CoreId core, bool is_retry)
         enterDrain(core);
         return commitDrain(core, is_retry);
     }
-    std::size_t count = _cfg.parallelReacquire
+    std::size_t count = _cfg.idealized
                             ? st.ivb.entries().size() - st.commitIvbIdx
                             : 1;
     Cycle max_lat = 0;
@@ -1514,7 +1514,7 @@ TMMachine::commitDrain(CoreId core, bool is_retry)
     _ms.memory().write(e.word, value, e.size);
     audit(core, trace::EventKind::Repair, e.word, before, value, e.sym);
     ++st.commitSsbIdx;
-    return commitCharge(core, _cfg.freeCommitStores && !lazy ? 0 : lat);
+    return commitCharge(core, _cfg.idealized && !lazy ? 0 : lat);
 }
 
 CommitStepOutcome

@@ -49,11 +49,11 @@ enum class CommitPhase : std::uint8_t {
 /** Everything one core's current transaction owns. */
 struct CoreTxState {
     CoreTxState(const TMConfig &cfg, const mem::CacheGeometry &perm_geom)
-        : ivb(cfg.unlimitedState ? SIZE_MAX : cfg.ivbEntries),
-          constraints(cfg.unlimitedState ? SIZE_MAX : cfg.constraintEntries),
+        : ivb(cfg.idealized ? SIZE_MAX : cfg.ivbEntries),
+          constraints(cfg.idealized ? SIZE_MAX : cfg.constraintEntries),
           // TCC's write buffer (Lazy) is unbounded; only RETCON's
           // symbolic store buffer has the Table 1 capacity.
-          ssb(cfg.unlimitedState || cfg.mode == TMMode::Lazy
+          ssb(cfg.idealized || cfg.mode == TMMode::Lazy
                   ? SIZE_MAX
                   : cfg.ssbEntries),
           permCache(perm_geom)

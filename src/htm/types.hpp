@@ -152,10 +152,10 @@ struct TMConfig {
 
     rtc::ConflictPredictor::Config predictor{};
 
-    /// §5.3 idealized-RETCON knobs.
-    bool unlimitedState = false;     ///< No structure capacity limits.
-    bool parallelReacquire = false;  ///< Pre-commit reacquires overlap.
-    bool freeCommitStores = false;   ///< Commit-time stores cost nothing.
+    /// §5.3 idealized RETCON: no structure capacity limits,
+    /// overlapped pre-commit reacquires, and commit-time stores that
+    /// cost nothing (Lazy's drain still pays).
+    bool idealized = false;
 
     /**
      * NACK/abort retry backoff. With the policy None (the default)

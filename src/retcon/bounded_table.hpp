@@ -7,7 +7,7 @@
  * Insertion order is the order the commit walks the entries (the
  * pre-commit reacquire for the IVB, the drain for the SSB). Lookups go
  * through an address index, so a miss costs one hash probe; the scan
- * this replaces was hot once unlimitedState grew the buffers far past
+ * this replaces was hot once idealized RETCON grew the buffers far past
  * their Table 1 sizes (see bench/micro_structures).
  */
 

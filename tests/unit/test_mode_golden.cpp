@@ -127,9 +127,7 @@ rowConfig(const GoldenRow &row)
         cfg.shardBandwidth = 1;
         break;
       case Knobs::Ideal:
-        cfg.tm.unlimitedState = true;
-        cfg.tm.parallelReacquire = true;
-        cfg.tm.freeCommitStores = true;
+        cfg.tm.idealized = true;
         break;
     }
     return cfg;
