@@ -6,6 +6,11 @@
  * constraint addresses checked, pre-commit stall cycles, and the
  * pre-commit share of transaction lifetime.
  *
+ * `symregs` counts one register: the transaction's return value,
+ * which is 1 when it leaves the body symbolic and is repaired at
+ * commit (Core::deliverResult), else 0. Other registers a body holds
+ * live are not tracked to commit, so the column's max is 1.
+ *
  * The paper's conclusions to verify: the 16-entry IVB / 16-entry
  * constraint buffer / 32-entry SSB are ample (averages of a few
  * entries), and pre-commit repair costs under a few percent of

@@ -243,9 +243,6 @@ runOnce(const RunConfig &cfg)
         sum.tokenWaits = ts.waits;
     }
 
-    result.clusterSummaries.resize(cfg.clusters);
-    for (unsigned c = 0; c < cfg.clusters; ++c)
-        result.clusterSummaries[c] = fleet.summarize(c);
     if (const net::Interconnect *n = fleet.net()) {
         result.net.messages = n->totalMessages();
         result.net.payloadWords = n->totalPayloadWords();

@@ -296,9 +296,6 @@ struct RunResult {
     /** One entry per directory bank (shard x bank crossbar columns). */
     std::vector<BankSummary> banks;
 
-    /** One entry per cluster (size 1 at clusters == 1). */
-    std::vector<exec::ClusterSummary> clusterSummaries;
-
     /** Interconnect traffic (links empty at clusters == 1). */
     NetSummary net;
 

@@ -110,7 +110,6 @@ class Cluster
     unsigned numThreads() const { return _cfg.numThreads; }
     unsigned numShards() const { return _cfg.numShards; }
     unsigned numBanks() const { return _cfg.memBanks; }
-    const ClusterConfig &config() const { return _cfg; }
 
     /** Home event-queue shard of core @p i: round-robin placement,
      *  within the core's own cluster's shard slice in a fleet. */

@@ -359,9 +359,7 @@ Core::postResume()
             panic("transaction body threw: %s", e.what());
         }
         _txnAwait->out = ret;
-        std::uint64_t sym_regs =
-            (ret.symbolic() ? 1 : 0) + _tx._pinnedSymRegs;
-        _tm.noteSymRegsRepaired(_id, sym_regs);
+        _tm.noteSymRegsRepaired(_id, ret.symbolic() ? 1 : 0);
         commitLoop(false);
         return;
     }
@@ -410,7 +408,7 @@ Core::beginTxnAttempt(bool retry)
 void
 Core::launchBody()
 {
-    _tx.reset();
+    _tx._pending = 0;
     _attemptOps = 0;
     _body.emplace(_txnAwait->factory(_tx));
     _body->start();
@@ -554,7 +552,7 @@ Core::cleanupAttempt()
     _attemptWork = _attemptStall = _attemptCommit = 0;
     ++_stats.aborts;
     _body.reset();
-    _tx.reset();
+    _tx._pending = 0;
     // Restart delay: the machine's abort-backoff policy plus the
     // contention scheduler's deferral for hot blamed blocks. Both are
     // 0 by default (immediate restart — the baseline behaviour); any

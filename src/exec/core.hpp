@@ -69,8 +69,6 @@ class Barrier
     /** Called by Core; releases everyone when the last thread arrives. */
     void arrive(Core *core, std::coroutine_handle<> h);
 
-    unsigned parties() const { return _parties; }
-
   private:
     unsigned _parties;
     unsigned _arrived = 0;
@@ -170,31 +168,12 @@ class Tx
      *  records an equality constraint on symbolic inputs. */
     Word reify(const TxValue &v);
 
-    /** Declare a value held live to commit (Table 3 register stats). */
-    void
-    holdLive(const TxValue &v)
-    {
-        if (v.symbolic())
-            ++_pinnedSymRegs;
-    }
-
     CoreId coreId() const;
-
-    /** Pending uncharged ALU cycles (drained at the next await). */
-    Cycle pendingCompute() const { return _pending; }
-
-    void
-    reset()
-    {
-        _pending = 0;
-        _pinnedSymRegs = 0;
-    }
 
   private:
     friend class Core;
     Core *_core;
     Cycle _pending = 0;
-    std::uint32_t _pinnedSymRegs = 0;
 
     void charge(Cycle n = 1) { _pending += n; }
 };
@@ -281,7 +260,6 @@ class Core
     Cycle now() const { return _eq.now(); }
     const TimeBreakdown &breakdown() const { return _breakdown; }
     const CoreStats &stats() const { return _stats; }
-    WorkerCtx &ctx() { return *_ctx; }
     htm::TMMachine &machine() { return _tm; }
 
     /** Remote-abort notification from the machine. */
@@ -298,9 +276,6 @@ class Core
 
     /** Resume a barrier-released coroutine (called by Barrier). */
     void resumeFromBarrier(std::coroutine_handle<> h, Cycle delay);
-
-    Tx &tx() { return _tx; }
-    bool inTxn() const { return _inTxn; }
 
   private:
     /** Internal accounting categories, resolved at commit/abort. */

@@ -25,7 +25,6 @@ fleetConfig(const ClusterConfig &per, unsigned clusters,
 
 Fleet::Fleet(const ClusterConfig &per_cluster, unsigned clusters,
              const net::NetConfig &net_cfg)
-    : _clusters(clusters)
 {
     sim_assert(clusters >= 1, "fleet needs at least one cluster");
     sim_assert(per_cluster.numThreads * clusters <= 64,
@@ -33,36 +32,15 @@ Fleet::Fleet(const ClusterConfig &per_cluster, unsigned clusters,
                "mask");
     sim_assert(per_cluster.memBanks * clusters <= 64,
                "fleet-wide bank count exceeds the 64-bank token mask");
+    net::FleetTopology topo;
     if (clusters > 1) {
-        _topo.clusters = clusters;
-        _topo.threadsPerCluster = per_cluster.numThreads;
-        _topo.banksPerCluster = per_cluster.memBanks;
+        topo.clusters = clusters;
+        topo.threadsPerCluster = per_cluster.numThreads;
+        topo.banksPerCluster = per_cluster.memBanks;
         _net = std::make_unique<net::Interconnect>(clusters, net_cfg);
     }
     _cluster = std::make_unique<Cluster>(
-        fleetConfig(per_cluster, clusters, _topo, _net.get()));
-}
-
-ClusterSummary
-Fleet::summarize(unsigned c)
-{
-    ClusterSummary s;
-    Cluster &cl = *_cluster;
-    htm::TMMachine &tm = cl.machine();
-    unsigned per = _topo.fleet() ? _topo.threadsPerCluster
-                                 : cl.numThreads();
-    CoreId first = static_cast<CoreId>(c * per);
-    for (CoreId i = first; i < first + per; ++i) {
-        const Core &core = cl.core(i);
-        s.txns += core.stats().txns;
-        s.commits += core.stats().commits;
-        s.aborts += core.stats().aborts;
-        s.finishCycle = std::max(s.finishCycle,
-                                 core.stats().finishCycle);
-        s.tokenWaits += tm.tokenWaits(i);
-        s.xcTokenWaits += tm.xcTokenWaits(i);
-    }
-    return s;
+        fleetConfig(per_cluster, clusters, topo, _net.get()));
 }
 
 } // namespace retcon::exec

@@ -36,16 +36,6 @@
 
 namespace retcon::exec {
 
-/** Per-cluster roll-up for fleet reporting (api::RunResult). */
-struct ClusterSummary {
-    std::uint64_t txns = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    Cycle finishCycle = 0;
-    std::uint64_t tokenWaits = 0;   ///< Commit-token NACKs, any bank.
-    std::uint64_t xcTokenWaits = 0; ///< Of those: remote-bank blames.
-};
-
 /** N identically-sized clusters behind one wire. */
 class Fleet
 {
@@ -59,9 +49,6 @@ class Fleet
     Fleet(const ClusterConfig &per_cluster, unsigned clusters,
           const net::NetConfig &net_cfg = {});
 
-    unsigned clusters() const { return _clusters; }
-    const net::FleetTopology &topology() const { return _topo; }
-
     /** The shared substrate (its config holds fleet-wide totals). */
     Cluster &cluster() { return *_cluster; }
     const Cluster &cluster() const { return *_cluster; }
@@ -70,12 +57,7 @@ class Fleet
     net::Interconnect *net() { return _net.get(); }
     const net::Interconnect *net() const { return _net.get(); }
 
-    /** Roll up cluster @p c's cores (stats + token waits). */
-    ClusterSummary summarize(unsigned c);
-
   private:
-    unsigned _clusters;
-    net::FleetTopology _topo;
     std::unique_ptr<net::Interconnect> _net;
     std::unique_ptr<Cluster> _cluster;
 };

@@ -134,7 +134,6 @@ TMMachine::TMMachine(const SimClock &clock, mem::MemorySystem &ms,
             _cfg, ms.cacheConfig().permOnly));
     _bankTokens.resize(ms.numBanks());
     _tokenWaitsByCore.assign(ms.numCores(), 0);
-    _xcTokenWaitsByCore.assign(ms.numCores(), 0);
     _nackStreak.assign(ms.numCores(), 0);
     _abortStreak.assign(ms.numCores(), 0);
     _cascadeStreak.assign(ms.numCores(), 0);
@@ -1227,7 +1226,6 @@ TMMachine::acquireCommitTokens(CoreId core)
             ++_tokenWaitsByCore[core];
             if (remote) {
                 ++_stats.xcTokenWaits;
-                ++_xcTokenWaitsByCore[core];
             }
             audit(core, trace::EventKind::TokenWait, b, h, need);
             if (_contention)

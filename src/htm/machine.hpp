@@ -132,7 +132,6 @@ class TMMachine : public mem::CoherenceListener
      * timing is identical either way (audit events carry no latency).
      */
     void setTraceSink(trace::TraceSink *sink) { _sink = sink; }
-    trace::TraceSink *traceSink() const { return _sink; }
 
     /**
      * Attach the fleet interconnect (non-owning; null detaches, the
@@ -182,7 +181,13 @@ class TMMachine : public mem::CoherenceListener
      */
     CommitStepOutcome commitStep(CoreId core, bool is_retry = false);
 
-    /** Record how many symbolic registers the exec layer repaired. */
+    /**
+     * Record how many symbolic registers the exec layer repaired
+     * (Table 3's `symregs`): the one register the exec layer tracks
+     * to commit, the transaction's return value — 1 when it is
+     * symbolic (Core::deliverResult hands back its repaired value),
+     * else 0.
+     */
     void noteSymRegsRepaired(CoreId core, std::uint64_t n);
 
     /**
@@ -217,7 +222,6 @@ class TMMachine : public mem::CoherenceListener
     Word finalRootValue(CoreId core, Addr root) const;
 
     rtc::ConflictPredictor &predictor() { return _predictor; }
-    const TMConfig &config() const { return _cfg; }
     const MachineStats &stats() const { return _stats; }
     MachineStats &stats() { return _stats; }
     mem::MemorySystem &memorySystem() { return _ms; }
@@ -238,12 +242,6 @@ class TMMachine : public mem::CoherenceListener
     std::uint64_t tokenWaits(CoreId core) const
     {
         return _tokenWaitsByCore[core];
-    }
-
-    /** Cross-cluster token waits charged to @p core (fleet only). */
-    std::uint64_t xcTokenWaits(CoreId core) const
-    {
-        return _xcTokenWaitsByCore[core];
     }
 
     /**
@@ -291,7 +289,6 @@ class TMMachine : public mem::CoherenceListener
     };
     std::vector<BankToken> _bankTokens;
     std::vector<std::uint64_t> _tokenWaitsByCore;
-    std::vector<std::uint64_t> _xcTokenWaitsByCore;
 
     /// Fleet interconnect (null = single cluster, no wire costs).
     net::Interconnect *_net = nullptr;

@@ -27,17 +27,6 @@
 
 namespace retcon::htm {
 
-/** Per-transaction statistics sampled at commit (Table 3 inputs). */
-struct TxnSample {
-    std::uint64_t blocksLost = 0;
-    std::uint64_t blocksTracked = 0;
-    std::uint64_t symRegsRepaired = 0;
-    std::uint64_t privateStores = 0;
-    std::uint64_t constraintAddrs = 0;
-    Cycle commitCycles = 0;
-    Cycle lifetimeCycles = 0;
-};
-
 /** The commit pipeline's phases, in order (Figure 7). */
 enum class CommitPhase : std::uint8_t {
     Arbitrate, ///< DATM predecessor wait, then the mode's token.

@@ -140,7 +140,7 @@ class Histogram
     std::uint64_t _total = 0;
 };
 
-/** Named scalar counters, grouped for report printing. */
+/** Named scalar counters (read back by name). */
 class StatSet
 {
   public:
@@ -158,17 +158,6 @@ class StatSet
         auto it = _values.find(name);
         return it == _values.end() ? 0.0 : it->second;
     }
-
-    const std::map<std::string, double> &all() const { return _values; }
-
-    void
-    merge(const StatSet &o)
-    {
-        for (const auto &[k, v] : o._values)
-            _values[k] += v;
-    }
-
-    void reset() { _values.clear(); }
 
   private:
     std::map<std::string, double> _values;

@@ -78,14 +78,6 @@ ReenactmentValidator::openAttempts() const
 }
 
 void
-ReenactmentValidator::reset()
-{
-    _logs.clear();
-    _uidCore.clear();
-    _report = ReenactReport{};
-}
-
-void
 ReenactmentValidator::flag(Mismatch m)
 {
     ++_report.mismatches;

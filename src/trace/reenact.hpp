@@ -123,9 +123,6 @@ class ReenactmentValidator final : public TraceSink
      */
     std::size_t openAttempts() const;
 
-    /** Forget all per-core logs and results. */
-    void reset();
-
   private:
     /** One word's pending symbolic/concrete store (SSB mirror). */
     struct StoreEnt {

@@ -145,17 +145,6 @@ TEST(StatSet, AddAndGet)
     EXPECT_DOUBLE_EQ(s.get("absent"), 0.0);
 }
 
-TEST(StatSet, Merge)
-{
-    StatSet a, b;
-    a.add("x", 1);
-    b.add("x", 2);
-    b.add("y", 5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
-}
-
 TEST(Xoshiro, DeterministicForSameSeed)
 {
     Xoshiro a(42), b(42);
