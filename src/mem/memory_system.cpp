@@ -109,9 +109,9 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
 
     AccessResult res;
     CoreCaches &cc = _cores[core];
-    // The request's one directory read. The reference stays valid for
-    // the whole transition: map inserts never move entries, nothing
-    // erases one, and fill() only drops the evicted block's entry.
+    // The request's one directory read. The reference stays valid
+    // through the whole transition: map inserts never move entries and
+    // nothing erases one.
     DirEntry &e = _directory.entry(block);
     bool perm = is_write ? e.writable(core) : e.readable(core);
 
@@ -138,8 +138,7 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     // Miss: L1 issue + L2 lookup + hop to the block's home directory
     // bank; a busy bank slips the request (0 when occupancy is
     // unmodeled).
-    res.latency = kL1HitCycles + kL2HitCycles + kHopCycles;
-    res.latency += bankVisit(block);
+    res.latency = kL1HitCycles + kL2HitCycles + kHopCycles + bankVisit(block);
     // A miss homed on another cluster's bank pays the wire: a control
     // request out, a data-bearing reply back, occupying the links it
     // crosses (hot links queue later traffic).
