@@ -1224,9 +1224,8 @@ TMMachine::acquireCommitTokens(CoreId core)
             ++_stats.tokenWaits;
             ++_bankTokens[b].stats.waits;
             ++_tokenWaitsByCore[core];
-            if (remote) {
+            if (remote)
                 ++_stats.xcTokenWaits;
-            }
             audit(core, trace::EventKind::TokenWait, b, h, need);
             if (_contention)
                 _contention(core, tokenBlameKey(b));
