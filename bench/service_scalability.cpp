@@ -228,20 +228,19 @@ main(int argc, char **argv)
                     cfg.contentionSched ? "on" : "off",
                     (unsigned long long)r.cycles,
                     api::metric(r, "commits_per_kcycle"));
-        std::printf("  %-5s %9s %9s %9s %9s %9s %9s %9s %9s\n", "shard",
+        std::printf("  %-5s %9s %9s %9s %9s %9s %9s %9s\n", "shard",
                     "commits", "aborts", "repairs", "events", "stolen",
-                    "slipped", "tokwait", "defers");
+                    "slipped", "defers");
         for (unsigned s = 0; s < r.shards.size(); ++s) {
             const api::ShardSummary &ss = r.shards[s];
             std::printf("  %-5u %9llu %9llu %9llu %9llu %9llu %9llu "
-                        "%9llu %9llu\n",
+                        "%9llu\n",
                         s, (unsigned long long)ss.commits,
                         (unsigned long long)ss.aborts,
                         (unsigned long long)ss.repairs,
                         (unsigned long long)ss.queueExecuted,
                         (unsigned long long)ss.queueStolen,
                         (unsigned long long)ss.queueDeferred,
-                        (unsigned long long)ss.tokenWaits,
                         (unsigned long long)ss.schedDefers);
         }
         std::printf("  %-5s %9s %9s %9s %9s %9s\n", "bank", "requests",

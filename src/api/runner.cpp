@@ -222,9 +222,6 @@ runOnce(const RunConfig &cfg)
             sum.repairs = mux->counters(s).repairs;
             sum.forwards = mux->counters(s).forwards;
         }
-        for (CoreId c = 0; c < cluster.numThreads(); ++c)
-            if (cluster.shardOf(c) == s)
-                sum.tokenWaits += cluster.machine().tokenWaits(c);
         exec::ContentionScheduler::Stats sched = cluster.schedStats(s);
         sum.schedObserved = sched.observed;
         sum.schedDefers = sched.defers;

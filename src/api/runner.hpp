@@ -188,10 +188,6 @@ struct ShardSummary {
     std::uint64_t repairs = 0;
     std::uint64_t forwards = 0; ///< DATM forwarded-value loads.
 
-    /// Commit-token waits charged to cores homed on this shard
-    /// (0 unless tm.commitTokenArbitration).
-    std::uint64_t tokenWaits = 0;
-
     /// Contention-aware scheduling on this shard (all 0 unless
     /// RunConfig::contentionSched): hot-block observations fed to the
     /// shard's table, restarts deferred, and total deferral cycles.

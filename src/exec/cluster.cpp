@@ -52,8 +52,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
     : _cfg(cfg), _eq(queueConfig(cfg), coreHomes(cfg))
 {
     _ms = std::make_unique<mem::MemorySystem>(cfg.numThreads, cfg.timing,
-                                              cfg.caches, cfg.memBanks,
-                                              cfg.fleet);
+                                              cfg.memBanks, cfg.fleet);
     _ms->setClock(&_eq); // Bank occupancy observes the global clock.
     if (cfg.net)
         _ms->setNet(cfg.net);

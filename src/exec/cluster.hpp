@@ -33,7 +33,6 @@ struct ClusterConfig {
     std::uint64_t seed = 1;
     htm::TMConfig tm{};
     mem::MemTimingConfig timing{};
-    mem::CacheConfig caches{};
     Cycle maxCycles = 2'000'000'000ull; ///< Watchdog for runaway runs.
 
     /**

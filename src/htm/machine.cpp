@@ -23,17 +23,6 @@ tmModeName(TMMode m)
 }
 
 const char *
-cmPolicyName(CMPolicy p)
-{
-    switch (p) {
-      case CMPolicy::OldestWins: return "oldest-wins";
-      case CMPolicy::RequesterLoses: return "requester-loses";
-      case CMPolicy::RequesterWins: return "requester-wins";
-    }
-    return "?";
-}
-
-const char *
 backoffPolicyName(BackoffPolicy p)
 {
     switch (p) {
@@ -130,10 +119,8 @@ TMMachine::TMMachine(const SimClock &clock, mem::MemorySystem &ms,
 {
     _cores.reserve(ms.numCores());
     for (unsigned i = 0; i < ms.numCores(); ++i)
-        _cores.push_back(std::make_unique<CoreTxState>(
-            _cfg, ms.cacheConfig().permOnly));
+        _cores.push_back(std::make_unique<CoreTxState>(_cfg));
     _bankTokens.resize(ms.numBanks());
-    _tokenWaitsByCore.assign(ms.numCores(), 0);
     _nackStreak.assign(ms.numCores(), 0);
     _abortStreak.assign(ms.numCores(), 0);
     _cascadeStreak.assign(ms.numCores(), 0);
@@ -570,8 +557,7 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
             return failedAccess(core, s);
     }
 
-    mem::AccessResult res = _ms.access(core, block, is_write);
-    out.latency = res.latency;
+    out.latency = _ms.access(core, block, is_write);
 
     CoreTxState &st = *_cores[core];
     if (txnal) {
@@ -599,7 +585,7 @@ TMMachine::plainLoad(CoreId core, Addr addr, unsigned size)
 {
     if (_cfg.mode == TMMode::Lazy) {
         // Memory holds only committed data (writes are buffered).
-        Cycle lat = _ms.access(core, blockAddr(addr), false).latency;
+        Cycle lat = _ms.access(core, blockAddr(addr), false);
         return {OpStatus::Ok, lat, _ms.memory().read(addr, size),
                 std::nullopt};
     }
@@ -617,9 +603,9 @@ TMMachine::plainStore(CoreId core, Addr addr, Word value, unsigned size)
         forEachToucher(core, block, true, [&](CoreId c, bool, bool) {
             doAbort(c, AbortCause::LazyCommitter, true, block);
         });
-        mem::AccessResult res = _ms.access(core, block, true);
+        Cycle lat = _ms.access(core, block, true);
         _ms.memory().write(addr, value, size);
-        return {OpStatus::Ok, res.latency, 0, std::nullopt};
+        return {OpStatus::Ok, lat, 0, std::nullopt};
     }
     return eagerAccess(core, addr, true, value, size, false, false);
 }
@@ -682,10 +668,10 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             out.latency = 1;
             return out;
         }
-        mem::AccessResult res = _ms.access(core, block, false);
+        Cycle lat = _ms.access(core, block, false);
         st.readSet.insert(block);
         MemOpOutcome out;
-        out.latency = res.latency;
+        out.latency = lat;
         out.value = _ms.memory().read(addr, size);
         audit(core, trace::EventKind::Load, addr, out.value);
         return out;
@@ -776,10 +762,10 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
       case TMMode::DATM: {
         if (!datmOrderAfter(core, block, false))
             return failedAccess(core, OpStatus::AbortSelf);
-        mem::AccessResult res = _ms.access(core, block, false);
+        Cycle lat = _ms.access(core, block, false);
         st.readSet.insert(block);
         MemOpOutcome out;
-        out.latency = res.latency;
+        out.latency = lat;
         // The dependence edges above are block-granular (conservative
         // ordering); the value flow the audit re-derives is per word.
         // A load consumes forwarded data exactly when the word's
@@ -828,7 +814,7 @@ TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
     if (s != OpStatus::Ok)
         return failedAccess(core, s);
 
-    mem::AccessResult res = _ms.access(core, block, false);
+    Cycle lat = _ms.access(core, block, false);
 
     std::array<Word, kWordsPerBlock> words{};
     for (unsigned i = 0; i < kWordsPerBlock; ++i)
@@ -841,7 +827,7 @@ TMMachine::symbolicFirstLoad(CoreId core, Addr addr, unsigned size,
     e->readMask |= 1u << w;
 
     MemOpOutcome out;
-    out.latency = res.latency;
+    out.latency = lat;
     out.value = extractBytes(words[w], byteInWord(addr), size);
     if (_cfg.mode == TMMode::Retcon && isFullWordAccess(addr, size)) {
         out.sym = rtc::SymTag{wordAddr(addr), 0, 8};
@@ -929,10 +915,10 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         }
         if (!datmOrderAfter(core, block, true))
             return failedAccess(core, OpStatus::AbortSelf);
-        mem::AccessResult res = _ms.access(core, block, true);
+        Cycle lat = _ms.access(core, block, true);
         st.writeSet.insert(block);
         st.datmStoreSeq[word] = speculativeWrite(core, addr, value, size);
-        return MemOpOutcome{OpStatus::Ok, res.latency, 0, std::nullopt};
+        return MemOpOutcome{OpStatus::Ok, lat, 0, std::nullopt};
       }
     }
     panic("unreachable txStore mode");
@@ -956,7 +942,7 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
     OpStatus s = resolveConflict(core, true, block, true, is_retry);
     if (s != OpStatus::Ok)
         return failedAccess(core, s);
-    mem::AccessResult res = _ms.access(core, block, true);
+    Cycle lat = _ms.access(core, block, true);
 
     // Storing into a value-tracked word fixes its input value: validate
     // the pre-store (now conflict-free) value and freeze it so the
@@ -982,7 +968,7 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
 
     st.writeSet.insert(block);
     speculativeWrite(core, addr, value, size);
-    return MemOpOutcome{OpStatus::Ok, res.latency, 0, std::nullopt};
+    return MemOpOutcome{OpStatus::Ok, lat, 0, std::nullopt};
 }
 
 void
@@ -1223,7 +1209,6 @@ TMMachine::acquireCommitTokens(CoreId core)
                 continue;
             ++_stats.tokenWaits;
             ++_bankTokens[b].stats.waits;
-            ++_tokenWaitsByCore[core];
             if (remote)
                 ++_stats.xcTokenWaits;
             audit(core, trace::EventKind::TokenWait, b, h, need);
@@ -1436,7 +1421,7 @@ TMMachine::commitWalk(CoreId core, bool is_retry)
                                          is_retry);
             if (s != OpStatus::Ok)
                 return commitFailed(core, s);
-            lat = _ms.access(core, e.block, want_write).latency;
+            lat = _ms.access(core, e.block, want_write);
         }
         // Protect the block eagerly for the rest of the commit
         // (Figure 7 sets the speculatively-read bit).
@@ -1487,12 +1472,12 @@ TMMachine::commitDrain(CoreId core, bool is_retry)
         forEachToucher(core, block, true, [&](CoreId c, bool, bool) {
             doAbort(c, AbortCause::LazyCommitter, true, block);
         });
-        lat = _ms.access(core, block, true).latency;
+        lat = _ms.access(core, block, true);
     } else if (!_ms.hasWritePerm(core, block)) {
         OpStatus s = resolveConflict(core, true, block, true, is_retry);
         if (s != OpStatus::Ok)
             return commitFailed(core, s);
-        lat = _ms.access(core, block, true).latency;
+        lat = _ms.access(core, block, true);
     }
     st.writeSet.insert(block);
     Word value = e.concrete;

@@ -238,12 +238,6 @@ class TMMachine : public mem::CoherenceListener
         return _bankTokens[bank].stats;
     }
 
-    /** Commit-token waits charged to @p core (for shard summaries). */
-    std::uint64_t tokenWaits(CoreId core) const
-    {
-        return _tokenWaitsByCore[core];
-    }
-
     /**
      * Extra delay (cycles) the execution layer must wait before
      * restarting @p core's aborted transaction, per the configured
@@ -288,7 +282,6 @@ class TMMachine : public mem::CoherenceListener
         BankTokenStats stats;
     };
     std::vector<BankToken> _bankTokens;
-    std::vector<std::uint64_t> _tokenWaitsByCore;
 
     /// Fleet interconnect (null = single cluster, no wire costs).
     net::Interconnect *_net = nullptr;

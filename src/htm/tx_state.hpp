@@ -7,7 +7,10 @@
  * undo log (eager version management), the RETCON structures (IVB,
  * constraint buffer, SSB), the modeled permissions-only cache that
  * absorbs speculative bits evicted from the L2 (OneTM backing, §2), the
- * DATM dependence bookkeeping, and the pre-commit walk cursor.
+ * DATM dependence bookkeeping, and the pre-commit walk cursor. The
+ * structure capacities are the fixed Table 1 sizes below (lifted by
+ * TMConfig::idealized); the permissions-only cache has the fixed
+ * mem::kPermOnlyGeometry.
  */
 
 #ifndef RETCON_HTM_TX_STATE_HPP
@@ -19,7 +22,7 @@
 
 #include "htm/types.hpp"
 #include "htm/undo_log.hpp"
-#include "mem/cache.hpp"
+#include "mem/memory_system.hpp"
 #include "retcon/constraint_buffer.hpp"
 #include "retcon/ivb.hpp"
 #include "retcon/ssb.hpp"
@@ -35,17 +38,20 @@ enum class CommitPhase : std::uint8_t {
     Finalize,  ///< Publish root values, release tokens, retire.
 };
 
+/// RETCON structure capacities (Table 1).
+inline constexpr std::size_t kIvbEntries = 16;
+inline constexpr std::size_t kConstraintEntries = 16;
+inline constexpr std::size_t kSsbEntries = 32;
+
 /** Everything one core's current transaction owns. */
 struct CoreTxState {
-    CoreTxState(const TMConfig &cfg, const mem::CacheGeometry &perm_geom)
-        : ivb(cfg.idealized ? SIZE_MAX : cfg.ivbEntries),
-          constraints(cfg.idealized ? SIZE_MAX : cfg.constraintEntries),
+    explicit CoreTxState(const TMConfig &cfg)
+        : ivb(cfg.idealized ? SIZE_MAX : kIvbEntries),
+          constraints(cfg.idealized ? SIZE_MAX : kConstraintEntries),
           // TCC's write buffer (Lazy) is unbounded; only RETCON's
           // symbolic store buffer has the Table 1 capacity.
-          ssb(cfg.idealized || cfg.mode == TMMode::Lazy
-                  ? SIZE_MAX
-                  : cfg.ssbEntries),
-          permCache(perm_geom)
+          ssb(cfg.idealized || cfg.mode == TMMode::Lazy ? SIZE_MAX
+                                                        : kSsbEntries)
     {}
 
     TxStatus status = TxStatus::Idle;
@@ -74,7 +80,7 @@ struct CoreTxState {
     /// Permissions-only cache occupancy model: spec blocks evicted from
     /// the L2 land here; evicting a spec block *from here* overflows the
     /// transaction into the OneTM serialized mode.
-    mem::SetAssocCache permCache;
+    mem::SetAssocCache permCache{mem::kPermOnlyGeometry};
     bool overflowed = false;
     bool overflowPending = false;
 

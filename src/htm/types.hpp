@@ -35,8 +35,6 @@ enum class CMPolicy : std::uint8_t {
     RequesterWins,   ///< Holders abort (livelock-prone; for the ablation).
 };
 
-const char *cmPolicyName(CMPolicy p);
-
 /** Lifecycle state of a core's current transaction. */
 enum class TxStatus : std::uint8_t { Idle, Active, Committing };
 
@@ -144,11 +142,6 @@ tokenBlameKey(unsigned bank)
 struct TMConfig {
     TMMode mode = TMMode::Eager;
     CMPolicy cmPolicy = CMPolicy::OldestWins;
-
-    /// RETCON structure capacities (Table 1).
-    std::size_t ivbEntries = 16;
-    std::size_t constraintEntries = 16;
-    std::size_t ssbEntries = 32;
 
     rtc::ConflictPredictor::Config predictor{};
 

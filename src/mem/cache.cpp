@@ -3,35 +3,33 @@
 namespace retcon::mem {
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geom)
-    : _ways(geom.ways)
+    : _lines(geom.numSets() * geom.ways), _ways(geom.ways),
+      _setMask(geom.numSets() - 1)
 {
     std::uint64_t nsets = geom.numSets();
     sim_assert(nsets > 0 && (nsets & (nsets - 1)) == 0,
                "cache set count must be a nonzero power of two");
-    _sets.resize(nsets);
-    for (auto &s : _sets)
-        s.resize(_ways);
 }
 
-SetAssocCache::Set &
+std::span<SetAssocCache::Line>
 SetAssocCache::setFor(Addr block)
 {
-    std::uint64_t idx = (block / kBlockBytes) & (_sets.size() - 1);
-    return _sets[idx];
+    std::uint64_t idx = (block / kBlockBytes) & _setMask;
+    return {_lines.data() + idx * _ways, _ways};
 }
 
-const SetAssocCache::Set &
+std::span<const SetAssocCache::Line>
 SetAssocCache::setFor(Addr block) const
 {
-    std::uint64_t idx = (block / kBlockBytes) & (_sets.size() - 1);
-    return _sets[idx];
+    std::uint64_t idx = (block / kBlockBytes) & _setMask;
+    return {_lines.data() + idx * _ways, _ways};
 }
 
 bool
 SetAssocCache::contains(Addr block) const
 {
     for (const auto &line : setFor(block))
-        if (line.valid && line.block == block)
+        if (line.lastUse != 0 && line.block == block)
             return true;
     return false;
 }
@@ -40,7 +38,7 @@ void
 SetAssocCache::touch(Addr block)
 {
     for (auto &line : setFor(block)) {
-        if (line.valid && line.block == block) {
+        if (line.lastUse != 0 && line.block == block) {
             line.lastUse = ++_useClock;
             return;
         }
@@ -50,18 +48,18 @@ SetAssocCache::touch(Addr block)
 std::optional<Addr>
 SetAssocCache::insert(Addr block)
 {
-    Set &set = setFor(block);
+    std::span<Line> set = setFor(block);
     // Already resident: refresh recency.
     for (auto &line : set) {
-        if (line.valid && line.block == block) {
+        if (line.lastUse != 0 && line.block == block) {
             line.lastUse = ++_useClock;
             return std::nullopt;
         }
     }
     // Free way available.
     for (auto &line : set) {
-        if (!line.valid) {
-            line = Line{block, true, ++_useClock};
+        if (line.lastUse == 0) {
+            line = Line{block, ++_useClock};
             ++_occupancy;
             return std::nullopt;
         }
@@ -72,7 +70,7 @@ SetAssocCache::insert(Addr block)
         if (line.lastUse < victim->lastUse)
             victim = &line;
     Addr evicted = victim->block;
-    *victim = Line{block, true, ++_useClock};
+    *victim = Line{block, ++_useClock};
     return evicted;
 }
 
@@ -80,8 +78,8 @@ bool
 SetAssocCache::invalidate(Addr block)
 {
     for (auto &line : setFor(block)) {
-        if (line.valid && line.block == block) {
-            line.valid = false;
+        if (line.lastUse != 0 && line.block == block) {
+            line.lastUse = 0;
             --_occupancy;
             return true;
         }
@@ -92,9 +90,8 @@ SetAssocCache::invalidate(Addr block)
 void
 SetAssocCache::clear()
 {
-    for (auto &set : _sets)
-        for (auto &line : set)
-            line.valid = false;
+    for (auto &line : _lines)
+        line.lastUse = 0;
     _occupancy = 0;
 }
 

@@ -3,11 +3,13 @@
  * Set-associative cache tag array with true-LRU replacement.
  *
  * Only presence/recency metadata is modeled; data lives in the shared
- * functional SparseMemory. The same class instantiates the L1 (64KB,
- * 4-way), the private L2 (1MB, 4-way) and the permissions-only cache
- * (4KB, 4-way) from Table 1 — the permissions-only cache simply treats
- * an entry as "this block's coherence permissions and speculative
- * read/written bits survive here after data eviction" (OneTM).
+ * functional SparseMemory. The same class instantiates the L1, the
+ * private L2 and the permissions-only cache at the fixed Table 1
+ * geometries (mem::kL1Geometry, kL2Geometry, kPermOnlyGeometry) — the
+ * permissions-only cache simply treats an entry as "this block's
+ * coherence permissions and speculative read/written bits survive here
+ * after data eviction" (OneTM). The tag array is one flat line array,
+ * sets x ways; set i is the ways-long slice starting at i * ways.
  */
 
 #ifndef RETCON_MEM_CACHE_HPP
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -22,16 +25,15 @@
 
 namespace retcon::mem {
 
-/** Geometry of a set-associative cache. */
+/** Geometry of a set-associative cache of kBlockBytes blocks. */
 struct CacheGeometry {
     std::uint64_t sizeBytes;
     unsigned ways;
-    unsigned blockBytes = kBlockBytes;
 
-    std::uint64_t
+    constexpr std::uint64_t
     numSets() const
     {
-        return sizeBytes / (static_cast<std::uint64_t>(ways) * blockBytes);
+        return sizeBytes / (static_cast<std::uint64_t>(ways) * kBlockBytes);
     }
 };
 
@@ -62,25 +64,25 @@ class SetAssocCache
     /** Number of resident blocks (for tests). */
     std::size_t occupancy() const { return _occupancy; }
 
-    std::uint64_t numSets() const { return _sets.size(); }
+    std::uint64_t numSets() const { return _setMask + 1; }
     unsigned ways() const { return _ways; }
 
   private:
+    /// One way. lastUse 0 marks a free way: the use clock hands out
+    /// 1, 2, ... so a resident line never reads 0.
     struct Line {
         Addr block = 0;
-        bool valid = false;
         std::uint64_t lastUse = 0;
     };
 
-    using Set = std::vector<Line>;
-
-    std::vector<Set> _sets;
+    std::vector<Line> _lines; ///< numSets() x ways, set-major.
     unsigned _ways;
+    std::uint64_t _setMask;
     std::uint64_t _useClock = 0;
     std::size_t _occupancy = 0;
 
-    Set &setFor(Addr block);
-    const Set &setFor(Addr block) const;
+    std::span<Line> setFor(Addr block);
+    std::span<const Line> setFor(Addr block) const;
 };
 
 } // namespace retcon::mem

@@ -7,19 +7,16 @@
 namespace retcon::mem {
 
 MemorySystem::MemorySystem(unsigned num_cores, const MemTimingConfig &timing,
-                           const CacheConfig &caches, unsigned num_banks,
+                           unsigned num_banks,
                            const net::FleetTopology &topo)
-    : _numCores(num_cores), _timing(timing), _cacheConfig(caches),
-      _directory(num_banks, topo)
+    : _numCores(num_cores), _timing(timing), _directory(num_banks, topo),
+      _cores(num_cores)
 {
     sim_assert(num_cores >= 1 && num_cores <= 64,
                "directory sharer mask supports at most 64 cores");
     sim_assert(!topo.fleet() ||
                    topo.clusters * topo.threadsPerCluster == num_cores,
                "fleet core partition must cover every core");
-    _cores.reserve(num_cores);
-    for (unsigned i = 0; i < num_cores; ++i)
-        _cores.emplace_back(caches);
     _bankFreeAt.assign(num_banks, 0);
     _bankStats.resize(num_banks);
 }
@@ -101,13 +98,12 @@ MemorySystem::invalidate(CoreId victim, Addr block, CoreId by)
         _listener->onRemoteTake(victim, block, by, true);
 }
 
-AccessResult
+Cycle
 MemorySystem::access(CoreId core, Addr block, bool is_write)
 {
     sim_assert(core < _numCores, "access from unknown core %u", core);
     sim_assert(blockAddr(block) == block, "access must be block-aligned");
 
-    AccessResult res;
     CoreCaches &cc = _cores[core];
     // The request's one directory read. The reference stays valid
     // through the whole transition: map inserts never move entries and
@@ -116,29 +112,25 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     bool perm = is_write ? e.writable(core) : e.readable(core);
 
     if (perm && cc.l1.contains(block)) {
-        res.latency = kL1HitCycles;
-        res.l1Hit = true;
         cc.l1.touch(block);
         cc.l2.touch(block);
         _stats.add("l1_hits");
-        return res;
+        return kL1HitCycles;
     }
     if (perm && cc.l2.contains(block)) {
-        res.latency = kL1HitCycles + kL2HitCycles;
-        res.l2Hit = true;
         cc.l2.touch(block);
         // Refill L1 from L2.
-        if (auto evicted = cc.l1.insert(block))
-            (void)evicted;
+        cc.l1.insert(block);
         _stats.add("l2_hits");
-        return res;
+        return kL1HitCycles + kL2HitCycles;
     }
 
     _stats.add(is_write ? "write_misses" : "read_misses");
     // Miss: L1 issue + L2 lookup + hop to the block's home directory
     // bank; a busy bank slips the request (0 when occupancy is
     // unmodeled).
-    res.latency = kL1HitCycles + kL2HitCycles + kHopCycles + bankVisit(block);
+    Cycle latency =
+        kL1HitCycles + kL2HitCycles + kHopCycles + bankVisit(block);
     // A miss homed on another cluster's bank pays the wire: a control
     // request out, a data-bearing reply back, occupying the links it
     // crosses (hot links queue later traffic).
@@ -149,8 +141,7 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
             Cycle now = _clock ? _clock->now() : 0;
             Cycle wire = _net->roundTrip(src, home, net::kCtrlMsgWords,
                                          net::kDataMsgWords, now);
-            res.latency += wire;
-            res.remoteCluster = true;
+            latency += wire;
             _stats.add("xc_accesses");
             _stats.add("xc_access_cycles", static_cast<double>(wire));
         }
@@ -159,8 +150,8 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     const std::uint64_t me = std::uint64_t(1) << core;
     if (e.state == DirState::Modified && e.owner != core) {
         // Forward to owner; owner L2 access; data to requester.
-        res.latency += kHopCycles + kL2HitCycles + kHopCycles;
-        res.remoteTransfer = true;
+        latency += kHopCycles + kL2HitCycles + kHopCycles;
+        _stats.add("cache_to_cache");
         CoreId owner = e.owner;
         if (is_write) {
             invalidate(owner, block, core);
@@ -175,10 +166,10 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
     } else if (e.state == DirState::Shared && is_write) {
         // Invalidate sharers (parallel) + ack; data from memory if the
         // requester lacks a copy.
-        res.latency += 2 * kHopCycles;
+        latency += 2 * kHopCycles;
         if (!(e.sharers & me)) {
-            res.latency += kDramCycles;
-            res.dramAccess = true;
+            latency += kDramCycles;
+            _stats.add("dram_accesses");
         }
         std::uint64_t others = e.sharers & ~me;
         for (CoreId v = 0; v < _numCores; ++v)
@@ -186,15 +177,15 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
                 invalidate(v, block, core);
     } else if (e.state == DirState::Shared) {
         // Clean data supplied by memory.
-        res.latency += kDramCycles + kHopCycles;
-        res.dramAccess = true;
+        latency += kDramCycles + kHopCycles;
+        _stats.add("dram_accesses");
         e.sharers |= me;
     } else {
         // Invalid at directory, or the requester's own Modified block
         // refetched after an L2 eviction: fetch from DRAM.
-        res.latency += kDramCycles + kHopCycles;
+        latency += kDramCycles + kHopCycles;
         if (e.state == DirState::Invalid) {
-            res.dramAccess = true;
+            _stats.add("dram_accesses");
             if (!is_write) {
                 e.state = DirState::Shared;
                 e.sharers = me;
@@ -207,13 +198,8 @@ MemorySystem::access(CoreId core, Addr block, bool is_write)
         e.sharers = 0;
     }
 
-    if (res.remoteTransfer)
-        _stats.add("cache_to_cache");
-    if (res.dramAccess)
-        _stats.add("dram_accesses");
-
     fill(core, block);
-    return res;
+    return latency;
 }
 
 } // namespace retcon::mem

@@ -4,11 +4,13 @@
  *
  * Models the Table 1 machine: per-core L1 (64KB/4-way) and private L2
  * (1MB/4-way) with 64B blocks, a directory protocol with 20-cycle hops,
- * 10-cycle L2 hits and 100-cycle DRAM. State transitions (directory and
- * tag arrays) are applied atomically at request time, and each branch
- * of the coherence transition adds its own protocol latency; the
- * returned latency schedules when the requesting core may continue.
- * Each request reads its directory entry once. This keeps
+ * 10-cycle L2 hits and 100-cycle DRAM. The geometries and latencies
+ * are fixed constants below, not options. State transitions (directory
+ * and tag arrays) are applied atomically at request time, and each
+ * branch of the coherence transition adds its own protocol latency; an
+ * access returns only that latency, which schedules when the
+ * requesting core may continue. Each request reads its directory entry
+ * once. This keeps
  * the interleaving of memory operations — the thing conflict behaviour
  * depends on — cycle-accurate while avoiding transient protocol states.
  *
@@ -40,6 +42,12 @@ inline constexpr Cycle kL2HitCycles = 10;
 inline constexpr Cycle kHopCycles = 20;   ///< Directory/interconnect hop.
 inline constexpr Cycle kDramCycles = 100; ///< DRAM lookup.
 
+/// Fixed cache geometries of the Table 1 machine.
+inline constexpr CacheGeometry kL1Geometry{64 * 1024, 4};
+inline constexpr CacheGeometry kL2Geometry{1024 * 1024, 4};
+/// OneTM permissions-only cache (one per core, owned by the HTM layer).
+inline constexpr CacheGeometry kPermOnlyGeometry{4 * 1024, 4};
+
 /** Directory timing beyond the fixed latencies above. */
 struct MemTimingConfig {
     /**
@@ -54,13 +62,6 @@ struct MemTimingConfig {
      * value.
      */
     Cycle bankOccupancy = 0;
-};
-
-/** Cache geometry parameters, defaults per Table 1. */
-struct CacheConfig {
-    CacheGeometry l1{64 * 1024, 4};
-    CacheGeometry l2{1024 * 1024, 4};
-    CacheGeometry permOnly{4 * 1024, 4};
 };
 
 /** Receives notifications about blocks leaving a core's caches. */
@@ -79,16 +80,6 @@ class CoherenceListener
 
     /** @p victim lost @p block to a capacity eviction from its L2. */
     virtual void onCapacityEvict(CoreId victim, Addr block) = 0;
-};
-
-/** Outcome of a timed access. */
-struct AccessResult {
-    Cycle latency = 0;
-    bool l1Hit = false;
-    bool l2Hit = false;
-    bool remoteTransfer = false;  ///< Data came cache-to-cache.
-    bool dramAccess = false;
-    bool remoteCluster = false;   ///< Crossed the fleet interconnect.
 };
 
 /**
@@ -126,7 +117,7 @@ class MemorySystem
     };
 
     MemorySystem(unsigned num_cores, const MemTimingConfig &timing = {},
-                 const CacheConfig &caches = {}, unsigned num_banks = 1,
+                 unsigned num_banks = 1,
                  const net::FleetTopology &topo = {});
 
     /** Install (or clear, with period 0) the slow-bank fault. */
@@ -160,9 +151,9 @@ class MemorySystem
 
     /**
      * Perform a timed coherence access by @p core to @p block.
-     * Applies all state transitions and reports the latency.
+     * Applies all state transitions and @return the latency.
      */
-    AccessResult access(CoreId core, Addr block, bool is_write);
+    Cycle access(CoreId core, Addr block, bool is_write);
 
     /** True when @p core can read @p block without a miss. */
     bool hasReadPerm(CoreId core, Addr block) const;
@@ -188,8 +179,6 @@ class MemorySystem
         return _directory.topology();
     }
 
-    const CacheConfig &cacheConfig() const { return _cacheConfig; }
-
     /** Aggregate access statistics (hits/misses/transfers). */
     const StatSet &stats() const { return _stats; }
 
@@ -198,17 +187,12 @@ class MemorySystem
 
   private:
     struct CoreCaches {
-        SetAssocCache l1;
-        SetAssocCache l2;
-
-        explicit CoreCaches(const CacheConfig &cfg)
-            : l1(cfg.l1), l2(cfg.l2)
-        {}
+        SetAssocCache l1{kL1Geometry};
+        SetAssocCache l2{kL2Geometry};
     };
 
     unsigned _numCores;
     MemTimingConfig _timing;
-    CacheConfig _cacheConfig;
     SparseMemory _memory;
     Directory _directory;
     std::vector<CoreCaches> _cores;

@@ -6,16 +6,6 @@
 
 namespace retcon::net {
 
-const char *
-topologyName(Topology t)
-{
-    switch (t) {
-      case Topology::Crossbar: return "crossbar";
-      case Topology::Ring: return "ring";
-    }
-    return "?";
-}
-
 Topology
 topologyFromName(const char *name)
 {

@@ -44,8 +44,6 @@ enum class Topology : std::uint8_t {
     Ring,     ///< Bidirectional ring; latency scales with hop count.
 };
 
-const char *topologyName(Topology t);
-
 /** Parse "crossbar" / "ring"; fatal()s on unknown names. */
 Topology topologyFromName(const char *name);
 

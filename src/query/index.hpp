@@ -159,12 +159,6 @@ class TraceIndex
     /** Aborted attempts whose begin-time annotation equals @p mark. */
     std::vector<std::uint64_t> abortsUnderMark(Word mark) const;
 
-    /** All annotation spans, in seq order. */
-    const std::vector<AnnotationSpan> &annotationSpans() const
-    {
-        return _spans;
-    }
-
     /** Spans carrying @p mark (empty = annotation miss). */
     std::vector<AnnotationSpan> spansForMark(Word mark) const;
 

@@ -2,8 +2,8 @@
  * @file
  * The scenario mode table. Each row's setup hook derives its Plan
  * deterministically from the Env — window offsets and victim picks
- * come from a seed hash, sizes from the workload scale — and each
- * update hook maps (plan, now) to the instantaneous drive state.
+ * come from a seed hash, sizes from the workload scale. The plan alone
+ * drives the run (scenario::Runtime::rateMult, stallWait).
  *
  * Adding a scenario = adding one row here (docs/scenarios.md walks
  * through it). Names are part of the CLI surface (`sweep_main
@@ -25,44 +25,6 @@ mix(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-// ---- Update hooks ----------------------------------------------------
-
-void
-updateFlat(const Plan &, Cycle, Drive &)
-{
-    // Rate 1.0, no windows: closed loop and plain Poisson.
-}
-
-void
-updateBursty(const Plan &p, Cycle now, Drive &d)
-{
-    const ArrivalConfig &a = p.arrival;
-    Cycle on = static_cast<Cycle>(
-        static_cast<double>(a.period) * a.onFraction);
-    d.rateMult = (now % a.period) < on ? 1.0 / a.onFraction : a.offRate;
-}
-
-void
-updateDiurnal(const Plan &p, Cycle now, Drive &d)
-{
-    // Triangle wave: trough at phase 0, peak at period/2, back down.
-    const ArrivalConfig &a = p.arrival;
-    Cycle half = a.period / 2;
-    Cycle ph = now % a.period;
-    double frac = ph < half
-                      ? static_cast<double>(ph) / half
-                      : static_cast<double>(a.period - ph) / half;
-    d.rateMult = a.troughRate + (1.0 - a.troughRate) * frac;
-}
-
-void
-updateStall(const Plan &p, Cycle now, Drive &d)
-{
-    const FaultConfig &f = p.fault;
-    d.stallWindow =
-        windowActive(now, f.stallPeriod, f.stallLen, f.stallOffset);
 }
 
 // ---- Setup hooks -----------------------------------------------------
@@ -175,69 +137,50 @@ setupStorm(Plan &p, const Env &env)
     setupShardStall(p, env);
 }
 
-void
-updateStorm(const Plan &p, Cycle now, Drive &d)
-{
-    updateBursty(p, now, d);
-    updateStall(p, now, d);
-}
-
 const std::vector<Scenario> &
 table()
 {
     static const std::vector<Scenario> rows = {
         {"steady-closed",
          "closed-loop stationary baseline (the pre-scenario workload)",
-         setupSteady, updateFlat},
+         setupSteady},
         {"poisson-open",
          "open loop, exponential inter-arrival gaps near service rate",
-         setupPoisson, updateFlat},
+         setupPoisson},
         {"bursty-onoff",
          "open loop, on/off duty cycle; bursts overload the backlog "
          "bound (tail drops expected)",
-         setupBursty, updateBursty},
+         setupBursty},
         {"diurnal-ramp",
          "open loop, slow triangle ramp trough -> peak -> trough",
-         setupDiurnal, updateDiurnal},
+         setupDiurnal},
         {"mix-rotate",
          "request-class mix rotates one class per quarter, phase "
          "boundaries annotated",
-         setupMixRotate, updateFlat},
+         setupMixRotate},
         {"hotset-migrate",
          "Zipfian hotset shifts a quarter of the key space per "
          "quarter, phase boundaries annotated",
-         setupHotsetMigrate, updateFlat},
+         setupHotsetMigrate},
         {"shard-stall",
          "one shard slot's cores freeze for periodic windows",
-         setupShardStall, updateStall},
+         setupShardStall},
         {"bank-slow",
          "one directory bank's address slice runs at k-times "
          "occupancy in periodic windows",
-         setupBankSlow, updateFlat},
+         setupBankSlow},
         {"link-degrade",
          "one interconnect link at 4x hop latency in periodic "
          "windows, over Poisson arrivals (link inert at 1 cluster)",
-         setupLinkDegrade, updateFlat},
+         setupLinkDegrade},
         {"storm",
          "bursty arrivals + rotating mix + stalling shard composed",
-         setupStorm, updateStorm},
+         setupStorm},
     };
     return rows;
 }
 
 } // namespace
-
-const char *
-arrivalKindName(ArrivalKind k)
-{
-    switch (k) {
-      case ArrivalKind::Closed: return "closed";
-      case ArrivalKind::Poisson: return "poisson";
-      case ArrivalKind::Bursty: return "bursty";
-      case ArrivalKind::Diurnal: return "diurnal";
-    }
-    return "?";
-}
 
 const std::vector<Scenario> &
 registry()

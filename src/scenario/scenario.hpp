@@ -4,13 +4,12 @@
  * workload (ROADMAP "scenario diversity" item).
  *
  * A Scenario is one row of a small mode table — `{name, description,
- * setup, update}` — the classic simulator mode-table idiom. `setup`
- * derives a pure-data Plan from the run's environment (seed, scale,
- * thread count, cluster count); `update` is the per-cycle driver that
- * turns (plan, now) into the instantaneous drive state: the arrival-
- * rate multiplier for open-loop traffic and whether the core-stall
- * fault window is currently active. Three orthogonal families compose
- * into a plan:
+ * setup}` — the classic simulator mode-table idiom. `setup` derives a
+ * pure-data Plan from the run's environment (seed, scale, thread
+ * count, cluster count); the Runtime reads the instantaneous drive
+ * state off the plan itself: the arrival-rate multiplier follows the
+ * arrival kind, and the core-stall window follows the fault fields.
+ * Three orthogonal families compose into a plan:
  *
  *  - **Open-loop arrivals** (Poisson, bursty on/off, diurnal ramp):
  *    workers stop closing the loop and instead pull requests from a
@@ -61,8 +60,6 @@ enum class ArrivalKind : std::uint8_t {
     Bursty,  ///< Open loop, on/off duty cycle (the burstiest shape).
     Diurnal, ///< Open loop, slow triangle ramp trough -> peak -> trough.
 };
-
-const char *arrivalKindName(ArrivalKind k);
 
 /** Arrival-process parameters (per worker; see arrivals.hpp). */
 struct ArrivalConfig {
@@ -158,21 +155,13 @@ struct Plan {
     FaultConfig fault;
 };
 
-/** Instantaneous drive state computed by a scenario's update hook. */
-struct Drive {
-    double rateMult = 1.0; ///< Arrival-rate multiplier at `now`.
-    bool stallWindow = false; ///< Core-stall window active at `now`.
-};
-
 using SetupFn = void (*)(Plan &plan, const Env &env);
-using UpdateFn = void (*)(const Plan &plan, Cycle now, Drive &drive);
 
 /** One mode-table row. */
 struct Scenario {
     const char *name;
     const char *description;
     SetupFn setup;
-    UpdateFn update;
 };
 
 /** The full mode table, in registration order. */
@@ -222,13 +211,36 @@ class Runtime
     const Plan &plan() const { return _plan; }
     const Env &env() const { return _env; }
 
-    /** Rate multiplier at @p now (dispatches the update hook). */
+    /**
+     * Arrival-rate multiplier at @p now: a bursty source runs at
+     * 1/onFraction while on and offRate while off; a diurnal one
+     * ramps trough -> peak -> trough over its period (a triangle
+     * wave); every other kind runs at 1.0.
+     */
     double
     rateMult(Cycle now) const
     {
-        Drive d;
-        _sc.update(_plan, now, d);
-        return d.rateMult;
+        const ArrivalConfig &a = _plan.arrival;
+        switch (a.kind) {
+          case ArrivalKind::Bursty: {
+            Cycle on = static_cast<Cycle>(
+                static_cast<double>(a.period) * a.onFraction);
+            return (now % a.period) < on ? 1.0 / a.onFraction
+                                         : a.offRate;
+          }
+          case ArrivalKind::Diurnal: {
+            Cycle half = a.period / 2;
+            Cycle ph = now % a.period;
+            double frac = ph < half
+                              ? static_cast<double>(ph) / half
+                              : static_cast<double>(a.period - ph) / half;
+            return a.troughRate + (1.0 - a.troughRate) * frac;
+          }
+          case ArrivalKind::Closed:
+          case ArrivalKind::Poisson:
+            break;
+        }
+        return 1.0;
     }
 
     /** Does the core-stall fault apply to @p core at all? */
@@ -249,9 +261,7 @@ class Runtime
     stallWait(Cycle now) const
     {
         const FaultConfig &f = _plan.fault;
-        Drive d;
-        _sc.update(_plan, now, d);
-        if (!d.stallWindow)
+        if (!windowActive(now, f.stallPeriod, f.stallLen, f.stallOffset))
             return 0;
         return f.stallLen - (now + f.stallOffset) % f.stallPeriod;
     }

@@ -45,27 +45,9 @@ class AvgMax
     /** Sum of all samples. */
     double sum() const { return _sum; }
 
-    /** Merge another tracker into this one. */
-    void
-    merge(const AvgMax &o)
-    {
-        _sum += o._sum;
-        _count += o._count;
-        _max = std::max(_max, o._max);
-    }
-
-    /** Drop all samples. */
-    void
-    reset()
-    {
-        _sum = 0;
-        _count = 0;
-        _max = kNoMax;
-    }
-
   private:
     /// Bootstrapping from -inf (not 0) keeps max() exact when every
-    /// sample is negative; merging an empty tracker is then a no-op.
+    /// sample is negative.
     static constexpr double kNoMax =
         -std::numeric_limits<double>::infinity();
 
@@ -102,21 +84,6 @@ class Histogram
     std::uint64_t underflow() const { return _underflow; }
     std::uint64_t total() const { return _total; }
     std::size_t size() const { return _buckets.size(); }
-
-    /** Merge another histogram (buckets align by index; a smaller
-     *  bucket array is extended to the larger one). */
-    void
-    merge(const Histogram &o)
-    {
-        if (o._buckets.size() != _buckets.size())
-            _buckets.resize(
-                std::max(_buckets.size(), o._buckets.size()), 0);
-        for (std::size_t i = 0; i < o._buckets.size(); ++i)
-            _buckets[i] += o._buckets[i];
-        _underflow += o._underflow;
-        _overflow += o._overflow;
-        _total += o._total;
-    }
 
     /** Smallest v such that at least frac of samples are <= v. */
     std::uint64_t

@@ -17,6 +17,8 @@ namespace {
 
 constexpr Addr kA = 0x10000;
 constexpr Addr kB = 0x20000;
+/// Address distance between blocks that share an L2 set.
+constexpr Addr kL2SetStride = mem::kL2Geometry.numSets() * kBlockBytes;
 
 struct EagerRig {
     ShardedEventQueue eq;
@@ -237,13 +239,8 @@ TEST(EagerHtm, SubWordStoresRoundTrip)
 
 TEST(EagerHtm, OverflowTakesOneTmTokenAndWins)
 {
-    // Tiny caches so the L2 and permissions-only cache overflow fast.
-    mem::CacheConfig small;
-    small.l1 = {128, 2};     // 1 set of 2.
-    small.l2 = {256, 2};     // 2 sets of 2.
-    small.permOnly = {128, 2}; // 1 set of 2.
     ShardedEventQueue eq;
-    mem::MemorySystem ms(2, mem::MemTimingConfig{}, small);
+    mem::MemorySystem ms(2);
     TMConfig cfg;
     cfg.mode = TMMode::Eager;
     TMMachine tm(eq, ms, cfg);
@@ -251,11 +248,13 @@ TEST(EagerHtm, OverflowTakesOneTmTokenAndWins)
     tm.setRemoteAbortHandler([&](CoreId, AbortCause) { ++aborted; });
 
     ASSERT_EQ(tm.txBegin(0, false).status, OpStatus::Ok);
-    // Touch many blocks in the same sets to evict speculative blocks
-    // out of the L2 and then out of the permissions-only cache.
+    // Blocks 256KB apart share one L2 set (4096 sets) and one
+    // permissions-only set (16 sets). Loads 5-8 evict speculative
+    // blocks from the L2 into the 4 permissions-only ways; the 9th
+    // evicts one from there too and overflows.
     for (int i = 0; i < 12; ++i) {
         MemOpOutcome out =
-            tm.txLoad(0, 0x100000 + Addr(i) * 256 * 4);
+            tm.txLoad(0, 0x100000 + Addr(i) * kL2SetStride);
         ASSERT_NE(out.status, OpStatus::AbortSelf);
     }
     EXPECT_EQ(tm.stats().overflows, 1u);
@@ -267,7 +266,7 @@ TEST(EagerHtm, OverflowTakesOneTmTokenAndWins)
     bool nacked = false;
     for (int i = 0; i < 12 && !nacked; ++i) {
         MemOpOutcome out =
-            tm.txLoad(1, 0x900000 + Addr(i) * 256 * 4);
+            tm.txLoad(1, 0x900000 + Addr(i) * kL2SetStride);
         nacked = out.status == OpStatus::Nack;
     }
     EXPECT_TRUE(nacked);

@@ -258,7 +258,6 @@ TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
 {
     TMConfig cfg;
     cfg.mode = TMMode::Retcon;
-    cfg.ssbEntries = 2;
     ShardedEventQueue eq;
     mem::MemorySystem ms(2);
     TMMachine tm(eq, ms, cfg);
@@ -267,13 +266,14 @@ TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
     MemOpOutcome ld = tm.txLoad(0, kA);
     rtc::SymTag t = *ld.sym;
     t.delta = 1;
-    // Fill the 2-entry SSB, then a third symbolic store must fall
-    // back to an eager store and pin the root.
-    tm.txStore(0, kB, 1, t);
-    tm.txStore(0, kB + 8, 1, t);
-    tm.txStore(0, kB + 16, 1, t);
-    EXPECT_EQ(tm.coreState(0).ssb.size(), 2u);
-    EXPECT_EQ(tm.coreState(0).writeSet.count(blockAddr(kB)), 1u);
+    // Fill the 32-entry SSB (one entry per word), then a 33rd
+    // symbolic store must fall back to an eager store and pin the root.
+    for (Addr w = 0; w < kSsbEntries; ++w)
+        tm.txStore(0, kB + w * kWordBytes, 1, t);
+    Addr spill = kB + kSsbEntries * kWordBytes;
+    tm.txStore(0, spill, 1, t);
+    EXPECT_EQ(tm.coreState(0).ssb.size(), kSsbEntries);
+    EXPECT_EQ(tm.coreState(0).writeSet.count(blockAddr(spill)), 1u);
     rtc::IvbEntry *e = tm.coreState(0).ivb.find(blockAddr(kA));
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->eqMask & 1);

@@ -124,6 +124,32 @@ TEST(SetAssocCache, DifferentSetsDoNotInterfere)
     EXPECT_EQ(c.occupancy(), 4u);
 }
 
+TEST(SetAssocCache, SetsDoNotShareWays)
+{
+    // 4 sets of 2 ways: blocks sets * 64B apart share a set. Overfill
+    // the first and last sets; sets 1 and 2 keep their lines.
+    SetAssocCache c({512, 2});
+    ASSERT_EQ(c.numSets(), 4u);
+    constexpr Addr kStride = 4 * kBlockBytes;
+    for (Addr set = 1; set <= 2; ++set)
+        for (Addr i = 0; i < 2; ++i)
+            c.insert(set * kBlockBytes + i * kStride);
+    for (Addr set : {Addr(0), Addr(3)})
+        for (Addr i = 0; i < 5; ++i)
+            c.insert(set * kBlockBytes + i * kStride);
+    EXPECT_EQ(c.occupancy(), 8u);
+    for (Addr set = 1; set <= 2; ++set)
+        for (Addr i = 0; i < 2; ++i)
+            EXPECT_TRUE(c.contains(set * kBlockBytes + i * kStride))
+                << "set " << set << " way " << i;
+    // The overfilled sets hold only their two newest blocks.
+    for (Addr set : {Addr(0), Addr(3)}) {
+        EXPECT_FALSE(c.contains(set * kBlockBytes + 2 * kStride));
+        EXPECT_TRUE(c.contains(set * kBlockBytes + 3 * kStride));
+        EXPECT_TRUE(c.contains(set * kBlockBytes + 4 * kStride));
+    }
+}
+
 TEST(SetAssocCache, ClearEmptiesEverything)
 {
     SetAssocCache c({4 * 1024, 4});

@@ -46,30 +46,27 @@ constexpr Addr kB = 0x10000; // A block-aligned test address.
 TEST(MemorySystem, ColdReadGoesToDram)
 {
     MemorySystem ms(4);
-    AccessResult r = ms.access(0, kB, false);
     // 1 (L1) + 10 (L2) + 20 (hop) + 100 (DRAM) + 20 (hop back) = 151.
-    EXPECT_EQ(r.latency, 151u);
-    EXPECT_TRUE(r.dramAccess);
-    EXPECT_FALSE(r.remoteTransfer);
+    EXPECT_EQ(ms.access(0, kB, false), 151u);
+    EXPECT_EQ(ms.stats().get("dram_accesses"), 1.0);
+    EXPECT_EQ(ms.stats().get("cache_to_cache"), 0.0);
 }
 
 TEST(MemorySystem, SecondReadHitsL1)
 {
     MemorySystem ms(4);
     ms.access(0, kB, false);
-    AccessResult r = ms.access(0, kB, false);
-    EXPECT_EQ(r.latency, 1u);
-    EXPECT_TRUE(r.l1Hit);
+    EXPECT_EQ(ms.access(0, kB, false), 1u);
+    EXPECT_EQ(ms.stats().get("l1_hits"), 1.0);
 }
 
 TEST(MemorySystem, ReadFromRemoteModifiedIsCacheToCache)
 {
     MemorySystem ms(4);
     ms.access(1, kB, true); // Core 1 takes M.
-    AccessResult r = ms.access(0, kB, false);
     // 31 (to dir) + 20 (fwd) + 10 (owner L2) + 20 (data) = 81.
-    EXPECT_EQ(r.latency, 81u);
-    EXPECT_TRUE(r.remoteTransfer);
+    EXPECT_EQ(ms.access(0, kB, false), 81u);
+    EXPECT_EQ(ms.stats().get("cache_to_cache"), 1.0);
     // Both are sharers afterwards.
     EXPECT_TRUE(ms.hasReadPerm(0, kB));
     EXPECT_TRUE(ms.hasReadPerm(1, kB));
@@ -101,9 +98,8 @@ TEST(MemorySystem, WriteStealsFromRemoteOwner)
     Recorder rec;
     ms.access(1, kB, true);
     ms.setListener(&rec);
-    AccessResult r = ms.access(0, kB, true);
-    EXPECT_TRUE(r.remoteTransfer);
-    EXPECT_EQ(r.latency, 81u);
+    EXPECT_EQ(ms.access(0, kB, true), 81u);
+    EXPECT_EQ(ms.stats().get("cache_to_cache"), 1.0);
     EXPECT_TRUE(ms.hasWritePerm(0, kB));
     EXPECT_FALSE(ms.hasReadPerm(1, kB));
     ASSERT_EQ(rec.takes.size(), 1u);
@@ -128,41 +124,38 @@ TEST(MemorySystem, UpgradeFromSharedCostsInvalidationRound)
     MemorySystem ms(4);
     ms.access(0, kB, false);
     ms.access(1, kB, false);
-    AccessResult r = ms.access(0, kB, true);
+    double dram = ms.stats().get("dram_accesses");
     // Requester already shares the data: 31 + 2 hops (inval+ack) = 71.
-    EXPECT_EQ(r.latency, 71u);
-    EXPECT_FALSE(r.dramAccess);
+    EXPECT_EQ(ms.access(0, kB, true), 71u);
+    EXPECT_EQ(ms.stats().get("dram_accesses"), dram);
 }
 
 TEST(MemorySystem, WriteHitInOwnModifiedIsOneCycle)
 {
     MemorySystem ms(4);
     ms.access(0, kB, true);
-    AccessResult r = ms.access(0, kB, true);
-    EXPECT_EQ(r.latency, 1u);
-    EXPECT_TRUE(r.l1Hit);
+    EXPECT_EQ(ms.access(0, kB, true), 1u);
+    EXPECT_EQ(ms.stats().get("l1_hits"), 1.0);
 }
 
 TEST(MemorySystem, WriteMissToRemoteSharedBlockInvalidatesAndFetches)
 {
     MemorySystem ms(4);
     ms.access(1, kB, false);
-    AccessResult r = ms.access(0, kB, true);
     // 31 (to dir) + 2 hops (inval+ack) + 100 (DRAM: requester holds
     // no copy) = 171.
-    EXPECT_EQ(r.latency, 171u);
-    EXPECT_TRUE(r.dramAccess);
-    EXPECT_FALSE(r.remoteTransfer);
+    EXPECT_EQ(ms.access(0, kB, true), 171u);
+    EXPECT_EQ(ms.stats().get("dram_accesses"), 2.0);
+    EXPECT_EQ(ms.stats().get("cache_to_cache"), 0.0);
 }
 
 TEST(MemorySystem, ReadMissOfSharedBlockComesFromMemory)
 {
     MemorySystem ms(4);
     ms.access(1, kB, false);
-    AccessResult r = ms.access(0, kB, false);
     // Clean data from memory: 31 + 100 (DRAM) + 20 (hop back) = 151.
-    EXPECT_EQ(r.latency, 151u);
-    EXPECT_TRUE(r.dramAccess);
+    EXPECT_EQ(ms.access(0, kB, false), 151u);
+    EXPECT_EQ(ms.stats().get("dram_accesses"), 2.0);
     EXPECT_TRUE(ms.hasReadPerm(0, kB));
     EXPECT_TRUE(ms.hasReadPerm(1, kB));
 }
@@ -175,14 +168,13 @@ TEST(MemorySystem, ColdReadHomedOnRemoteClusterPaysTheWire)
     topo.threadsPerCluster = 2;
     topo.banksPerCluster = 1;
     net::Interconnect wire(2, net::NetConfig{});
-    MemorySystem ms(4, MemTimingConfig{}, CacheConfig{}, 2, topo);
+    MemorySystem ms(4, MemTimingConfig{}, 2, topo);
     ms.setNet(&wire);
     Addr remote = net::FleetTopology::regionBase(1);
-    AccessResult r = ms.access(0, remote, false);
     // 151 (cold read) + one 50-cycle hop each way = 251.
-    EXPECT_EQ(r.latency, 251u);
-    EXPECT_TRUE(r.remoteCluster);
-    EXPECT_TRUE(r.dramAccess);
+    EXPECT_EQ(ms.access(0, remote, false), 251u);
+    EXPECT_EQ(ms.stats().get("xc_accesses"), 1.0);
+    EXPECT_EQ(ms.stats().get("dram_accesses"), 1.0);
 }
 
 TEST(MemorySystem, L1EvictionStillHitsL2)
@@ -195,23 +187,19 @@ TEST(MemorySystem, L1EvictionStillHitsL2)
         blocks.push_back(kB + i * 64 * 1024); // Same L1 set.
     for (Addr b : blocks)
         ms.access(0, b, false);
-    AccessResult r = ms.access(0, blocks[0], false);
-    EXPECT_EQ(r.latency, 11u); // L1 miss, L2 hit.
-    EXPECT_TRUE(r.l2Hit);
+    EXPECT_EQ(ms.access(0, blocks[0], false), 11u); // L1 miss, L2 hit.
+    EXPECT_EQ(ms.stats().get("l2_hits"), 1.0);
 }
 
 TEST(MemorySystem, L2CapacityEvictionNotifiesListener)
 {
-    // Shrink the caches so evictions are easy to provoke.
-    CacheConfig small;
-    small.l1 = {256, 2};  // 2 sets.
-    small.l2 = {512, 2};  // 4 sets.
-    MemorySystem ms(1, MemTimingConfig{}, small);
+    // The L2 is 1MB 4-way => 4096 sets, so blocks 256KB apart share
+    // a set: the fifth evicts the first.
+    MemorySystem ms(1);
     Recorder rec;
     ms.setListener(&rec);
-    // Three blocks mapping to the same L2 set (set stride 4 blocks).
-    for (int i = 0; i < 3; ++i)
-        ms.access(0, kB + i * 4 * 64, false);
+    for (int i = 0; i < 5; ++i)
+        ms.access(0, kB + i * 256 * 1024, false);
     EXPECT_FALSE(rec.evicts.empty());
     EXPECT_EQ(rec.evicts[0].second, kB);
     // Evicted block lost its directory permissions.

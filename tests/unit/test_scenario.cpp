@@ -65,7 +65,6 @@ TEST(ScenarioRegistry, EnumerationRoundTripAndUniqueness)
         EXPECT_FALSE(std::string(s.name).empty());
         EXPECT_FALSE(std::string(s.description).empty());
         ASSERT_NE(s.setup, nullptr) << s.name;
-        ASSERT_NE(s.update, nullptr) << s.name;
         EXPECT_TRUE(names.insert(s.name).second)
             << "duplicate scenario name " << s.name;
         EXPECT_EQ(scenario::scenarioByName(s.name), &s) << s.name;

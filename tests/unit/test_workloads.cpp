@@ -114,14 +114,15 @@ TEST(WorkloadShape, Table1DefaultsMatchPaper)
     EXPECT_EQ(mem::kL2HitCycles, 10u);
     EXPECT_EQ(mem::kHopCycles, 20u);
     EXPECT_EQ(mem::kDramCycles, 100u);
-    mem::CacheConfig c;
-    EXPECT_EQ(c.l1.sizeBytes, 64u * 1024);
-    EXPECT_EQ(c.l1.ways, 4u);
-    EXPECT_EQ(c.l2.sizeBytes, 1024u * 1024);
-    EXPECT_EQ(c.permOnly.sizeBytes, 4u * 1024);
+    EXPECT_EQ(mem::kL1Geometry.sizeBytes, 64u * 1024);
+    EXPECT_EQ(mem::kL1Geometry.ways, 4u);
+    EXPECT_EQ(mem::kL2Geometry.sizeBytes, 1024u * 1024);
+    EXPECT_EQ(mem::kL2Geometry.ways, 4u);
+    EXPECT_EQ(mem::kPermOnlyGeometry.sizeBytes, 4u * 1024);
+    EXPECT_EQ(mem::kPermOnlyGeometry.ways, 4u);
+    EXPECT_EQ(htm::kIvbEntries, 16u);
+    EXPECT_EQ(htm::kConstraintEntries, 16u);
+    EXPECT_EQ(htm::kSsbEntries, 32u);
     htm::TMConfig tm = api::retconConfig();
-    EXPECT_EQ(tm.ivbEntries, 16u);
-    EXPECT_EQ(tm.constraintEntries, 16u);
-    EXPECT_EQ(tm.ssbEntries, 32u);
     EXPECT_EQ(tm.predictor.trainDownConflicts, 100u);
 }
