@@ -127,17 +127,6 @@ Tx::addv(TxValue a, TxValue b)
 }
 
 TxValue
-Tx::complexOp(TxValue a, TxValue b, std::function<Word(Word, Word)> fn)
-{
-    charge();
-    if (a.symbolic())
-        _core->machine().pinEquality(coreId(), a.sym()->root);
-    if (b.symbolic())
-        _core->machine().pinEquality(coreId(), b.sym()->root);
-    return TxValue(fn(a.concrete(), b.concrete()));
-}
-
-TxValue
 Tx::fop(TxValue a, TxValue b, std::function<double(double, double)> fn)
 {
     charge();
@@ -359,7 +348,7 @@ Core::postResume()
             panic("transaction body threw: %s", e.what());
         }
         _txnAwait->out = ret;
-        _tm.noteSymRegsRepaired(_id, ret.symbolic() ? 1 : 0);
+        _tm.setReturnSym(_id, ret.sym());
         commitLoop(false);
         return;
     }
@@ -525,11 +514,8 @@ Core::deliverResult()
 {
     // Repair the returned register value with the final input values
     // (Figure 7, symbolic register file update).
-    TxValue ret = _txnAwait->out;
-    if (ret.symbolic()) {
-        Word root_val = _tm.finalRootValue(_id, ret.sym()->root);
-        _txnAwait->out = TxValue(rtc::evalSym(*ret.sym(), root_val));
-    }
+    if (_txnAwait->out.symbolic())
+        _txnAwait->out = TxValue(_tm.returnValue(_id));
 
     // Resolve attempt accounting: committed work was useful.
     _breakdown.busy += _attemptWork;

@@ -152,9 +152,6 @@ class Tx
     }
     /** a + b; at most one operand may stay symbolic (§4.1). */
     TxValue addv(TxValue a, TxValue b);
-    /** Untrackable binary op (multiply etc.): pins symbolic inputs. */
-    TxValue complexOp(TxValue a, TxValue b,
-                      std::function<Word(Word, Word)> fn);
     /** Floating-point op: never tracked (models kmeans updates). */
     TxValue fop(TxValue a, TxValue b, std::function<double(double, double)> fn);
 

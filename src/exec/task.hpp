@@ -20,18 +20,15 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/logging.hpp"
 
 namespace retcon::exec {
 
-template <typename T>
-class Task;
-
 namespace detail {
 
-template <typename T>
 struct TaskPromiseBase {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
@@ -61,6 +58,23 @@ struct TaskPromiseBase {
     }
 };
 
+/** A Task<T>'s result slot: return_value for T, return_void for void. */
+template <typename T>
+struct TaskResult {
+    std::optional<T> value;
+
+    void
+    return_value(T v)
+    {
+        value = std::move(v);
+    }
+};
+
+template <>
+struct TaskResult<void> {
+    void return_void() {}
+};
+
 } // namespace detail
 
 /** Lazy, single-awaiter coroutine task. */
@@ -68,20 +82,12 @@ template <typename T>
 class Task
 {
   public:
-    struct promise_type : detail::TaskPromiseBase<T> {
-        std::optional<T> value;
-
+    struct promise_type : detail::TaskPromiseBase, detail::TaskResult<T> {
         Task
         get_return_object()
         {
             return Task{
                 std::coroutine_handle<promise_type>::from_promise(*this)};
-        }
-
-        void
-        return_value(T v)
-        {
-            value = std::move(v);
         }
     };
 
@@ -113,7 +119,6 @@ class Task
         _h.resume();
     }
 
-    bool valid() const { return static_cast<bool>(_h); }
     bool done() const { return _h && _h.done(); }
 
     /** Retrieve the result after completion (rethrows exceptions). */
@@ -121,9 +126,7 @@ class Task
     result()
     {
         sim_assert(done(), "task result before completion");
-        if (_h.promise().exception)
-            std::rethrow_exception(_h.promise().exception);
-        return std::move(*_h.promise().value);
+        return await_resume();
     }
 
     // Awaiter protocol: awaiting a task starts it.
@@ -141,88 +144,8 @@ class Task
     {
         if (_h.promise().exception)
             std::rethrow_exception(_h.promise().exception);
-        return std::move(*_h.promise().value);
-    }
-
-  private:
-    std::coroutine_handle<promise_type> _h;
-
-    void
-    destroy()
-    {
-        if (_h) {
-            _h.destroy();
-            _h = {};
-        }
-    }
-};
-
-/** void specialization. */
-template <>
-class Task<void>
-{
-  public:
-    struct promise_type : detail::TaskPromiseBase<void> {
-        Task
-        get_return_object()
-        {
-            return Task{
-                std::coroutine_handle<promise_type>::from_promise(*this)};
-        }
-
-        void return_void() {}
-    };
-
-    Task() = default;
-    explicit Task(std::coroutine_handle<promise_type> h) : _h(h) {}
-    Task(Task &&o) noexcept : _h(std::exchange(o._h, {})) {}
-
-    Task &
-    operator=(Task &&o) noexcept
-    {
-        if (this != &o) {
-            destroy();
-            _h = std::exchange(o._h, {});
-        }
-        return *this;
-    }
-
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-    ~Task() { destroy(); }
-
-    void
-    start()
-    {
-        sim_assert(_h && !_h.done(), "starting an invalid task");
-        _h.resume();
-    }
-
-    bool valid() const { return static_cast<bool>(_h); }
-    bool done() const { return _h && _h.done(); }
-
-    void
-    result()
-    {
-        sim_assert(done(), "task result before completion");
-        if (_h.promise().exception)
-            std::rethrow_exception(_h.promise().exception);
-    }
-
-    bool await_ready() const noexcept { return false; }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> cont) noexcept
-    {
-        _h.promise().continuation = cont;
-        return _h;
-    }
-
-    void
-    await_resume()
-    {
-        if (_h.promise().exception)
-            std::rethrow_exception(_h.promise().exception);
+        if constexpr (!std::is_void_v<T>)
+            return std::move(*_h.promise().value);
     }
 
   private:

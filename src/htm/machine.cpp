@@ -118,16 +118,9 @@ TMMachine::TMMachine(const SimClock &clock, mem::MemorySystem &ms,
     : _eq(clock), _ms(ms), _cfg(cfg), _predictor(cfg.predictor)
 {
     _cores.reserve(ms.numCores());
-    for (unsigned i = 0; i < ms.numCores(); ++i)
-        _cores.push_back(std::make_unique<CoreTxState>(_cfg));
+    for (CoreId i = 0; i < ms.numCores(); ++i)
+        _cores.push_back(std::make_unique<CoreTxState>(_cfg, i));
     _bankTokens.resize(ms.numBanks());
-    _nackStreak.assign(ms.numCores(), 0);
-    _abortStreak.assign(ms.numCores(), 0);
-    _cascadeStreak.assign(ms.numCores(), 0);
-    _abortBlame.assign(ms.numCores(), 0);
-    _backoffRng.reserve(ms.numCores());
-    for (unsigned i = 0; i < ms.numCores(); ++i)
-        _backoffRng.push_back(Xoshiro::forThread(_cfg.backoff.seed, i));
     _ms.setListener(this);
 }
 
@@ -297,15 +290,14 @@ TMMachine::retireAborted(CoreId core, AbortCause cause, Addr blame,
                          bool notify, bool cascade)
 {
     CoreTxState &st = *_cores[core];
-    _abortBlame[core] = blame;
-    ++_abortStreak[core];
-    _nackStreak[core] = 0;
+    st.abortBlame = blame;
+    ++st.abortStreak;
+    st.nackStreak = 0;
     if (cascade)
-        ++_cascadeStreak[core];
+        ++st.cascadeStreak;
     if (blame != 0 && _contention)
         _contention(core, blame);
     releaseTokens(core);
-    _activeUids.erase(st.uid);
     st.resetSpeculation();
     ++_stats.aborts;
     ++_stats.abortsByCause[static_cast<int>(cause)];
@@ -354,13 +346,20 @@ TMMachine::datmCreatesCycle(std::uint64_t pred_uid,
         if (std::find(seen.begin(), seen.end(), u) != seen.end())
             continue;
         seen.push_back(u);
-        auto it = _activeUids.find(u);
-        if (it == _activeUids.end())
-            continue;
-        for (const auto &[p, flags] : _cores[it->second]->datmPreds)
-            stack.push_back(p);
+        if (const CoreTxState *st = activeAttempt(u))
+            for (const auto &[p, flags] : st->datmPreds)
+                stack.push_back(p);
     }
     return false;
+}
+
+const CoreTxState *
+TMMachine::activeAttempt(std::uint64_t uid) const
+{
+    for (const auto &st : _cores)
+        if (st->active() && st->uid == uid)
+            return st.get();
+    return nullptr;
 }
 
 CoreId
@@ -620,7 +619,7 @@ TMMachine::txBegin(CoreId core, bool is_retry)
     CoreTxState &st = *_cores[core];
     sim_assert(st.status == TxStatus::Idle,
                "txBegin on active transaction (core %u)", core);
-    sim_assert(!st.commitTokensHeld,
+    sim_assert(st.heldBankMask == 0,
                "txBegin with commit tokens still held (core %u)", core);
 
     MemOpOutcome out;
@@ -633,12 +632,9 @@ TMMachine::txBegin(CoreId core, bool is_retry)
         out.latency = kSerialLockLatency;
     }
 
-    if (!is_retry || !st.hasTimestamp) {
+    if (!is_retry || st.timestamp == 0)
         st.timestamp = _nextTimestamp++;
-        st.hasTimestamp = true;
-    }
     st.uid = _nextUid++;
-    _activeUids[st.uid] = core;
     st.status = TxStatus::Active;
     st.txnStartCycle = _eq.now();
     audit(core, trace::EventKind::TxBegin, 0, st.timestamp, st.uid);
@@ -1019,10 +1015,8 @@ TMMachine::pinEquality(CoreId core, Addr root)
     // Use-time revalidation (zombie containment). This runs between
     // instructions where aborting is unsafe; flag the violation and
     // let the next machine operation convert it into an abort.
-    if (_ms.memory().readWord(root) != e->initWords[w]) {
-        st.earlyViolation = true;
-        st.earlyViolationBlock = block;
-    }
+    if (_ms.memory().readWord(root) != e->initWords[w])
+        st.earlyViolation = block;
 }
 
 std::optional<MemOpOutcome>
@@ -1034,7 +1028,7 @@ TMMachine::txAccessGate(CoreId core)
                "(core %u)",
                core);
     if (st.earlyViolation) {
-        violationAbort(core, st.earlyViolationBlock, true);
+        violationAbort(core, *st.earlyViolation, true);
         return failedAccess(core, OpStatus::AbortSelf);
     }
     // OneTM overflow handling: acquire the serialization token first.
@@ -1098,7 +1092,7 @@ TMMachine::backoffExtra(CoreId core, std::uint32_t steps)
     extra = std::min(extra, b.cap);
     if (extra > 1) {
         // Equal jitter: uniform in [extra/2, extra], per-core stream.
-        extra = extra / 2 + _backoffRng[core].below(extra / 2 + 1);
+        extra = extra / 2 + _cores[core]->backoffRng.below(extra / 2 + 1);
     }
     return extra;
 }
@@ -1109,8 +1103,7 @@ TMMachine::nackLatency(CoreId core)
     Cycle lat = kNackRetryCycles;
     if (_cfg.backoff.policy == BackoffPolicy::None)
         return lat;
-    ++_nackStreak[core];
-    Cycle extra = backoffExtra(core, _nackStreak[core]);
+    Cycle extra = backoffExtra(core, ++_cores[core]->nackStreak);
     if (extra > 0) {
         ++_stats.backoffNacks;
         _stats.backoffCycles += extra;
@@ -1125,16 +1118,17 @@ TMMachine::restartBackoff(CoreId core)
     // independent of the retry-backoff policy, charged only to cores
     // whose last abort came from a forwarding cascade — every
     // non-DATM mode never builds a streak and is bit-identical.
+    const CoreTxState &st = *_cores[core];
     Cycle cascade = 0;
-    if (_cascadeStreak[core] > 0) {
-        std::uint32_t s = std::min(_cascadeStreak[core] - 1, 16u);
+    if (st.cascadeStreak > 0) {
+        std::uint32_t s = std::min(st.cascadeStreak - 1, 16u);
         cascade = std::min(kCascadeBpCap, kCascadeBpBase << s);
         ++_stats.cascadeBpRestarts;
         _stats.cascadeBpCycles += cascade;
     }
     if (_cfg.backoff.policy == BackoffPolicy::None)
         return cascade;
-    Cycle extra = backoffExtra(core, _abortStreak[core]);
+    Cycle extra = backoffExtra(core, st.abortStreak);
     if (extra > 0) {
         ++_stats.backoffRestarts;
         _stats.backoffCycles += extra;
@@ -1169,18 +1163,13 @@ TMMachine::neededBankMask(CoreId core) const
     return mask;
 }
 
-bool
+std::pair<bool, Cycle>
 TMMachine::acquireCommitTokens(CoreId core)
 {
     CoreTxState &st = *_cores[core];
-    _tokenWireLat = 0;
-    if (st.commitTokensHeld)
-        return true;
-    if (!st.commitBankMaskValid) {
+    if (!st.commitBankMask)
         st.commitBankMask = neededBankMask(core);
-        st.commitBankMaskValid = true;
-    }
-    std::uint64_t need = st.commitBankMask;
+    std::uint64_t need = *st.commitBankMask;
     std::uint64_t req_ts = effectiveTs(core, true);
     const net::FleetTopology &topo = _ms.topology();
     unsigned my = topo.clusterOfCore(core);
@@ -1218,8 +1207,9 @@ TMMachine::acquireCommitTokens(CoreId core)
         }
         return false;
     };
+    Cycle wire = 0;
     if (olderHolderWaits(false))
-        return false;
+        return {false, wire};
     if (_net && topo.fleet()) {
         for (unsigned c = 0; c < topo.clusters; ++c) {
             if (c == my)
@@ -1231,13 +1221,13 @@ TMMachine::acquireCommitTokens(CoreId core)
                 continue;
             Cycle rtt = _net->roundTrip(my, c, net::kCtrlMsgWords,
                                         net::kCtrlMsgWords, _eq.now());
-            _tokenWireLat = std::max(_tokenWireLat, rtt);
+            wire = std::max(wire, rtt);
             ++_stats.xcTokenMsgs;
         }
-        _stats.xcTokenCycles += _tokenWireLat;
+        _stats.xcTokenCycles += wire;
     }
     if (olderHolderWaits(true))
-        return false;
+        return {false, wire};
     // Evict younger holders first (doAbort releases their tokens),
     // then take every needed bank — never assign tokens partially.
     for (unsigned b = 0; b < _bankTokens.size(); ++b) {
@@ -1254,7 +1244,7 @@ TMMachine::acquireCommitTokens(CoreId core)
         // (cannot happen — commit-order waits resolve every
         // predecessor first — but never hand tokens to an idle
         // transaction).
-        return false;
+        return {false, wire};
     }
     for (unsigned b = 0; b < _bankTokens.size(); ++b) {
         if (!((need >> b) & 1))
@@ -1263,9 +1253,8 @@ TMMachine::acquireCommitTokens(CoreId core)
         ++_bankTokens[b].stats.acquires;
     }
     st.heldBankMask = need;
-    st.commitTokensHeld = true;
     ++_stats.tokenAcquires;
-    return true;
+    return {true, wire};
 }
 
 void
@@ -1278,35 +1267,17 @@ TMMachine::releaseTokens(CoreId core)
     if (_lazyCommitToken == core)
         _lazyCommitToken = kNoCore;
     CoreTxState &st = *_cores[core];
-    if (!st.commitTokensHeld)
-        return;
-    for (unsigned b = 0; b < _bankTokens.size(); ++b)
-        if (((st.heldBankMask >> b) & 1) && _bankTokens[b].holder == core)
-            _bankTokens[b].holder = kNoCore;
+    for (std::uint64_t m = st.heldBankMask; m; m &= m - 1) {
+        BankToken &t = _bankTokens[std::countr_zero(m)];
+        if (t.holder == core)
+            t.holder = kNoCore;
+    }
     st.heldBankMask = 0;
-    st.commitTokensHeld = false;
 }
 
 // ---------------------------------------------------------------------
 // Commit
 // ---------------------------------------------------------------------
-
-void
-TMMachine::noteSymRegsRepaired(CoreId core, std::uint64_t n)
-{
-    _cores[core]->symRegsRepaired = n;
-}
-
-Word
-TMMachine::finalRootValue(CoreId core, Addr root) const
-{
-    const CoreTxState &st = *_cores[core];
-    auto it = st.finalRoots.find(root);
-    sim_assert(it != st.finalRoots.end(),
-               "no final value for root 0x%llx",
-               static_cast<unsigned long long>(root));
-    return it->second;
-}
 
 CommitStepOutcome
 TMMachine::commitStep(CoreId core, bool is_retry)
@@ -1366,18 +1337,22 @@ TMMachine::commitArbitrate(CoreId core)
     // resolved, so a token holder can never be waiting on the
     // requester.
     for (const auto &[p, flags] : st.datmPreds)
-        if (_activeUids.count(p))
+        if (activeAttempt(p))
             return commitCharge(core, nackLatency(core), OpStatus::Nack);
 
+    Cycle wire = 0;
     if (_cfg.mode == TMMode::Lazy) {
         // TCC's single global commit token.
         if (_lazyCommitToken != kNoCore && _lazyCommitToken != core)
             return commitCharge(core, nackLatency(core), OpStatus::Nack);
         _lazyCommitToken = core;
     } else if (_cfg.commitTokenArbitration &&
-               _cfg.mode != TMMode::Serial && !acquireCommitTokens(core)) {
-        return commitCharge(core, nackLatency(core) + _tokenWireLat,
-                            OpStatus::Nack);
+               _cfg.mode != TMMode::Serial) {
+        auto [granted, wire_lat] = acquireCommitTokens(core);
+        if (!granted)
+            return commitCharge(core, nackLatency(core) + wire_lat,
+                                OpStatus::Nack);
+        wire = wire_lat;
     }
 
     switch (_cfg.mode) {
@@ -1394,7 +1369,7 @@ TMMachine::commitArbitrate(CoreId core)
         st.commitPhase = CommitPhase::Finalize;
         break;
     }
-    return commitCharge(core, kCommitTokenLatency + _tokenWireLat);
+    return commitCharge(core, kCommitTokenLatency + wire);
 }
 
 CommitStepOutcome
@@ -1504,16 +1479,19 @@ TMMachine::finalizeCommit(CoreId core)
 {
     CoreTxState &st = *_cores[core];
 
-    // Publish final root values for symbolic register repair.
-    st.finalRoots.clear();
-    for (const rtc::IvbEntry &e : st.ivb.entries())
-        for (unsigned w = 0; w < kWordsPerBlock; ++w)
-            st.finalRoots[e.block + w * kWordBytes] = e.curWords[w];
+    // Repair the returned register from its root's final value.
+    if (st.returnSym) {
+        Addr root = st.returnSym->root;
+        const rtc::IvbEntry *e = st.ivb.find(blockAddr(root));
+        sim_assert(e, "returned register with untracked root 0x%llx",
+                   static_cast<unsigned long long>(root));
+        st.returnValue =
+            rtc::evalSym(*st.returnSym, e->curWords[wordInBlock(root)]);
+    }
 
     sampleTxnStats(core);
 
     releaseTokens(core);
-    _activeUids.erase(st.uid);
 
     // The forwarded-data flag must be read before resetSpeculation()
     // clears it; it rides on the commit record so exports make the
@@ -1521,11 +1499,11 @@ TMMachine::finalizeCommit(CoreId core)
     std::uint8_t commit_aux =
         st.datmForwardedRead ? trace::kCommitAuxDatmForwarded : 0;
     st.resetSpeculation();
-    st.hasTimestamp = false;
+    st.timestamp = 0;
     // Backoff streaks end with the transaction.
-    _nackStreak[core] = 0;
-    _abortStreak[core] = 0;
-    _cascadeStreak[core] = 0;
+    st.nackStreak = 0;
+    st.abortStreak = 0;
+    st.cascadeStreak = 0;
     ++_stats.commits;
     audit(core, trace::EventKind::Commit, 0, 0, 0, std::nullopt,
           rtc::CmpOp::EQ, commit_aux);
@@ -1539,7 +1517,7 @@ TMMachine::sampleTxnStats(CoreId core)
     CoreTxState &st = *_cores[core];
     _stats.blocksLost.sample(static_cast<double>(st.ivb.lostCount()));
     _stats.blocksTracked.sample(static_cast<double>(st.ivb.size()));
-    _stats.symRegs.sample(static_cast<double>(st.symRegsRepaired));
+    _stats.symRegs.sample(st.returnSym ? 1.0 : 0.0);
     _stats.privateStores.sample(static_cast<double>(st.ssb.size()));
     _stats.constraintAddrs.sample(
         static_cast<double>(st.constraints.size()));

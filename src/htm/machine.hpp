@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "htm/tx_state.hpp"
@@ -34,7 +35,6 @@
 #include "mem/memory_system.hpp"
 #include "retcon/predictor.hpp"
 #include "sim/types.hpp"
-#include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "trace/sink.hpp"
 
@@ -182,13 +182,15 @@ class TMMachine : public mem::CoherenceListener
     CommitStepOutcome commitStep(CoreId core, bool is_retry = false);
 
     /**
-     * Record how many symbolic registers the exec layer repaired
-     * (Table 3's `symregs`): the one register the exec layer tracks
-     * to commit, the transaction's return value — 1 when it is
-     * symbolic (Core::deliverResult hands back its repaired value),
-     * else 0.
+     * Hand over the symbolic tag of the transaction's returned register
+     * (nullopt when it is concrete) before commit: the one register the
+     * exec layer tracks to commit. finalizeCommit repairs it from the
+     * root's IVB entry (returnValue); Table 3's `symregs` counts it.
      */
-    void noteSymRegsRepaired(CoreId core, std::uint64_t n);
+    void setReturnSym(CoreId core, const std::optional<rtc::SymTag> &sym)
+    {
+        _cores[core]->returnSym = sym;
+    }
 
     /**
      * Record the control-flow constraint implied by a branch on a
@@ -218,8 +220,9 @@ class TMMachine : public mem::CoherenceListener
     // ---- Queries ----------------------------------------------------
     TxStatus status(CoreId core) const { return _cores[core]->status; }
 
-    /** Final value of a symbolic root after commit repair. */
-    Word finalRootValue(CoreId core, Addr root) const;
+    /** The returned register's value, repaired at @p core's last
+     *  commit (meaningful when that commit had a returnSym). */
+    Word returnValue(CoreId core) const { return _cores[core]->returnValue; }
 
     rtc::ConflictPredictor &predictor() { return _predictor; }
     const MachineStats &stats() const { return _stats; }
@@ -253,7 +256,7 @@ class TMMachine : public mem::CoherenceListener
      * violations, zombies, explicit aborts). Consumed by the exec
      * layer's contention-aware re-dispatch.
      */
-    Addr abortBlame(CoreId core) const { return _abortBlame[core]; }
+    Addr abortBlame(CoreId core) const { return _cores[core]->abortBlame; }
 
   private:
     const SimClock &_eq;
@@ -285,25 +288,6 @@ class TMMachine : public mem::CoherenceListener
 
     /// Fleet interconnect (null = single cluster, no wire costs).
     net::Interconnect *_net = nullptr;
-
-    /// Wire latency of the most recent acquireCommitTokens attempt
-    /// (max round trip over the remote clusters it contacted); the
-    /// commit step adds it to the step latency on grant and NACK.
-    Cycle _tokenWireLat = 0;
-
-    /// NACK/abort backoff state (all per core). Streaks reset at
-    /// commit; the NACK streak additionally resets at abort (the
-    /// restart is a fresh attempt).
-    std::vector<Xoshiro> _backoffRng;
-    std::vector<std::uint32_t> _nackStreak;
-    std::vector<std::uint32_t> _abortStreak;
-    /// Consecutive cascade-cause aborts since the core's last commit
-    /// (DATM cascade back-pressure, restartBackoff).
-    std::vector<std::uint32_t> _cascadeStreak;
-    std::vector<Addr> _abortBlame;
-
-    /// DATM: uid -> core for still-active attempts.
-    std::unordered_map<std::uint64_t, CoreId> _activeUids;
 
     // ---- Internal helpers -------------------------------------------
     struct ConflictInfo {
@@ -372,10 +356,12 @@ class TMMachine : public mem::CoherenceListener
     /**
      * Try to acquire every commit token in @p core's needed bank set,
      * all-or-nothing. Oldest-wins: younger holders are aborted, an
-     * older holder makes the requester NACK. @return true when all
-     * tokens are held and the commit may proceed.
+     * older holder makes the requester NACK. @return whether all
+     * tokens are held (the commit may proceed), and the attempt's wire
+     * latency (max round trip over the remote clusters it contacted),
+     * which the commit step pays on grant and NACK alike.
      */
-    bool acquireCommitTokens(CoreId core);
+    std::pair<bool, Cycle> acquireCommitTokens(CoreId core);
 
     /** Release every token @p core holds: serial lock, overflow,
      *  lazy commit and bank commit tokens (at commit or abort). */
@@ -392,6 +378,10 @@ class TMMachine : public mem::CoherenceListener
     /** DATM: would adding edge pred->succ create a dependence cycle? */
     bool datmCreatesCycle(std::uint64_t pred_uid,
                           std::uint64_t succ_uid) const;
+
+    /** DATM: the record of the core running the still-active attempt
+     *  @p uid, or null once that attempt committed or aborted. */
+    const CoreTxState *activeAttempt(std::uint64_t uid) const;
 
     /** Common eager load/store path (also Serial, untracked RETCON). */
     MemOpOutcome eagerAccess(CoreId core, Addr addr, bool is_write,

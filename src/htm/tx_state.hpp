@@ -7,8 +7,11 @@
  * undo log (eager version management), the RETCON structures (IVB,
  * constraint buffer, SSB), the modeled permissions-only cache that
  * absorbs speculative bits evicted from the L2 (OneTM backing, §2), the
- * DATM dependence bookkeeping, and the pre-commit walk cursor. The
- * structure capacities are the fixed Table 1 sizes below (lifted by
+ * DATM dependence bookkeeping, the pre-commit walk cursor and the
+ * returned register's symbolic tag. It is the machine's only per-core
+ * record: the timestamp, backoff streaks and jitter stream, and abort
+ * blame live here too and outlast resetSpeculation. The structure
+ * capacities are the fixed Table 1 sizes below (lifted by
  * TMConfig::idealized); the permissions-only cache has the fixed
  * mem::kPermOnlyGeometry.
  */
@@ -17,6 +20,7 @@
 #define RETCON_HTM_TX_STATE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,6 +30,7 @@
 #include "retcon/constraint_buffer.hpp"
 #include "retcon/ivb.hpp"
 #include "retcon/ssb.hpp"
+#include "sim/random.hpp"
 #include "sim/types.hpp"
 
 namespace retcon::htm {
@@ -43,23 +48,24 @@ inline constexpr std::size_t kIvbEntries = 16;
 inline constexpr std::size_t kConstraintEntries = 16;
 inline constexpr std::size_t kSsbEntries = 32;
 
-/** Everything one core's current transaction owns. */
+/** One core's TM record: its current transaction and what outlives it. */
 struct CoreTxState {
-    explicit CoreTxState(const TMConfig &cfg)
+    CoreTxState(const TMConfig &cfg, CoreId core)
         : ivb(cfg.idealized ? SIZE_MAX : kIvbEntries),
           constraints(cfg.idealized ? SIZE_MAX : kConstraintEntries),
           // TCC's write buffer (Lazy) is unbounded; only RETCON's
           // symbolic store buffer has the Table 1 capacity.
           ssb(cfg.idealized || cfg.mode == TMMode::Lazy ? SIZE_MAX
-                                                        : kSsbEntries)
+                                                        : kSsbEntries),
+          backoffRng(Xoshiro::forThread(cfg.backoff.seed, core))
     {}
 
     TxStatus status = TxStatus::Idle;
 
     /// Timestamp for oldest-wins arbitration; kept across retries so an
     /// aborted transaction ages toward winning (forward progress, §2).
+    /// 0 between transactions (the machine hands out 1, 2, ...).
     std::uint64_t timestamp = 0;
-    bool hasTimestamp = false;
 
     /// Unique id of the current *attempt* (DATM dependence edges).
     std::uint64_t uid = 0;
@@ -108,15 +114,13 @@ struct CoreTxState {
     /// Managed explicitly by TMMachine::acquireCommitTokens/releaseTokens —
     /// released on commit and on abort, never by resetSpeculation.
     std::uint64_t heldBankMask = 0;
-    bool commitTokensHeld = false;
 
     /// Needed-bank mask cached across NACKed acquisition attempts:
     /// the commit's write targets are fixed once it reaches its
     /// commit point, so the mask is computed on the first attempt
     /// only (a contended token can be re-requested tens of thousands
     /// of times per run). Derived data — cleared by resetSpeculation.
-    std::uint64_t commitBankMask = 0;
-    bool commitBankMaskValid = false;
+    std::optional<std::uint64_t> commitBankMask;
 
     /// Position in the commit pipeline (TMMachine::commitStep) and
     /// the walk and drain cursors.
@@ -126,21 +130,33 @@ struct CoreTxState {
 
     Cycle txnStartCycle = 0;
     Cycle commitCycles = 0;
-    std::uint64_t symRegsRepaired = 0;
 
-    /// Root word -> final value map, published at commit for the
-    /// execution layer to repair symbolic register values.
-    std::unordered_map<Addr, Word> finalRoots;
+    /// Symbolic tag of the transaction's returned register (Figure 7's
+    /// symbolic register file, one register deep), handed over by the
+    /// execution layer before commit; Table 3's `symregs` counts it.
+    std::optional<rtc::SymTag> returnSym;
+    /// That register's value, repaired at the last commit.
+    Word returnValue = 0;
 
     /// Block that most recently NACKed us (dedupes predictor training
     /// across the retry loop for the same request).
     Addr lastNackBlock = static_cast<Addr>(-1);
 
-    /// A use-time equality validation already failed (set from a
-    /// context that cannot abort, e.g. mid-instruction reify); the
-    /// next machine operation converts it into an abort.
-    bool earlyViolation = false;
-    Addr earlyViolationBlock = 0;
+    /// The block of a use-time equality validation that already failed
+    /// (set from a context that cannot abort, e.g. mid-instruction
+    /// reify); the next machine operation converts it into an abort.
+    std::optional<Addr> earlyViolation;
+
+    /// NACK/abort backoff: the NACK streak restarts with each attempt,
+    /// the abort and DATM cascade streaks (TMMachine::restartBackoff)
+    /// with each commit; the jitter stream is per core.
+    std::uint32_t nackStreak = 0;
+    std::uint32_t abortStreak = 0;
+    std::uint32_t cascadeStreak = 0;
+    Xoshiro backoffRng;
+
+    /// Key blamed for the most recent abort (TMMachine::abortBlame).
+    Addr abortBlame = 0;
 
     bool active() const { return status != TxStatus::Idle; }
 
@@ -158,18 +174,16 @@ struct CoreTxState {
         datmPreds.clear();
         datmStoreSeq.clear();
         datmForwardedRead = false;
-        commitBankMask = 0;
-        commitBankMaskValid = false;
+        commitBankMask.reset();
         overflowed = false;
         overflowPending = false;
         commitPhase = CommitPhase::Arbitrate;
         commitIvbIdx = 0;
         commitSsbIdx = 0;
         commitCycles = 0;
-        symRegsRepaired = 0;
+        returnSym.reset();
         lastNackBlock = static_cast<Addr>(-1);
-        earlyViolation = false;
-        earlyViolationBlock = 0;
+        earlyViolation.reset();
         status = TxStatus::Idle;
     }
 };

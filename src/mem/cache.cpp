@@ -90,6 +90,8 @@ SetAssocCache::invalidate(Addr block)
 void
 SetAssocCache::clear()
 {
+    if (_occupancy == 0)
+        return;
     for (auto &line : _lines)
         line.lastUse = 0;
     _occupancy = 0;

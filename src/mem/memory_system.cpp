@@ -43,16 +43,12 @@ MemorySystem::bankVisit(Addr block)
             _stats.add("bank_stalls");
         }
     }
-    if (_bankFault.period != 0 && _clock &&
-        (block / kBlockBytes) % _bankFault.sliceMod ==
-            _bankFault.sliceVictim) {
-        Cycle now = _clock->now();
-        if ((now + _bankFault.offset) % _bankFault.period <
-            _bankFault.len) {
-            stall += _bankFault.extra;
-            ++_bankFaultStalls;
-            _bankFaultCycles += _bankFault.extra;
-        }
+    const BankFault &f = _bankFault;
+    if (_clock && windowActive(_clock->now(), f.period, f.len, f.offset) &&
+        (block / kBlockBytes) % f.sliceMod == f.sliceVictim) {
+        stall += f.extra;
+        ++_bankFaultStalls;
+        _bankFaultCycles += f.extra;
     }
     return stall;
 }

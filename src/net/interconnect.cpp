@@ -85,9 +85,9 @@ Interconnect::crossLink(unsigned link, unsigned words, Cycle now)
     l.stats.payloadWords += words;
     l.stats.queueCycles += queue;
     Cycle latency = _cfg.linkLatency;
-    if (_linkFault.period != 0 && link == _linkFault.link &&
-        (now + _linkFault.offset) % _linkFault.period < _linkFault.len) {
-        Cycle extra = latency * (_linkFault.latencyMult - 1);
+    const LinkFault &f = _linkFault;
+    if (link == f.link && windowActive(now, f.period, f.len, f.offset)) {
+        Cycle extra = latency * (f.latencyMult - 1);
         latency += extra;
         ++_faultMessages;
         _faultExtra += extra;

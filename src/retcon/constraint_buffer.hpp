@@ -27,7 +27,7 @@ namespace retcon::rtc {
 class ConstraintBuffer
 {
   public:
-    explicit ConstraintBuffer(std::size_t capacity = 16)
+    explicit ConstraintBuffer(std::size_t capacity)
         : _capacity(capacity)
     {}
 

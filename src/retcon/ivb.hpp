@@ -51,7 +51,7 @@ struct IvbEntry {
 class InitialValueBuffer : private BoundedTable<IvbEntry, &IvbEntry::block>
 {
   public:
-    explicit InitialValueBuffer(std::size_t capacity = 16)
+    explicit InitialValueBuffer(std::size_t capacity)
         : BoundedTable(capacity)
     {}
 

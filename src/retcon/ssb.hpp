@@ -37,7 +37,7 @@ struct SsbEntry {
 class SymbolicStoreBuffer : private BoundedTable<SsbEntry, &SsbEntry::word>
 {
   public:
-    explicit SymbolicStoreBuffer(std::size_t capacity = 32)
+    explicit SymbolicStoreBuffer(std::size_t capacity)
         : BoundedTable(capacity)
     {}
 

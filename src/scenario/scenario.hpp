@@ -170,13 +170,6 @@ const std::vector<Scenario> &registry();
 /** Look up a scenario by name; nullptr on unknown names. */
 const Scenario *scenarioByName(const std::string &name);
 
-/** True when ((now + offset) mod period) < len (period 0 = never). */
-inline bool
-windowActive(Cycle now, Cycle period, Cycle len, Cycle offset)
-{
-    return period != 0 && (now + offset) % period < len;
-}
-
 /**
  * Per-run scenario state: the resolved table row, its plan, and the
  * aggregated worker-side statistics. Owned by api::runOnce, handed to

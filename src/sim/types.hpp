@@ -67,6 +67,17 @@ byteInWord(Addr a)
 }
 
 /**
+ * The periodic fault-window rule shared by every injected fault (core
+ * stalls, slow directory banks, slow fleet links): true when
+ * ((now + offset) mod period) < len; period 0 = never.
+ */
+constexpr bool
+windowActive(Cycle now, Cycle period, Cycle len, Cycle offset)
+{
+    return period != 0 && (now + offset) % period < len;
+}
+
+/**
  * Read-only view of a simulated clock.
  *
  * The event kernel (sim/sharded_queue.hpp) implements this; consumers

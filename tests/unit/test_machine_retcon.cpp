@@ -104,11 +104,13 @@ TEST(Retcon, RepairAppliesRemoteUpdateAtCommit)
     ASSERT_TRUE(rig.commit(1));
     EXPECT_EQ(rig.ms.memory().readWord(kA), 7u);
 
-    // Core 0 lost the block but repairs: final value 7 + 1 = 8.
+    // Core 0 lost the block but repairs: final value 7 + 1 = 8, in
+    // memory and in the returned register it handed over.
+    rig.tm.setReturnSym(0, plus1);
     ASSERT_TRUE(rig.commit(0));
     EXPECT_EQ(rig.ms.memory().readWord(kA), 8u);
     EXPECT_EQ(rig.remoteAborts, 0);
-    EXPECT_EQ(rig.tm.finalRootValue(0, kA), 7u);
+    EXPECT_EQ(rig.tm.returnValue(0), 8u);
 }
 
 TEST(Retcon, SatisfiedIntervalConstraintCommits)
