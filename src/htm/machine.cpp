@@ -257,9 +257,13 @@ TMMachine::resolveConflict(CoreId requester, bool requester_txnal,
         }
         [[fallthrough]];
       case CMPolicy::RequesterWins:
-        for (std::uint64_t m = info.holders; m; m &= m - 1)
-            doAbort(static_cast<CoreId>(std::countr_zero(m)),
-                    AbortCause::Conflict, true, block);
+        // In DATM, aborting one holder cascades to its dataflow
+        // successors, which may be later holders.
+        for (std::uint64_t m = info.holders; m; m &= m - 1) {
+            auto c = static_cast<CoreId>(std::countr_zero(m));
+            if (_cores[c]->active())
+                doAbort(c, AbortCause::Conflict, true, block);
+        }
         if (requester_txnal)
             _cores[requester]->lastNackBlock = static_cast<Addr>(-1);
         return OpStatus::Ok;

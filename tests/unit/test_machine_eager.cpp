@@ -295,3 +295,23 @@ TEST(LazyHtm, PlainStoreMidDrainRollsBackDrainedWords)
     EXPECT_EQ(rig.ms.memory().readWord(kA), 1u);
     EXPECT_EQ(rig.ms.memory().readWord(kB), 99u);
 }
+
+TEST(DatmHtm, PlainStoreAbortsCascadedHoldersOnce)
+{
+    // Core 1 reads core 0's speculative store (a dataflow edge), so
+    // aborting core 0 cascades to core 1. A plain store to the block
+    // wins against both holders and must not abort core 1 a second
+    // time once the cascade retired it.
+    TMConfig cfg;
+    cfg.mode = TMMode::DATM;
+    EagerRig rig(cfg);
+    rig.begin(0);
+    rig.begin(1);
+    ASSERT_EQ(rig.tm.txStore(0, kA, 7, std::nullopt).status, OpStatus::Ok);
+    ASSERT_EQ(rig.tm.txLoad(1, kA).value, 7u);
+    EXPECT_EQ(rig.tm.plainStore(2, kA, 9).status, OpStatus::Ok);
+    EXPECT_EQ(rig.tm.status(0), TxStatus::Idle);
+    EXPECT_EQ(rig.tm.status(1), TxStatus::Idle);
+    EXPECT_EQ(rig.tm.stats().aborts, 2u);
+    EXPECT_EQ(rig.ms.memory().readWord(kA), 9u);
+}
