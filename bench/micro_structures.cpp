@@ -2,12 +2,14 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot structures:
  * event queue throughput, cache tag lookups, interval constraint
- * recording, IVB/SSB operations, and predictor queries. These bound
- * the host-side cost per simulated memory operation.
+ * recording, IVB/SSB operations, predictor queries, and the TM
+ * machine's NACK retry. These bound the host-side cost per simulated
+ * memory operation.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "htm/machine.hpp"
 #include "mem/cache.hpp"
 #include "retcon/constraint_buffer.hpp"
 #include "retcon/ivb.hpp"
@@ -215,5 +217,35 @@ BM_PredictorQuery(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PredictorQuery);
+
+static void
+BM_NackRetry(benchmark::State &state)
+{
+    // Figure 9's hot path: 32 active transactions, each holding a few
+    // blocks of its own, and core 1 retrying a load of a block that
+    // the older core 0 wrote. Every call finds that one writer and
+    // NACKs (oldest-wins).
+    constexpr unsigned kCores = 32;
+    constexpr Addr kHot = 0x10000;
+    ShardedEventQueue eq;
+    mem::MemorySystem ms(kCores);
+    htm::TMConfig cfg;
+    cfg.mode = htm::TMMode::Eager;
+    htm::TMMachine tm(eq, ms, cfg);
+    for (CoreId c = 0; c < kCores; ++c)
+        tm.txBegin(c, false);
+    tm.txStore(0, kHot, 1, std::nullopt);
+    for (CoreId c = 2; c < kCores; ++c)
+        for (Addr i = 0; i < 4; ++i)
+            tm.txLoad(c, 0x100000 + (c * 4 + i) * kBlockBytes);
+    for (auto _ : state) {
+        htm::MemOpOutcome out = tm.txLoad(1, kHot, 8, true);
+        benchmark::DoNotOptimize(out);
+    }
+    if (tm.stats().nacks < std::uint64_t(state.iterations()))
+        state.SkipWithError("a retry did not NACK");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NackRetry);
 
 BENCHMARK_MAIN();

@@ -171,19 +171,51 @@ TMMachine::effectiveTs(CoreId core, bool txnal) const
     return st.timestamp;
 }
 
+void
+TMMachine::touch(CoreId core, Addr block, bool write)
+{
+    Touchers &t = _touchers[block];
+    std::uint64_t bit = std::uint64_t(1) << core;
+    if (!t.has(core))
+        _cores[core]->touched.push_back(block);
+    (write ? t.writers : t.readers) |= bit;
+}
+
+void
+TMMachine::clearTouches(CoreId core)
+{
+    CoreTxState &st = *_cores[core];
+    std::uint64_t keep = ~(std::uint64_t(1) << core);
+    for (Addr block : st.touched) {
+        auto it = _touchers.find(block);
+        it->second.readers &= keep;
+        it->second.writers &= keep;
+        if (!(it->second.readers | it->second.writers))
+            _touchers.erase(it);
+    }
+    st.touched.clear();
+}
+
 template <typename Fn>
 void
 TMMachine::forEachToucher(CoreId self, Addr block, bool with_readers,
                           Fn &&fn) const
 {
-    for (CoreId c = 0; c < _ms.numCores(); ++c) {
-        const CoreTxState &st = *_cores[c];
-        if (c == self || !st.active())
-            continue;
-        bool wrote = st.writeSet.count(block);
-        bool read = with_readers && st.readSet.count(block);
-        if (wrote || read)
-            fn(c, wrote, read);
+    std::uint64_t others =
+        self < 64 ? ~(std::uint64_t(1) << self) : ~std::uint64_t(0);
+    auto candidates = [&](const Touchers &t) {
+        return (t.writers | (with_readers ? t.readers : 0)) & others;
+    };
+    Touchers t = touchersOf(block);
+    for (std::uint64_t left = candidates(t); left;) {
+        auto c = static_cast<CoreId>(std::countr_zero(left));
+        left &= left - 1;
+        fn(c, (t.writers >> c) & 1, with_readers && ((t.readers >> c) & 1));
+        if (left) {
+            // A core that fn retired has no bits any more.
+            t = touchersOf(block);
+            left &= candidates(t);
+        }
     }
 }
 
@@ -302,6 +334,7 @@ TMMachine::retireAborted(CoreId core, AbortCause cause, Addr blame,
     if (blame != 0 && _contention)
         _contention(core, blame);
     releaseTokens(core);
+    clearTouches(core);
     st.resetSpeculation();
     ++_stats.aborts;
     ++_stats.abortsByCause[static_cast<int>(cause)];
@@ -395,8 +428,9 @@ TMMachine::findForwardProducer(CoreId reader, Addr word,
     };
     forEachToucher(reader, blockAddr(word), false,
                    [&](CoreId c, bool, bool) {
-        if (seqOf(c) > newest) {
-            newest = seqOf(c);
+        std::uint64_t seq = seqOf(c);
+        if (seq > newest) {
+            newest = seq;
             producer = c;
         }
     });
@@ -515,8 +549,7 @@ TMMachine::onRemoteTake(CoreId victim, Addr block,
         // lazy/DATM modes, where takes are part of normal operation).
         if (_cfg.mode == TMMode::Eager || _cfg.mode == TMMode::LazyVB ||
             _cfg.mode == TMMode::Retcon) {
-            sim_assert(!st.readSet.count(block) &&
-                           !st.writeSet.count(block),
+            sim_assert(!touchersOf(block).has(victim),
                        "speculative block 0x%llx stolen from core %u "
                        "without conflict resolution",
                        static_cast<unsigned long long>(block), victim);
@@ -530,11 +563,11 @@ TMMachine::onCapacityEvict(CoreId victim, Addr block)
     CoreTxState &st = *_cores[victim];
     if (!st.active())
         return;
-    if (!st.readSet.count(block) && !st.writeSet.count(block))
+    if (!touchersOf(block).has(victim))
         return;
     // Speculative bits survive in the permissions-only cache (§2).
     if (auto evicted = st.permCache.insert(block)) {
-        if (st.readSet.count(*evicted) || st.writeSet.count(*evicted)) {
+        if (touchersOf(*evicted).has(victim)) {
             // Even the permissions-only cache lost a speculative
             // block: fall back to OneTM serialized execution.
             st.overflowPending = true;
@@ -561,14 +594,8 @@ TMMachine::eagerAccess(CoreId core, Addr addr, bool is_write, Word value,
     }
 
     out.latency = _ms.access(core, block, is_write);
-
-    CoreTxState &st = *_cores[core];
-    if (txnal) {
-        if (is_write)
-            st.writeSet.insert(block);
-        else
-            st.readSet.insert(block);
-    }
+    if (txnal)
+        touch(core, block, is_write);
 
     if (is_write) {
         speculativeWrite(core, addr, value, size, txnal);
@@ -669,7 +696,7 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
             return out;
         }
         Cycle lat = _ms.access(core, block, false);
-        st.readSet.insert(block);
+        touch(core, block, false);
         MemOpOutcome out;
         out.latency = lat;
         out.value = _ms.memory().read(addr, size);
@@ -763,7 +790,7 @@ TMMachine::txLoad(CoreId core, Addr addr, unsigned size, bool is_retry)
         if (!datmOrderAfter(core, block, false))
             return failedAccess(core, OpStatus::AbortSelf);
         Cycle lat = _ms.access(core, block, false);
-        st.readSet.insert(block);
+        touch(core, block, false);
         MemOpOutcome out;
         out.latency = lat;
         // The dependence edges above are block-granular (conservative
@@ -866,7 +893,7 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         auto put = st.ssb.put(word, merged, std::nullopt, 8);
         sim_assert(put != rtc::SymbolicStoreBuffer::Put::Full,
                    "lazy write buffer is unbounded");
-        st.writeSet.insert(block);
+        touch(core, block, true);
         audit(core, trace::EventKind::SymStore, word, merged);
         return MemOpOutcome{OpStatus::Ok, 1, 0, std::nullopt};
       }
@@ -905,7 +932,7 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         // block read a stale intermediate value and must abort.
         // (The dependence graph is acyclic, so none of these
         // cascades reaches the storing transaction itself.)
-        if (st.writeSet.count(block)) {
+        if (writes(core, block)) {
             forEachToucher(core, block, true, [&](CoreId s, bool, bool read) {
                 const auto &preds = _cores[s]->datmPreds;
                 auto it = preds.find(st.uid);
@@ -916,7 +943,7 @@ TMMachine::txStore(CoreId core, Addr addr, Word value,
         if (!datmOrderAfter(core, block, true))
             return failedAccess(core, OpStatus::AbortSelf);
         Cycle lat = _ms.access(core, block, true);
-        st.writeSet.insert(block);
+        touch(core, block, true);
         st.datmStoreSeq[word] = speculativeWrite(core, addr, value, size);
         return MemOpOutcome{OpStatus::Ok, lat, 0, std::nullopt};
       }
@@ -966,7 +993,7 @@ TMMachine::retconEagerStore(CoreId core, Addr addr, Word value,
         }
     }
 
-    st.writeSet.insert(block);
+    touch(core, block, true);
     speculativeWrite(core, addr, value, size);
     return MemOpOutcome{OpStatus::Ok, lat, 0, std::nullopt};
 }
@@ -1147,18 +1174,19 @@ TMMachine::restartBackoff(CoreId core)
 std::uint64_t
 TMMachine::neededBankMask(CoreId core) const
 {
-    // Every block the commit protocol will write: the eager write set,
-    // the SSB drain targets, and tracked blocks the pre-commit walk
-    // reacquires for writing. Computed once at acquisition time — the
-    // write set only grows during commit with blocks already named
-    // here.
+    // Every block the commit protocol will write: the blocks the
+    // attempt wrote eagerly, the SSB drain targets, and tracked blocks
+    // the pre-commit walk reacquires for writing. Computed once at
+    // acquisition time — the written blocks only grow during commit
+    // with blocks already named here.
     const CoreTxState &st = *_cores[core];
     std::uint64_t mask = 0;
     auto add = [&](Addr block) {
         mask |= std::uint64_t(1) << _ms.bankOf(block);
     };
-    for (Addr b : st.writeSet)
-        add(b);
+    for (Addr b : st.touched)
+        if (writes(core, b))
+            add(b);
     for (const rtc::SsbEntry &e : st.ssb.entries())
         add(blockAddr(e.word));
     for (const rtc::IvbEntry &e : st.ivb.entries())
@@ -1404,9 +1432,9 @@ TMMachine::commitWalk(CoreId core, bool is_retry)
         }
         // Protect the block eagerly for the rest of the commit
         // (Figure 7 sets the speculatively-read bit).
-        st.readSet.insert(e.block);
+        touch(core, e.block, false);
         if (want_write)
-            st.writeSet.insert(e.block);
+            touch(core, e.block, true);
 
         // Refresh final values and check all constraints.
         for (unsigned w = 0; w < kWordsPerBlock; ++w) {
@@ -1458,7 +1486,7 @@ TMMachine::commitDrain(CoreId core, bool is_retry)
             return commitFailed(core, s);
         lat = _ms.access(core, block, true);
     }
-    st.writeSet.insert(block);
+    touch(core, block, true);
     Word value = e.concrete;
     if (e.sym) {
         rtc::IvbEntry *root_entry = st.ivb.find(blockAddr(e.sym->root));
@@ -1502,6 +1530,7 @@ TMMachine::finalizeCommit(CoreId core)
     // validator's treat-DATM-as-eager gap visible per commit.
     std::uint8_t commit_aux =
         st.datmForwardedRead ? trace::kCommitAuxDatmForwarded : 0;
+    clearTouches(core);
     st.resetSpeculation();
     st.timestamp = 0;
     // Backoff streaks end with the transaction.

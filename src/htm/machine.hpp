@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -230,6 +231,17 @@ class TMMachine : public mem::CoherenceListener
     mem::MemorySystem &memorySystem() { return _ms; }
     CoreTxState &coreState(CoreId core) { return *_cores[core]; }
 
+    /** Whether @p core's active attempt read / wrote @p block (the
+     *  modeled speculatively-read/-written bits). */
+    bool reads(CoreId core, Addr block) const
+    {
+        return (touchersOf(block).readers >> core) & 1;
+    }
+    bool writes(CoreId core, Addr block) const
+    {
+        return (touchersOf(block).writers >> core) & 1;
+    }
+
     /** Per-bank commit-token counters (all zero unless arbitration
      *  is modeled — TMConfig::commitTokenArbitration). */
     struct BankTokenStats {
@@ -289,6 +301,18 @@ class TMMachine : public mem::CoherenceListener
     /// Fleet interconnect (null = single cluster, no wire costs).
     net::Interconnect *_net = nullptr;
 
+    /// The per-block touch index: bit c of `readers`/`writers` means
+    /// core c's active attempt read/wrote the block. An entry exists
+    /// only while some bit is set; an attempt's bits are cleared when
+    /// it commits or aborts (CoreTxState::touched lists its blocks).
+    struct Touchers {
+        std::uint64_t readers = 0;
+        std::uint64_t writers = 0;
+
+        bool has(CoreId c) const { return ((readers | writers) >> c) & 1; }
+    };
+    std::unordered_map<Addr, Touchers> _touchers;
+
     // ---- Internal helpers -------------------------------------------
     struct ConflictInfo {
         std::uint64_t holders = 0; ///< Bit c: core c holds the block.
@@ -298,13 +322,30 @@ class TMMachine : public mem::CoherenceListener
     /** Effective age for arbitration (overflowed = oldest, non-tx = 0). */
     std::uint64_t effectiveTs(CoreId core, bool txnal) const;
 
+    /** @p block's touch-index entry (all zero when untouched). */
+    Touchers
+    touchersOf(Addr block) const
+    {
+        auto it = _touchers.find(block);
+        return it == _touchers.end() ? Touchers{} : it->second;
+    }
+
+    /** Set @p core's read (or, with @p write, written) bit on
+     *  @p block, listing the block on its first touch. */
+    void touch(CoreId core, Addr block, bool write);
+
+    /** Clear every bit of @p core's attempt (before it resets). */
+    void clearTouches(CoreId core);
+
     /**
      * The block-toucher query, the one place that looks for another
      * core's claim on a block: call `fn(c, wrote, read)` for each
      * active transaction c other than @p self, in ascending core
-     * order, whose write set holds @p block (with @p with_readers,
-     * or whose read set does). Membership is checked live at each
-     * core, because a DATM cascade inside @p fn can retire later ones.
+     * order, that wrote @p block (with @p with_readers, or read it).
+     * One index lookup; it is repeated after @p fn only while
+     * candidates remain, because a DATM cascade or a committer-wins
+     * abort inside @p fn can retire later touchers (and erase the
+     * entry).
      */
     template <typename Fn>
     void forEachToucher(CoreId self, Addr block, bool with_readers,

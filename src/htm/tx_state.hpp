@@ -2,9 +2,10 @@
  * @file
  * Per-core transactional state.
  *
- * Groups everything a core's in-flight transaction owns: the eager
- * read/write sets (conflict detection via the coherence protocol), the
- * undo log (eager version management), the RETCON structures (IVB,
+ * Groups everything a core's in-flight transaction owns: the list of
+ * blocks it touched (their speculatively-read/-written bits live in
+ * TMMachine's per-block touch index, which conflict detection reads),
+ * the undo log (eager version management), the RETCON structures (IVB,
  * constraint buffer, SSB), the modeled permissions-only cache that
  * absorbs speculative bits evicted from the L2 (OneTM backing, §2), the
  * DATM dependence bookkeeping, the pre-commit walk cursor and the
@@ -22,7 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "htm/types.hpp"
 #include "htm/undo_log.hpp"
@@ -70,10 +71,11 @@ struct CoreTxState {
     /// Unique id of the current *attempt* (DATM dependence edges).
     std::uint64_t uid = 0;
 
-    /// Eager conflict-detection sets, block granularity (the modeled
-    /// speculatively-read/-written cache bits).
-    std::unordered_set<Addr> readSet;
-    std::unordered_set<Addr> writeSet;
+    /// Blocks this attempt read or wrote, in first-touch order. Their
+    /// speculatively-read/-written bits are TMMachine's touch index
+    /// (TMMachine::reads/writes), which owns this list: it appends on
+    /// first touch and empties it when the attempt ends.
+    std::vector<Addr> touched;
 
     UndoLog undo;
 
@@ -164,8 +166,6 @@ struct CoreTxState {
     void
     resetSpeculation()
     {
-        readSet.clear();
-        writeSet.clear();
         undo.clear();
         ivb.clear();
         constraints.clear();

@@ -5,11 +5,13 @@
  * every returned status, latency and value, every remote abort, the
  * final memory and the machine statistics into one hash, pinned below:
  * any change to how conflicts are found (who touches a block, in which
- * order the touchers are visited) moves it.
+ * order the touchers are visited) moves it. The same scripts check the
+ * per-block touch index after every op.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -37,6 +39,14 @@ struct Script {
     std::uint64_t seed;
     std::uint64_t pinned; ///< Hash recorded on the per-core-set scan.
 };
+
+/** The script's block @p i (of kBlocks). */
+Addr
+blockOf(const Script &s, unsigned i)
+{
+    return s.overflow ? 0x100000 + Addr(i) * kL2SetStride
+                      : 0x10000 + Addr(i) * 3 * kBlockBytes;
+}
 
 /** FNV-1a over 64-bit values. */
 struct Hash {
@@ -80,7 +90,7 @@ struct CoreScript {
  */
 std::uint64_t
 runScript(const Script &s,
-          const std::function<void(const TMMachine &)> &after_op = {})
+          const std::function<void(TMMachine &)> &after_op = {})
 {
     ShardedEventQueue eq;
     mem::MemorySystem ms(kCores);
@@ -94,21 +104,18 @@ runScript(const Script &s,
         h.add(static_cast<std::uint64_t>(a));
     });
 
-    auto blockOf = [&](unsigned i) {
-        return s.overflow ? 0x100000 + Addr(i) * kL2SetStride
-                          : 0x10000 + Addr(i) * 3 * kBlockBytes;
-    };
     // Half the blocks start predicted-conflicting, so RETCON and
     // lazy-vb track them by value from the first load.
     for (unsigned i = 0; i < kBlocks; i += 2)
-        tm.predictor().observeConflict(blockOf(i));
+        tm.predictor().observeConflict(blockOf(s, i));
     for (unsigned i = 0; i < kBlocks; ++i)
-        ms.memory().writeWord(blockOf(i), 100 + i);
+        ms.memory().writeWord(blockOf(s, i), 100 + i);
 
     Xoshiro rng(s.seed);
     std::vector<CoreScript> cores(kCores);
     auto pickAccess = [&](CoreScript &cs) {
-        Addr block = blockOf(static_cast<unsigned>(rng.below(kBlocks)));
+        Addr block =
+            blockOf(s, static_cast<unsigned>(rng.below(kBlocks)));
         cs.addr = block + rng.below(2) * kWordBytes;
         cs.size = 8;
         if (rng.chance(1, 8)) {
@@ -226,7 +233,7 @@ runScript(const Script &s,
 
     for (unsigned i = 0; i < kBlocks; ++i)
         for (unsigned w = 0; w < 2; ++w)
-            h.add(ms.memory().readWord(blockOf(i) + w * kWordBytes));
+            h.add(ms.memory().readWord(blockOf(s, i) + w * kWordBytes));
     const MachineStats &st = tm.stats();
     for (std::uint64_t v :
          {st.commits, st.aborts, st.conflicts, st.nacks, st.overflows,
@@ -265,5 +272,34 @@ TEST(ConflictIndex, SeededScriptsArePinned)
         std::uint64_t got = runScript(s);
         EXPECT_EQ(got, s.pinned)
             << s.name << ": 0x" << std::hex << got;
+    }
+}
+
+TEST(ConflictIndex, IndexHoldsExactlyTheActiveTouchers)
+{
+    for (const Script &s : kScripts) {
+        int op = 0;
+        runScript(s, [&](TMMachine &tm) {
+            ++op;
+            for (CoreId c = 0; c < kCores; ++c) {
+                const std::vector<Addr> &touched = tm.coreState(c).touched;
+                bool active = tm.status(c) != TxStatus::Idle;
+                for (unsigned i = 0; i < kBlocks; ++i) {
+                    Addr b = blockOf(s, i);
+                    bool bit = tm.reads(c, b) || tm.writes(c, b);
+                    auto listed =
+                        std::count(touched.begin(), touched.end(), b);
+                    ASSERT_EQ(bit, active && listed == 1)
+                        << s.name << " op " << op << " core " << c
+                        << " block 0x" << std::hex << b << " listed "
+                        << listed;
+                }
+                ASSERT_TRUE(active || touched.empty())
+                    << s.name << " op " << op << " core " << c;
+                for (Addr b : touched)
+                    ASSERT_TRUE(tm.reads(c, b) || tm.writes(c, b))
+                        << s.name << " op " << op << " core " << c;
+            }
+        });
     }
 }

@@ -76,8 +76,8 @@ TEST(Retcon, SymbolicLoadReturnsTagAndTracksBlock)
     EXPECT_EQ(out.sym->root, kA);
     EXPECT_EQ(out.sym->delta, 0);
     EXPECT_EQ(rig.tm.coreState(0).ivb.size(), 1u);
-    // Symbolic loads do not enter the eager read set.
-    EXPECT_TRUE(rig.tm.coreState(0).readSet.empty());
+    // Symbolic loads do not set the block's speculatively-read bit.
+    EXPECT_TRUE(rig.tm.coreState(0).touched.empty());
 }
 
 TEST(Retcon, RepairAppliesRemoteUpdateAtCommit)
@@ -253,7 +253,8 @@ TEST(Retcon, IvbCapacityFallsBackToEagerPath)
         rig.tm.txLoad(0, block);
     }
     EXPECT_EQ(rig.tm.coreState(0).ivb.size(), 16u);
-    EXPECT_EQ(rig.tm.coreState(0).readSet.size(), 1u);
+    EXPECT_EQ(rig.tm.coreState(0).touched.size(), 1u);
+    EXPECT_TRUE(rig.tm.reads(0, 0x100000 + 16 * kBlockBytes));
 }
 
 TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
@@ -275,7 +276,7 @@ TEST(Retcon, SsbCapacityFallsBackToEagerStoreWithPin)
     Addr spill = kB + kSsbEntries * kWordBytes;
     tm.txStore(0, spill, 1, t);
     EXPECT_EQ(tm.coreState(0).ssb.size(), kSsbEntries);
-    EXPECT_EQ(tm.coreState(0).writeSet.count(blockAddr(spill)), 1u);
+    EXPECT_TRUE(tm.writes(0, blockAddr(spill)));
     rtc::IvbEntry *e = tm.coreState(0).ivb.find(blockAddr(kA));
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->eqMask & 1);
@@ -341,7 +342,7 @@ TEST(Retcon, CommitPriorityProtectsCommitterFromOlderActive)
     // older core 0 access the block core 1 holds mid-commit.
     CommitStepOutcome s = rig.tm.commitStep(1, false);
     ASSERT_EQ(s.status, OpStatus::Ok);
-    while (rig.tm.coreState(1).writeSet.empty() && !s.done)
+    while (!rig.tm.writes(1, blockAddr(kA)) && !s.done)
         s = rig.tm.commitStep(1, false);
     MemOpOutcome out = rig.tm.txStore(0, kA, 9, std::nullopt);
     EXPECT_EQ(out.status, OpStatus::Nack); // Waits, does not abort.
