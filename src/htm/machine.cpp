@@ -175,10 +175,9 @@ void
 TMMachine::touch(CoreId core, Addr block, bool write)
 {
     Touchers &t = _touchers[block];
-    std::uint64_t bit = std::uint64_t(1) << core;
     if (!t.has(core))
         _cores[core]->touched.push_back(block);
-    (write ? t.writers : t.readers) |= bit;
+    (write ? t.writers : t.readers) |= std::uint64_t(1) << core;
 }
 
 void
@@ -1353,7 +1352,7 @@ void
 TMMachine::enterDrain(CoreId core)
 {
     // Every tracked block (Lazy tracks none) is now reacquired and
-    // protected by the conflict sets: the roots' architectural values
+    // protected by its touch bits: the roots' architectural values
     // are final for the rest of the commit.
     _cores[core]->commitPhase = CommitPhase::Drain;
     audit(core, trace::EventKind::CommitDrain);

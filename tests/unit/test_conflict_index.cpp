@@ -303,3 +303,32 @@ TEST(ConflictIndex, IndexHoldsExactlyTheActiveTouchers)
         });
     }
 }
+
+TEST(ConflictIndex, CascadeInsideTheQuerySkipsRetiredTouchers)
+{
+    // Core 1 read core 3's store to B and then wrote A; core 2 read
+    // core 1's A. When the older core 3 stores to A, the query visits
+    // core 1 first, finds the cycle and aborts it, and the cascade
+    // retires core 2, a later toucher of A. Core 2 must not be visited
+    // after that: a stale visit would order core 3 after a dead attempt.
+    ShardedEventQueue eq;
+    mem::MemorySystem ms(4);
+    TMConfig cfg;
+    cfg.mode = TMMode::DATM;
+    TMMachine tm(eq, ms, cfg);
+    constexpr Addr kA = 0x10000;
+    constexpr Addr kB = 0x20000;
+    for (CoreId c : {3u, 1u, 2u})
+        ASSERT_EQ(tm.txBegin(c, false).status, OpStatus::Ok);
+    ASSERT_EQ(tm.txStore(3, kB, 1, std::nullopt).status, OpStatus::Ok);
+    ASSERT_EQ(tm.txLoad(1, kB).status, OpStatus::Ok);
+    ASSERT_EQ(tm.txStore(1, kA, 2, std::nullopt).status, OpStatus::Ok);
+    ASSERT_EQ(tm.txLoad(2, kA).status, OpStatus::Ok);
+
+    EXPECT_EQ(tm.txStore(3, kA, 3, std::nullopt).status, OpStatus::Ok);
+    EXPECT_EQ(tm.status(1), TxStatus::Idle);
+    EXPECT_EQ(tm.status(2), TxStatus::Idle);
+    EXPECT_TRUE(tm.coreState(3).datmPreds.empty());
+    EXPECT_TRUE(tm.writes(3, kA));
+    EXPECT_FALSE(tm.reads(2, kA));
+}
