@@ -5,7 +5,7 @@
  *
  *  1. **Codec throughput** — a synthetic, deterministically generated
  *     record stream is written through trace::StreamWriter and read
- *     back through trace::StreamReader, timing both directions. This
+ *     back through trace::readStreamFile, timing both directions. This
  *     isolates the frame encode/CRC/decode cost from any simulation:
  *     records/sec here is the ceiling a live run can stream at.
  *
@@ -159,22 +159,8 @@ main(int argc, char **argv)
     double write_ms = msSince(t0);
 
     t0 = std::chrono::steady_clock::now();
-    std::size_t read_back = 0;
-    std::size_t faults = 0;
-    {
-        trace::StreamReader reader(rtt);
-        trace::Record r;
-        trace::StreamFault f;
-        while (true) {
-            trace::StreamReader::Status st = reader.next(r, f);
-            if (st == trace::StreamReader::Status::Record)
-                ++read_back;
-            else if (st == trace::StreamReader::Status::Fault)
-                ++faults;
-            else
-                break;
-        }
-    }
+    trace::StreamReadResult read =
+        trace::readStreamFile(rtt, [](const trace::Record &) {});
     double read_ms = msSince(t0);
     std::remove(rtt);
 
@@ -191,9 +177,10 @@ main(int argc, char **argv)
     std::printf("  read:  %7.1f ms  %10.0f recs/s  %7.1f MB/s\n",
                 read_ms, read_rate,
                 read_rate * bytes_per_record / 1e6);
-    if (read_back != n || faults != 0) {
-        std::printf("!! read back %zu of %zu records (%zu faults)\n",
-                    read_back, n, faults);
+    if (!read.ok || read.records != n) {
+        std::printf("!! read back %llu of %zu records (%s)\n",
+                    (unsigned long long)read.records, n,
+                    read.ok ? "no fault" : read.error.c_str());
         all_ok = false;
     }
 

@@ -57,6 +57,10 @@ RunResult
 runOnce(const RunConfig &cfg)
 {
     sim_assert(cfg.clusters >= 1, "clusters must be >= 1");
+    if (cfg.trace.ringCapacity != 0)
+        fatal("trace.ringCapacity %zu: runs keep no trace rings; use "
+              "trace.streamPath or trace.captureInto to retain records",
+              cfg.trace.ringCapacity);
     workloads::WorkloadParams params;
     params.nthreads = cfg.nthreads * cfg.clusters;
     params.seed = cfg.seed;
@@ -155,9 +159,9 @@ runOnce(const RunConfig &cfg)
     // Optional provenance/audit instrumentation. The sinks must
     // outlive the run; the validator reads architectural memory, so it
     // is built against this cluster instance. The mux keeps per-shard
-    // counters only (no rings); every consumer — validator, stream
-    // writer, capture — is a live downstream fed the merged stream,
-    // which arrives in machine-global seq order by construction.
+    // counters only; every consumer — validator, stream writer,
+    // capture — is a live downstream fed the merged stream, which
+    // arrives in machine-global seq order by construction.
     std::unique_ptr<trace::ShardMux> mux;
     std::unique_ptr<trace::ReenactmentValidator> validator;
     std::unique_ptr<trace::StreamWriter> streamWriter;
@@ -165,8 +169,7 @@ runOnce(const RunConfig &cfg)
     if (cfg.trace.enabled) {
         mux = std::make_unique<trace::ShardMux>(
             cluster.numShards(),
-            [&cluster](CoreId core) { return cluster.shardOf(core); },
-            /*ring_capacity=*/0);
+            [&cluster](CoreId core) { return cluster.shardOf(core); });
         if (cfg.trace.validate) {
             validator = std::make_unique<trace::ReenactmentValidator>(
                 [&cluster](Addr a) {

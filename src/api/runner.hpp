@@ -36,10 +36,10 @@ struct TraceOptions {
     bool validate = true;
 
     /**
-     * Ignored by runOnce, whose mux keeps no rings: every record
-     * leaves a run through the live downstreams below. Kept for
-     * drivers that build their own trace::ShardMux and pass it as the
-     * per-shard ring capacity (0 = counters only).
+     * Must be 0: no run keeps trace rings, and every record leaves a
+     * run through the live downstreams below. runOnce and
+     * trace::ShardMux fail on a nonzero value. Kept for drivers that
+     * pass it to their own trace::ShardMux.
      */
     std::size_t ringCapacity = 0;
 

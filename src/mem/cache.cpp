@@ -1,9 +1,11 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
+
 namespace retcon::mem {
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geom)
-    : _lines(geom.numSets() * geom.ways), _ways(geom.ways),
+    : _blocks(geom.numSets() * geom.ways, kFree), _ways(geom.ways),
       _setMask(geom.numSets() - 1)
 {
     std::uint64_t nsets = geom.numSets();
@@ -11,80 +13,68 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom)
                "cache set count must be a nonzero power of two");
 }
 
-std::span<SetAssocCache::Line>
+std::span<Addr>
 SetAssocCache::setFor(Addr block)
 {
     std::uint64_t idx = (block / kBlockBytes) & _setMask;
-    return {_lines.data() + idx * _ways, _ways};
+    return {_blocks.data() + idx * _ways, _ways};
 }
 
-std::span<const SetAssocCache::Line>
+std::span<const Addr>
 SetAssocCache::setFor(Addr block) const
 {
     std::uint64_t idx = (block / kBlockBytes) & _setMask;
-    return {_lines.data() + idx * _ways, _ways};
+    return {_blocks.data() + idx * _ways, _ways};
 }
 
 bool
 SetAssocCache::contains(Addr block) const
 {
-    for (const auto &line : setFor(block))
-        if (line.lastUse != 0 && line.block == block)
-            return true;
-    return false;
+    std::span<const Addr> set = setFor(block);
+    return std::find(set.begin(), set.end(), block) != set.end();
 }
 
 void
 SetAssocCache::touch(Addr block)
 {
-    for (auto &line : setFor(block)) {
-        if (line.lastUse != 0 && line.block == block) {
-            line.lastUse = ++_useClock;
-            return;
-        }
-    }
+    std::span<Addr> set = setFor(block);
+    auto it = std::find(set.begin(), set.end(), block);
+    if (it != set.end())
+        std::rotate(set.begin(), it, it + 1);
 }
 
 std::optional<Addr>
 SetAssocCache::insert(Addr block)
 {
-    std::span<Line> set = setFor(block);
+    std::span<Addr> set = setFor(block);
     // Already resident: refresh recency.
-    for (auto &line : set) {
-        if (line.lastUse != 0 && line.block == block) {
-            line.lastUse = ++_useClock;
-            return std::nullopt;
-        }
+    auto it = std::find(set.begin(), set.end(), block);
+    if (it != set.end()) {
+        std::rotate(set.begin(), it, it + 1);
+        return std::nullopt;
     }
-    // Free way available.
-    for (auto &line : set) {
-        if (line.lastUse == 0) {
-            line = Line{block, ++_useClock};
-            ++_occupancy;
-            return std::nullopt;
-        }
+    // Shift the set one way toward LRU; the last way drops out.
+    Addr last = set.back();
+    std::copy_backward(set.begin(), set.end() - 1, set.end());
+    set.front() = block;
+    if (last == kFree) {
+        ++_occupancy;
+        return std::nullopt;
     }
-    // Evict LRU.
-    Line *victim = &set[0];
-    for (auto &line : set)
-        if (line.lastUse < victim->lastUse)
-            victim = &line;
-    Addr evicted = victim->block;
-    *victim = Line{block, ++_useClock};
-    return evicted;
+    return last;
 }
 
 bool
 SetAssocCache::invalidate(Addr block)
 {
-    for (auto &line : setFor(block)) {
-        if (line.lastUse != 0 && line.block == block) {
-            line.lastUse = 0;
-            --_occupancy;
-            return true;
-        }
-    }
-    return false;
+    std::span<Addr> set = setFor(block);
+    auto it = std::find(set.begin(), set.end(), block);
+    if (it == set.end())
+        return false;
+    std::copy(it + 1, set.end(), it);
+    set.back() = kFree;
+    --_occupancy;
+    return true;
 }
 
 void
@@ -92,8 +82,7 @@ SetAssocCache::clear()
 {
     if (_occupancy == 0)
         return;
-    for (auto &line : _lines)
-        line.lastUse = 0;
+    std::fill(_blocks.begin(), _blocks.end(), kFree);
     _occupancy = 0;
 }
 

@@ -8,8 +8,10 @@
  * geometries (mem::kL1Geometry, kL2Geometry, kPermOnlyGeometry) — the
  * permissions-only cache simply treats an entry as "this block's
  * coherence permissions and speculative read/written bits survive here
- * after data eviction" (OneTM). The tag array is one flat line array,
- * sets x ways; set i is the ways-long slice starting at i * ways.
+ * after data eviction" (OneTM). The tag array is one flat array of
+ * block addresses, sets x ways; set i is the ways-long slice starting
+ * at i * ways, kept most-recently-used first, so the LRU victim is
+ * always the last way and free ways sit at the end of their set.
  */
 
 #ifndef RETCON_MEM_CACHE_HPP
@@ -68,21 +70,16 @@ class SetAssocCache
     unsigned ways() const { return _ways; }
 
   private:
-    /// One way. lastUse 0 marks a free way: the use clock hands out
-    /// 1, 2, ... so a resident line never reads 0.
-    struct Line {
-        Addr block = 0;
-        std::uint64_t lastUse = 0;
-    };
+    /// A free way. Blocks are block-aligned, so none ever reads ~0.
+    static constexpr Addr kFree = ~Addr(0);
 
-    std::vector<Line> _lines; ///< numSets() x ways, set-major.
+    std::vector<Addr> _blocks; ///< numSets() x ways, set-major, MRU first.
     unsigned _ways;
     std::uint64_t _setMask;
-    std::uint64_t _useClock = 0;
     std::size_t _occupancy = 0;
 
-    std::span<Line> setFor(Addr block);
-    std::span<const Line> setFor(Addr block) const;
+    std::span<Addr> setFor(Addr block);
+    std::span<const Addr> setFor(Addr block) const;
 };
 
 } // namespace retcon::mem

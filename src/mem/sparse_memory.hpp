@@ -73,9 +73,6 @@ class SparseMemory
     /** Number of distinct words ever written (tests/footprint stats). */
     std::size_t footprintWords() const { return _words.size(); }
 
-    /** Drop all contents. */
-    void clear() { _words.clear(); }
-
   private:
     std::unordered_map<Addr, Word> _words;
 };

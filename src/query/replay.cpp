@@ -205,30 +205,12 @@ StreamValidateResult
 validateStreamFile(const std::string &path)
 {
     StreamValidateResult out;
-    trace::StreamReader reader(path);
-    if (!reader.ok()) {
-        out.error = "cannot open trace stream " + path;
-        return out;
-    }
     StreamingReplay replay;
-    trace::Record r;
-    trace::StreamFault fault;
-    while (true) {
-        trace::StreamReader::Status s = reader.next(r, fault);
-        if (s == trace::StreamReader::Status::Record) {
-            replay.onRecord(r);
-            continue;
-        }
-        if (s == trace::StreamReader::Status::Fault) {
-            out.error = path + ": " + fault.describe();
-            out.recordsRead = reader.recordsRead();
-            out.replay = replay.finish();
-            return out;
-        }
-        break;
-    }
-    out.streamOk = true;
-    out.recordsRead = reader.recordsRead();
+    trace::StreamReadResult read = trace::readStreamFile(
+        path, [&replay](const trace::Record &r) { replay.onRecord(r); });
+    out.streamOk = read.ok;
+    out.error = read.error;
+    out.recordsRead = read.records;
     out.replay = replay.finish();
     return out;
 }

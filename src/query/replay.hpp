@@ -20,8 +20,8 @@
  *    abort after a partial drain restores them.
  *
  * Replaying in seq order therefore presents the validator the same
- * memory values the live run did, and a complete stream (no ring
- * wraparound) must validate offline exactly as it did live — the
+ * memory values the live run did, and a complete stream (no record
+ * missing) must validate offline exactly as it did live — the
  * property that makes what-if's variant streams checkable
  * (src/api/whatif, docs/what-if.md).
  */

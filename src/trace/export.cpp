@@ -3,6 +3,31 @@
 namespace retcon::trace {
 
 const char *
+eventKindName(EventKind k)
+{
+    switch (k) {
+      case EventKind::TxBegin: return "begin";
+      case EventKind::Load: return "load";
+      case EventKind::SymLoad: return "sym-load";
+      case EventKind::Store: return "store";
+      case EventKind::Forward: return "forward";
+      case EventKind::SymStore: return "sym-store";
+      case EventKind::Freeze: return "freeze";
+      case EventKind::Pin: return "pin";
+      case EventKind::Constraint: return "constraint";
+      case EventKind::BlockLost: return "block-lost";
+      case EventKind::CommitStart: return "commit-start";
+      case EventKind::TokenWait: return "token-wait";
+      case EventKind::CommitDrain: return "commit-drain";
+      case EventKind::Repair: return "repair";
+      case EventKind::Commit: return "commit";
+      case EventKind::Abort: return "abort";
+      case EventKind::UserMark: return "mark";
+    }
+    return "?";
+}
+
+const char *
 cmpOpName(rtc::CmpOp op)
 {
     switch (op) {

@@ -1,7 +1,5 @@
 #include "trace/shard_mux.hpp"
 
-#include <algorithm>
-
 #include "sim/logging.hpp"
 
 namespace retcon::trace {
@@ -12,12 +10,10 @@ ShardMux::ShardMux(unsigned nshards, ShardOfFn shard_of,
 {
     sim_assert(_nshards >= 1, "ShardMux needs at least one shard");
     sim_assert(_shardOf != nullptr, "ShardMux needs a shard map");
-    if (ring_capacity > 0) {
-        _rings.reserve(_nshards);
-        for (unsigned s = 0; s < _nshards; ++s)
-            _rings.push_back(
-                std::make_unique<TraceRecorder>(ring_capacity));
-    }
+    sim_assert(ring_capacity == 0,
+               "ShardMux keeps no rings (ring capacity %zu); attach a "
+               "downstream sink to retain records",
+               ring_capacity);
     _counters.resize(_nshards);
 }
 
@@ -53,18 +49,8 @@ ShardMux::onEvent(const Record &r)
         ++c.repairs;
     else if (r.kind == EventKind::Forward)
         ++c.forwards;
-    if (!_rings.empty())
-        _rings[s]->onEvent(r);
     for (TraceSink *d : _downstream)
         d->onEvent(r);
-}
-
-const TraceRecorder &
-ShardMux::recorder(unsigned s) const
-{
-    sim_assert(!_rings.empty(), "ShardMux built without rings");
-    sim_assert(s < _nshards, "shard %u out of range", s);
-    return *_rings[s];
 }
 
 const ShardMux::Counters &
@@ -81,27 +67,6 @@ ShardMux::totalEvents() const
     for (const Counters &c : _counters)
         n += c.events;
     return n;
-}
-
-std::vector<Record>
-ShardMux::mergedSnapshot() const
-{
-    std::vector<Record> merged;
-    if (_rings.empty())
-        return merged;
-    std::size_t total = 0;
-    for (const auto &ring : _rings)
-        total += ring->size();
-    merged.reserve(total);
-    for (const auto &ring : _rings)
-        ring->forEach([&](const Record &r) { merged.push_back(r); });
-    // Each ring is already seq-ascending; a stable sort on the
-    // machine-global seq is the k-way merge.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Record &a, const Record &b) {
-                         return a.seq < b.seq;
-                     });
-    return merged;
 }
 
 } // namespace retcon::trace

@@ -441,6 +441,42 @@ StreamFault::describe() const
 }
 
 // ---------------------------------------------------------------------
+// Whole-file reads
+
+StreamReadResult
+readStreamFile(const std::string &path,
+               const std::function<void(const Record &)> &on_record)
+{
+    StreamReadResult out;
+    StreamReader reader(path);
+    if (!reader.ok()) {
+        out.error = "cannot open trace stream " + path;
+        return out;
+    }
+    Record r;
+    StreamFault fault;
+    StreamReader::Status s;
+    while ((s = reader.next(r, fault)) == StreamReader::Status::Record)
+        on_record(r);
+    out.ok = s == StreamReader::Status::End;
+    if (!out.ok)
+        out.error = path + ": " + fault.describe();
+    out.records = reader.recordsRead();
+    return out;
+}
+
+StreamReadResult
+loadStreamFile(const std::string &path, std::vector<Record> &out)
+{
+    out.clear();
+    StreamReadResult res = readStreamFile(
+        path, [&out](const Record &r) { out.push_back(r); });
+    if (!res.ok)
+        out.clear();
+    return res;
+}
+
+// ---------------------------------------------------------------------
 // Binary export
 
 std::size_t

@@ -2,7 +2,7 @@
  * @file
  * Streaming binary trace format (.rtt): an append-only framed record
  * stream written while the run is live, so trace length is bounded by
- * disk instead of ring memory (docs/trace-format.md). It is the only
+ * disk, not memory (docs/trace-format.md). It is the only
  * storage format: every trace file is an .rtt stream.
  *
  * Layout (all integers little-endian):
@@ -32,6 +32,7 @@
 #define RETCON_TRACE_STREAM_HPP
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -192,6 +193,35 @@ class StreamReader
     std::uint64_t _lastSeq = 0;
     std::uint64_t _records = 0;
 };
+
+/** Outcome of reading a whole .rtt file (readStreamFile). */
+struct StreamReadResult {
+    /** Opened and read to a clean end with no integrity fault. */
+    bool ok = false;
+    /** Offset-precise diagnostic, prefixed with the path, when !ok. */
+    std::string error;
+    /** Records handed to the callback (those before any fault). */
+    std::uint64_t records = 0;
+};
+
+/**
+ * Read the .rtt file @p path with a strict StreamReader, handing each
+ * record to @p on_record in file order. The first fault ends the read
+ * (a corrupted or truncated trace must not masquerade as a
+ * recording); a file that cannot be opened fails the same way. Every
+ * whole-file consumer reads through here: loadStreamFile, the
+ * offline validator (query::validateStreamFile) and the tools.
+ */
+StreamReadResult
+readStreamFile(const std::string &path,
+               const std::function<void(const Record &)> &on_record);
+
+/**
+ * Load every record of @p path into @p out (replacing its contents).
+ * On a fault @p out is left empty: the load is all or nothing.
+ */
+StreamReadResult loadStreamFile(const std::string &path,
+                                std::vector<Record> &out);
 
 /**
  * Write @p recs as one .rtt stream (how tests build fixture streams

@@ -113,8 +113,7 @@ runFleetCounter(htm::TMMode mode, Word repair_xor, Word fwd_xor)
 
     trace::ShardMux mux(
         cluster.numShards(),
-        [&cluster](CoreId c) { return cluster.shardOf(c); },
-        /*ring_capacity=*/0);
+        [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
     mux.addDownstream(&validator);

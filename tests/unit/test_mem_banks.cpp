@@ -50,8 +50,7 @@ runBankedCounter(htm::TMMode mode, Word repair_xor, Word fwd_xor)
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
     trace::ShardMux mux(
-        4, [&cluster](CoreId c) { return cluster.shardOf(c); },
-        /*ring_capacity=*/0);
+        4, [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
     mux.addDownstream(&validator);

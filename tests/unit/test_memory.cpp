@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/sparse_memory.hpp"
@@ -112,6 +114,43 @@ TEST(SetAssocCache, InvalidateFreesWay)
     EXPECT_EQ(c.occupancy(), 0u);
     c.insert(0x040);
     EXPECT_FALSE(c.insert(0x080).has_value()); // Room for both.
+}
+
+TEST(SetAssocCache, FourWayVictimsFollowTrueLru)
+{
+    // 1 set, 4 ways. Touches, a mid-set invalidate, re-inserts and the
+    // refill of the freed way all move recency; every eviction must
+    // take the least recently used block.
+    SetAssocCache c({256, 4});
+    ASSERT_EQ(c.numSets(), 1u);
+    const Addr a = 0x000, b = 0x040, cc = 0x080, d = 0x0c0, e = 0x100,
+               f = 0x140;
+    std::vector<Addr> victims;
+    auto put = [&](Addr block) {
+        if (auto v = c.insert(block))
+            victims.push_back(*v);
+    };
+    for (Addr block : {a, b, cc, d})
+        put(block); // MRU first: d c b a
+    EXPECT_EQ(c.occupancy(), 4u);
+    c.touch(a); // a d c b
+    put(e); // evicts b: e a d c
+    EXPECT_TRUE(c.invalidate(d)); // e a c -
+    EXPECT_FALSE(c.invalidate(d));
+    EXPECT_EQ(c.occupancy(), 3u);
+    put(f); // fills the free way: f e a c
+    EXPECT_EQ(c.occupancy(), 4u);
+    put(a); // resident, refreshed: a f e c
+    put(b); // evicts c: b a f e
+    put(d); // evicts e: d b a f
+    c.touch(f); // f d b a
+    put(cc); // evicts a: cc f d b
+    EXPECT_EQ(victims, (std::vector<Addr>{b, cc, e, a}));
+    EXPECT_EQ(c.occupancy(), 4u);
+    for (Addr block : {cc, f, d, b})
+        EXPECT_TRUE(c.contains(block)) << block;
+    for (Addr block : {a, e})
+        EXPECT_FALSE(c.contains(block)) << block;
 }
 
 TEST(SetAssocCache, DifferentSetsDoNotInterfere)

@@ -5,7 +5,7 @@
  * contended-counter run, annotation anchoring, offline replay, and
  * the what-if proofs — the no-change bit-identity self-check, and
  * reach soundness under conflict-, repair- and everything-class knob
- * changes, also on a run longer than any ring.
+ * changes, also on a run of more than 65,536 records.
  */
 
 #include <gtest/gtest.h>

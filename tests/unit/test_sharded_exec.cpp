@@ -2,12 +2,12 @@
  * @file
  * End-to-end tests for the sharded cluster: shard count must never
  * change committed architectural state (bit-identical runs for a
- * fixed seed), the per-shard TraceRecorders must merge into one
- * globally ordered trace, the ReenactmentValidator must stay sound
- * over the merged stream with N > 1 shards — including catching
- * deliberately corrupted repairs (faultInjectRepairXor) — and the
- * service workload must conserve its invariants under sharding and
- * dispatch-bandwidth modeling.
+ * fixed seed), the mux's live downstream must see one globally
+ * ordered trace whose records match the per-shard counters, the
+ * ReenactmentValidator must stay sound over the merged stream with
+ * N > 1 shards — including catching deliberately corrupted repairs
+ * (faultInjectRepairXor) — and the service workload must conserve
+ * its invariants under sharding and dispatch-bandwidth modeling.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ struct ShardedRun {
     Word counter = 0;
     std::uint64_t commits = 0;
     trace::ReenactReport report;
-    std::vector<trace::Record> merged;
+    std::vector<trace::Record> captured; ///< The mux's live output.
     std::uint64_t muxEvents = 0;
     std::uint64_t muxRepairs = 0;
 };
@@ -53,21 +53,21 @@ runSharded(unsigned nshards, Word fault_xor = 0, unsigned bandwidth = 0,
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
 
+    ShardedRun out;
     trace::ShardMux mux(
-        nshards, [&cluster](CoreId c) { return cluster.shardOf(c); },
-        /*ring_capacity=*/1 << 16);
+        nshards, [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
+    trace::CaptureSink capture(out.captured);
     mux.addDownstream(&validator);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
 
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
-    ShardedRun out;
     out.cycles = cluster.run();
     out.counter = cluster.memory().readWord(kCounter);
     out.commits = cluster.aggregateStats().commits;
     out.report = validator.report();
-    out.merged = mux.mergedSnapshot();
     out.muxEvents = mux.totalEvents();
     for (unsigned s = 0; s < nshards; ++s)
         out.muxRepairs += mux.counters(s).repairs;
@@ -140,19 +140,19 @@ TEST(ShardedExec, MergedShardTracesPassReenactmentValidator)
     EXPECT_GT(out.muxRepairs, 0u);
 }
 
-TEST(ShardedExec, MergedSnapshotIsGloballyOrderedAndComplete)
+TEST(ShardedExec, CapturedStreamIsGloballyOrderedAndComplete)
 {
     ShardedRun out = runSharded(4);
-    // Ring capacity exceeds the event count: the merge must contain
-    // every event exactly once, in strictly increasing machine order.
-    ASSERT_EQ(out.merged.size(), out.muxEvents);
-    for (std::size_t i = 1; i < out.merged.size(); ++i) {
-        EXPECT_LT(out.merged[i - 1].seq, out.merged[i].seq);
-        EXPECT_LE(out.merged[i - 1].cycle, out.merged[i].cycle);
+    // A downstream of the 4-shard mux sees every event exactly once,
+    // in strictly increasing machine order.
+    ASSERT_EQ(out.captured.size(), out.muxEvents);
+    for (std::size_t i = 1; i < out.captured.size(); ++i) {
+        EXPECT_LT(out.captured[i - 1].seq, out.captured[i].seq);
+        EXPECT_LE(out.captured[i - 1].cycle, out.captured[i].cycle);
     }
 }
 
-TEST(ShardedExec, ShardRecordersOnlyHoldTheirCoresRecords)
+TEST(ShardedExec, ShardCountersMatchTheirCoresRecords)
 {
     ClusterConfig cfg;
     cfg.numThreads = kThreads;
@@ -161,15 +161,20 @@ TEST(ShardedExec, ShardRecordersOnlyHoldTheirCoresRecords)
     Cluster cluster(cfg);
     cluster.machine().predictor().observeConflict(blockAddr(kCounter));
     trace::ShardMux mux(
-        4, [&cluster](CoreId c) { return cluster.shardOf(c); }, 1 << 16);
+        4, [&cluster](CoreId c) { return cluster.shardOf(c); });
+    std::vector<trace::Record> captured;
+    trace::CaptureSink capture(captured);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
+    // Each shard counts exactly the records its own cores emitted.
+    std::vector<std::uint64_t> homed(4, 0);
+    for (const trace::Record &r : captured)
+        ++homed[cluster.shardOf(r.core)];
     for (unsigned s = 0; s < 4; ++s) {
-        EXPECT_GT(mux.recorder(s).size(), 0u) << "shard " << s;
-        mux.recorder(s).forEach([&](const trace::Record &r) {
-            EXPECT_EQ(cluster.shardOf(r.core), s);
-        });
+        EXPECT_GT(homed[s], 0u) << "shard " << s;
+        EXPECT_EQ(mux.counters(s).events, homed[s]) << "shard " << s;
     }
 }
 
@@ -222,17 +227,20 @@ TEST(ShardedExec, DatmChainsActuallyCrossShardBoundaries)
     cfg.tm.mode = htm::TMMode::DATM;
     Cluster cluster(cfg);
     trace::ShardMux mux(
-        4, [&cluster](CoreId c) { return cluster.shardOf(c); }, 1 << 16);
+        4, [&cluster](CoreId c) { return cluster.shardOf(c); });
     trace::ReenactmentValidator validator(
         [&cluster](Addr a) { return cluster.memory().readWord(a); });
+    std::vector<trace::Record> captured;
+    trace::CaptureSink capture(captured);
     mux.addDownstream(&validator);
+    mux.addDownstream(&capture);
     cluster.setTraceSink(&mux);
     cluster.start([](WorkerCtx &ctx) { return threadMain(ctx); });
     cluster.run();
 
     std::unordered_map<std::uint64_t, CoreId> uid_core;
     std::uint64_t cross_shard = 0, forwards = 0;
-    for (const trace::Record &r : mux.mergedSnapshot()) {
+    for (const trace::Record &r : captured) {
         if (r.kind == trace::EventKind::TxBegin) {
             uid_core[r.b] = r.core;
         } else if (r.kind == trace::EventKind::Forward) {

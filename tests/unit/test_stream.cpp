@@ -16,7 +16,6 @@
 #include <fstream>
 
 #include "exec/cluster.hpp"
-#include "query/loader.hpp"
 #include "query/replay.hpp"
 #include "trace/sink.hpp"
 #include "trace/stream.hpp"
@@ -227,12 +226,13 @@ TEST(StreamFile, WriterReaderRoundTripIsLossless)
             << "record " << i;
 
     // The loader reads the same stream strictly.
-    query::LoadResult loaded = query::loadTraceFile(path);
-    ASSERT_TRUE(loaded.ok) << loaded.error;
-    ASSERT_EQ(loaded.records.size(), recs.size());
+    std::vector<trace::Record> loaded;
+    trace::StreamReadResult load = trace::loadStreamFile(path, loaded);
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.records, recs.size());
+    ASSERT_EQ(loaded.size(), recs.size());
     for (std::size_t i = 0; i < recs.size(); ++i)
-        ASSERT_TRUE(
-            trace::recordsIdentical(loaded.records[i], recs[i]));
+        ASSERT_TRUE(trace::recordsIdentical(loaded[i], recs[i]));
     std::remove(path.c_str());
 }
 
@@ -266,13 +266,15 @@ TEST(StreamFile, ChecksumCorruptionIsRejectedWithItsOffset)
     EXPECT_EQ(got.faults[0].recordIndex, frame);
 
     // The loader refuses the whole file with the same diagnostic.
-    query::LoadResult load = query::loadTraceFile(path);
+    std::vector<trace::Record> loaded;
+    trace::StreamReadResult load = trace::loadStreamFile(path, loaded);
     EXPECT_FALSE(load.ok);
+    EXPECT_EQ(load.records, frame);
     EXPECT_NE(load.error.find("offset " + std::to_string(frameOff)),
               std::string::npos)
         << load.error;
     EXPECT_NE(load.error.find("checksum"), std::string::npos);
-    EXPECT_TRUE(load.records.empty());
+    EXPECT_TRUE(loaded.empty());
     std::remove(path.c_str());
 }
 
@@ -294,7 +296,8 @@ TEST(StreamFile, TruncationIsRejected)
     EXPECT_EQ(got.faults[0].kind, trace::StreamFault::Kind::Truncated);
     EXPECT_EQ(got.faults[0].offset, bytes.size());
 
-    query::LoadResult load = query::loadTraceFile(path);
+    std::vector<trace::Record> loaded;
+    trace::StreamReadResult load = trace::loadStreamFile(path, loaded);
     EXPECT_FALSE(load.ok);
     EXPECT_NE(load.error.find("truncated"), std::string::npos)
         << load.error;
@@ -311,16 +314,22 @@ TEST(StreamFile, TextTracesAreRejectedAsBadMagic)
          {"{\"cycle\":1,\"seq\":1,\"core\":0,\"kind\":\"begin\"}\n",
           "cycle,core,kind,addr,a,b\n1,0,begin,0,0,0\n", "{}\n"}) {
         writeBytes(path, {text.begin(), text.end()});
-        query::LoadResult load = query::loadTraceFile(path);
+        std::vector<trace::Record> loaded;
+        trace::StreamReadResult load = trace::loadStreamFile(path, loaded);
         EXPECT_FALSE(load.ok);
         EXPECT_NE(load.error.find("bad magic"), std::string::npos)
             << load.error;
-        EXPECT_TRUE(load.records.empty());
+        EXPECT_TRUE(loaded.empty());
     }
-    // An empty file is no stream either.
+    // An empty file is no stream either, and a missing one fails too.
+    std::vector<trace::Record> loaded;
     writeBytes(path, {});
-    EXPECT_FALSE(query::loadTraceFile(path).ok);
+    EXPECT_FALSE(trace::loadStreamFile(path, loaded).ok);
     std::remove(path.c_str());
+    trace::StreamReadResult missing = trace::loadStreamFile(path, loaded);
+    EXPECT_FALSE(missing.ok);
+    EXPECT_NE(missing.error.find("cannot open"), std::string::npos)
+        << missing.error;
 }
 
 TEST(StreamFile, DenseSeqGapIsFatalInStrictMode)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the provenance & repair-audit subsystem (src/trace):
- * ring-buffer wraparound, the disabled-sink fast path (identical
+ * the refusal of ring retention, the disabled-sink fast path (identical
  * simulated timing with tracing on/off), reenactment agreement on the
  * contended shared-counter workload in every TM mode, detection of
  * deliberately corrupted repairs, and the JSON view's per-kind fields.
@@ -11,10 +11,11 @@
 
 #include <sstream>
 
+#include "api/runner.hpp"
 #include "exec/cluster.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/reenact.hpp"
+#include "trace/shard_mux.hpp"
 
 #include "counter_harness.hpp"
 
@@ -90,51 +91,18 @@ jsonLines(const std::vector<trace::Record> &recs)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Ring buffer
+// No rings: records leave a run only through live downstreams
 // ---------------------------------------------------------------------
 
-TEST(TraceRecorder, RetainsEverythingBelowCapacity)
+TEST(TraceRings, NonzeroRingCapacityFailsLoudly)
 {
-    trace::TraceRecorder rec(8);
-    for (Word i = 0; i < 5; ++i)
-        rec.onEvent(trace::Record{i, 0, trace::EventKind::UserMark, 0, i,
-                                  0, {}, false, rtc::CmpOp::EQ, 0});
-    EXPECT_EQ(rec.size(), 5u);
-    EXPECT_EQ(rec.totalEvents(), 5u);
-    EXPECT_EQ(rec.dropped(), 0u);
-    auto snap = rec.snapshot();
-    ASSERT_EQ(snap.size(), 5u);
-    for (Word i = 0; i < 5; ++i)
-        EXPECT_EQ(snap[i].a, i);
-}
-
-TEST(TraceRecorder, WraparoundKeepsNewestInOrder)
-{
-    trace::TraceRecorder rec(4);
-    for (Word i = 0; i < 11; ++i)
-        rec.onEvent(trace::Record{i, 0, trace::EventKind::UserMark, 0, i,
-                                  0, {}, false, rtc::CmpOp::EQ, 0});
-    EXPECT_EQ(rec.size(), 4u);
-    EXPECT_EQ(rec.totalEvents(), 11u);
-    EXPECT_EQ(rec.dropped(), 7u);
-    auto snap = rec.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
-    // The newest 4 records (7,8,9,10), oldest first.
-    for (Word i = 0; i < 4; ++i)
-        EXPECT_EQ(snap[i].a, 7 + i);
-}
-
-TEST(TraceRecorder, ClearResetsButKeepsCapacity)
-{
-    trace::TraceRecorder rec(4);
-    for (Word i = 0; i < 6; ++i)
-        rec.onEvent(trace::Record{});
-    rec.clear();
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_EQ(rec.totalEvents(), 0u);
-    EXPECT_EQ(rec.capacity(), 4u);
-    rec.onEvent(trace::Record{});
-    EXPECT_EQ(rec.size(), 1u);
+    EXPECT_DEATH(trace::ShardMux(
+                     1, [](CoreId) { return 0u; }, /*ring_capacity=*/16),
+                 "keeps no rings");
+    api::RunConfig cfg;
+    cfg.trace.enabled = true;
+    cfg.trace.ringCapacity = 16;
+    EXPECT_DEATH(api::runOnce(cfg), "keep no trace rings");
 }
 
 // ---------------------------------------------------------------------

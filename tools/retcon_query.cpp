@@ -47,9 +47,9 @@
 
 #include "api/whatif.hpp"
 #include "query/index.hpp"
-#include "query/loader.hpp"
 #include "query/replay.hpp"
 #include "trace/export.hpp"
+#include "trace/stream.hpp"
 
 using namespace retcon;
 
@@ -368,25 +368,25 @@ cmdSmoke()
 
     // 2. The streamed .rtt file loads back bit-for-bit as the capture,
     //    and the dump view renders one JSON line per record.
-    query::LoadResult loaded =
-        query::loadTraceFile("query_smoke_trace.rtt");
-    if (!loaded.ok)
-        std::fprintf(stderr, "  load error: %s\n", loaded.error.c_str());
-    check(loaded.ok, "streamed .rtt loads");
-    bool identical = loaded.records.size() == recorded.size();
+    std::vector<trace::Record> loaded;
+    trace::StreamReadResult load =
+        trace::loadStreamFile("query_smoke_trace.rtt", loaded);
+    if (!load.ok)
+        std::fprintf(stderr, "  load error: %s\n", load.error.c_str());
+    check(load.ok, "streamed .rtt loads");
+    bool identical = loaded.size() == recorded.size();
     for (std::size_t i = 0; identical && i < recorded.size(); ++i)
-        identical = trace::recordsIdentical(loaded.records[i],
-                                            recorded[i]);
+        identical = trace::recordsIdentical(loaded[i], recorded[i]);
     check(identical, "file round-trip is bit-identical");
     std::ostringstream dump;
-    dumpJson(loaded.records, dump);
+    dumpJson(loaded, dump);
     std::size_t lines = 0;
     for (char c : dump.str())
         lines += c == '\n';
     check(lines == recorded.size(), "dump emits one line per record");
 
     // 3. Query surfaces on the loaded trace.
-    query::TraceIndex idx(std::move(loaded.records));
+    query::TraceIndex idx(std::move(loaded));
     query::TraceStats st = idx.stats();
     check(st.attempts > 0 && st.commits > 0, "stats sees attempts");
     check(st.marks > 0, "phase annotations present");
@@ -478,16 +478,17 @@ main(int argc, char **argv)
         return usage();
     const char *path = argv[1];
     const char *cmd = argv[2];
-    query::LoadResult loaded = query::loadTraceFile(path);
-    if (!loaded.ok) {
-        std::fprintf(stderr, "%s\n", loaded.error.c_str());
+    std::vector<trace::Record> loaded;
+    trace::StreamReadResult load = trace::loadStreamFile(path, loaded);
+    if (!load.ok) {
+        std::fprintf(stderr, "%s\n", load.error.c_str());
         return 2;
     }
     if (std::strcmp(cmd, "dump") == 0) {
-        dumpJson(loaded.records, std::cout);
+        dumpJson(loaded, std::cout);
         return std::cout.flush() ? 0 : 1;
     }
-    query::TraceIndex idx(std::move(loaded.records));
+    query::TraceIndex idx(std::move(loaded));
 
     if (std::strcmp(cmd, "stats") == 0)
         return cmdStats(idx);
