@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot structures:
- * event queue throughput, cache tag lookups, interval constraint
- * recording, IVB/SSB operations, predictor queries, and the TM
- * machine's NACK retry. These bound the host-side cost per simulated
- * memory operation.
+ * event queue throughput (parked retries too), cache tag lookups,
+ * interval constraint recording, IVB/SSB operations, predictor
+ * queries, and the TM machine's NACK retry. These bound the host-side
+ * cost per simulated memory operation.
  */
 
 #include <benchmark/benchmark.h>
@@ -82,6 +82,29 @@ BM_EventQueueCancelChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+static void
+BM_ParkedRetry(benchmark::State &state)
+{
+    // The kernel side of a parked conflict retry: 32 slots, 31 of them
+    // waiting far ahead, and one parked chain re-waking every 25
+    // cycles. One item is one parked fire (a dispatch and a re-wake
+    // inside step(), with no return to the caller).
+    constexpr unsigned kSlots = 32;
+    constexpr std::uint64_t kFires = 1024;
+    ShardedEventQueue eq({}, std::vector<unsigned>(kSlots, 0));
+    for (unsigned c = 1; c < kSlots; ++c)
+        eq.wake(c, Cycle(1) << 40);
+    for (auto _ : state) {
+        eq.wake(0, 25);
+        eq.park(0, 25, kFires);
+        benchmark::DoNotOptimize(eq.step());
+    }
+    if (eq.takeParked(0) != kFires * std::uint64_t(state.iterations()))
+        state.SkipWithError("a parked fire went missing");
+    state.SetItemsProcessed(state.iterations() * kFires);
+}
+BENCHMARK(BM_ParkedRetry);
 
 static void
 BM_CacheInsertLookup(benchmark::State &state)

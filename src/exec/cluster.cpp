@@ -72,6 +72,7 @@ Cluster::Cluster(const ClusterConfig &cfg)
     _tm->setRemoteAbortHandler([this](CoreId victim, htm::AbortCause c) {
         _cores[victim]->onRemoteAbort(c);
     });
+    _tm->setWaitReleaseHandler([this](CoreId c) { _eq.unpark(c); });
     if (cfg.sched.enabled) {
         _sched = std::make_unique<ContentionScheduler>(cfg.numShards);
         _tm->setContentionHook([this](CoreId core, Addr key) {
@@ -104,6 +105,9 @@ Cluster::run()
     for (int c; (c = _eq.step(_cfg.maxCycles)) >= 0;)
         _cores[c]->fire();
     Cycle end = _eq.now();
+    // A run cut at maxCycles can leave cores parked.
+    for (auto &core : _cores)
+        core->flushParked();
     for (auto &core : _cores) {
         if (!core->finished()) {
             warn("core %u did not finish within %llu cycles "

@@ -279,8 +279,17 @@ Core::schedule(Cycle delay, Cat cat, Next next)
 }
 
 void
+Core::flushParked()
+{
+    std::uint64_t k = _eq.takeParked(_id);
+    _attemptOps += k;
+    _tm.stats().nacks += k;
+}
+
+void
 Core::fire()
 {
+    flushParked();
     accountTo(_pendingCat);
     switch (_next) {
       case Next::Start:
@@ -456,6 +465,14 @@ Core::tryMemOp(bool is_retry)
         return;
       case htm::OpStatus::Nack:
         schedule(out.latency, Cat::Stall, Next::RetryMemOp);
+        // A pure conflict retry would only NACK again until a holder
+        // leaves the block, so the kernel fires it without us (see
+        // TMMachine::awaitRelease); the budget stops it at the retry
+        // that trips the zombie bound.
+        if (out.wait == htm::WaitOn::Conflict && op->txnal &&
+            _attemptOps < kZombieOpLimit &&
+            _tm.awaitRelease(_id, op->isStore && op->storeValue.symbolic()))
+            _eq.park(_id, out.latency, kZombieOpLimit - _attemptOps);
         return;
       case htm::OpStatus::AbortSelf:
         // The machine already rolled us back.
@@ -559,7 +576,8 @@ Core::onRemoteAbort([[maybe_unused]] htm::AbortCause cause)
     sim_assert(_inTxn, "remote abort of core %u without a transaction",
                _id);
     // Cancel whatever this core was waiting for; rollback was already
-    // performed by the machine (zero-cycle rollback).
+    // performed by the machine (zero-cycle rollback). Retries fired
+    // while parked stay counted in the slot until the cleanup fires.
     _eq.cancel(_id);
     schedule(0, Cat::Stall, Next::Cleanup);
 }

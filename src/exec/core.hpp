@@ -265,6 +265,14 @@ class Core
     /** Run the continuation whose wake just fired (called by Cluster). */
     void fire();
 
+    /**
+     * Apply the retries the kernel fired while this core's wake was
+     * parked on a conflict: each one counted a NACK and a memory op
+     * toward the zombie bound. fire() calls it first; Cluster::run
+     * calls it once a run ends.
+     */
+    void flushParked();
+
     // ---- Called by awaitables ---------------------------------------
     void issueMemOp(MemOpAwait *op, std::coroutine_handle<> h);
     void issueWork(Cycle cycles, bool txnal, std::coroutine_handle<> h);

@@ -187,12 +187,28 @@ TMMachine::clearTouches(CoreId core)
     std::uint64_t keep = ~(std::uint64_t(1) << core);
     for (Addr block : st.touched) {
         auto it = _touchers.find(block);
-        it->second.readers &= keep;
-        it->second.writers &= keep;
-        if (!(it->second.readers | it->second.writers))
+        Touchers &t = it->second;
+        t.readers &= keep;
+        t.writers &= keep;
+        for (; t.waiters; t.waiters &= t.waiters - 1)
+            _onWaitRelease(static_cast<CoreId>(std::countr_zero(t.waiters)));
+        if (!(t.readers | t.writers))
             _touchers.erase(it);
     }
     st.touched.clear();
+}
+
+bool
+TMMachine::awaitRelease(CoreId core, bool sym_store)
+{
+    if (!_onWaitRelease || _cfg.backoff.policy != BackoffPolicy::None ||
+        (sym_store && _cfg.mode == TMMode::Retcon))
+        return false;
+    auto it = _touchers.find(_cores[core]->lastNackBlock);
+    sim_assert(it != _touchers.end(), "core %u waits on an untouched block",
+               core);
+    it->second.waiters |= std::uint64_t(1) << core;
+    return true;
 }
 
 template <typename Fn>
@@ -657,7 +673,7 @@ TMMachine::txBegin(CoreId core, bool is_retry)
 
     if (_cfg.mode == TMMode::Serial) {
         if (_serialLockHolder != kNoCore && _serialLockHolder != core)
-            return {OpStatus::Nack, nackLatency(core), 0, std::nullopt};
+            return nack(core, WaitOn::SerialLock);
         _serialLockHolder = core;
         out.latency = kSerialLockLatency;
     }
@@ -1064,8 +1080,7 @@ TMMachine::txAccessGate(CoreId core)
     // OneTM overflow handling: acquire the serialization token first.
     if (st.overflowPending && !st.overflowed) {
         if (_overflowTokenHolder != kNoCore)
-            return MemOpOutcome{OpStatus::Nack, nackLatency(core), 0,
-                                std::nullopt};
+            return nack(core, WaitOn::OverflowToken);
         _overflowTokenHolder = core;
         st.overflowed = true;
         st.overflowPending = false;
@@ -1075,10 +1090,17 @@ TMMachine::txAccessGate(CoreId core)
 }
 
 MemOpOutcome
+TMMachine::nack(CoreId core, WaitOn on)
+{
+    return {OpStatus::Nack, nackLatency(core), 0, std::nullopt, on};
+}
+
+MemOpOutcome
 TMMachine::failedAccess(CoreId core, OpStatus s)
 {
-    return {s, s == OpStatus::Nack ? nackLatency(core) : 0, 0,
-            std::nullopt};
+    if (s == OpStatus::Nack)
+        return nack(core, WaitOn::Conflict);
+    return {s, 0, 0, std::nullopt};
 }
 
 std::uint64_t
@@ -1342,10 +1364,21 @@ TMMachine::commitCharge(CoreId core, Cycle latency, OpStatus status)
 }
 
 CommitStepOutcome
+TMMachine::commitNack(CoreId core, WaitOn on, Cycle wire)
+{
+    CommitStepOutcome out =
+        commitCharge(core, nackLatency(core) + wire, OpStatus::Nack);
+    out.wait = on;
+    return out;
+}
+
+CommitStepOutcome
 TMMachine::commitFailed(CoreId core, OpStatus s)
 {
+    if (s == OpStatus::Nack)
+        return commitNack(core, WaitOn::Conflict);
     // An aborted commit charges nothing (its state is already reset).
-    return commitCharge(core, failedAccess(core, s).latency, s);
+    return commitCharge(core, 0, s);
 }
 
 void
@@ -1369,20 +1402,19 @@ TMMachine::commitArbitrate(CoreId core)
     // requester.
     for (const auto &[p, flags] : st.datmPreds)
         if (activeAttempt(p))
-            return commitCharge(core, nackLatency(core), OpStatus::Nack);
+            return commitNack(core, WaitOn::DatmPred);
 
     Cycle wire = 0;
     if (_cfg.mode == TMMode::Lazy) {
         // TCC's single global commit token.
         if (_lazyCommitToken != kNoCore && _lazyCommitToken != core)
-            return commitCharge(core, nackLatency(core), OpStatus::Nack);
+            return commitNack(core, WaitOn::LazyToken);
         _lazyCommitToken = core;
     } else if (_cfg.commitTokenArbitration &&
                _cfg.mode != TMMode::Serial) {
         auto [granted, wire_lat] = acquireCommitTokens(core);
         if (!granted)
-            return commitCharge(core, nackLatency(core) + wire_lat,
-                                OpStatus::Nack);
+            return commitNack(core, WaitOn::BankTokens, wire_lat);
         wire = wire_lat;
     }
 

@@ -102,6 +102,9 @@ class TMMachine : public mem::CoherenceListener
     /** Called when a core's transaction is aborted by a remote event. */
     using RemoteAbortFn = std::function<void(CoreId, AbortCause)>;
 
+    /** Called with a core whose awaitRelease wait may have ended. */
+    using WaitReleaseFn = std::function<void(CoreId)>;
+
     /**
      * Contention observation hook (the feed of the exec layer's
      * hot-block tables): called with the blamed key every time a
@@ -124,6 +127,10 @@ class TMMachine : public mem::CoherenceListener
     TMMachine &operator=(const TMMachine &) = delete;
 
     void setRemoteAbortHandler(RemoteAbortFn fn) { _onRemoteAbort = fn; }
+    void setWaitReleaseHandler(WaitReleaseFn fn)
+    {
+        _onWaitRelease = std::move(fn);
+    }
     void setContentionHook(ContentionFn fn) { _contention = std::move(fn); }
 
     /**
@@ -218,6 +225,22 @@ class TMMachine : public mem::CoherenceListener
     /** Abort the local transaction (explicit workload abort). */
     void abortSelf(CoreId core, AbortCause cause);
 
+    /**
+     * After @p core's transactional access got a WaitOn::Conflict
+     * NACK: when re-issuing it would change nothing but `nacks` until
+     * a holder leaves the NACKing block's touch entry, register @p core
+     * as a waiter on that entry and return true. The wait-release
+     * handler is then called with @p core once clearTouches edits the
+     * entry. Holders only gain priority while they hold (Active ->
+     * Committing, overflow timestamp 0) and a waiting core's own
+     * timestamp and status are frozen, so leaving the entry is the
+     * only way the NACK can end. False without a wait-release
+     * handler, and for retries that are not pure: under a backoff
+     * policy (a jitter draw per retry) and for a RETCON store of a
+     * symbolic value (@p sym_store; it re-pins its input per retry).
+     */
+    bool awaitRelease(CoreId core, bool sym_store);
+
     // ---- Queries ----------------------------------------------------
     TxStatus status(CoreId core) const { return _cores[core]->status; }
 
@@ -277,6 +300,7 @@ class TMMachine : public mem::CoherenceListener
     rtc::ConflictPredictor _predictor;
     std::vector<std::unique_ptr<CoreTxState>> _cores;
     RemoteAbortFn _onRemoteAbort;
+    WaitReleaseFn _onWaitRelease;
     ContentionFn _contention;
     trace::TraceSink *_sink = nullptr;
     std::uint64_t _auditSeq = 1; ///< Global provenance-record order.
@@ -305,9 +329,11 @@ class TMMachine : public mem::CoherenceListener
     /// core c's active attempt read/wrote the block. An entry exists
     /// only while some bit is set; an attempt's bits are cleared when
     /// it commits or aborts (CoreTxState::touched lists its blocks).
+    /// `waiters` are the cores awaitRelease registered on the entry.
     struct Touchers {
         std::uint64_t readers = 0;
         std::uint64_t writers = 0;
+        std::uint64_t waiters = 0;
 
         bool has(CoreId c) const { return ((readers | writers) >> c) & 1; }
     };
@@ -334,7 +360,8 @@ class TMMachine : public mem::CoherenceListener
      *  @p block, listing the block on its first touch. */
     void touch(CoreId core, Addr block, bool write);
 
-    /** Clear every bit of @p core's attempt (before it resets). */
+    /** Clear every bit of @p core's attempt (before it resets) and
+     *  release the waiters of every entry it edits. */
     void clearTouches(CoreId core);
 
     /**
@@ -444,7 +471,11 @@ class TMMachine : public mem::CoherenceListener
      *  OneTM overflow token); an outcome means: do not proceed. */
     std::optional<MemOpOutcome> txAccessGate(CoreId core);
 
-    /** Outcome of an access refused with NACK or AbortSelf. */
+    /** A NACK waiting on @p on, after the retry latency. */
+    MemOpOutcome nack(CoreId core, WaitOn on);
+
+    /** Outcome of an access refused with NACK (a conflict) or
+     *  AbortSelf. */
     MemOpOutcome failedAccess(CoreId core, OpStatus s);
 
     /** Undo-log (@p txnal), write and audit one store; returns its
@@ -455,6 +486,9 @@ class TMMachine : public mem::CoherenceListener
     /** Charge one commit step's @p latency to the commit. */
     CommitStepOutcome commitCharge(CoreId core, Cycle latency,
                                    OpStatus status = OpStatus::Ok);
+
+    /** The commit-step form of nack; @p wire adds token wire time. */
+    CommitStepOutcome commitNack(CoreId core, WaitOn on, Cycle wire = 0);
 
     /** The commit-step form of failedAccess. */
     CommitStepOutcome commitFailed(CoreId core, OpStatus s);

@@ -62,12 +62,24 @@ enum class OpStatus : std::uint8_t {
                ///< back); restart the transaction.
 };
 
+/** What a NACKed operation waits on (None unless status is Nack). */
+enum class WaitOn : std::uint8_t {
+    None,
+    Conflict,      ///< An older or committing holder of the block.
+    SerialLock,    ///< The Serial mode's global lock.
+    OverflowToken, ///< OneTM's overflow serialization token.
+    DatmPred,      ///< A DATM commit-order predecessor still running.
+    LazyToken,     ///< TCC's single global commit token.
+    BankTokens,    ///< An older holder of a directory-bank commit token.
+};
+
 /** Result of a load/store/begin operation. */
 struct MemOpOutcome {
     OpStatus status = OpStatus::Ok;
     Cycle latency = 1;
     Word value = 0;
     std::optional<rtc::SymTag> sym;
+    WaitOn wait = WaitOn::None;
 };
 
 /** Result of one pre-commit/commit step. */
@@ -75,6 +87,7 @@ struct CommitStepOutcome {
     OpStatus status = OpStatus::Ok;
     Cycle latency = 1;
     bool done = false;
+    WaitOn wait = WaitOn::None;
 };
 
 /**

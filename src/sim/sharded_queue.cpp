@@ -17,6 +17,7 @@ ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg,
     while (leaves < homes.size())
         leaves *= 2;
     _slots.resize(leaves);
+    _parks.resize(leaves);
     for (std::size_t i = 0; i < homes.size(); ++i) {
         sim_assert(homes[i] < cfg.nshards, "shard %u out of range",
                    homes[i]);
@@ -74,7 +75,16 @@ ShardedEventQueue::cancel(unsigned slot)
             --_shards[s.shard].stats.deferred;
     }
     s.when = kIdle;
+    _parks[slot].budget = 0;
     update(slot);
+}
+
+void
+ShardedEventQueue::park(unsigned slot, Cycle period, std::uint64_t budget)
+{
+    sim_assert(_slots[slot].when != kIdle, "parking idle slot %u", slot);
+    _parks[slot].period = period;
+    _parks[slot].budget = budget;
 }
 
 std::size_t
@@ -188,6 +198,20 @@ ShardedEventQueue::step(Cycle maxCycles)
         ++_shards[exec].stats.executed;
         ++_executed;
         _now = when;
+        Park &p = _parks[found];
+        if (p.budget) {
+            // The owner's fire and re-wake, performed here: one tree
+            // path instead of a dispatch's and a wake's.
+            sim_assert(p.period < kIdle - when, "wake past the end of time");
+            --p.budget;
+            ++p.fires;
+            s.when = when + p.period;
+            s.seq = _nextSeq++;
+            s.slipped = false;
+            ++home.stats.scheduled;
+            update(found);
+            continue;
+        }
         s.when = kIdle;
         update(found);
         return static_cast<int>(found);

@@ -28,6 +28,20 @@
  * group of one) slips all its due wakes in one loop when its slots run
  * out; the wakes and the `deferred` count equal slipping them one by
  * one, so the batch is a host-side shortcut only.
+ *
+ * A parked slot is a wake its owner would only repeat: each time it
+ * fires, the owner would count the fire and wake the slot again
+ * `period` cycles on, changing nothing else (a core polling a
+ * transactional conflict). While parked, step() performs that fire
+ * itself: the same dispatch bookkeeping (executor pick, slips, steals,
+ * `drained`/`executed`/`scheduled`), the same `_nextSeq++` for the
+ * re-wake, and a per-slot fire count in place of returning the slot.
+ * Every wake, seq and counter is the one the owner's re-wake would
+ * have made, so parking leaves the dispatch order, the shard counters
+ * and `executed()` unchanged. The owner collects the count with
+ * takeParked() at its next fire: after `budget` parked fires, after
+ * unpark() (what the slot waited on changed), or after a cancel()
+ * (which also unparks, and keeps the count) and the owner's new wake.
  */
 
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
@@ -98,8 +112,27 @@ class ShardedEventQueue final : public SimClock
      */
     void wake(unsigned slot, Cycle delta);
 
-    /** Drop @p slot's pending wake, if any. */
+    /** Drop @p slot's pending wake, if any, and unpark it (its parked
+     *  fires stay counted for takeParked). */
     void cancel(unsigned slot);
+
+    /**
+     * Park @p slot's pending wake: its next @p budget fires re-wake it
+     * @p period cycles on inside step() instead of returning it.
+     */
+    void park(unsigned slot, Cycle period, std::uint64_t budget);
+
+    /** Return @p slot to its owner at its next fire. */
+    void unpark(unsigned slot) { _parks[slot].budget = 0; }
+
+    /** Parked fires of @p slot since the last call (then zero). */
+    std::uint64_t
+    takeParked(unsigned slot)
+    {
+        std::uint64_t n = _parks[slot].fires;
+        _parks[slot].fires = 0;
+        return n;
+    }
 
     /** Slots with a wake pending. */
     std::size_t pending() const;
@@ -127,6 +160,14 @@ class ShardedEventQueue final : public SimClock
         bool slipped = false;
     };
 
+    /// A slot's parking state (budget 0: not parked), kept out of
+    /// Slot so the tree's matches stay on the compact table.
+    struct Park {
+        Cycle period = 0;
+        std::uint64_t budget = 0;
+        std::uint64_t fires = 0; ///< Parked fires not yet taken.
+    };
+
     struct Shard {
         /// No thief can ever drain this shard (stealing off, or a steal
         /// group of one), so an over-quota cycle slips all its due
@@ -140,6 +181,7 @@ class ShardedEventQueue final : public SimClock
     std::vector<Shard> _shards;
     /// Padded with idle slots to a power of two, the tree's leaf count.
     std::vector<Slot> _slots;
+    std::vector<Park> _parks; ///< Indexed like _slots.
     /// Tournament tree over the slots: node n (1-based) holds the slot
     /// with the earliest wake under it; node _slots.size() + i is leaf
     /// i. The root, node 1, is the globally earliest wake.

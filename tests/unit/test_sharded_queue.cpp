@@ -3,7 +3,7 @@
  * Tests for the sharded wake table (sim/sharded_queue.hpp): global
  * time/wake ordering across shards, equivalence with a single queue
  * for any shard count, cancellation routing, dispatch-bandwidth slips,
- * and the work-stealing fallback.
+ * the work-stealing fallback, and parked slots.
  */
 
 #include <gtest/gtest.h>
@@ -42,20 +42,20 @@ fields(const ShardStats &s)
 /**
  * Brute-force reference for ShardedEventQueue: one flat list of every
  * wake ever made, scanned linearly, where an over-quota wake slips
- * literally, one wake and one cycle at a time. It shares the dispatch
- * rules (per-shard bandwidth, steal groups, the rotating steal cursor)
- * and none of the queue's data structures.
+ * literally, one wake and one cycle at a time, and a parked slot's
+ * fire is a literal wake() made before step() moves on. It shares the
+ * dispatch rules (per-shard bandwidth, steal groups, the rotating
+ * steal cursor) and none of the queue's data structures.
  */
 class RefQueue
 {
   public:
     RefQueue(const ShardedQueueConfig &cfg, std::vector<unsigned> homes)
         : _cfg(cfg), _homes(std::move(homes)), _stats(cfg.nshards),
-          _dispatched(cfg.nshards, 0)
+          _dispatched(cfg.nshards, 0), _parks(_homes.size())
     {}
 
     Cycle now() const { return _now; }
-    unsigned executor() const { return _exec; }
     const ShardStats &shardStats(unsigned s) const { return _stats[s]; }
 
     void
@@ -71,6 +71,22 @@ class RefQueue
         for (Event &e : _events)
             if (e.slot == slot)
                 e.live = false;
+        _parks[slot].budget = 0;
+    }
+
+    void
+    park(unsigned slot, Cycle period, std::uint64_t budget)
+    {
+        _parks[slot].period = period;
+        _parks[slot].budget = budget;
+    }
+
+    void unpark(unsigned slot) { _parks[slot].budget = 0; }
+
+    std::uint64_t
+    takeParked(unsigned slot)
+    {
+        return std::exchange(_parks[slot].fires, 0);
     }
 
     int
@@ -95,8 +111,14 @@ class RefQueue
             ++_stats[home].drained;
             ++_stats[exec].executed;
             _now = e->when;
-            _exec = static_cast<unsigned>(exec);
             e->live = false;
+            Park &p = _parks[e->slot];
+            if (p.budget) {
+                --p.budget;
+                ++p.fires;
+                wake(e->slot, p.period);
+                continue;
+            }
             return static_cast<int>(e->slot);
         }
     }
@@ -107,6 +129,12 @@ class RefQueue
         Cycle when;
         unsigned slot;
         bool live;
+    };
+
+    struct Park {
+        Cycle period = 0;
+        std::uint64_t budget = 0;
+        std::uint64_t fires = 0;
     };
 
     /** Earliest live wake homed on @p shard (-1: on any shard). */
@@ -153,7 +181,7 @@ class RefQueue
     Cycle _now = 0;
     Cycle _dispatchCycle = 0;
     unsigned _cursor = 0;
-    unsigned _exec = 0;
+    std::vector<Park> _parks;
 };
 
 /** ShardedEventQueue behind the interface the script drives. */
@@ -162,7 +190,7 @@ class RealQueue
   public:
     RealQueue(const ShardedQueueConfig &cfg,
               const std::vector<unsigned> &homes)
-        : _q(cfg, homes), _seen(cfg.nshards, 0)
+        : _q(cfg, homes)
     {}
 
     Cycle now() const { return _q.now(); }
@@ -174,44 +202,42 @@ class RealQueue
     void wake(unsigned slot, Cycle delta) { _q.wake(slot, delta); }
     void cancel(unsigned slot) { _q.cancel(slot); }
     int step() { return _q.step(); }
-
-    /** The shard whose executed count moved since the last call. */
-    unsigned
-    executor()
+    void park(unsigned slot, Cycle period, std::uint64_t budget)
     {
-        for (unsigned s = 0; s < _seen.size(); ++s) {
-            if (_q.shardStats(s).executed != _seen[s]) {
-                _seen[s] = _q.shardStats(s).executed;
-                return s;
-            }
-        }
-        return ~0u;
+        _q.park(slot, period, budget);
     }
+    void unpark(unsigned slot) { _q.unpark(slot); }
+    std::uint64_t takeParked(unsigned slot) { return _q.takeParked(slot); }
 
   private:
     ShardedEventQueue _q;
-    std::vector<std::uint64_t> _seen;
 };
 
 /**
  * Seeded random script making the moves a Core makes with its wake
- * slot: a fired core re-wakes itself 0..3 cycles on, remote-aborts
- * another pending core (cancel, then re-wake it at delta 0), releases
- * an idle core from a barrier (wake at delta 0), or goes idle. Logs
- * every dispatch as (slot, cycle, executor shard).
+ * slot: a fired core re-wakes itself 0..3 cycles on (and may park that
+ * wake for a few fires), remote-aborts another pending core (cancel,
+ * then re-wake it at delta 0; the parked fires it had stay counted),
+ * releases a parked core (unpark), releases an idle core from a
+ * barrier (wake at delta 0), or goes idle. Logs every dispatch as
+ * (slot, cycle, every shard's executed count, parked fires taken).
  */
 template <class Q>
 struct Script {
-    Script(Q &queue, unsigned slots, std::uint64_t seed)
-        : q(queue), nslots(slots), rng(seed)
+    Script(Q &queue, unsigned slots, unsigned shards, std::uint64_t seed)
+        : q(queue), nslots(slots), nshards(shards), rng(seed)
     {}
 
     Q &q;
-    unsigned nslots;
+    unsigned nslots, nshards;
     Xoshiro rng;
     std::vector<bool> pending;
+    std::vector<bool> parked; ///< Parked since its last dispatch.
     std::vector<int> budget;
-    std::vector<std::tuple<int, Cycle, unsigned>> log;
+    std::vector<std::tuple<int, Cycle, std::vector<std::uint64_t>,
+                           std::uint64_t>>
+        log;
+    unsigned parkedCancels = 0;
 
     void
     wake(unsigned c, Cycle delta)
@@ -237,23 +263,38 @@ struct Script {
     fire(unsigned c)
     {
         pending[c] = false;
-        log.emplace_back(c, q.now(), q.executor());
+        std::vector<std::uint64_t> executed(nshards);
+        for (unsigned s = 0; s < nshards; ++s)
+            executed[s] = q.shardStats(s).executed;
+        log.emplace_back(c, q.now(), executed, q.takeParked(c));
+        parked[c] = false;
         if (budget[c]-- <= 0)
             return;
         std::uint64_t r = rng.below(16);
-        int o = r < 5 ? other(c, r < 3) : -1;
-        if (o >= 0 && r < 3)
-            q.cancel(static_cast<unsigned>(o)); // Remote abort.
-        if (o >= 0)
+        int o = r < 6 ? other(c, r < 4) : -1;
+        if (o >= 0 && r < 3) { // Remote abort.
+            parkedCancels += parked[o];
+            q.cancel(static_cast<unsigned>(o));
+        }
+        if (o >= 0 && r == 3)
+            q.unpark(static_cast<unsigned>(o)); // Wait released.
+        else if (o >= 0)
             wake(static_cast<unsigned>(o), 0);
-        if (r != 15)
-            wake(c, rng.below(4));
+        if (r != 15) {
+            Cycle delta = rng.below(4);
+            wake(c, delta);
+            if (rng.below(3) == 0) {
+                q.park(c, delta, rng.below(6));
+                parked[c] = true;
+            }
+        }
     }
 
     void
     run()
     {
         pending.assign(nslots, false);
+        parked.assign(nslots, false);
         budget.assign(nslots, 30);
         for (unsigned c = 0; c < nslots; ++c)
             wake(c, c % 3);
@@ -439,13 +480,15 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
 {
     // Drive the queue and the brute-force reference with one seeded
     // script over shards × bandwidth × stealing × steal group; require
-    // the same dispatch sequence and the same per-shard counters.
-    // Batched slips (no possible thief) and per-wake slips (stealing)
-    // must both reproduce literal one-at-a-time slipping, also when a
-    // remote abort cancels a batch-slipped wake before the dispatch
-    // order reaches it.
+    // the same dispatch sequence, the same parked-fire counts and the
+    // same per-shard counters. Batched slips (no possible thief) and
+    // per-wake slips (stealing) must both reproduce literal
+    // one-at-a-time slipping, also when a remote abort cancels a
+    // batch-slipped wake before the dispatch order reaches it, and a
+    // parked slot's fires must equal the reference's literal re-wakes.
     constexpr unsigned kSlots = 12;
-    std::uint64_t deferred = 0, stolen = 0;
+    std::uint64_t deferred = 0, stolen = 0, parkedFires = 0;
+    std::uint64_t parkedCancelsBatched = 0;
     for (unsigned nshards : {1u, 2u, 4u})
         for (unsigned bw : {0u, 1u, 2u, 3u})
             for (bool steal : {true, false})
@@ -459,12 +502,17 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
                                      << " group=" << group
                                      << " seed=" << seed);
                         RealQueue real(cfg, roundRobin(kSlots, nshards));
-                        Script<RealQueue> a(real, kSlots, seed);
+                        Script<RealQueue> a(real, kSlots, nshards, seed);
                         a.run();
                         RefQueue ref(cfg, roundRobin(kSlots, nshards));
-                        Script<RefQueue> b(ref, kSlots, seed);
+                        Script<RefQueue> b(ref, kSlots, nshards, seed);
                         b.run();
                         ASSERT_EQ(a.log, b.log);
+                        for (const auto &entry : b.log)
+                            parkedFires += std::get<3>(entry);
+                        bool batched = bw > 0 && (!steal || group == 1 ||
+                                                  nshards == 1);
+                        parkedCancelsBatched += batched * b.parkedCancels;
                         for (unsigned s = 0; s < nshards; ++s) {
                             EXPECT_EQ(fields(real.shardStats(s)),
                                       fields(ref.shardStats(s)))
@@ -473,7 +521,10 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
                             stolen += ref.shardStats(s).stolen;
                         }
                     }
-    // The grid really slips and steals.
+    // The grid really slips, steals, parks, and cancels parked wakes
+    // under batched slips.
     EXPECT_GT(deferred, 0u);
     EXPECT_GT(stolen, 0u);
+    EXPECT_GT(parkedFires, 0u);
+    EXPECT_GT(parkedCancelsBatched, 0u);
 }
