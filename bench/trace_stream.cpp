@@ -7,7 +7,8 @@
  *     record stream is written through trace::StreamWriter and read
  *     back through trace::readStreamFile, timing both directions. This
  *     isolates the frame encode/CRC/decode cost from any simulation:
- *     records/sec here is the ceiling a live run can stream at.
+ *     records/sec here is the ceiling a live run can stream at. Every
+ *     record read back must equal the one written, field by field.
  *
  *  2. **Writer overhead in vivo** — the audited service workload runs
  *     twice, untraced and streamed to disk. The stream sink rides the
@@ -158,9 +159,21 @@ main(int argc, char **argv)
     }
     double write_ms = msSince(t0);
 
+    // The read leg checks every record against the one written, field
+    // by field: a lossy codec must fail here, not only look fast.
+    std::size_t read_index = 0;
+    std::size_t mismatches = 0;
+    std::size_t first_mismatch = 0;
     t0 = std::chrono::steady_clock::now();
-    trace::StreamReadResult read =
-        trace::readStreamFile(rtt, [](const trace::Record &) {});
+    trace::StreamReadResult read = trace::readStreamFile(
+        rtt, [&](const trace::Record &r) {
+            if (read_index >= n ||
+                !trace::recordsIdentical(r, recs[read_index])) {
+                if (mismatches++ == 0)
+                    first_mismatch = read_index;
+            }
+            ++read_index;
+        });
     double read_ms = msSince(t0);
     std::remove(rtt);
 
@@ -181,6 +194,12 @@ main(int argc, char **argv)
         std::printf("!! read back %llu of %zu records (%s)\n",
                     (unsigned long long)read.records, n,
                     read.ok ? "no fault" : read.error.c_str());
+        all_ok = false;
+    }
+    if (mismatches != 0) {
+        std::printf("!! %zu read-back records differ from the written "
+                    "ones (first: record %zu)\n",
+                    mismatches, first_mismatch);
         all_ok = false;
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstring>
 
@@ -37,67 +38,74 @@ constexpr std::size_t kOffReserved = 65;
 
 constexpr std::uint8_t kPayloadFlagHasSym = 0x1;
 
+// The frame fields are stored little-endian; on a little-endian host
+// that is the native byte order, so each field is one memcpy.
+static_assert(std::endian::native == std::endian::little,
+              ".rtt fields are copied in native byte order");
+
 void
 put16(unsigned char *p, std::uint16_t v)
 {
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
+    std::memcpy(p, &v, sizeof(v));
 }
 
 void
 put32(unsigned char *p, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<unsigned char>(v >> (8 * i));
+    std::memcpy(p, &v, sizeof(v));
 }
 
 void
 put64(unsigned char *p, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<unsigned char>(v >> (8 * i));
+    std::memcpy(p, &v, sizeof(v));
 }
 
 std::uint16_t
 get16(const unsigned char *p)
 {
-    return static_cast<std::uint16_t>(p[0] |
-                                      (std::uint16_t(p[1]) << 8));
+    std::uint16_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
 }
 
 std::uint32_t
 get32(const unsigned char *p)
 {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
     return v;
 }
 
 std::uint64_t
 get64(const unsigned char *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
     return v;
 }
 
-const std::array<std::uint32_t, 256> &
-crcTable()
-{
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
+/*
+ * Slicing-by-8 tables for the reflected IEEE polynomial. kCrc[0] is the
+ * classic byte table; kCrc[k][i] is the CRC of byte i followed by k
+ * zero bytes, so one step folds eight input bytes with eight lookups
+ * (or four bytes with kCrc[3..0]).
+ */
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    return t;
+}();
 
 const char *
 faultKindName(StreamFault::Kind k)
@@ -130,10 +138,25 @@ faultKindName(StreamFault::Kind k)
 std::uint32_t
 crc32(const unsigned char *data, std::size_t n)
 {
-    const auto &t = crcTable();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = t[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; data += 8, n -= 8) {
+        std::uint32_t lo = get32(data) ^ c;
+        std::uint32_t hi = get32(data + 4);
+        c = kCrc[7][lo & 0xFF] ^ kCrc[6][(lo >> 8) & 0xFF] ^
+            kCrc[5][(lo >> 16) & 0xFF] ^ kCrc[4][lo >> 24] ^
+            kCrc[3][hi & 0xFF] ^ kCrc[2][(hi >> 8) & 0xFF] ^
+            kCrc[1][(hi >> 16) & 0xFF] ^ kCrc[0][hi >> 24];
+    }
+    // A frame's 76-byte span leaves exactly this one 4-byte step.
+    if (n >= 4) {
+        std::uint32_t lo = get32(data) ^ c;
+        c = kCrc[3][lo & 0xFF] ^ kCrc[2][(lo >> 8) & 0xFF] ^
+            kCrc[1][(lo >> 16) & 0xFF] ^ kCrc[0][lo >> 24];
+        data += 4;
+        n -= 4;
+    }
+    for (; n > 0; ++data, --n)
+        c = kCrc[0][(c ^ *data) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -217,9 +240,10 @@ StreamWriter::StreamWriter(const std::string &path) : _path(path)
     _f = std::fopen(path.c_str(), "wb");
     if (!_f)
         fatal("cannot open trace stream %s for writing", path.c_str());
-    _buf.reserve(kWriterBufferBytes + kFrameBytes);
-    _buf.resize(kStreamHeaderBytes);
+    // One frame past the flush threshold: onEvent never grows it.
+    _buf.resize(kWriterBufferBytes + kFrameBytes);
     encodeStreamHeader(/*dense_seq=*/true, _buf.data());
+    _len = kStreamHeaderBytes;
 }
 
 StreamWriter::~StreamWriter()
@@ -232,31 +256,30 @@ StreamWriter::onEvent(const Record &r)
 {
     sim_assert(_f, "trace stream %s written after close",
                _path.c_str());
-    std::size_t at = _buf.size();
-    _buf.resize(at + kFrameBytes);
-    encodeFrame(r, _buf.data() + at);
+    encodeFrame(r, _buf.data() + _len);
+    _len += kFrameBytes;
     ++_stats.records;
-    if (_buf.size() >= kWriterBufferBytes)
+    if (_len >= kWriterBufferBytes)
         flush();
 }
 
 void
 StreamWriter::flush()
 {
-    if (!_f || _buf.empty())
+    if (!_f || _len == 0)
         return;
     auto t0 = std::chrono::steady_clock::now();
-    std::size_t n = std::fwrite(_buf.data(), 1, _buf.size(), _f);
+    std::size_t n = std::fwrite(_buf.data(), 1, _len, _f);
     _stats.flushWallMs +=
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    if (n != _buf.size())
+    if (n != _len)
         fatal("short write to trace stream %s (%zu of %zu bytes)",
-              _path.c_str(), n, _buf.size());
+              _path.c_str(), n, _len);
     _stats.bytesWritten += n;
     ++_stats.flushes;
-    _buf.clear();
+    _len = 0;
 }
 
 void
@@ -272,12 +295,21 @@ StreamWriter::close()
 // ---------------------------------------------------------------------
 // StreamReader
 
+namespace {
+
+/// Bytes of file the reader holds at once. Every refill() request
+/// (a frame, or a header length, which is a u16) fits.
+constexpr std::size_t kReaderBufferBytes = 1 << 16;
+static_assert(kReaderBufferBytes > 0xFFFF);
+
+} // namespace
+
 StreamReader::StreamReader(const std::string &path)
 {
     _f = std::fopen(path.c_str(), "rb");
     if (!_f)
         _done = true;
-    _buf.reserve(1 << 16);
+    _buf.resize(kReaderBufferBytes);
 }
 
 StreamReader::~StreamReader()
@@ -301,18 +333,18 @@ StreamReader::refill(std::size_t want)
     // matter how long the stream is.
     if (_pos > 0) {
         _base += _pos;
-        _buf.erase(_buf.begin(),
-                   _buf.begin() + static_cast<std::ptrdiff_t>(_pos));
+        std::memmove(_buf.data(), _buf.data() + _pos, avail());
+        _end -= _pos;
         _pos = 0;
     }
-    while (_buf.size() < want && !_eof) {
-        unsigned char chunk[1 << 15];
-        std::size_t n = std::fread(chunk, 1, sizeof(chunk), _f);
+    while (_end < want && !_eof) {
+        std::size_t n = std::fread(_buf.data() + _end, 1,
+                                   _buf.size() - _end, _f);
         if (n == 0) {
             _eof = true;
             break;
         }
-        _buf.insert(_buf.end(), chunk, chunk + n);
+        _end += n;
     }
 }
 
@@ -398,15 +430,18 @@ StreamReader::next(Record &out, StreamFault &fault)
         std::uint64_t seq = avail() >= 12 ? get64(p + 4) : 0;
         return fail(fault, StreamFault::Kind::Truncated, endOff, seq);
     }
-    std::uint16_t len = get16(p + 2);
-    if (len != kFramePayloadBytes)
-        return fail(fault, StreamFault::Kind::BadLength, frameOff + 2,
-                    len);
+    // The CRC is checked first: it covers the length field too, so a
+    // flipped length bit is in-place corruption like any other, and
+    // BadLength is left for a well-formed frame of another size.
     std::uint64_t seq = get64(p + 4);
     if (get32(p + 12 + kFramePayloadBytes) !=
         crc32(p + 2, 2 + 8 + kFramePayloadBytes))
         return fail(fault, StreamFault::Kind::BadChecksum, frameOff,
                     seq);
+    std::uint16_t len = get16(p + 2);
+    if (len != kFramePayloadBytes)
+        return fail(fault, StreamFault::Kind::BadLength, frameOff + 2,
+                    len);
     Record rec;
     if (!decodePayload(p + 12, rec))
         return fail(fault, StreamFault::Kind::BadPayload, frameOff + 12,

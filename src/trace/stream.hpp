@@ -55,7 +55,11 @@ inline constexpr std::size_t kFramePayloadBytes = 66;
 inline constexpr std::size_t kFrameBytes = 2 + 2 + 8 +
                                            kFramePayloadBytes + 4;
 
-/** CRC-32 (IEEE 802.3, poly 0xEDB88320), table-driven, no deps. */
+/**
+ * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320), slicing-by-8 over
+ * constexpr tables, no deps. Not CRC-32C: the SSE4.2 instruction
+ * computes a different polynomial and would change the format.
+ */
 std::uint32_t crc32(const unsigned char *data, std::size_t n);
 
 /** Serialize one record as a complete frame (sync..crc). */
@@ -116,7 +120,8 @@ class StreamWriter final : public TraceSink
   private:
     std::FILE *_f = nullptr;
     std::string _path;
-    std::vector<unsigned char> _buf;
+    std::vector<unsigned char> _buf; ///< Sized once; frames encode in place.
+    std::size_t _len = 0;            ///< Bytes of _buf awaiting flush().
     Stats _stats;
 };
 
@@ -126,7 +131,8 @@ struct StreamFault {
         BadMagic,    ///< File does not start with the .rtt header.
         BadVersion,  ///< Header version this reader cannot parse.
         BadSync,     ///< Expected frame start, found other bytes.
-        BadLength,   ///< Frame length field is not a v1 payload size.
+        BadLength,   ///< Header length too short, or a frame with a
+                     ///< valid CRC whose length is not a v1 payload.
         BadChecksum, ///< Frame CRC mismatch (corrupted in place).
         BadPayload,  ///< CRC valid but the payload decodes to no
                      ///< legal record (hand-crafted/wrong-version).
@@ -175,7 +181,7 @@ class StreamReader
     std::uint64_t recordsRead() const { return _records; }
 
   private:
-    std::size_t avail() const { return _buf.size() - _pos; }
+    std::size_t avail() const { return _end - _pos; }
     void refill(std::size_t want);
     std::uint64_t offsetAt(std::size_t rel) const;
     Status fail(StreamFault &fault, StreamFault::Kind kind,
@@ -187,8 +193,9 @@ class StreamReader
     bool _done = false;
     bool _dense = false;
     bool _eof = false;
-    std::vector<unsigned char> _buf;
+    std::vector<unsigned char> _buf; ///< Sized once; fread fills its tail.
     std::size_t _pos = 0;       ///< Read cursor into _buf.
+    std::size_t _end = 0;       ///< End of the bytes read into _buf.
     std::uint64_t _base = 0;    ///< File offset of _buf[0].
     std::uint64_t _lastSeq = 0;
     std::uint64_t _records = 0;

@@ -2,11 +2,13 @@
  * @file
  * Tests for the streaming binary trace format (src/trace/stream) and
  * its windowed consumption path (query::StreamingReplay /
- * validateStreamFile): payload codec round trips, writer/reader and
+ * validateStreamFile): the CRC-32 against a bytewise reference, the
+ * pinned v1 frame bytes, payload codec round trips, writer/reader and
  * loader file round trips (bit-exact), corruption detection with
- * offset-precise diagnostics (checksum, truncation, seq gap, seq
- * regression), and windowed-vs-post-hoc verdict identity with the
- * resident-state bound (docs/trace-format.md).
+ * offset-precise diagnostics (every bit of a frame, truncation at
+ * every length, seq gap, seq regression), and windowed-vs-post-hoc
+ * verdict identity with the resident-state bound
+ * (docs/trace-format.md).
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +108,67 @@ craftStream(const std::string &path, bool dense,
     writeBytes(path, bytes);
 }
 
+std::string
+toHex(const unsigned char *p, std::size_t n)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i) {
+        s += digits[p[i] >> 4];
+        s += digits[p[i] & 0xF];
+    }
+    return s;
+}
+
+std::vector<unsigned char>
+fromHex(const std::string &hex)
+{
+    std::vector<unsigned char> out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(static_cast<unsigned char>(
+            std::stoul(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+/**
+ * CRC-32 (IEEE, reflected 0xEDB88320) one bit at a time: the reference
+ * the table-driven trace::crc32 must match on every input.
+ */
+std::uint32_t
+crc32Bytewise(const unsigned char *data, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** Every field nonzero, a negative delta, and a distinct byte pattern
+ *  per field, so a swapped or mis-sized field changes the frame. */
+trace::Record
+populatedRecord()
+{
+    trace::Record r;
+    r.seq = 0x8877665544332211ull;
+    r.cycle = 0x0102030405060708ull;
+    r.core = 0x0A0B0C0Du;
+    r.kind = trace::EventKind::SymStore;
+    r.addr = 0x1112131415161718ull;
+    r.a = 0x2122232425262728ull;
+    r.b = 0x3132333435363738ull;
+    r.vid = 0x4142434445464748ull;
+    r.hasSym = true;
+    r.sym.root = 0x5152535455565758ull;
+    r.sym.delta = -0x123456789Al;
+    r.sym.size = 4;
+    r.cmp = rtc::CmpOp::GE;
+    r.aux = 0x3C;
+    return r;
+}
+
 trace::Record
 sampleRecord(std::uint64_t seq, trace::EventKind kind)
 {
@@ -122,6 +185,78 @@ sampleRecord(std::uint64_t seq, trace::EventKind kind)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// CRC-32 and the pinned v1 bytes
+// ---------------------------------------------------------------------
+
+TEST(StreamCrc, KnownAnswers)
+{
+    const unsigned char check[] = "123456789";
+    EXPECT_EQ(trace::crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32Bytewise(check, 9), 0xCBF43926u);
+    EXPECT_EQ(trace::crc32(check, 0), 0u);
+}
+
+TEST(StreamCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    // Slicing bugs live in the tail bytes and in misaligned words, so
+    // every length 0..256 is checked at every start offset 0..7.
+    std::vector<unsigned char> buf(256 + 8);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (unsigned char &c : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        c = static_cast<unsigned char>(x);
+    }
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 256; ++len)
+            ASSERT_EQ(trace::crc32(buf.data() + off, len),
+                      crc32Bytewise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(StreamCodec, V1BytesArePinned)
+{
+    // The exact frame of one fully populated record and the exact
+    // dense header, as every earlier writer produced them: a codec
+    // change that moves a byte breaks every recorded .rtt file.
+    const std::string frameHex =
+        "a55c4200112233445566778808070605040302011817161514131211"
+        "28272625242322213837363534333231484746454443424158575655"
+        "545352516687a9cbedffffff0d0c0b0a0501043c0400d70b33fe";
+    const std::string headerHex = "5254435354524d3101001000"
+                                  "01000000";
+    ASSERT_EQ(frameHex.size(), 2 * trace::kFrameBytes);
+
+    trace::Record r = populatedRecord();
+    unsigned char frame[trace::kFrameBytes];
+    trace::encodeFrame(r, frame);
+    EXPECT_EQ(toHex(frame, trace::kFrameBytes), frameHex);
+    unsigned char header[trace::kStreamHeaderBytes];
+    trace::encodeStreamHeader(/*dense_seq=*/true, header);
+    EXPECT_EQ(toHex(header, trace::kStreamHeaderBytes), headerHex);
+
+    // The pinned bytes decode back to the record, directly and through
+    // a reader (which also checks the pinned CRC).
+    std::vector<unsigned char> bytes = fromHex(frameHex);
+    trace::Record back;
+    ASSERT_TRUE(trace::decodePayload(bytes.data() + 12, back));
+    back.seq = r.seq;
+    EXPECT_TRUE(trace::recordsIdentical(back, r));
+
+    const std::string path = "test_stream_pinned.rtt";
+    bytes.insert(bytes.begin(), header,
+                 header + trace::kStreamHeaderBytes);
+    writeBytes(path, bytes);
+    trace::StreamReader reader(path);
+    DrainResult got = drain(reader);
+    EXPECT_TRUE(got.faults.empty());
+    ASSERT_EQ(got.records.size(), 1u);
+    EXPECT_TRUE(trace::recordsIdentical(got.records[0], r));
+    std::remove(path.c_str());
+}
 
 // ---------------------------------------------------------------------
 // Codec: payload round trips, byte-stable re-encode
@@ -275,6 +410,105 @@ TEST(StreamFile, ChecksumCorruptionIsRejectedWithItsOffset)
         << load.error;
     EXPECT_NE(load.error.find("checksum"), std::string::npos);
     EXPECT_TRUE(loaded.empty());
+    std::remove(path.c_str());
+}
+
+TEST(StreamFile, EveryBitFlipInAFrameIsABadChecksum)
+{
+    // Negative control for the CRC: every single-bit flip in the
+    // checksummed span and the stored CRC (bytes [2..81]) of the middle
+    // frame fails that frame, and only that frame, as BadChecksum.
+    const std::string path = "test_stream_bitflip.rtt";
+    trace::Record mid = populatedRecord();
+    mid.seq = 2;
+    craftStream(path, /*dense=*/true,
+                {sampleRecord(1, trace::EventKind::TxBegin), mid,
+                 sampleRecord(3, trace::EventKind::Commit)});
+    const std::vector<unsigned char> clean = readBytes(path);
+    const std::size_t frameOff =
+        trace::kStreamHeaderBytes + trace::kFrameBytes;
+
+    for (std::size_t byte = 2; byte < trace::kFrameBytes; ++byte)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<unsigned char> bytes = clean;
+            bytes[frameOff + byte] ^= static_cast<unsigned char>(1 << bit);
+            writeBytes(path, bytes);
+            trace::StreamReader reader(path);
+            DrainResult got = drain(reader);
+            ASSERT_EQ(got.records.size(), 1u)
+                << "byte " << byte << " bit " << bit;
+            ASSERT_EQ(got.faults.size(), 1u);
+            EXPECT_EQ(got.faults[0].kind,
+                      trace::StreamFault::Kind::BadChecksum)
+                << "byte " << byte << " bit " << bit;
+            EXPECT_EQ(got.faults[0].offset, frameOff);
+        }
+    std::remove(path.c_str());
+}
+
+TEST(StreamFile, FrameWithValidCrcAndAnotherLengthIsBadLength)
+{
+    // A well-formed frame of a size this reader does not parse (say,
+    // from a later format version) is BadLength, not BadChecksum.
+    const std::string path = "test_stream_badlen.rtt";
+    craftStream(path, /*dense=*/true,
+                {sampleRecord(1, trace::EventKind::TxBegin)});
+    std::vector<unsigned char> bytes = readBytes(path);
+    unsigned char *frame = bytes.data() + trace::kStreamHeaderBytes;
+    frame[2] = static_cast<unsigned char>(trace::kFramePayloadBytes - 1);
+    std::uint32_t crc =
+        trace::crc32(frame + 2, 2 + 8 + trace::kFramePayloadBytes);
+    for (int i = 0; i < 4; ++i)
+        frame[12 + trace::kFramePayloadBytes + i] =
+            static_cast<unsigned char>(crc >> (8 * i));
+    writeBytes(path, bytes);
+
+    trace::StreamReader reader(path);
+    DrainResult got = drain(reader);
+    EXPECT_TRUE(got.records.empty());
+    ASSERT_EQ(got.faults.size(), 1u);
+    EXPECT_EQ(got.faults[0].kind, trace::StreamFault::Kind::BadLength);
+    EXPECT_EQ(got.faults[0].offset, trace::kStreamHeaderBytes + 2);
+    std::remove(path.c_str());
+}
+
+TEST(StreamFile, EveryPrefixOfAStreamReadsCleanly)
+{
+    // A file cut at any byte yields exactly its whole frames. A cut at
+    // a frame boundary then ends cleanly (the reader cannot tell it
+    // from a shorter run); any other cut ends in one terminal fault,
+    // and an empty file is no stream at all.
+    const std::string path = "test_stream_prefix.rtt";
+    craftStream(path, /*dense=*/true,
+                {sampleRecord(1, trace::EventKind::TxBegin),
+                 sampleRecord(2, trace::EventKind::Store),
+                 sampleRecord(3, trace::EventKind::Commit)});
+    const std::vector<unsigned char> full = readBytes(path);
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+        auto end = full.begin() + static_cast<std::ptrdiff_t>(cut);
+        writeBytes(path, {full.begin(), end});
+        trace::StreamReader reader(path);
+        DrainResult got = drain(reader);
+        std::size_t whole =
+            cut < trace::kStreamHeaderBytes
+                ? 0
+                : (cut - trace::kStreamHeaderBytes) / trace::kFrameBytes;
+        EXPECT_EQ(got.records.size(), whole) << "cut " << cut;
+        if (cut != 0 && cut == trace::kStreamHeaderBytes +
+                                   whole * trace::kFrameBytes) {
+            EXPECT_TRUE(got.faults.empty()) << "cut " << cut;
+            continue;
+        }
+        ASSERT_EQ(got.faults.size(), 1u) << "cut " << cut;
+        if (cut == 0) {
+            EXPECT_EQ(got.faults[0].kind,
+                      trace::StreamFault::Kind::BadMagic);
+            continue;
+        }
+        EXPECT_EQ(got.faults[0].kind, trace::StreamFault::Kind::Truncated)
+            << "cut " << cut;
+        EXPECT_EQ(got.faults[0].offset, cut) << "cut " << cut;
+    }
     std::remove(path.c_str());
 }
 
