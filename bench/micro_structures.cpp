@@ -107,6 +107,31 @@ BM_ParkedRetry(benchmark::State &state)
 BENCHMARK(BM_ParkedRetry);
 
 static void
+BM_ParkedFanIn(benchmark::State &state)
+{
+    // Figure 9's shape: 32 cores, 29 of them parked on a conflict at
+    // staggered phases and retrying every 25 cycles, while 3 live
+    // cores re-wake every 8 to 10 cycles, so about three dispatches in
+    // four are parked fires. One item is one dispatch, parked or not.
+    constexpr unsigned kSlots = 32, kLive = 3;
+    ShardedEventQueue eq({}, std::vector<unsigned>(kSlots, 0));
+    for (unsigned c = kLive; c < kSlots; ++c) {
+        eq.wake(c, 1 + (c * 7) % 25);
+        eq.park(c, 25, ~std::uint64_t(0));
+    }
+    for (unsigned c = 0; c < kLive; ++c)
+        eq.wake(c, 8 + c);
+    std::uint64_t before = eq.executed();
+    for (auto _ : state) {
+        auto c = static_cast<unsigned>(eq.step());
+        eq.wake(c, 8 + c);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(eq.executed() - before));
+}
+BENCHMARK(BM_ParkedFanIn);
+
+static void
 BM_CacheInsertLookup(benchmark::State &state)
 {
     mem::SetAssocCache cache({64 * 1024, 4});

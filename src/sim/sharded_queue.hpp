@@ -32,16 +32,25 @@
  * A parked slot is a wake its owner would only repeat: each time it
  * fires, the owner would count the fire and wake the slot again
  * `period` cycles on, changing nothing else (a core polling a
- * transactional conflict). While parked, step() performs that fire
- * itself: the same dispatch bookkeeping (executor pick, slips, steals,
- * `drained`/`executed`/`scheduled`), the same `_nextSeq++` for the
- * re-wake, and a per-slot fire count in place of returning the slot.
- * Every wake, seq and counter is the one the owner's re-wake would
- * have made, so parking leaves the dispatch order, the shard counters
- * and `executed()` unchanged. The owner collects the count with
- * takeParked() at its next fire: after `budget` parked fires, after
- * unpark() (what the slot waited on changed), or after a cancel()
- * (which also unparks, and keeps the count) and the owner's new wake.
+ * transactional conflict). park() moves the slot's wake out of the
+ * tree onto the parked list, one list for every shard, sorted by
+ * (when, seq); its tree leaf holds a sentinel that is never due, and
+ * the slot itself keeps its real key and stays pending. step()
+ * dispatches whichever comes first, the tree's root or the list's
+ * head, so the dispatch order is that of one queue over both. A
+ * parked fire makes the owner's bookkeeping itself: the same executor
+ * pick, slips, steals, `drained`/`executed`/`scheduled` counts and
+ * `_nextSeq++` re-wake, and a per-slot fire count in place of
+ * returning the slot. The re-wake goes back into the list at its
+ * sorted place, walking from the tail, and touches no tree node; with
+ * one common period every re-wake follows the newest seq and lands at
+ * the tail. Every wake, seq and counter is the one the owner's re-wake
+ * would have made, so parking leaves the dispatch order, the shard
+ * counters and `executed()` unchanged. The owner collects the count
+ * with takeParked() at its next fire, which leaves the list: after
+ * `budget` parked fires, or after unpark() (what the slot waited on
+ * changed). cancel() takes the slot off the list at once (its parked
+ * fires stay counted for takeParked).
  */
 
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
@@ -158,6 +167,12 @@ class ShardedEventQueue final : public SimClock
         std::uint8_t shard = 0; ///< Home shard.
         /// Batch-slipped: its last slip was counted ahead of dispatch.
         bool slipped = false;
+        /// On the parked list (its tree leaf holds the sentinel).
+        bool listed = false;
+        /// Parked-list neighbours; the sentinel ends the list both ways.
+        /// Not char-sized: a char store may alias any member, and the
+        /// parked fire would reload them all after relinking.
+        std::uint16_t prev = 0, next = 0;
     };
 
     /// A slot's parking state (budget 0: not parked), kept out of
@@ -179,12 +194,16 @@ class ShardedEventQueue final : public SimClock
 
     ShardedQueueConfig _cfg;
     std::vector<Shard> _shards;
-    /// Padded with idle slots to a power of two, the tree's leaf count.
+    /// Padded with idle slots to a power of two, the tree's leaf count
+    /// `_leaves`, plus one sentinel slot (index `_leaves`) that is
+    /// always idle: the parked list's head and tail are its `next` and
+    /// `prev`, and a listed slot's tree leaf holds its index.
     std::vector<Slot> _slots;
     std::vector<Park> _parks; ///< Indexed like _slots.
+    unsigned _leaves = 1;
     /// Tournament tree over the slots: node n (1-based) holds the slot
-    /// with the earliest wake under it; node _slots.size() + i is leaf
-    /// i. The root, node 1, is the globally earliest wake.
+    /// with the earliest wake under it; node _leaves + i is leaf i. The
+    /// root, node 1, is the earliest wake outside the parked list.
     std::vector<std::uint8_t> _tree;
 
     Cycle _now = 0;
@@ -214,21 +233,71 @@ class ShardedEventQueue final : public SimClock
         return a ^ ((a ^ b) & -unsigned(bFirst));
     }
 
+    /** True when slot @p a's wake comes before slot @p b's. */
+    bool
+    before(unsigned a, unsigned b) const
+    {
+        const Slot &x = _slots[a], &y = _slots[b];
+        return x.when < y.when || (x.when == y.when && x.seq < y.seq);
+    }
+
     /** Replay the tree's matches on @p slot's path after it changed. */
     void update(unsigned slot);
 
-    /** Replay every match (after a batch slip moved many slots). */
-    void rebuild();
+    /** Link unlinked @p slot into the parked list after @p after. */
+    void
+    linkAfter(unsigned slot, unsigned after)
+    {
+        Slot &s = _slots[slot], &a = _slots[after];
+        s.prev = static_cast<std::uint16_t>(after);
+        s.next = a.next;
+        _slots[a.next].prev = static_cast<std::uint16_t>(slot);
+        a.next = static_cast<std::uint16_t>(slot);
+    }
+
+    /** Put unlinked @p slot at its sorted place in the parked list,
+     *  walking from the tail. */
+    void
+    link(unsigned slot)
+    {
+        unsigned after = _slots[_leaves].prev;
+        while (after != _leaves && before(slot, after))
+            after = _slots[after].prev;
+        linkAfter(slot, after);
+    }
+
+    /** Take @p slot out of the parked list's links. */
+    void
+    unlink(unsigned slot)
+    {
+        const Slot &s = _slots[slot];
+        _slots[s.prev].next = s.next;
+        _slots[s.next].prev = s.prev;
+    }
+
+    /** Move listed @p slot, whose wake slipped, forward to its sorted
+     *  place in the parked list. */
+    void sift(unsigned slot);
+
+    /** Take listed @p slot off the parked list; its leaf is its own. */
+    void unlist(unsigned slot);
+
+    /**
+     * Slip every wake @p shard has due at @p when one cycle on, and
+     * replay what that changes of the tree and the parked list.
+     */
+    void batchSlip(unsigned shard, Cycle when);
 
     /** True when @p shard has a wake due at or before @p when. */
     bool dueOn(unsigned shard, Cycle when) const;
 
     /**
      * Pick the shard that dispatches a wake due at @p when homed on
-     * @p home: the home shard if it has bandwidth, else an idle shard
-     * with spare slots (work stealing), else -1 (the wake must slip).
+     * @p home, whose dispatch slots are used up and which has possible
+     * thieves: an idle shard with spare slots (work stealing), else -1
+     * (the wake must slip).
      */
-    int pickExecutor(unsigned home, Cycle when);
+    int pickThief(unsigned home, Cycle when);
 };
 
 } // namespace retcon

@@ -62,11 +62,19 @@ TEST(EventKernel, ExecutedCountsFiredWakesOnly)
 TEST(EventKernelDeath, WakePastTheLastCyclePanics)
 {
     // A wake delta is never negative; the one cycle it cannot reach is
-    // past the end of the clock.
+    // the last one, ~0, past the end of the clock. The cycle before it
+    // can still be woken and dispatched, also as a parked wake.
+    constexpr Cycle kLast = ~Cycle(0) - 1;
     ShardedEventQueue eq({}, {0, 0});
     eq.wake(0, 50);
     eq.step();
-    EXPECT_DEATH(eq.wake(1, ~Cycle(0) - 10), "end of time");
+    eq.wake(1, kLast - 50);
+    eq.park(1, 0, 1);
+    EXPECT_EQ(eq.step(), 1);
+    EXPECT_EQ(eq.takeParked(1), 1u);
+    EXPECT_EQ(eq.now(), kLast);
+    eq.wake(0, 0);
+    EXPECT_DEATH(eq.wake(1, 1), "end of time");
 }
 
 TEST(EventKernelDeath, WakingAPendingSlotPanics)
@@ -75,5 +83,16 @@ TEST(EventKernelDeath, WakingAPendingSlotPanics)
     // the first fires or is cancelled is a simulator bug.
     ShardedEventQueue eq({}, {0});
     eq.wake(0, 5);
+    EXPECT_DEATH(eq.wake(0, 1), "woken twice");
+}
+
+TEST(EventKernelDeath, WakingAParkedSlotPanics)
+{
+    // A parked wake is still the slot's one pending wake, though it
+    // sits on the parked list rather than in the tree.
+    ShardedEventQueue eq({}, {0, 0});
+    eq.wake(0, 5);
+    eq.park(0, 25, 3);
+    EXPECT_EQ(eq.pending(), 1u);
     EXPECT_DEATH(eq.wake(0, 1), "woken twice");
 }

@@ -290,14 +290,24 @@ struct Script {
         }
     }
 
+    /**
+     * With @p fanIn, every slot first wakes at its own cycle and all
+     * but two park at once, with periods 2..6, so most wakes start on
+     * the parked list and re-wake into its middle.
+     */
     void
-    run()
+    run(bool fanIn = false)
     {
         pending.assign(nslots, false);
         parked.assign(nslots, false);
         budget.assign(nslots, 30);
-        for (unsigned c = 0; c < nslots; ++c)
-            wake(c, c % 3);
+        for (unsigned c = 0; c < nslots; ++c) {
+            wake(c, fanIn ? c : c % 3);
+            if (fanIn && c >= 2) {
+                q.park(c, 2 + c % 5, 1 + rng.below(12));
+                parked[c] = true;
+            }
+        }
         for (int c; (c = q.step()) >= 0;)
             fire(static_cast<unsigned>(c));
     }
@@ -476,19 +486,24 @@ TEST(ShardedQueue, CancellingAWakeThatAlreadyFiredIsANoOp)
     EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
-{
-    // Drive the queue and the brute-force reference with one seeded
-    // script over shards × bandwidth × stealing × steal group; require
-    // the same dispatch sequence, the same parked-fire counts and the
-    // same per-shard counters. Batched slips (no possible thief) and
-    // per-wake slips (stealing) must both reproduce literal
-    // one-at-a-time slipping, also when a remote abort cancels a
-    // batch-slipped wake before the dispatch order reaches it, and a
-    // parked slot's fires must equal the reference's literal re-wakes.
-    constexpr unsigned kSlots = 12;
+namespace {
+
+/** What a grid run exercised, summed over its configurations. */
+struct GridTotals {
     std::uint64_t deferred = 0, stolen = 0, parkedFires = 0;
     std::uint64_t parkedCancelsBatched = 0;
+};
+
+/**
+ * Drive the queue and the brute-force reference with one seeded script
+ * (Script::run(@p fanIn)) over shards × bandwidth × stealing × steal
+ * group; require the same dispatch sequence, the same parked-fire
+ * counts and the same per-shard counters.
+ */
+void
+runGrid(bool fanIn, GridTotals &out)
+{
+    constexpr unsigned kSlots = 12;
     for (unsigned nshards : {1u, 2u, 4u})
         for (unsigned bw : {0u, 1u, 2u, 3u})
             for (bool steal : {true, false})
@@ -503,28 +518,97 @@ TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
                                      << " seed=" << seed);
                         RealQueue real(cfg, roundRobin(kSlots, nshards));
                         Script<RealQueue> a(real, kSlots, nshards, seed);
-                        a.run();
+                        a.run(fanIn);
                         RefQueue ref(cfg, roundRobin(kSlots, nshards));
                         Script<RefQueue> b(ref, kSlots, nshards, seed);
-                        b.run();
+                        b.run(fanIn);
                         ASSERT_EQ(a.log, b.log);
                         for (const auto &entry : b.log)
-                            parkedFires += std::get<3>(entry);
+                            out.parkedFires += std::get<3>(entry);
                         bool batched = bw > 0 && (!steal || group == 1 ||
                                                   nshards == 1);
-                        parkedCancelsBatched += batched * b.parkedCancels;
+                        out.parkedCancelsBatched +=
+                            batched * b.parkedCancels;
                         for (unsigned s = 0; s < nshards; ++s) {
                             EXPECT_EQ(fields(real.shardStats(s)),
                                       fields(ref.shardStats(s)))
                                 << "shard " << s;
-                            deferred += ref.shardStats(s).deferred;
-                            stolen += ref.shardStats(s).stolen;
+                            out.deferred += ref.shardStats(s).deferred;
+                            out.stolen += ref.shardStats(s).stolen;
                         }
                     }
+}
+
+} // namespace
+
+TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
+{
+    // Batched slips (no possible thief) and per-wake slips (stealing)
+    // must both reproduce literal one-at-a-time slipping, also when a
+    // remote abort cancels a batch-slipped wake before the dispatch
+    // order reaches it, and a parked slot's fires must equal the
+    // reference's literal re-wakes.
+    GridTotals t;
+    runGrid(false, t);
     // The grid really slips, steals, parks, and cancels parked wakes
     // under batched slips.
-    EXPECT_GT(deferred, 0u);
-    EXPECT_GT(stolen, 0u);
-    EXPECT_GT(parkedFires, 0u);
-    EXPECT_GT(parkedCancelsBatched, 0u);
+    EXPECT_GT(t.deferred, 0u);
+    EXPECT_GT(t.stolen, 0u);
+    EXPECT_GT(t.parkedFires, 0u);
+    EXPECT_GT(t.parkedCancelsBatched, 0u);
+}
+
+TEST(ShardedQueue, ParkedFanInMatchesBruteForceReferenceOverConfigGrid)
+{
+    // Most slots parked at once at distinct phases with unequal
+    // periods: re-wakes land inside the parked list, not only at its
+    // tail, and slips and steals act on listed wakes.
+    GridTotals t;
+    runGrid(true, t);
+    EXPECT_GT(t.deferred, 0u);
+    EXPECT_GT(t.stolen, 0u);
+    EXPECT_GT(t.parkedFires, 0u);
+    EXPECT_GT(t.parkedCancelsBatched, 0u);
+}
+
+TEST(ShardedQueue, ParkedSlipKeepsOrderAcrossShards)
+{
+    // Three listed wakes, each returned at its next fire (budget 0).
+    // Slot 1's slips per wake at cycle 5 (shard 0 spent its slot on
+    // slot 0, and shard 1 is busy with slot 2's), while slot 2's, made
+    // later in the same cycle on the other shard, dispatches there.
+    // The slipped wake must move behind slot 2's and ahead of slot 3's
+    // at cycle 20: left at the head, it would fire before slot 2's and
+    // send the clock backwards; appended at the tail, it would fire
+    // after slot 3's.
+    ShardedEventQueue q(config(2, /*bandwidth=*/1), {0, 0, 1, 1});
+    q.wake(0, 5);
+    q.wake(1, 5);
+    q.park(1, 10, 0);
+    q.wake(2, 5);
+    q.park(2, 10, 0);
+    q.wake(3, 20);
+    q.park(3, 10, 0);
+    std::vector<std::pair<int, Cycle>> want = {
+        {0, 5}, {2, 5}, {1, 6}, {3, 20}};
+    EXPECT_EQ(drain(q), want);
+    EXPECT_EQ(q.shardStats(0).deferred, 1u);
+    EXPECT_EQ(q.shardStats(1).stolen, 0u);
+}
+
+TEST(ShardedQueue, ListedDueWakeIsNotAThief)
+{
+    // Shard 1's only wake is on the parked list and due at cycle 5, so
+    // shard 1 is busy then and must not steal shard 0's second wake,
+    // which slips to cycle 6 instead.
+    ShardedEventQueue q(config(2, /*bandwidth=*/1), {0, 0, 1});
+    q.wake(0, 5);
+    q.wake(1, 5);
+    q.wake(2, 5);
+    q.park(2, 10, 1);
+    std::vector<std::pair<int, Cycle>> want = {{0, 5}, {1, 6}, {2, 15}};
+    EXPECT_EQ(drain(q), want);
+    EXPECT_EQ(q.shardStats(1).stolen, 0u);
+    EXPECT_EQ(q.shardStats(0).deferred, 1u);
+    EXPECT_EQ(q.takeParked(2), 1u);
 }
