@@ -62,6 +62,34 @@ BM_ShardedQueueSaturated(benchmark::State &state)
 BENCHMARK(BM_ShardedQueueSaturated);
 
 static void
+BM_ShardedQueueStealing(benchmark::State &state)
+{
+    // The top point's shape: four shards dispatching one wake per cycle
+    // each, with stealing, under 32 self-rewaking cores homed
+    // round-robin, so over-quota wakes look for an idle thief.
+    constexpr int kEvents = 4096;
+    constexpr unsigned kCores = 32, kShards = 4;
+    std::vector<unsigned> homes(kCores);
+    for (unsigned c = 0; c < kCores; ++c)
+        homes[c] = c % kShards;
+    for (auto _ : state) {
+        ShardedQueueConfig cfg;
+        cfg.nshards = kShards;
+        cfg.dispatchBandwidth = 1;
+        ShardedEventQueue q(cfg, homes);
+        for (unsigned c = 0; c < kCores; ++c)
+            q.wake(c, 1 + c % 4);
+        int left = kEvents - int(kCores);
+        for (int c; (c = q.step()) >= 0;)
+            if (left-- > 0)
+                q.wake(c, 1 + c % 4);
+        benchmark::DoNotOptimize(q.executed());
+    }
+    state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_ShardedQueueStealing);
+
+static void
 BM_EventQueueCancelChurn(benchmark::State &state)
 {
     // Remote aborts: a core's pending wake is cancelled and replaced

@@ -16,17 +16,18 @@ ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg,
     sim_assert(homes.size() <= 64, "wake slot count out of range");
     while (_leaves < homes.size())
         _leaves *= 2;
-    _slots.resize(_leaves + 1);
+    _slots.resize(_leaves + 1 + cfg.nshards);
     _parks.resize(_leaves);
     for (std::size_t i = 0; i < homes.size(); ++i) {
         sim_assert(homes[i] < cfg.nshards, "shard %u out of range",
                    homes[i]);
         _slots[i].shard = static_cast<std::uint8_t>(homes[i]);
+        _shards[homes[i]].homed |= std::uint64_t(1) << i;
     }
-    // An empty list: the sentinel is its own neighbour. Every match is
+    // Empty lists: each sentinel is its own neighbour. Every match is
     // between idle slots, so the always-idle sentinel wins them all.
-    Slot &end = _slots[_leaves];
-    end.prev = end.next = static_cast<std::uint16_t>(_leaves);
+    for (unsigned end = _leaves; end < _slots.size(); ++end)
+        _slots[end].prev = _slots[end].next = static_cast<std::uint16_t>(end);
     _tree.assign(2 * _leaves, static_cast<std::uint8_t>(_leaves));
     for (unsigned i = 0; i < _leaves; ++i)
         _tree[_leaves + i] = static_cast<std::uint8_t>(i);
@@ -37,7 +38,7 @@ ShardedEventQueue::ShardedEventQueue(const ShardedQueueConfig &cfg,
         unsigned base = (s / group) * group;
         bool thief =
             cfg.workStealing && std::min(base + group, cfg.nshards) - base > 1;
-        _shards[s].batchSlip = !thief;
+        _shards[s].queues = !thief;
     }
 }
 
@@ -57,8 +58,10 @@ ShardedEventQueue::wake(unsigned slot, Cycle delta)
     sim_assert(delta < kIdle - _now, "wake past the end of time");
     s.when = _now + delta;
     s.seq = _nextSeq++;
-    s.slipped = false;
     ++_shards[s.shard].stats.scheduled;
+    // One replay for the fire that left the path stale and this wake.
+    if (slot == _stale)
+        _stale = kNone;
     update(slot);
 }
 
@@ -68,17 +71,27 @@ ShardedEventQueue::cancel(unsigned slot)
     Slot &s = _slots[slot];
     if (s.when == kIdle)
         return;
-    if (s.slipped) {
-        // A batched slip counts a wake at (its cycle - 1, its seq) in
-        // dispatch order, before the per-wake order reaches it.
-        // Cancelling the wake before that point takes the count back,
-        // so `deferred` stays equal to the per-wake count.
-        Cycle counted = s.when - 1;
+    _parks[slot].budget = 0;
+    if (s.queued) {
+        // The per-wake order counts a queued wake's last slip at (B -
+        // 1, its seq). A backlog slip counts it when the shard's slots
+        // for B - 1 run out, ahead of that point; cancelling the wake
+        // before the order reaches it takes the count back, so
+        // `deferred` stays equal to the per-wake count. (A wake that
+        // joined at B - 1 was counted at that point itself, which the
+        // order has passed.)
+        Shard &sh = _shards[s.shard];
+        Cycle counted = sh.backlogWhen - 1;
         if (counted > _atWhen || (counted == _atWhen && s.seq > _atSeq))
-            --_shards[s.shard].stats.deferred;
+            --sh.stats.deferred;
+        dequeue(slot);
+        s.listed = false;
+        // Its tree path saw only the idle sentinel.
+        _tree[_leaves + slot] = static_cast<std::uint8_t>(slot);
+        s.when = kIdle;
+        return;
     }
     s.when = kIdle;
-    _parks[slot].budget = 0;
     if (s.listed)
         unlist(slot); // Its tree path saw only the idle sentinel.
     else
@@ -95,6 +108,8 @@ ShardedEventQueue::park(unsigned slot, Cycle period, std::uint64_t budget)
     if (s.listed)
         return;
     s.listed = true;
+    if (s.queued)
+        return; // Fired from its backlog; its leaf holds the sentinel.
     _tree[_leaves + slot] = static_cast<std::uint8_t>(_leaves);
     update(slot);
     link(slot);
@@ -129,44 +144,38 @@ ShardedEventQueue::unlist(unsigned slot)
 }
 
 void
-ShardedEventQueue::batchSlip(unsigned shard, Cycle when)
+ShardedEventQueue::enqueue(unsigned slot)
 {
-    // Bit i: slot i slipped / was due by `when + 1` / is listed.
-    std::uint64_t bumped = 0, near = 0, listed = 0;
-    for (unsigned i = 0; i < _leaves; ++i) {
-        Slot &due = _slots[i];
-        bool hit = due.shard == shard && due.when == when;
-        near |= std::uint64_t(due.when - when <= 1) << i;
-        listed |= std::uint64_t(due.listed) << i;
-        due.when += hit;
-        due.slipped |= hit;
-        bumped |= std::uint64_t(hit) << i;
+    Slot &s = _slots[slot];
+    Shard &sh = _shards[s.shard];
+    // The slip to B is counted now, at the wake's own place in the
+    // dispatch order, as the per-wake order counts it.
+    s.when = sh.backlogWhen;
+    ++sh.stats.deferred;
+    if (s.listed) {
+        unlink(slot);
+    } else {
+        _tree[_leaves + slot] = static_cast<std::uint8_t>(_leaves);
+        update(slot);
     }
-    _shards[shard].stats.deferred += std::popcount(bumped);
-    // No wake is due before `when`, so a bumped wake moves from the
-    // front to `when + 1` and keeps its seq. Against a wake due later
-    // than `when + 1`, or another bumped one, every match comes out as
-    // before; it can only turn against an unbumped wake due at `when`
-    // (another shard's) or at `when + 1`. A subtree without such a
-    // wake keeps its winner, so replaying their paths alone restores
-    // the tree.
-    for (std::uint64_t m = near & ~bumped & ~listed; m; m &= m - 1)
-        update(static_cast<unsigned>(std::countr_zero(m)));
-    if (!(bumped & listed))
-        return;
-    // The bumped listed wakes were due first, so they lie in the
-    // list's run due by `when + 1` (the sentinel's kIdle ends it).
-    // Walking that run back from its end, each moves forward past the
-    // wakes now before it, behind the later ones already placed.
-    unsigned end = _slots[_leaves].next;
-    while (_slots[end].when <= when + 1)
-        end = _slots[end].next;
-    for (unsigned m = _slots[end].prev; m != _leaves;) {
-        unsigned prev = _slots[m].prev;
-        if (bumped >> m & 1)
-            sift(m);
-        m = prev;
-    }
+    s.queued = true;
+    // Sorted by seq: walk from the tail, where newer wakes sit.
+    unsigned end = _leaves + 1 + s.shard, after = _slots[end].prev;
+    while (after != end && _slots[after].seq > s.seq)
+        after = _slots[after].prev;
+    linkAfter(slot, after);
+    ++sh.backlogSize;
+    _backlogged |= std::uint64_t(1) << s.shard;
+}
+
+void
+ShardedEventQueue::dequeue(unsigned slot)
+{
+    Slot &s = _slots[slot];
+    unlink(slot);
+    s.queued = false;
+    if (--_shards[s.shard].backlogSize == 0)
+        _backlogged &= ~(std::uint64_t(1) << s.shard);
 }
 
 void
@@ -185,8 +194,8 @@ ShardedEventQueue::sift(unsigned slot)
 bool
 ShardedEventQueue::dueOn(unsigned shard, Cycle when) const
 {
-    for (const Slot &s : _slots)
-        if (s.shard == shard && s.when <= when)
+    for (std::uint64_t m = _shards[shard].homed; m; m &= m - 1)
+        if (_slots[std::countr_zero(m)].when <= when)
             return true;
     return false;
 }
@@ -218,23 +227,46 @@ ShardedEventQueue::pickThief(unsigned home, Cycle when)
 int
 ShardedEventQueue::step(Cycle maxCycles)
 {
+    if (_stale != kNone) {
+        update(_stale);
+        _stale = kNone;
+    }
     for (;;) {
-        // The earliest wake heads the tree or the parked list; idle
-        // slots, and the sentinel that ends the list, sit at kIdle.
-        // A branch, not first(): its outcome is mostly predictable (most
-        // dispatches are parked fires), and then the fire need not wait
-        // for the comparison.
+        // The earliest wake heads the tree, the parked list or a
+        // backlog; idle slots, and the sentinel that ends the list, sit
+        // at kIdle. A branch, not first(): its outcome is mostly
+        // predictable (most dispatches are parked fires), and then the
+        // fire need not wait for the comparison.
         unsigned found = _tree[1], head = _slots[_leaves].next;
         if (before(head, found))
             found = head;
+        Cycle when = _slots[found].when;
+        if (_backlogged) {
+            // A backlog's head is keyed (B, its seq).
+            std::uint64_t seq = _slots[found].seq;
+            for (std::uint64_t m = _backlogged; m; m &= m - 1) {
+                unsigned k = static_cast<unsigned>(std::countr_zero(m));
+                Cycle b = _shards[k].backlogWhen;
+                unsigned q = _slots[_leaves + 1 + k].next;
+                if (b < when || (b == when && _slots[q].seq < seq)) {
+                    found = q;
+                    when = b;
+                    seq = _slots[q].seq;
+                }
+            }
+        }
         Slot &s = _slots[found];
-        Cycle when = s.when;
         if (when == kIdle)
             return -1;
         _atWhen = when;
         _atSeq = s.seq;
         if (when > maxCycles)
             return -1;
+        // A backlog head is dispatched now: B is past the cycle its
+        // shard's slots last ran out in.
+        bool queued = s.queued;
+        if (queued)
+            dequeue(found);
 
         Shard &home = _shards[s.shard];
         Shard *exec = &home;
@@ -249,11 +281,12 @@ ShardedEventQueue::step(Cycle maxCycles)
                 // All the home shard's slots this cycle are spoken for:
                 // the wake slips one cycle on, keeping its seq and so
                 // its order among the wakes it was ahead of, unless an
-                // idle shard steals it. With no possible thief, every
-                // other wake the shard has due this cycle would slip
-                // in turn, so they all slip now.
-                if (home.batchSlip) {
-                    batchSlip(s.shard, when);
+                // idle shard steals it. With no possible thief it
+                // queues in the backlog, already slipped to the next
+                // cycle.
+                if (home.queues) {
+                    sim_assert(!queued, "backlog head over quota");
+                    enqueue(found);
                     continue;
                 }
                 int thief = pickThief(s.shard, when);
@@ -268,21 +301,34 @@ ShardedEventQueue::step(Cycle maxCycles)
                 }
                 exec = &_shards[thief];
             }
-            ++exec->dispatched;
+            if (++exec->dispatched == bw && home.queues) {
+                // Its last slot is used: the backlog's wakes, all due
+                // now and later in the order, slip to the next cycle.
+                home.stats.deferred += home.backlogSize;
+                home.backlogWhen = when + 1;
+            }
         }
         ++home.stats.drained;
         ++exec->stats.executed;
         ++_executed;
         _now = when;
-        if (!s.listed) {
-            s.when = kIdle;
-            update(found);
-            return static_cast<int>(found);
+        if (!queued) {
+            if (!s.listed) {
+                // Its path is replayed by its next wake or the next
+                // step().
+                s.when = kIdle;
+                _stale = found;
+                return static_cast<int>(found);
+            }
+            unlink(found);
         }
+        // Unlinked, and its leaf holds the sentinel.
         Park &p = _parks[found];
-        if (!p.budget) {
+        if (!s.listed || !p.budget) {
             s.when = kIdle;
-            unlist(found);
+            s.listed = false;
+            // Its tree path saw only the idle sentinel.
+            _tree[_leaves + found] = static_cast<std::uint8_t>(found);
             return static_cast<int>(found);
         }
         // The owner's fire and re-wake, performed here on the list.
@@ -291,9 +337,7 @@ ShardedEventQueue::step(Cycle maxCycles)
         ++p.fires;
         s.when = when + p.period;
         s.seq = _nextSeq++;
-        s.slipped = false;
         ++home.stats.scheduled;
-        unlink(found);
         link(found);
     }
 }

@@ -24,10 +24,29 @@
  * shards absorb bursts from busy ones. Stealing changes attribution
  * and slip timing only; the drain order is still the unique global
  * (cycle, seq) order, so runs stay deterministic for a fixed
- * configuration. A shard no thief can reach (stealing off, or a steal
- * group of one) slips all its due wakes in one loop when its slots run
- * out; the wakes and the `deferred` count equal slipping them one by
- * one, so the batch is a host-side shortcut only.
+ * configuration.
+ *
+ * A shard no thief can reach (stealing off, or a steal group of one)
+ * queues its over-quota wakes in a backlog: a wake that comes up due
+ * while the shard's slots for that cycle are used up slips one cycle,
+ * counted as it would be alone, and leaves the tree (or the parked
+ * list) for the backlog, a list sorted by seq whose members are all
+ * due at the backlog's cycle B. step() takes the earliest of the
+ * tree's root, the parked list's head and each backlog's head keyed
+ * (B, seq), so each cycle the shard dispatches the lowest-seq wakes
+ * among its backlog and its fresh wakes due at B. When a dispatch uses
+ * the shard's last slot, the whole backlog slips at once, `deferred +=
+ * size; ++B`, ahead of the per-wake order; cancel() takes that count
+ * back for a wake the order has not reached yet, so the counters equal
+ * slipping the wakes one by one (step() is drained until it returns
+ * -1, which settles every count ahead). A saturated cycle costs O(1).
+ *
+ * step() leaves the tree path of the slot it returns stale (its wake
+ * is idle, but the matches above it still name it); the owner's wake()
+ * of that slot replays the path once for both changes. Otherwise the
+ * next step() replays it first: only step() reads the matches, and
+ * that replay rebuilds every match the slot is under, so the other
+ * calls, which replay their own slot's path, need not wait for it.
  *
  * A parked slot is a wake its owner would only repeat: each time it
  * fires, the owner would count the fire and wake the slot again
@@ -44,13 +63,16 @@
  * returning the slot. The re-wake goes back into the list at its
  * sorted place, walking from the tail, and touches no tree node; with
  * one common period every re-wake follows the newest seq and lands at
- * the tail. Every wake, seq and counter is the one the owner's re-wake
- * would have made, so parking leaves the dispatch order, the shard
- * counters and `executed()` unchanged. The owner collects the count
- * with takeParked() at its next fire, which leaves the list: after
- * `budget` parked fires, or after unpark() (what the slot waited on
- * changed). cancel() takes the slot off the list at once (its parked
- * fires stay counted for takeParked).
+ * the tail. A listed wake that slips on a stealing shard moves forward
+ * to its new sorted place; one that joins a backlog leaves the list
+ * and, popped from the backlog, makes its parked fire and re-links.
+ * Every wake, seq and counter is the one the owner's re-wake would
+ * have made, so parking leaves the dispatch order, the shard counters
+ * and `executed()` unchanged. The owner collects the count with
+ * takeParked() at its next fire, which leaves the list: after `budget`
+ * parked fires, or after unpark() (what the slot waited on changed).
+ * cancel() takes the slot off the list or its backlog at once (its
+ * parked fires stay counted for takeParked).
  */
 
 #ifndef RETCON_SIM_SHARDED_QUEUE_HPP
@@ -160,17 +182,22 @@ class ShardedEventQueue final : public SimClock
 
   private:
     static constexpr Cycle kIdle = ~Cycle(0); ///< `when` of an idle slot.
+    static constexpr unsigned kNone = ~0u;    ///< No stale tree path.
 
     struct Slot {
+        /// Due cycle; a queued wake keeps the cycle it was last counted
+        /// into on its own (it is due at its backlog's cycle).
         Cycle when = kIdle;
         std::uint64_t seq = 0;
         std::uint8_t shard = 0; ///< Home shard.
-        /// Batch-slipped: its last slip was counted ahead of dispatch.
-        bool slipped = false;
-        /// On the parked list (its tree leaf holds the sentinel).
+        /// Parked: fired by step() (its tree leaf holds the sentinel).
         bool listed = false;
-        /// Parked-list neighbours; the sentinel ends the list both ways.
-        /// Not char-sized: a char store may alias any member, and the
+        /// In its shard's backlog, not in the tree or on the parked
+        /// list (its tree leaf holds the sentinel).
+        bool queued = false;
+        /// Neighbours on the parked list or, while queued, in the
+        /// backlog; the list's sentinel ends it both ways. Not
+        /// char-sized: a char store may alias any member, and the
         /// parked fire would reload them all after relinking.
         std::uint16_t prev = 0, next = 0;
     };
@@ -185,26 +212,34 @@ class ShardedEventQueue final : public SimClock
 
     struct Shard {
         /// No thief can ever drain this shard (stealing off, or a steal
-        /// group of one), so an over-quota cycle slips all its due
-        /// wakes in one loop.
-        bool batchSlip = false;
+        /// group of one), so its over-quota wakes queue in its backlog.
+        bool queues = false;
         unsigned dispatched = 0; ///< This cycle's dispatch slots used.
+        unsigned backlogSize = 0;
+        Cycle backlogWhen = 0;     ///< B: every queued wake is due then.
+        std::uint64_t homed = 0;   ///< Bit i: slot i is homed here.
         ShardStats stats;
     };
 
     ShardedQueueConfig _cfg;
     std::vector<Shard> _shards;
     /// Padded with idle slots to a power of two, the tree's leaf count
-    /// `_leaves`, plus one sentinel slot (index `_leaves`) that is
-    /// always idle: the parked list's head and tail are its `next` and
-    /// `prev`, and a listed slot's tree leaf holds its index.
+    /// `_leaves`, plus always idle sentinel slots: the parked list's
+    /// (index `_leaves`), whose `next` and `prev` are the list's head
+    /// and tail and whose index a listed or queued slot's tree leaf
+    /// holds, and shard k's backlog's (index `_leaves + 1 + k`).
     std::vector<Slot> _slots;
     std::vector<Park> _parks; ///< Indexed like _slots.
     unsigned _leaves = 1;
     /// Tournament tree over the slots: node n (1-based) holds the slot
     /// with the earliest wake under it; node _leaves + i is leaf i. The
-    /// root, node 1, is the earliest wake outside the parked list.
+    /// root, node 1, is the earliest wake outside the parked list and
+    /// the backlogs.
     std::vector<std::uint8_t> _tree;
+    /// The slot step() last returned from the tree, whose path still
+    /// names it, or kNone.
+    unsigned _stale = kNone;
+    std::uint64_t _backlogged = 0; ///< Bit k: shard k's backlog is non-empty.
 
     Cycle _now = 0;
     std::uint64_t _nextSeq = 1;
@@ -244,7 +279,7 @@ class ShardedEventQueue final : public SimClock
     /** Replay the tree's matches on @p slot's path after it changed. */
     void update(unsigned slot);
 
-    /** Link unlinked @p slot into the parked list after @p after. */
+    /** Link unlinked @p slot into a list after @p after. */
     void
     linkAfter(unsigned slot, unsigned after)
     {
@@ -266,7 +301,7 @@ class ShardedEventQueue final : public SimClock
         linkAfter(slot, after);
     }
 
-    /** Take @p slot out of the parked list's links. */
+    /** Take @p slot out of its list's links. */
     void
     unlink(unsigned slot)
     {
@@ -283,10 +318,14 @@ class ShardedEventQueue final : public SimClock
     void unlist(unsigned slot);
 
     /**
-     * Slip every wake @p shard has due at @p when one cycle on, and
-     * replay what that changes of the tree and the parked list.
+     * Slip @p slot, due on its home shard after the shard's slots for
+     * the cycle ran out, into the shard's backlog, out of the tree or
+     * the parked list.
      */
-    void batchSlip(unsigned shard, Cycle when);
+    void enqueue(unsigned slot);
+
+    /** Take queued @p slot out of its backlog, left unlinked. */
+    void dequeue(unsigned slot);
 
     /** True when @p shard has a wake due at or before @p when. */
     bool dueOn(unsigned shard, Cycle when) const;

@@ -96,3 +96,19 @@ TEST(EventKernelDeath, WakingAParkedSlotPanics)
     EXPECT_EQ(eq.pending(), 1u);
     EXPECT_DEATH(eq.wake(0, 1), "woken twice");
 }
+
+TEST(EventKernelDeath, WakingABackloggedSlotPanics)
+{
+    // At one dispatch per cycle, slot 1's wake finds the cycle's slot
+    // used by slot 0's and queues for the next cycle, past the cut: it
+    // is still the slot's one pending wake.
+    ShardedQueueConfig cfg;
+    cfg.dispatchBandwidth = 1;
+    ShardedEventQueue eq(cfg, {0, 0});
+    eq.wake(0, 5);
+    eq.wake(1, 5);
+    EXPECT_EQ(eq.step(5), 0);
+    EXPECT_EQ(eq.step(5), -1);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_DEATH(eq.wake(1, 1), "woken twice");
+}

@@ -3,9 +3,10 @@
  * Cross-commit determinism per TM mode: every mode of the machine runs
  * the `service` workload (8 threads, scale 0.1, seed 1) plain and with
  * the sharded/banked/arbitrated/backoff knobs, plus one fleet point,
- * two RETCON points at a dispatch bandwidth of 1 event per shard-cycle
- * (one shard, where over-quota events batch-slip, and four shards,
- * where idle shards steal) and the §5.3 idealized RETCON, and must
+ * three RETCON points at a dispatch bandwidth of 1 event per
+ * shard-cycle (one shard and four shards without stealing, where
+ * over-quota wakes queue in their shard's backlog and slip, and four
+ * shards where idle shards steal) and the §5.3 idealized RETCON, and must
  * reproduce pinned simulated results exactly, event-kernel counters
  * included.
  *
@@ -31,8 +32,10 @@ enum class Knobs {
     Plain,  ///< One shard, one bank, no arbitration, no backoff.
     Banked, ///< 4 shards, 4 banks, commit-token arbitration, exp backoff.
     Fleet,  ///< 2 clusters of 2 shards x 2 banks, 25% cross-cluster.
-    Slip,   ///< 1 shard dispatching 1 event/cycle: batch slips.
+    Slip,   ///< 1 shard dispatching 1 event/cycle: slips.
     Steal,  ///< 4 shards dispatching 1 event/cycle each: steals.
+    Slip4,  ///< 4 shards dispatching 1 event/cycle each, no stealing:
+            ///< slips on every shard.
     Ideal,  ///< §5.3 idealized RETCON (unbounded state, free commit).
 };
 
@@ -87,6 +90,8 @@ const GoldenRow kRows[] = {
      29400, 160, 233, 2915, 0, 0, 10679, 9327, 0},
     {"retcon+steal", TMMode::Retcon, Knobs::Steal, "sim.stolen",
      29393, 160, 206, 3314, 0, 0, 10809, 276, 586},
+    {"retcon+slip4", TMMode::Retcon, Knobs::Slip4, "sim.slipped",
+     29915, 160, 242, 3205, 0, 0, 11111, 1111, 0},
     {"retcon+idealized", TMMode::Retcon, Knobs::Ideal,
      "reenact.repairs_checked",
      28666, 160, 230, 3034, 0, 0, 10739, 0, 0},
@@ -125,6 +130,11 @@ rowConfig(const GoldenRow &row)
       case Knobs::Steal:
         cfg.shards = 4;
         cfg.shardBandwidth = 1;
+        break;
+      case Knobs::Slip4:
+        cfg.shards = 4;
+        cfg.shardBandwidth = 1;
+        cfg.shardWorkStealing = false;
         break;
       case Knobs::Ideal:
         cfg.tm.idealized = true;

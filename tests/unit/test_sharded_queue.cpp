@@ -45,7 +45,8 @@ fields(const ShardStats &s)
  * literally, one wake and one cycle at a time, and a parked slot's
  * fire is a literal wake() made before step() moves on. It shares the
  * dispatch rules (per-shard bandwidth, steal groups, the rotating
- * steal cursor) and none of the queue's data structures.
+ * steal cursor) and none of the queue's data structures. It also
+ * measures its backlogs: a shard's live wakes that have slipped.
  */
 class RefQueue
 {
@@ -61,16 +62,19 @@ class RefQueue
     void
     wake(unsigned slot, Cycle delta)
     {
-        _events.push_back({_now + delta, slot, true});
+        _events.push_back({_now + delta, _now + delta, slot, true});
         ++_stats[_homes[slot]].scheduled;
     }
 
     void
     cancel(unsigned slot)
     {
-        for (Event &e : _events)
-            if (e.slot == slot)
-                e.live = false;
+        for (Event &e : _events) {
+            if (e.slot != slot)
+                continue;
+            slippedCancels += e.live && e.when != e.due;
+            e.live = false;
+        }
         _parks[slot].budget = 0;
     }
 
@@ -89,12 +93,25 @@ class RefQueue
         return std::exchange(_parks[slot].fires, 0);
     }
 
+    /** Live wakes homed on @p shard that have slipped. */
+    unsigned
+    backlog(unsigned shard) const
+    {
+        unsigned n = 0;
+        for (const Event &e : _events)
+            n += e.live && e.when != e.due && _homes[e.slot] == shard;
+        return n;
+    }
+
+    unsigned maxBacklog = 0;     ///< Deepest backlog seen at a slip.
+    unsigned slippedCancels = 0; ///< Cancels of a slipped wake.
+
     int
-    step()
+    step(Cycle maxCycles = ~Cycle(0))
     {
         for (;;) {
             Event *e = earliest(-1);
-            if (!e)
+            if (!e || e->when > maxCycles)
                 return -1;
             unsigned home = _homes[e->slot];
             if (e->when != _dispatchCycle) {
@@ -105,6 +122,7 @@ class RefQueue
             if (exec < 0) {
                 ++e->when;
                 ++_stats[home].deferred;
+                maxBacklog = std::max(maxBacklog, backlog(home));
                 continue;
             }
             ++_dispatched[exec];
@@ -127,6 +145,7 @@ class RefQueue
     /// Indexed by wake order, which is the global tie-break seq.
     struct Event {
         Cycle when;
+        Cycle due; ///< `when` before any slip.
         unsigned slot;
         bool live;
     };
@@ -201,7 +220,7 @@ class RealQueue
 
     void wake(unsigned slot, Cycle delta) { _q.wake(slot, delta); }
     void cancel(unsigned slot) { _q.cancel(slot); }
-    int step() { return _q.step(); }
+    int step(Cycle maxCycles = ~Cycle(0)) { return _q.step(maxCycles); }
     void park(unsigned slot, Cycle period, std::uint64_t budget)
     {
         _q.park(slot, period, budget);
@@ -213,14 +232,25 @@ class RealQueue
     ShardedEventQueue _q;
 };
 
+/** The shapes of load a Script can make. */
+enum class Leg {
+    Mixed,     ///< Re-wakes 0..3 cycles on, barrier releases, idling.
+    FanIn,     ///< Mixed, with most slots parked at once at the start.
+    Saturated, ///< Every fire re-wakes 1..4 cycles on; remote moves
+               ///< aim at pending wakes, mostly queued behind a quota.
+};
+
 /**
  * Seeded random script making the moves a Core makes with its wake
  * slot: a fired core re-wakes itself 0..3 cycles on (and may park that
  * wake for a few fires), remote-aborts another pending core (cancel,
  * then re-wake it at delta 0; the parked fires it had stay counted),
  * releases a parked core (unpark), releases an idle core from a
- * barrier (wake at delta 0), or goes idle. Logs every dispatch as
- * (slot, cycle, every shard's executed count, parked fires taken).
+ * barrier (wake at delta 0), or goes idle. In the saturated leg a
+ * fired core re-wakes itself 1..4 cycles on after it cancels, parks or
+ * unparks another pending core, or goes idle after it wakes an idle
+ * one. Logs every dispatch as (slot, cycle, every shard's executed
+ * count, parked fires taken).
  */
 template <class Q>
 struct Script {
@@ -270,6 +300,10 @@ struct Script {
         parked[c] = false;
         if (budget[c]-- <= 0)
             return;
+        if (leg == Leg::Saturated) {
+            fireSaturated(c);
+            return;
+        }
         std::uint64_t r = rng.below(16);
         int o = r < 6 ? other(c, r < 4) : -1;
         if (o >= 0 && r < 3) { // Remote abort.
@@ -290,27 +324,68 @@ struct Script {
         }
     }
 
+    void
+    fireSaturated(unsigned c)
+    {
+        std::uint64_t r = rng.below(16);
+        int o = r < 6 ? other(c, true) : -1;
+        if (o >= 0 && r < 2) { // Remote abort.
+            parkedCancels += parked[o];
+            q.cancel(static_cast<unsigned>(o));
+            wake(static_cast<unsigned>(o), 1 + rng.below(4));
+        } else if (o >= 0 && r < 4) {
+            q.park(static_cast<unsigned>(o), 1 + rng.below(4),
+                   rng.below(4));
+            parked[o] = true;
+        } else if (o >= 0) {
+            q.unpark(static_cast<unsigned>(o)); // Wait released.
+        } else if (r >= 14) {
+            // Hand the work to an idle core, if any, and go idle.
+            o = other(c, false);
+            if (o >= 0)
+                wake(static_cast<unsigned>(o), 1 + rng.below(4));
+            return;
+        }
+        wake(c, 1 + rng.below(4));
+    }
+
     /**
-     * With @p fanIn, every slot first wakes at its own cycle and all
-     * but two park at once, with periods 2..6, so most wakes start on
-     * the parked list and re-wake into its middle.
+     * Make the leg's first wakes. In the fan-in leg every slot wakes at
+     * its own cycle and all but two park at once, with periods 2..6, so
+     * most wakes start on the parked list and re-wake into its middle.
      */
     void
-    run(bool fanIn = false)
+    start(Leg how)
     {
+        leg = how;
         pending.assign(nslots, false);
         parked.assign(nslots, false);
         budget.assign(nslots, 30);
         for (unsigned c = 0; c < nslots; ++c) {
-            wake(c, fanIn ? c : c % 3);
-            if (fanIn && c >= 2) {
+            wake(c, leg == Leg::FanIn ? c : c % 3);
+            if (leg == Leg::FanIn && c >= 2) {
                 q.park(c, 2 + c % 5, 1 + rng.below(12));
                 parked[c] = true;
             }
         }
-        for (int c; (c = q.step()) >= 0;)
+    }
+
+    /** Fire wakes until none is left at or before @p maxCycles. */
+    void
+    drive(Cycle maxCycles = ~Cycle(0))
+    {
+        for (int c; (c = q.step(maxCycles)) >= 0;)
             fire(static_cast<unsigned>(c));
     }
+
+    void
+    run(Leg how = Leg::Mixed)
+    {
+        start(how);
+        drive();
+    }
+
+    Leg leg = Leg::Mixed;
 };
 
 /** @p n slots homed round-robin over @p nshards. */
@@ -491,21 +566,29 @@ namespace {
 /** What a grid run exercised, summed over its configurations. */
 struct GridTotals {
     std::uint64_t deferred = 0, stolen = 0, parkedFires = 0;
-    std::uint64_t parkedCancelsBatched = 0;
+    std::uint64_t parkedCancelsQueued = 0;
+    /// On shards no thief can reach (the queue's backlogs): the deepest
+    /// backlog, and cancels of a wake that had slipped.
+    unsigned maxBacklog = 0;
+    std::uint64_t backlogCancels = 0;
 };
 
 /**
  * Drive the queue and the brute-force reference with one seeded script
- * (Script::run(@p fanIn)) over shards × bandwidth × stealing × steal
- * group; require the same dispatch sequence, the same parked-fire
- * counts and the same per-shard counters.
+ * (Script::run(@p leg)) over shards × bandwidth × stealing × steal
+ * group (the saturated leg at bandwidth 1 only); require the same
+ * dispatch sequence, the same parked-fire counts and the same
+ * per-shard counters.
  */
 void
-runGrid(bool fanIn, GridTotals &out)
+runGrid(Leg leg, GridTotals &out)
 {
-    constexpr unsigned kSlots = 12;
+    const unsigned kSlots = leg == Leg::Saturated ? 16 : 12;
+    std::vector<unsigned> bws = {0, 1, 2, 3};
+    if (leg == Leg::Saturated)
+        bws = {1};
     for (unsigned nshards : {1u, 2u, 4u})
-        for (unsigned bw : {0u, 1u, 2u, 3u})
+        for (unsigned bw : bws)
             for (bool steal : {true, false})
                 for (unsigned group : {0u, 1u})
                     for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -518,17 +601,22 @@ runGrid(bool fanIn, GridTotals &out)
                                      << " seed=" << seed);
                         RealQueue real(cfg, roundRobin(kSlots, nshards));
                         Script<RealQueue> a(real, kSlots, nshards, seed);
-                        a.run(fanIn);
+                        a.run(leg);
                         RefQueue ref(cfg, roundRobin(kSlots, nshards));
                         Script<RefQueue> b(ref, kSlots, nshards, seed);
-                        b.run(fanIn);
+                        b.run(leg);
                         ASSERT_EQ(a.log, b.log);
                         for (const auto &entry : b.log)
                             out.parkedFires += std::get<3>(entry);
-                        bool batched = bw > 0 && (!steal || group == 1 ||
+                        bool queues = bw > 0 && (!steal || group == 1 ||
                                                   nshards == 1);
-                        out.parkedCancelsBatched +=
-                            batched * b.parkedCancels;
+                        out.parkedCancelsQueued +=
+                            queues * b.parkedCancels;
+                        if (queues) {
+                            out.maxBacklog =
+                                std::max(out.maxBacklog, ref.maxBacklog);
+                            out.backlogCancels += ref.slippedCancels;
+                        }
                         for (unsigned s = 0; s < nshards; ++s) {
                             EXPECT_EQ(fields(real.shardStats(s)),
                                       fields(ref.shardStats(s)))
@@ -543,19 +631,19 @@ runGrid(bool fanIn, GridTotals &out)
 
 TEST(ShardedQueue, MatchesBruteForceReferenceOverConfigGrid)
 {
-    // Batched slips (no possible thief) and per-wake slips (stealing)
-    // must both reproduce literal one-at-a-time slipping, also when a
-    // remote abort cancels a batch-slipped wake before the dispatch
-    // order reaches it, and a parked slot's fires must equal the
-    // reference's literal re-wakes.
+    // Backlogged slips (no possible thief) and per-wake slips
+    // (stealing) must both reproduce literal one-at-a-time slipping,
+    // also when a remote abort cancels a queued wake before the
+    // dispatch order reaches it, and a parked slot's fires must equal
+    // the reference's literal re-wakes.
     GridTotals t;
-    runGrid(false, t);
+    runGrid(Leg::Mixed, t);
     // The grid really slips, steals, parks, and cancels parked wakes
-    // under batched slips.
+    // on shards that queue their slips.
     EXPECT_GT(t.deferred, 0u);
     EXPECT_GT(t.stolen, 0u);
     EXPECT_GT(t.parkedFires, 0u);
-    EXPECT_GT(t.parkedCancelsBatched, 0u);
+    EXPECT_GT(t.parkedCancelsQueued, 0u);
 }
 
 TEST(ShardedQueue, ParkedFanInMatchesBruteForceReferenceOverConfigGrid)
@@ -564,11 +652,11 @@ TEST(ShardedQueue, ParkedFanInMatchesBruteForceReferenceOverConfigGrid)
     // periods: re-wakes land inside the parked list, not only at its
     // tail, and slips and steals act on listed wakes.
     GridTotals t;
-    runGrid(true, t);
+    runGrid(Leg::FanIn, t);
     EXPECT_GT(t.deferred, 0u);
     EXPECT_GT(t.stolen, 0u);
     EXPECT_GT(t.parkedFires, 0u);
-    EXPECT_GT(t.parkedCancelsBatched, 0u);
+    EXPECT_GT(t.parkedCancelsQueued, 0u);
 }
 
 TEST(ShardedQueue, ParkedSlipKeepsOrderAcrossShards)
@@ -611,4 +699,56 @@ TEST(ShardedQueue, ListedDueWakeIsNotAThief)
     EXPECT_EQ(q.shardStats(1).stolen, 0u);
     EXPECT_EQ(q.shardStats(0).deferred, 1u);
     EXPECT_EQ(q.takeParked(2), 1u);
+}
+
+TEST(ShardedQueue, SaturatedMatchesBruteForceReferenceOverConfigGrid)
+{
+    // Every slot re-wakes 1..4 cycles on at one dispatch per shard and
+    // cycle, so a shard no thief can reach keeps a deep backlog of
+    // queued wakes, and the remote cancels, parks and unparks mostly
+    // hit queued wakes.
+    GridTotals t;
+    runGrid(Leg::Saturated, t);
+    EXPECT_GT(t.deferred, 0u);
+    EXPECT_GT(t.stolen, 0u);
+    EXPECT_GT(t.parkedFires, 0u);
+    EXPECT_GE(t.maxBacklog, 8u);
+    EXPECT_GT(t.backlogCancels, 0u);
+    EXPECT_GT(t.parkedCancelsQueued, 0u);
+}
+
+TEST(ShardedQueue, RunCutAtMaxCyclesWithABacklogResumes)
+{
+    // A run stopped at maxCycles while a shard's backlog is pending,
+    // then resumed, must dispatch as the reference does, and at the
+    // cut its counters must already match the reference's.
+    constexpr unsigned kSlots = 16;
+    constexpr Cycle kCut = 40;
+    for (unsigned nshards : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << "shards=" << nshards);
+        ShardedQueueConfig cfg = config(nshards, /*bandwidth=*/1,
+                                        /*stealing=*/false);
+        RealQueue real(cfg, roundRobin(kSlots, nshards));
+        Script<RealQueue> a(real, kSlots, nshards, 7);
+        RefQueue ref(cfg, roundRobin(kSlots, nshards));
+        Script<RefQueue> b(ref, kSlots, nshards, 7);
+        a.start(Leg::Saturated);
+        b.start(Leg::Saturated);
+        a.drive(kCut);
+        b.drive(kCut);
+        EXPECT_LE(real.now(), kCut);
+        for (unsigned s = 0; s < nshards; ++s) {
+            // The cut really left queued wakes behind.
+            EXPECT_GE(ref.backlog(s), 2u) << "shard " << s;
+            EXPECT_EQ(fields(real.shardStats(s)), fields(ref.shardStats(s)))
+                << "shard " << s << " at the cut";
+        }
+        a.drive();
+        b.drive();
+        EXPECT_EQ(a.log, b.log);
+        EXPECT_GT(std::get<1>(b.log.back()), kCut);
+        for (unsigned s = 0; s < nshards; ++s)
+            EXPECT_EQ(fields(real.shardStats(s)), fields(ref.shardStats(s)))
+                << "shard " << s;
+    }
 }
