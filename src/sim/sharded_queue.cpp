@@ -71,7 +71,6 @@ ShardedEventQueue::cancel(unsigned slot)
     Slot &s = _slots[slot];
     if (s.when == kIdle)
         return;
-    _parks[slot].budget = 0;
     if (s.queued) {
         // The per-wake order counts a queued wake's last slip at (B -
         // 1, its seq). A backlog slip counts it when the shard's slots
@@ -84,15 +83,10 @@ ShardedEventQueue::cancel(unsigned slot)
         Cycle counted = sh.backlogWhen - 1;
         if (counted > _atWhen || (counted == _atWhen && s.seq > _atSeq))
             --sh.stats.deferred;
-        dequeue(slot);
-        s.listed = false;
-        // Its tree path saw only the idle sentinel.
-        _tree[_leaves + slot] = static_cast<std::uint8_t>(slot);
-        s.when = kIdle;
-        return;
     }
     s.when = kIdle;
-    if (s.listed)
+    _parks[slot].budget = 0;
+    if (s.listed || s.queued)
         unlist(slot); // Its tree path saw only the idle sentinel.
     else
         update(slot);
@@ -136,7 +130,10 @@ ShardedEventQueue::update(unsigned slot)
 void
 ShardedEventQueue::unlist(unsigned slot)
 {
-    unlink(slot);
+    if (_slots[slot].queued)
+        dequeue(slot);
+    else
+        unlink(slot);
     _slots[slot].listed = false;
     // The leaf's ancestors may still name the sentinel; both are idle
     // now, so the slot's next wake replays the path.

@@ -185,8 +185,8 @@ class ShardedEventQueue final : public SimClock
     static constexpr unsigned kNone = ~0u;    ///< No stale tree path.
 
     struct Slot {
-        /// Due cycle; a queued wake keeps the cycle it was last counted
-        /// into on its own (it is due at its backlog's cycle).
+        /// Due cycle; a queued wake is due at its backlog's cycle B,
+        /// and its own `when` (B when it joined) only marks it pending.
         Cycle when = kIdle;
         std::uint64_t seq = 0;
         std::uint8_t shard = 0; ///< Home shard.
@@ -314,7 +314,8 @@ class ShardedEventQueue final : public SimClock
      *  place in the parked list. */
     void sift(unsigned slot);
 
-    /** Take listed @p slot off the parked list; its leaf is its own. */
+    /** Take listed or queued @p slot off the parked list or its
+     *  backlog; its leaf is its own. */
     void unlist(unsigned slot);
 
     /**

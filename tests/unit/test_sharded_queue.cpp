@@ -561,6 +561,22 @@ TEST(ShardedQueue, CancellingAWakeThatAlreadyFiredIsANoOp)
     EXPECT_EQ(q.pending(), 0u);
 }
 
+TEST(ShardedQueue, FiredSlotLeftIdleStillYieldsTheNextWake)
+{
+    // Slot 0 fires and is never woken again, so only the next step()
+    // replays the path it left naming it. Cancelling slot 2 in between
+    // replays slot 2's path against that stale match; slot 1, under the
+    // stale match, must still fire next.
+    ShardedEventQueue q(config(1), {0, 0, 0, 0});
+    q.wake(0, 1);
+    q.wake(1, 2);
+    q.wake(2, 3);
+    EXPECT_EQ(q.step(), 0);
+    q.cancel(2);
+    std::vector<std::pair<int, Cycle>> want = {{1, 2}};
+    EXPECT_EQ(drain(q), want);
+}
+
 namespace {
 
 /** What a grid run exercised, summed over its configurations. */
